@@ -199,6 +199,8 @@ def _check_int(name: str, value, low: int) -> int:
 def _check_prob(name: str, value) -> Fraction:
     try:
         p = as_prob(value)
+    except ModelError as exc:
+        raise DomainError(f"parameter {name}: {exc}")
     except (TypeError, ValueError, ZeroDivisionError):
         raise DomainError(f"parameter {name} must be a probability, got {value!r}")
     if not 0 < p < 1:

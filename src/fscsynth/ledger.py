@@ -22,6 +22,28 @@ series of every cycle recorded at intermediate indices.  ``cumulate_alpha``
 folds the frontier slot into its parent when the branch retreats, chosen
 so that ``calc_lambda`` is invariant under the fold.
 
+The search never calls ``calc_lambda`` on its hot path.  Every mutating
+method keeps a cache of the same bounds up to date instead:
+
+* ``lam_loop[k]``: calc_lambda's cycle mass at index k (zero at L), with
+  its ``headroom[k] = 1 - lam_loop[k]`` and ``through[k] = ps[k] /
+  headroom[k]``;
+* ``prefix[k]``: the product of ``through[:k]``, the weight of slot k in
+  the index-0 bounds;
+* ``acc_goal[k]`` (and ``acc_fail``, ``acc_noter``): the prefix sums of
+  ``prefix[j] * goal[j]``, so that ``goal0 = acc_goal[L]``;
+* ``top[k]``: the highest column of ``loop[k]`` holding mass, or -1.
+
+``extend``, a terminal record and a fold cost O(1) arithmetic; a cycle
+record to index k recomputes the cycle mass of k and of the lower rows
+that run past a changed index, then rescales the prefix from the lowest
+changed index.  The dead-index rule (see ``calc_lambda``) is applied
+eagerly, by the mutation that triggers it, so ``calc_lambda`` finds
+nothing left to saturate on a ledger built through these methods and
+stays the side-effect-free reference the cache is tested against.
+Writing the slot lists directly bypasses the cache; ``calc_lambda`` and
+``cumulate_alpha`` read only the slots and stay exact on such ledgers.
+
 Arithmetic is exact (Fractions) unless the ledger is built with
 ``exact=False``, in which case floats and epsilon comparisons are used
 (benchmark mode only; every correctness test runs exact).
@@ -33,6 +55,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 _FLOAT_EPS = 1e-12
+
+#: Flat per-index lists copied by ``snapshot`` (``loop`` is copied per row).
+_LISTS = (
+    "qs", "ss", "ps", "goal", "fail", "noter",
+    "lam_loop", "headroom", "through", "prefix", "acc_goal", "acc_fail", "acc_noter", "top",
+)
 
 
 class LedgerError(AssertionError):
@@ -62,9 +90,10 @@ class LambdaVector:
 
 
 class SearchLedger:
-    """Mutable search-branch state: ``h_curr`` plus the alpha slots."""
+    """Mutable search-branch state: ``h_curr``, the alpha slots and the
+    cached bounds derived from them."""
 
-    __slots__ = ("qs", "ss", "ps", "pos", "goal", "fail", "noter", "loop", "exact", "events")
+    __slots__ = _LISTS + ("pos", "loop", "exact", "events")
 
     def __init__(self, exact: bool = True):
         self.qs: list[int] = []
@@ -72,13 +101,22 @@ class SearchLedger:
         self.ps: list = []
         self.pos: dict[tuple[int, int], int] = {}
         zero = Fraction(0) if exact else 0.0
+        one = 1 - zero
         self.goal = [zero]
         self.fail = [zero]
         self.noter = [zero]
         self.loop = [[zero]]
+        self.lam_loop = [zero]
+        self.headroom = [one]
+        self.through: list = []
+        self.prefix = [one]
+        self.acc_goal = [zero]
+        self.acc_fail = [zero]
+        self.acc_noter = [zero]
+        self.top = [-1]
         self.exact = exact
-        #: bumped on every mass record; lets callers skip redundant lambda
-        #: evaluations (folds do not bump it because they preserve lambda)
+        #: bumped on every mass record, saturation and restore; folds
+        #: leave it alone because they preserve lambda
         self.events = 0
 
     # -- shape ----------------------------------------------------------
@@ -111,27 +149,84 @@ class SearchLedger:
         for row in self.loop:
             row.append(zero)
         self.loop.append([zero] * (len(self.qs) + 1))
+        # the old frontier carries no cycle mass, so its headroom is 1
+        self.through.append(p)
+        self.prefix.append(self.prefix[-1] * p)
+        self.lam_loop.append(zero)
+        self.headroom.append(1 - zero)
+        self.top.append(-1)
+        for acc in (self.acc_goal, self.acc_fail, self.acc_noter):
+            acc.append(acc[-1])
+
+    # -- cached bounds at index 0 ------------------------------------------
+
+    @property
+    def goal0(self):
+        return self.acc_goal[-1]
+
+    @property
+    def fail0(self):
+        return self.acc_fail[-1]
+
+    @property
+    def noter0(self):
+        return self.acc_noter[-1]
 
     # -- mass records -----------------------------------------------------
 
     def record_goal(self, p) -> None:
-        self.goal[len(self.qs)] += p
-        self.events += 1
+        self._record(self.goal, self.acc_goal, p)
 
     def record_fail(self, p) -> None:
-        self.fail[len(self.qs)] += p
-        self.events += 1
+        self._record(self.fail, self.acc_fail, p)
 
     def record_noter(self, p) -> None:
-        self.noter[len(self.qs)] += p
+        self._record(self.noter, self.acc_noter, p)
+        self._settle(len(self.qs) - 1)
+
+    def _record(self, slots: list, acc: list, p) -> None:
+        """Terminal mass at the frontier slot; its weight in the index-0
+        bounds is the prefix product at L."""
+        L = len(self.qs)
+        slots[L] += p
+        acc[L] += self.prefix[L] * p
         self.events += 1
+        self._check_bounds()
 
     def record_loop(self, k: int, p_loop) -> None:
         """Seal a decaying cycle back to index k (traversal mass < 1)."""
-        if not 0 <= k < len(self.qs):
+        L = len(self.qs)
+        if not 0 <= k < L:
             raise LedgerError("loop record outside h_curr")
-        self.loop[k][len(self.qs)] += p_loop
+        self.loop[k][L] += p_loop
+        self.top[k] = L
         self.events += 1
+        # a new cycle mass at index j changes the amplification of every
+        # lower row that has a column past j; walk down and recompute those
+        low = None
+        for j in range(k, -1, -1):
+            if j < k and (low is None or self.top[j] <= low):
+                continue
+            value = self._row_lambda(j)
+            if value == self.lam_loop[j]:
+                continue
+            if self._above_one(value):
+                raise LedgerError(f"cycle mass above 1 at index {j}")
+            if self._is_one(value):
+                # all mass from h_curr[j] cycles: the index is dead, and no
+                # lower row may run past it
+                if self.acc_noter[L] != self.acc_noter[j]:
+                    raise LedgerError(f"cycle+noter mass above 1 at index {j}")
+                self._saturate_at(j)
+                low = None
+                break
+            self.lam_loop[j] = value
+            self.headroom[j] = 1 - value
+            self.through[j] = self.ps[j] / self.headroom[j]
+            low = j
+        if low is not None:
+            self._rescale(low)
+        self._settle(k)
 
     def loop_mass_to(self, k: int):
         """Traversal probability of the on-branch suffix h_curr[k:]; the
@@ -141,34 +236,113 @@ class SearchLedger:
             acc *= self.ps[t]
         return acc
 
+    # -- cache maintenance --------------------------------------------------
+
+    def _row_lambda(self, j: int):
+        """calc_lambda's cycle mass at index j from row j and the cached
+        headroom above it (Horner form: column m is divided by the
+        headroom of every index strictly between j and m)."""
+        top = self.top[j]
+        if top < 0:
+            return self._zero()
+        row = self.loop[j]
+        headroom = self.headroom
+        acc = row[top]
+        for m in range(top - 1, j, -1):
+            h = headroom[m]
+            if h != 1:
+                acc /= h
+            v = row[m]
+            if v:
+                acc += v
+        return acc + row[j] if top > j else acc
+
+    def _rescale(self, low: int) -> None:
+        """Recompute ``prefix`` and the prefix sums above index ``low``."""
+        prefix = self.prefix
+        slots = ((self.goal, self.acc_goal), (self.fail, self.acc_fail), (self.noter, self.acc_noter))
+        for t in range(low, len(self.qs)):
+            weight = prefix[t] * self.through[t]
+            prefix[t + 1] = weight
+            for values, acc in slots:
+                v = values[t + 1]
+                acc[t + 1] = acc[t] + weight * v if v else acc[t]
+        self._check_bounds()
+
+    def _check_bounds(self) -> None:
+        """calc_lambda's range checks, on the cached index-0 bounds: with
+        every component non-negative, a total of at most 1 keeps each one
+        in [0, 1]."""
+        goal0, fail0, noter0 = self.goal0, self.fail0, self.noter0
+        if goal0 < 0 or fail0 < 0 or noter0 < 0:
+            raise LedgerError(f"lambda component outside [0,1] at index 0: {goal0}, {fail0}, {noter0}")
+        # goal, fail and noter continuations are disjoint trajectory sets
+        if self._above_one(goal0 + fail0 + noter0):
+            raise LedgerError("goal+fail+noter mass above 1 at index 0")
+
+    def _settle(self, k: int) -> None:
+        """Apply the dead-index rule at every index j <= k whose cycle mass
+        and never-terminating mass from h_curr[j] now fill the unit.
+
+        Only indices at or above the highest goal/fail slot can qualify:
+        below it, ``_saturate_at`` would reject the state anyway."""
+        L = len(self.qs)
+        if not self.acc_noter[L]:
+            return
+        last_terminal = next((j for j in range(L, 0, -1) if self.goal[j] or self.fail[j]), 0)
+        for j in range(k, last_terminal - 1, -1):
+            lam = self.lam_loop[j]
+            noter_after = self.acc_noter[L] - self.acc_noter[j]
+            if self._is_zero(lam) or not noter_after:
+                continue
+            total = lam + noter_after / self.prefix[j + 1]
+            if self._above_one(total):
+                raise LedgerError(f"cycle+noter mass above 1 at index {j}")
+            if self._is_one(total):
+                self._saturate_at(j)
+
+    def _saturate_at(self, k: int) -> None:
+        """The dead-index rule of ``_saturate``, with the cache kept in step:
+        every index from k up loses its cycle mass, and the step into
+        h_curr[k] becomes never-terminating mass."""
+        L = len(self.qs)
+        for j in range(k + 1, L + 1):
+            if not self._is_zero(self.goal[j]) or not self._is_zero(self.fail[j]):
+                raise LedgerError("goal/fail mass recorded beyond a saturated index")
+        if any(self.top[j] > k for j in range(k)):
+            raise LedgerError("cycle mass through a saturated index")
+        zero = self._zero()
+        one = 1 - zero
+        for j in range(k, L + 1):
+            if self.top[j] >= 0:
+                self.loop[j][j:] = [zero] * (L + 1 - j)
+                self.top[j] = -1
+            self.lam_loop[j] = zero
+            self.headroom[j] = one
+        for j in range(k, L):
+            self.through[j] = self.ps[j]
+        for j in range(k + 2, L + 1):
+            self.noter[j] = zero
+        self.noter[k + 1] = one
+        self.events += 1
+        self._rescale(k)
+
     # -- snapshots (copy-on-branch, restored on backtrack) ---------------
 
     def snapshot(self):
-        """Full copy of the branch and alpha slots.
+        """Full copy of the branch, the alpha slots and the cache.
 
         Folds running between snapshot and restore legitimately shorten
         h_curr below its snapshot length, so the branch contents are
         stored, not just a length."""
-        return (
-            list(self.qs),
-            list(self.ss),
-            list(self.ps),
-            list(self.goal),
-            list(self.fail),
-            list(self.noter),
-            [list(row) for row in self.loop],
-        )
+        return [list(getattr(self, name)) for name in _LISTS], [list(row) for row in self.loop]
 
     def restore(self, snap) -> None:
-        qs, ss, ps, goal, fail, noter, loop = snap
-        self.qs = list(qs)
-        self.ss = list(ss)
-        self.ps = list(ps)
-        self.pos = {(q, s): k for k, (q, s) in enumerate(zip(self.qs, self.ss))}
-        self.goal = list(goal)
-        self.fail = list(fail)
-        self.noter = list(noter)
+        lists, loop = snap
+        for name, values in zip(_LISTS, lists):
+            setattr(self, name, list(values))
         self.loop = [list(row) for row in loop]
+        self.pos = {(q, s): k for k, (q, s) in enumerate(zip(self.qs, self.ss))}
         self.events += 1
 
     # -- numeric-mode comparisons ----------------------------------------
@@ -295,33 +469,44 @@ def cumulate_alpha(ledger: SearchLedger) -> SearchLedger:
     The new slot values are chosen so that ``calc_lambda`` returns the
     same values before and after the fold (on the shared indices); the
     through mass of the disappearing entry is amplified by its recorded
-    cycles and charged to the parent slot.  Mutates and returns the
-    ledger.
+    cycles and charged to the parent slot.  Row L is always empty, so the
+    cycle mass at n is just ``loop[n][n] + loop[n][L]``: the fold reads it
+    from the slots, and leaves every cached bound below n as it was.
+    Mutates and returns the ledger.
     """
     L = len(ledger)
     if L == 0:
         raise LedgerError("cannot fold a ledger with an empty branch")
     n = L - 1
-    lam = calc_lambda(ledger)
-    denom = 1 - lam.loop[n]
+    lam_n = ledger.loop[n][n] + ledger.loop[n][L]
+    denom = 1 - lam_n
     if ledger._is_zero(denom):
         raise LedgerError("fold hit cycle mass 1: saturation rule missed")
-    pn = ledger.ps[n]
-    through = pn / denom
-    ledger.goal[n] += through * ledger.goal[L]
-    ledger.fail[n] += through * ledger.fail[L]
-    ledger.noter[n] += through * ledger.noter[L]
-    del ledger.goal[L], ledger.fail[L], ledger.noter[L]
-
     amp = 1 / denom if denom != 1 else 1
-    new_loop = []
+    through = ledger.ps[n] * amp
+    for slots in (ledger.goal, ledger.fail, ledger.noter):
+        v = slots.pop()
+        if v:
+            slots[n] += through * v
+
+    zero = ledger._zero()
+    loop, top = ledger.loop, ledger.top
     for j in range(n):
-        row = ledger.loop[j]
-        row[n] += amp * row[L]
-        del row[L]
-        new_loop.append(row)
-    new_loop.append([ledger._zero()] * L)
-    ledger.loop = new_loop
+        v = loop[j].pop()
+        if v:
+            loop[j][n] += amp * v
+            top[j] = n
+    del loop[L]
+    loop[n] = [zero] * L
+
+    # index n becomes the frontier: no cycle mass, and the prefix sums up
+    # to it already hold the folded mass
+    del top[L], ledger.lam_loop[L], ledger.headroom[L], ledger.through[n], ledger.prefix[L]
+    top[n] = -1
+    ledger.lam_loop[n] = zero
+    ledger.headroom[n] = 1 - zero
+    for acc in (ledger.acc_goal, ledger.acc_fail, ledger.acc_noter):
+        acc[n] = acc.pop()
 
     del ledger.pos[(ledger.qs[n], ledger.ss[n])]
     del ledger.qs[n], ledger.ss[n], ledger.ps[n]

@@ -23,8 +23,6 @@ STOP = -1
 #: Name used for STOP in every textual surface (files, DOT, reports).
 STOP_NAME = "stop"
 
-_SUM_TOL = Fraction(1, 10**9)
-
 ProbLike = Union[Fraction, int, float, str]
 
 
@@ -33,10 +31,17 @@ class ModelError(ValueError):
 
 
 def as_prob(value: ProbLike) -> Fraction:
-    """Coerce ints, floats, strings like ``1/2`` or ``0.5`` to a Fraction."""
+    """Coerce ints, strings like ``1/2`` or ``0.5``, and floats whose binary
+    value is exactly their printed decimal (``0.5``, not ``0.1``) to a
+    Fraction."""
     if isinstance(value, Fraction):
         return value
-    return Fraction(value)
+    exact = Fraction(value)
+    if isinstance(value, float) and exact != Fraction(repr(value)):
+        raise ModelError(
+            f"float {value!r} is not exactly {value!r} in binary; pass the string {repr(value)!r}"
+        )
+    return exact
 
 
 @dataclass(frozen=True)
@@ -82,7 +87,7 @@ class Environment:
                 if p <= 0:
                     raise ModelError(f"delta({s},{a}) has non-positive probability {p}")
                 total += p
-            if abs(total - 1) > _SUM_TOL:
+            if total != 1:
                 raise ModelError(f"delta({s},{a}) sums to {total}, not 1")
 
     # -- index helpers -------------------------------------------------

@@ -5,15 +5,18 @@ combined state: a revisit of the current branch seals a cycle in the
 ledger, a stop records terminal mass, an undefined (controller state,
 observation) pair opens a choice point over every extension of the
 controller.  AND steps walk the outcome distribution of the chosen
-action.  After each explored outcome the ledger is turned into lower
-bounds: the controller is returned as soon as the guaranteed goal mass
-reaches the requested bound, and the branch is abandoned as soon as the
-remaining optimistic mass drops below it (both bounds also cover the
-optional termination-likelihood requirement).
+action.  After each explored outcome the search reads the lower bounds
+the ledger keeps up to date as it is mutated: the controller is returned
+as soon as the guaranteed goal mass reaches the requested bound, and the
+branch is abandoned as soon as the remaining optimistic mass drops below
+it (both bounds also cover the optional termination-likelihood
+requirement).  ``calc_lambda`` is the reference for those cached bounds:
+it is evaluated, and compared with the cache, whenever a hook is
+installed and whenever the branch is empty (where it costs O(1)).
 
 Backtracking is chronological: every choice point snapshots the alpha
-structures (copy-on-branch) and the controller is unwound through a
-trail.  The machine is an explicit agenda loop, not recursion, so branch
+structures and their cached bounds (copy-on-branch), and the controller
+is unwound through a trail.  The machine is an explicit agenda loop, not recursion, so branch
 length is bounded by memory rather than the interpreter stack.
 """
 
@@ -89,8 +92,6 @@ class _Search:
         self.ledger = SearchLedger(exact=exact)
         self.or_steps = 0
         self.peak_depth = 0
-        self.last_eval = -1
-        self.last_lambda: Optional[LambdaVector] = None
 
     # -- probability coercion for the optional float mode ---------------
 
@@ -109,7 +110,7 @@ class _Search:
         agenda = self.agenda
         while True:
             if not agenda:
-                verdict = self._evaluate(force=True)
+                verdict = self._evaluate()
                 if verdict == "found":
                     return ("controller", self._freeze())
                 if verdict == "fail":
@@ -224,23 +225,25 @@ class _Search:
 
     # -- bound evaluation --------------------------------------------------
 
-    def _evaluate(self, force: bool = False) -> Optional[str]:
+    def _evaluate(self) -> Optional[str]:
         ledger = self.ledger
-        if not force and ledger.events == self.last_eval and self.last_lambda is not None:
-            return None
-        lam = calc_lambda(ledger)
-        self.last_eval = ledger.events
-        self.last_lambda = lam
-        if self.hook is not None:
-            self.hook(tuple(sorted(self.controller.items())), lam)
+        goal0, fail0, noter0 = ledger.goal0, ledger.fail0, ledger.noter0
+        if self.hook is not None or not len(ledger):
+            lam = calc_lambda(ledger)
+            # float sums round differently from the reference; only exact
+            # runs can be held to it
+            if self.exact and (lam.goal0, lam.fail0, lam.noter0) != (goal0, fail0, noter0):
+                raise LedgerError("cached bounds differ from calc_lambda")
+            if self.hook is not None:
+                self.hook(tuple(sorted(self.controller.items())), lam)
         if self.fixed:
             return None
-        if lam.goal0 >= self.lgt_star and (
-            self.lter_star is None or lam.goal0 + lam.fail0 >= self.lter_star
+        if goal0 >= self.lgt_star and (
+            self.lter_star is None or goal0 + fail0 >= self.lter_star
         ):
             return "found"
-        if 1 - lam.fail0 - lam.noter0 < self.lgt_star or (
-            self.lter_star is not None and 1 - lam.noter0 < self.lter_star
+        if 1 - fail0 - noter0 < self.lgt_star or (
+            self.lter_star is not None and 1 - noter0 < self.lter_star
         ):
             return "fail"
         return None
@@ -256,7 +259,6 @@ class _Search:
             del self.trail[cp.trail_len:]
             self.max_used = cp.max_used
             self.ledger.restore(cp.snap)
-            self.last_lambda = None
             cp.idx += 1
             if cp.idx < len(cp.candidates):
                 cand = cp.candidates[cp.idx]
@@ -314,7 +316,6 @@ def measure(
         budget=None, hook=hook, fixed=controller, exact=exact,
     )
     outcome, _ = search.run()
-    assert outcome == "explored"
-    lam = search.last_lambda
-    assert lam is not None
-    return lam
+    if outcome != "explored":
+        raise LedgerError(f"fixed-controller run ended in {outcome!r}, not 'explored'")
+    return calc_lambda(search.ledger)

@@ -75,8 +75,7 @@ def build_chain(problem: PlanningProblem, controller: Controller) -> CombinedCha
             transitions.append(((sink, Fraction(1)),))
         elif isinstance(step, Undefined):
             transitions.append(((UNDEF_SINK, Fraction(1)),))
-        else:
-            assert isinstance(step, Branch)
+        elif isinstance(step, Branch):
             out = []
             for s2, p in step.successors:
                 node = (step.next_cstate, s2)
@@ -87,6 +86,8 @@ def build_chain(problem: PlanningProblem, controller: Controller) -> CombinedCha
                     nodes.append(node)
                 out.append((j, p))
             transitions.append(tuple(out))
+        else:
+            raise ChainError(f"system step of type {type(step).__name__} at node {i}")
         i += 1
     if not nodes:
         raise ChainError("combined chain has no reachable nodes")

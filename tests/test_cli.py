@@ -211,3 +211,18 @@ def test_parse_errors_exit_65(tmp_path, capsys):
     ctrl_file.write_text("states 1\nstart 0\nedge 0 nope flip 0\n")
     code, _, _ = run(capsys, "verify", "--domain", "coin-flip", "--controller", str(ctrl_file))
     assert code == 65
+
+
+@pytest.mark.parametrize("domain, param, max_states, lgt_star, outcome", [
+    ("noisy-hall-a-2d", "n=3", "2", "0.9", "controller"),
+    ("bridgewalk", "n=4", "3", "0.7", "failure-proved"),
+])
+def test_synth_float_mode_matches_exact_mode(capsys, domain, param, max_states, lgt_star, outcome):
+    argv = ["synth", "--domain", domain, "--param", param, "--max-states", max_states,
+            "--lgt-star", lgt_star, "--json"]
+    code, out, _ = run(capsys, *argv)
+    fcode, fout, _ = run(capsys, *argv, "--float")
+    exact, fast = json.loads(out), json.loads(fout)
+    assert exact["outcome"] == fast["outcome"] == outcome and code == fcode
+    assert exact["or_steps"] == fast["or_steps"]
+    assert exact["controller"] == fast["controller"]

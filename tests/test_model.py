@@ -13,6 +13,7 @@ from fscsynth.model import (
     Stop,
     SynthesisRequest,
     Undefined,
+    as_prob,
     is_goal_history,
     likelihood,
     system_step,
@@ -185,3 +186,30 @@ def test_synthesis_request_validation(coin):
         SynthesisRequest(coin, 1, F(1))
     with pytest.raises(ModelError):
         SynthesisRequest(coin, 1, F(1, 2), F(1))
+
+
+def _one_step_env(dist):
+    return Environment.from_tables(
+        ("s0", "s1", "s2"), ("a",), ("o",), {"s0": "o", "s1": "o", "s2": "o"}, {("s0", "a"): dist}
+    )
+
+
+def test_environment_rejects_a_sum_just_below_one():
+    with pytest.raises(ModelError):
+        _one_step_env({"s1": F(1, 2), "s2": F(1, 2) - F(1, 10**10)})
+
+
+def test_as_prob_rejects_inexact_floats():
+    with pytest.raises(ModelError, match="pass the string '0.1'"):
+        as_prob(0.1)
+    with pytest.raises(ModelError):
+        _one_step_env({"s1": 0.1, "s2": "9/10"})
+
+
+def test_as_prob_accepts_exact_inputs():
+    assert as_prob("0.1") == F(1, 10)
+    assert as_prob(0.5) == F(1, 2)
+    assert as_prob(F(1, 10)) == F(1, 10)
+    assert as_prob(1) == 1
+    env = _one_step_env({"s1": 0.5, "s2": "0.5"})
+    assert env.dist(0, 0) == ((1, F(1, 2)), (2, F(1, 2)))
