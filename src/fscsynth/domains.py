@@ -257,9 +257,28 @@ def build(name: str, params: Optional[Mapping[str, object]] = None) -> PlanningP
 # environment text format
 
 
-def _tokens(line: str):
+def _tokens(line: str) -> list[str]:
+    return line.split("#", 1)[0].split()
+
+
+def _error(lineno: int, line: str, index: int, message: str) -> ParseError:
+    """A ParseError located at the index-th token of a line.
+
+    Columns are only worked out here: the parsers tokenise with
+    ``str.split``, which finds the same tokens as ``\\S+``."""
     code = line.split("#", 1)[0]
-    return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", code)]
+    col = [m.start() + 1 for m in re.finditer(r"\S+", code)][index]
+    return ParseError(lineno, col, message)
+
+
+def _probability(tok: str, lineno: int, line: str, index: int) -> Fraction:
+    try:
+        p = Fraction(tok)
+    except (ValueError, ZeroDivisionError):
+        raise _error(lineno, line, index, f"invalid probability {tok!r}")
+    if p <= 0:
+        raise _error(lineno, line, index, f"probability must be positive, got {tok}")
+    return p
 
 
 def parse_env(text: str) -> PlanningProblem:
@@ -274,89 +293,88 @@ def parse_env(text: str) -> PlanningProblem:
         init <state>
         goal <state>*
         trans <state> <action> (<prob> <state>)+   # probs sum to 1
+
+    Each distinct probability token is converted and checked once, and
+    each distinct tuple of probability tokens is summed once, per call.
     """
     states: dict[str, int] = {}
     actions: dict[str, int] = {}
     observations: dict[str, int] = {}
     omega: dict[int, int] = {}
-    omega_lines: dict[int, int] = {}
     delta: dict[tuple[int, int], tuple] = {}
     init: Optional[int] = None
     goals: set[int] = set()
+    probs: dict[str, Fraction] = {}
+    summed: set[tuple[str, ...]] = set()
 
-    def declare(table, tok, col, lineno, kind):
-        if tok in table:
-            raise ParseError(lineno, col, f"duplicate {kind} {tok!r}")
-        table[tok] = len(table)
+    def declare(table, toks, lineno, line, kind):
+        for index in range(1, len(toks)):
+            tok = toks[index]
+            if tok in table:
+                raise _error(lineno, line, index, f"duplicate {kind} {tok!r}")
+            table[tok] = len(table)
 
-    def lookup(table, tok, col, lineno, kind):
-        if tok not in table:
-            raise ParseError(lineno, col, f"dangling identifier: unknown {kind} {tok!r}")
-        return table[tok]
+    def lookup(table, toks, index, lineno, line, kind):
+        found = table.get(toks[index])
+        if found is None:
+            raise _error(lineno, line, index, f"dangling identifier: unknown {kind} {toks[index]!r}")
+        return found
 
     for lineno, line in enumerate(text.splitlines(), start=1):
         toks = _tokens(line)
         if not toks:
             continue
-        head, hcol = toks[0]
-        args = toks[1:]
-        if head == "states":
-            for tok, col in args:
-                declare(states, tok, col, lineno, "state")
-        elif head == "actions":
-            for tok, col in args:
-                declare(actions, tok, col, lineno, "action")
-        elif head == "observations":
-            for tok, col in args:
-                declare(observations, tok, col, lineno, "observation")
-        elif head == "observe":
-            if len(args) != 2:
-                raise ParseError(lineno, hcol, "observe takes exactly <state> <obs>")
-            s = lookup(states, args[0][0], args[0][1], lineno, "state")
-            o = lookup(observations, args[1][0], args[1][1], lineno, "observation")
-            if s in omega:
-                raise ParseError(lineno, args[0][1], f"state {args[0][0]!r} observed twice")
-            omega[s] = o
-            omega_lines[s] = lineno
-        elif head == "init":
-            if len(args) != 1:
-                raise ParseError(lineno, hcol, "init takes exactly one state")
-            if init is not None:
-                raise ParseError(lineno, hcol, "init declared twice")
-            init = lookup(states, args[0][0], args[0][1], lineno, "state")
-        elif head == "goal":
-            for tok, col in args:
-                goals.add(lookup(states, tok, col, lineno, "state"))
-        elif head == "trans":
-            if len(args) < 4 or len(args) % 2 != 0:
-                raise ParseError(lineno, hcol, "trans takes <state> <action> (<prob> <state>)+")
-            s = lookup(states, args[0][0], args[0][1], lineno, "state")
-            a = lookup(actions, args[1][0], args[1][1], lineno, "action")
+        head = toks[0]
+        if head == "trans":
+            if len(toks) < 5 or len(toks) % 2 == 0:
+                raise _error(lineno, line, 0, "trans takes <state> <action> (<prob> <state>)+")
+            s = lookup(states, toks, 1, lineno, line, "state")
+            a = lookup(actions, toks, 2, lineno, line, "action")
             if (s, a) in delta:
-                raise ParseError(lineno, args[0][1], f"transition ({args[0][0]}, {args[1][0]}) declared twice")
+                raise _error(lineno, line, 1, f"transition ({toks[1]}, {toks[2]}) declared twice")
             entries = []
-            total = Fraction(0)
             seen_targets = set()
-            for i in range(2, len(args), 2):
-                ptok, pcol = args[i]
-                stok, scol = args[i + 1]
-                try:
-                    p = Fraction(ptok)
-                except (ValueError, ZeroDivisionError):
-                    raise ParseError(lineno, pcol, f"invalid probability {ptok!r}")
-                if p <= 0:
-                    raise ParseError(lineno, pcol, f"probability must be positive, got {ptok}")
-                s2 = lookup(states, stok, scol, lineno, "state")
+            for i in range(3, len(toks), 2):
+                p = probs.get(toks[i])
+                if p is None:
+                    p = probs[toks[i]] = _probability(toks[i], lineno, line, i)
+                s2 = lookup(states, toks, i + 1, lineno, line, "state")
                 if s2 in seen_targets:
-                    raise ParseError(lineno, scol, f"successor {stok!r} listed twice")
+                    raise _error(lineno, line, i + 1, f"successor {toks[i + 1]!r} listed twice")
                 seen_targets.add(s2)
                 entries.append((s2, p))
-                total += p
-            if total != 1:
-                raise ParseError(lineno, hcol, f"probabilities sum to {total}, not 1")
+            key = tuple(toks[3::2])
+            if key not in summed:
+                total = sum((p for _, p in entries), Fraction(0))
+                if total != 1:
+                    raise _error(lineno, line, 0, f"probabilities sum to {total}, not 1")
+                summed.add(key)
             delta[(s, a)] = tuple(entries)
+        elif head == "states":
+            declare(states, toks, lineno, line, "state")
+        elif head == "actions":
+            declare(actions, toks, lineno, line, "action")
+        elif head == "observations":
+            declare(observations, toks, lineno, line, "observation")
+        elif head == "observe":
+            if len(toks) != 3:
+                raise _error(lineno, line, 0, "observe takes exactly <state> <obs>")
+            s = lookup(states, toks, 1, lineno, line, "state")
+            o = lookup(observations, toks, 2, lineno, line, "observation")
+            if s in omega:
+                raise _error(lineno, line, 1, f"state {toks[1]!r} observed twice")
+            omega[s] = o
+        elif head == "init":
+            if len(toks) != 2:
+                raise _error(lineno, line, 0, "init takes exactly one state")
+            if init is not None:
+                raise _error(lineno, line, 0, "init declared twice")
+            init = lookup(states, toks, 1, lineno, line, "state")
+        elif head == "goal":
+            for index in range(1, len(toks)):
+                goals.add(lookup(states, toks, index, lineno, line, "state"))
         else:
-            raise ParseError(lineno, hcol, f"unknown declaration {head!r}")
+            raise _error(lineno, line, 0, f"unknown declaration {head!r}")
 
     for s, i in states.items():
         if i not in omega:
@@ -406,36 +424,35 @@ def parse_controller(text: str, env: Environment) -> Controller:
         toks = _tokens(line)
         if not toks:
             continue
-        head, hcol = toks[0]
-        args = toks[1:]
+        head = toks[0]
         if head == "states":
-            if len(args) != 1 or not args[0][0].isdigit():
-                raise ParseError(lineno, hcol, "states takes one integer")
-            num_states = int(args[0][0])
+            if len(toks) != 2 or not toks[1].isdigit():
+                raise _error(lineno, line, 0, "states takes one integer")
+            num_states = int(toks[1])
         elif head == "start":
-            if len(args) != 1 or args[0][0] != "0":
-                raise ParseError(lineno, hcol, "start state must be 0")
+            if len(toks) != 2 or toks[1] != "0":
+                raise _error(lineno, line, 0, "start state must be 0")
         elif head == "edge":
-            if len(args) != 4:
-                raise ParseError(lineno, hcol, "edge takes <q> <obs> <action|stop> <q'>")
-            (qtok, qcol), (otok, ocol), (atok, acol), (q2tok, q2col) = args
+            if len(toks) != 5:
+                raise _error(lineno, line, 0, "edge takes <q> <obs> <action|stop> <q'>")
+            _, qtok, otok, atok, q2tok = toks
             if not qtok.isdigit() or not q2tok.isdigit():
-                raise ParseError(lineno, qcol, "controller states are integers")
+                raise _error(lineno, line, 1, "controller states are integers")
             q, q2 = int(qtok), int(q2tok)
             if otok not in env.observations:
-                raise ParseError(lineno, ocol, f"dangling identifier: unknown observation {otok!r}")
+                raise _error(lineno, line, 2, f"dangling identifier: unknown observation {otok!r}")
             o = env.observation_index(otok)
             if atok == STOP_NAME:
                 a = STOP
             elif atok in env.actions:
                 a = env.action_index(atok)
             else:
-                raise ParseError(lineno, acol, f"dangling identifier: unknown action {atok!r}")
+                raise _error(lineno, line, 3, f"dangling identifier: unknown action {atok!r}")
             if (q, o) in transitions:
-                raise ParseError(lineno, qcol, f"edge ({q}, {otok}) declared twice")
+                raise _error(lineno, line, 1, f"edge ({q}, {otok}) declared twice")
             transitions[(q, o)] = (a, q2)
         else:
-            raise ParseError(lineno, hcol, f"unknown declaration {head!r}")
+            raise _error(lineno, line, 0, f"unknown declaration {head!r}")
     if num_states is None:
         raise ParseError(0, 0, "missing states declaration")
     try:

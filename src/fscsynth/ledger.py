@@ -93,7 +93,7 @@ class SearchLedger:
     """Mutable search-branch state: ``h_curr``, the alpha slots and the
     cached bounds derived from them."""
 
-    __slots__ = _LISTS + ("pos", "loop", "exact", "events")
+    __slots__ = _LISTS + ("pos", "loop", "exact")
 
     def __init__(self, exact: bool = True):
         self.qs: list[int] = []
@@ -115,9 +115,6 @@ class SearchLedger:
         self.acc_noter = [zero]
         self.top = [-1]
         self.exact = exact
-        #: bumped on every mass record, saturation and restore; folds
-        #: leave it alone because they preserve lambda
-        self.events = 0
 
     # -- shape ----------------------------------------------------------
 
@@ -190,7 +187,6 @@ class SearchLedger:
         L = len(self.qs)
         slots[L] += p
         acc[L] += self.prefix[L] * p
-        self.events += 1
         self._check_bounds()
 
     def record_loop(self, k: int, p_loop) -> None:
@@ -200,7 +196,6 @@ class SearchLedger:
             raise LedgerError("loop record outside h_curr")
         self.loop[k][L] += p_loop
         self.top[k] = L
-        self.events += 1
         # a new cycle mass at index j changes the amplification of every
         # lower row that has a column past j; walk down and recompute those
         low = None
@@ -324,7 +319,6 @@ class SearchLedger:
         for j in range(k + 2, L + 1):
             self.noter[j] = zero
         self.noter[k + 1] = one
-        self.events += 1
         self._rescale(k)
 
     # -- snapshots (copy-on-branch, restored on backtrack) ---------------
@@ -343,7 +337,6 @@ class SearchLedger:
             setattr(self, name, list(values))
         self.loop = [list(row) for row in loop]
         self.pos = {(q, s): k for k, (q, s) in enumerate(zip(self.qs, self.ss))}
-        self.events += 1
 
     # -- numeric-mode comparisons ----------------------------------------
 
@@ -460,7 +453,6 @@ def _saturate(ledger: SearchLedger, k: int) -> None:
     for j in range(k + 2, L + 1):
         ledger.noter[j] = zero
     ledger.noter[k + 1] = 1 - zero
-    ledger.events += 1
 
 
 def cumulate_alpha(ledger: SearchLedger) -> SearchLedger:

@@ -73,10 +73,11 @@ class Environment:
         for o in self.omega:
             if not 0 <= o < n_o:
                 raise ModelError(f"omega references unknown observation index {o}")
+        # many (state, action) pairs share one law: sum each distinct one once
+        summed = set()
         for (s, a), dist in self.delta.items():
             if not 0 <= s < n_s or not 0 <= a < n_a:
                 raise ModelError(f"delta references unknown state/action ({s}, {a})")
-            total = Fraction(0)
             seen = set()
             for s2, p in dist:
                 if not 0 <= s2 < n_s:
@@ -86,9 +87,15 @@ class Environment:
                 seen.add(s2)
                 if p <= 0:
                     raise ModelError(f"delta({s},{a}) has non-positive probability {p}")
-                total += p
-            if total != 1:
-                raise ModelError(f"delta({s},{a}) sums to {total}, not 1")
+            try:
+                key = tuple([(p.numerator, p.denominator) for _, p in dist])
+            except AttributeError:
+                raise ModelError(f"delta({s},{a}) has a probability that is not rational") from None
+            if key not in summed:
+                total = sum((p for _, p in dist), Fraction(0))
+                if total != 1:
+                    raise ModelError(f"delta({s},{a}) sums to {total}, not 1")
+                summed.add(key)
 
     # -- index helpers -------------------------------------------------
 
@@ -194,6 +201,24 @@ class Controller:
                 raise ModelError(f"controller transition ({q},{o}) uses out-of-range state")
             if a != STOP and a < 0:
                 raise ModelError(f"controller transition ({q},{o}) has invalid action {a}")
+
+    def check_indices(self, env: Environment) -> None:
+        """Raise ModelError if a transition names an observation or an
+        action that ``env`` does not have: an unknown observation never
+        matches and an unknown action has no successor law, so either would
+        pass silently as undefined or never-terminating mass."""
+        n_a, n_o = len(env.actions), len(env.observations)
+        for (q, o), (a, q2) in self.transitions.items():
+            if not 0 <= o < n_o:
+                raise ModelError(
+                    f"controller transition ({q},{o}) -> ({a},{q2}) uses observation index {o}; "
+                    f"the environment has {n_o} observations"
+                )
+            if a != STOP and a >= n_a:
+                raise ModelError(
+                    f"controller transition ({q},{o}) -> ({a},{q2}) uses action index {a}; "
+                    f"the environment has {n_a} actions"
+                )
 
     def fingerprint(self) -> tuple:
         """Hashable canonical identity of the transition map."""

@@ -309,8 +309,10 @@ def measure(
     the final lower-bound vector.  For a controller defined on every
     reachable (q, o) pair, goal0/fail0/noter0 sum to one and goal0 equals
     the exact goal-termination likelihood; mass reaching undefined pairs
-    is left out of all three bounds.
+    is left out of all three bounds.  A transition naming an action or
+    observation the environment lacks raises ``ModelError``.
     """
+    controller.check_indices(problem.environment)
     search = _Search(
         problem, controller.num_states, None, None,
         budget=None, hook=hook, fixed=controller, exact=exact,

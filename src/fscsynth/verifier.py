@@ -5,15 +5,20 @@ Markov chain.  Goal termination likelihood (LGT) and termination
 likelihood (LTER) are absorption probabilities of that chain into the
 goal-stop and either-stop sinks, computed with exact Gaussian elimination
 over rationals.  This module is the independent ground truth against
-which both search engines are tested.
+which both search engines are tested, and imports nothing from them.
 
-Cost note: the solve is dense cubic in the number of transient combined
-states, which is the right trade at desk scale (up to ~10^4 nodes);
-nothing here is sparse or iterative on purpose.
+Cost note: the elimination is sparse and exact.  It stores only nonzero
+entries and eliminates each row against the finished rows its nonzeros
+(and their fill-in) reach, so it costs about m * w^2 Fraction operations
+for m transient combined states whose rows reach w columns back after
+fill-in: linear in m on the banded chains of corridor walks, cubic only
+on a dense chain.  ``tests/helpers.py`` keeps the dense solve as the
+reference it is tested against.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -124,65 +129,61 @@ def _solve_absorption(chain: CombinedChain) -> tuple[dict, dict, dict]:
 
     transient = [i for i in range(n) if can_terminate[i]]
     pos = {i: k for k, i in enumerate(transient)}
-    m = len(transient)
-    sinks = (GOAL_SINK, FAIL_SINK, UNDEF_SINK)
-    if m == 0:
-        return ({}, {}, {})
+    zero = Fraction(0)
 
-    # (I - P) x = b, solved simultaneously for the three sink targets.
-    a = [[Fraction(0)] * m for _ in range(m)]
-    b = [[Fraction(0)] * 3 for _ in range(m)]
-    for i in transient:
-        r = pos[i]
-        a[r][r] += 1
+    # (I - Q) x = b for the three sinks at once, by row-wise elimination
+    # that touches only stored nonzeros.  A row is a dict over the
+    # augmented matrix: node columns are >= 0 and the sink constants key
+    # the right-hand sides.  Row r is reduced against the finished rows of
+    # its node columns below r, smallest first; fill-in below r joins the
+    # heap as it appears.  No pivoting: I - Q on the nodes that can
+    # terminate is a nonsingular M-matrix, so every leading block is too
+    # and each diagonal pivot is positive.  A finished row is divided by
+    # its pivot and keeps its nonzero columns above r and right-hand sides.
+    upper: list[dict[int, Fraction]] = []
+    for r, i in enumerate(transient):
+        row = {r: Fraction(1)}
         for target, p in chain.transitions[i]:
             if target < 0:
-                b[r][sinks.index(target)] += p
+                row[target] = row.get(target, zero) + p
             elif can_terminate[target]:
-                a[r][pos[target]] -= p
+                c = pos[target]
+                row[c] = row.get(c, zero) - p
             # mass into non-terminating nodes is simply lost to the sinks
-    x = _gauss_solve(a, b)
-    out = tuple({i: x[pos[i]][k] for i in transient} for k in range(3))
-    return out  # type: ignore[return-value]
-
-
-def _gauss_solve(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact Gaussian elimination with multiple right-hand sides."""
-    m = len(a)
-    width = len(b[0]) if b else 0
-    for col in range(m):
-        pivot = None
-        for r in range(col, m):
-            if a[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            raise ChainError("singular system in absorbing-chain analysis")
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            b[col], b[pivot] = b[pivot], b[col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, m):
-            f = a[r][col]
-            if f == 0:
+        below = [c for c in row if 0 <= c < r]
+        heapq.heapify(below)
+        while below:
+            c = heapq.heappop(below)
+            f = row.pop(c)
+            if not f:
                 continue
-            f *= inv
-            row, prow = a[r], a[col]
-            for c in range(col, m):
-                row[c] -= f * prow[c]
-            brow, bprow = b[r], b[col]
-            for c in range(width):
-                brow[c] -= f * bprow[c]
-    x = [[Fraction(0)] * width for _ in range(m)]
-    for r in range(m - 1, -1, -1):
-        for c in range(width):
-            acc = b[r][c]
-            row = a[r]
-            for k in range(r + 1, m):
-                if row[k] != 0:
-                    acc -= row[k] * x[k][c]
-            x[r][c] = acc / row[r]
-    return x
+            for col, v in upper[c].items():
+                if col in row:
+                    row[col] -= f * v
+                else:
+                    row[col] = -f * v
+                    if 0 <= col < r:
+                        heapq.heappush(below, col)
+        pivot = row.pop(r)
+        if not pivot:
+            raise ChainError("singular system in absorbing-chain analysis")
+        upper.append({col: v / pivot for col, v in row.items() if v})
+
+    # back-substitution; x[r] maps each sink to its absorption probability
+    x: list[dict[int, Fraction]] = [{}] * len(upper)
+    for r in range(len(upper) - 1, -1, -1):
+        xr: dict[int, Fraction] = {}
+        for col, v in upper[r].items():
+            if col < 0:
+                xr[col] = xr.get(col, zero) + v
+            else:
+                for sink, xv in x[col].items():
+                    xr[sink] = xr.get(sink, zero) - v * xv
+        x[r] = xr
+    return tuple(  # type: ignore[return-value]
+        {i: x[r].get(sink, zero) for r, i in enumerate(transient)}
+        for sink in (GOAL_SINK, FAIL_SINK, UNDEF_SINK)
+    )
 
 
 def exact_measures(problem: PlanningProblem, controller: Controller) -> Measures:
@@ -190,8 +191,11 @@ def exact_measures(problem: PlanningProblem, controller: Controller) -> Measures
 
     Partial controllers are legal inputs: mass hitting an undefined
     (q, o) pair is reported separately in ``undefined_mass`` and a
-    soundness verdict should only be drawn when that mass is zero.
+    soundness verdict should only be drawn when that mass is zero.  A
+    transition naming an action or observation the environment lacks
+    raises ``ModelError``.
     """
+    controller.check_indices(problem.environment)
     chain = build_chain(problem, controller)
     goal, fail, undef = _solve_absorption(chain)
     root = chain.root

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 from fscsynth.ledger import SearchLedger
 from fscsynth.model import Controller, Environment, PlanningProblem, STOP
+from fscsynth.verifier import FAIL_SINK, GOAL_SINK, UNDEF_SINK, ChainError, CombinedChain
 
 
 def controller_from_names(env: Environment, num_states: int, edges: dict) -> Controller:
@@ -144,3 +145,96 @@ def enumerate_controllers(problem: PlanningProblem, max_states: int):
         for (q, _), (a, q2) in tr.items():
             mx = max(mx, q, q2 if a != STOP else 0)
         yield Controller(mx + 1, tr)
+
+
+def dense_absorption(chain: CombinedChain) -> tuple[dict, dict, dict]:
+    """Reference for ``verifier._solve_absorption``: the same absorption
+    probabilities from a dense matrix and Gaussian elimination with a
+    pivot search.
+
+    Nodes with no path to any sink form non-terminating recurrent classes
+    (or dead ends); they are excluded from the linear system up front,
+    which keeps I - P nonsingular on the remaining transient block.
+    """
+    n = len(chain.nodes)
+    # Reverse reachability from the sinks.
+    preds = [[] for _ in range(n)]
+    seeds = []
+    for i, out in enumerate(chain.transitions):
+        for target, _ in out:
+            if target < 0:
+                seeds.append(i)
+            else:
+                preds[target].append(i)
+    can_terminate = [False] * n
+    stack = list(set(seeds))
+    for i in stack:
+        can_terminate[i] = True
+    while stack:
+        i = stack.pop()
+        for j in preds[i]:
+            if not can_terminate[j]:
+                can_terminate[j] = True
+                stack.append(j)
+
+    transient = [i for i in range(n) if can_terminate[i]]
+    pos = {i: k for k, i in enumerate(transient)}
+    m = len(transient)
+    sinks = (GOAL_SINK, FAIL_SINK, UNDEF_SINK)
+    if m == 0:
+        return ({}, {}, {})
+
+    # (I - P) x = b, solved simultaneously for the three sink targets.
+    a = [[Fraction(0)] * m for _ in range(m)]
+    b = [[Fraction(0)] * 3 for _ in range(m)]
+    for i in transient:
+        r = pos[i]
+        a[r][r] += 1
+        for target, p in chain.transitions[i]:
+            if target < 0:
+                b[r][sinks.index(target)] += p
+            elif can_terminate[target]:
+                a[r][pos[target]] -= p
+            # mass into non-terminating nodes is simply lost to the sinks
+    x = gauss_solve(a, b)
+    out = tuple({i: x[pos[i]][k] for i in transient} for k in range(3))
+    return out  # type: ignore[return-value]
+
+
+def gauss_solve(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Exact Gaussian elimination with multiple right-hand sides."""
+    m = len(a)
+    width = len(b[0]) if b else 0
+    for col in range(m):
+        pivot = None
+        for r in range(col, m):
+            if a[r][col] != 0:
+                pivot = r
+                break
+        if pivot is None:
+            raise ChainError("singular system in absorbing-chain analysis")
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            b[col], b[pivot] = b[pivot], b[col]
+        inv = 1 / a[col][col]
+        for r in range(col + 1, m):
+            f = a[r][col]
+            if f == 0:
+                continue
+            f *= inv
+            row, prow = a[r], a[col]
+            for c in range(col, m):
+                row[c] -= f * prow[c]
+            brow, bprow = b[r], b[col]
+            for c in range(width):
+                brow[c] -= f * bprow[c]
+    x = [[Fraction(0)] * width for _ in range(m)]
+    for r in range(m - 1, -1, -1):
+        for c in range(width):
+            acc = b[r][c]
+            row = a[r]
+            for k in range(r + 1, m):
+                if row[k] != 0:
+                    acc -= row[k] * x[k][c]
+            x[r][c] = acc / row[r]
+    return x

@@ -178,6 +178,40 @@ def test_dangling_identifier_error():
     assert err.value.line == 5 and err.value.col == 9
 
 
+TWO_FLIPS_TEXT = """\
+states s0 s1 goal
+actions flip
+observations x won
+observe s0 x
+observe s1 x
+observe goal won
+init s0
+goal goal
+trans s0 flip 1/2 s1 1/2 goal
+trans s1 flip 1/2 s0 1/2 gaol
+"""
+
+
+@pytest.mark.parametrize("text,line,col,message", [
+    (COIN_FLIP_TEXT.replace("1/2 nogoal", "1/x nogoal"), 10, 24, "invalid probability '1/x'"),
+    (COIN_FLIP_TEXT.replace("1/2 goal 1/2", "0 goal 1"), 10, 15, "probability must be positive, got 0"),
+    (COIN_FLIP_TEXT.replace("1/2 goal 1/2", "-1/2 goal 3/2"), 10, 15, "probability must be positive, got -1/2"),
+    (COIN_FLIP_TEXT.replace("1/2 nogoal", "2/5 nogoal"), 10, 1, "probabilities sum to 9/10, not 1"),
+    # the line's probability tuple was checked on line 9: the successor still is
+    (TWO_FLIPS_TEXT, 10, 26, "dangling identifier: unknown state 'gaol'"),
+    (
+        COIN_FLIP_TEXT.replace(
+            "trans s0 flip 1/2 goal 1/2 nogoal", "\ttrans s0\tflip 1/2 goal\t1/2 nogal  # was: 1/3 nogoal"
+        ),
+        10, 29, "dangling identifier: unknown state 'nogal'",
+    ),
+])
+def test_parse_error_position(text, line, col, message):
+    with pytest.raises(ParseError) as err:
+        parse_env(text)
+    assert (err.value.line, err.value.col, err.value.message) == (line, col, message)
+
+
 def test_unknown_directive_and_bad_probability():
     with pytest.raises(ParseError):
         parse_env(COIN_FLIP_TEXT + "frobnicate s0\n")

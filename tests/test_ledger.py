@@ -137,17 +137,6 @@ def test_lambda_out_of_range_raises():
         calc_lambda(led)
 
 
-def test_events_bump_on_records_not_on_folds():
-    led = SearchLedger()
-    led.extend(0, 0, F(1))
-    e0 = led.events
-    led.record_goal(F(1, 4))
-    assert led.events == e0 + 1
-    e1 = led.events
-    cumulate_alpha(led)
-    assert led.events == e1
-
-
 def test_snapshot_restore_round_trip():
     led = SearchLedger()
     led.extend(0, 0, F(1))

@@ -199,6 +199,12 @@ def test_environment_rejects_a_sum_just_below_one():
         _one_step_env({"s1": F(1, 2), "s2": F(1, 2) - F(1, 10**10)})
 
 
+def test_environment_rejects_float_probabilities():
+    # the exact sum check is shared between equal laws, keyed by numerator and denominator
+    with pytest.raises(ModelError, match="not rational"):
+        Environment(("s0", "s1"), ("a",), ("o",), {(0, 0): ((0, 0.5), (1, 0.5))}, (0, 0))
+
+
 def test_as_prob_rejects_inexact_floats():
     with pytest.raises(ModelError, match="pass the string '0.1'"):
         as_prob(0.1)

@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import random
 from fractions import Fraction as F
@@ -5,14 +6,25 @@ from fractions import Fraction as F
 import pytest
 
 from fscsynth.domains import build, domain_names
-from fscsynth.model import Controller, PlanningProblem, STOP
-from fscsynth.verifier import ChainError, Measures, brute_force_measures, build_chain, exact_measures
+from fscsynth.model import Controller, ModelError, PlanningProblem, STOP
+from fscsynth.pandor import measure
+from fscsynth.verifier import (
+    GOAL_SINK,
+    ChainError,
+    CombinedChain,
+    Measures,
+    _solve_absorption,
+    brute_force_measures,
+    build_chain,
+    exact_measures,
+)
 
 from helpers import (
     always_a_controller,
     always_flip_controller,
     controller_from_names,
     corridor_controller,
+    dense_absorption,
     enumerate_controllers,
     flip_stop_controller,
     random_env,
@@ -159,3 +171,75 @@ def test_exact_equals_brute_force_limit():
     lo, hi = brute_force_measures(prob, ctrl, 12)
     m = exact_measures(prob, ctrl)
     assert lo == hi == m.lgt == F(729, 1000)
+
+
+@pytest.fixture
+def fill_in(monkeypatch):
+    """Columns the sparse solve pushes on its heap: fill-in below the diagonal."""
+    pushed = []
+    push = heapq.heappush
+
+    def counting(heap, col):
+        pushed.append(col)
+        push(heap, col)
+
+    monkeypatch.setattr(heapq, "heappush", counting)
+    return pushed
+
+
+def test_sparse_solve_equals_dense_reference(fill_in):
+    rng = random.Random(2024)
+    seen = set()
+    for _ in range(150):
+        prob = random_env(rng, rng.randint(2, 6), partial=rng.random() < 0.5)
+        ctrl = random_total_controller(rng, prob.environment, rng.randint(1, 3))
+        if rng.random() < 0.5:
+            kept = {k: v for k, v in ctrl.transitions.items() if rng.random() < 0.7}
+            ctrl = Controller(ctrl.num_states, kept)
+        chain = build_chain(prob, ctrl)
+        goal, fail, undef = _solve_absorption(chain)
+        assert (goal, fail, undef) == dense_absorption(chain)
+        if any(undef.values()):
+            seen.add("undefined pair")
+        if not all(chain.transitions):
+            seen.add("dead end")
+        if len(goal) < len(chain.nodes):
+            seen.add("non-terminating node")
+    assert seen == {"undefined pair", "dead end", "non-terminating node"}
+    assert fill_in
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_sparse_solve_with_fill_in_on_a_2d_hall(n, fill_in):
+    prob = build("noisy-hall-a-2d", {"n": n, "p": F(1, 3)})
+    # bounce between the corners either side of A: the chain runs both ways
+    ctrl = controller_from_names(prob.environment, 2, {
+        (0, "A"): ("cw", 0), (0, "-"): ("cw", 0), (0, "C"): ("ccw", 1),
+        (1, "-"): ("ccw", 1), (1, "C"): ("cw", 0), (1, "A"): ("stop", 0),
+    })
+    chain = build_chain(prob, ctrl)
+    assert _solve_absorption(chain) == dense_absorption(chain)
+    assert fill_in
+
+
+def test_zero_pivot_raises_chain_error():
+    # not a Markov chain: the node keeps all of its mass and leaks more to the goal
+    chain = CombinedChain(((0, 0),), (((0, F(1)), (GOAL_SINK, F(1, 2))),))
+    with pytest.raises(ChainError, match="singular"):
+        _solve_absorption(chain)
+
+
+def test_out_of_range_action_is_rejected():
+    prob = build("coin-flip")  # one action
+    ctrl = Controller(1, {(0, 0): (7, 0)})
+    for check in (exact_measures, measure):
+        with pytest.raises(ModelError, match=r"\(0,0\) -> \(7,0\) uses action index 7"):
+            check(prob, ctrl)
+
+
+def test_out_of_range_observation_is_rejected():
+    prob = build("coin-flip")  # three observations
+    ctrl = Controller(1, {(0, 9): (0, 0)})
+    for check in (exact_measures, measure):
+        with pytest.raises(ModelError, match=r"\(0,9\) -> \(0,0\) uses observation index 9"):
+            check(prob, ctrl)

@@ -17,3 +17,21 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_verifier_is_independent_of_the_search():
+    # the verifier is the ground truth the search engines are tested against
+    path = Path(fscsynth.__file__).parent / "verifier.py"
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = "fscsynth." + module if module else "fscsynth"
+            names.add(module)
+            names.update(f"{module}.{alias.name}" for alias in node.names)
+    assert "fscsynth.model" in names
+    search = {"fscsynth.pandor", "fscsynth.ledger", "fscsynth.andor"}
+    assert sorted(n for n in names if ".".join(n.split(".")[:2]) in search) == []
