@@ -18,7 +18,6 @@ from fscsynth.model import (
     Branch,
     Controller,
     Environment,
-    History,
     ModelError,
     PlanningProblem,
     STOP,
@@ -26,8 +25,6 @@ from fscsynth.model import (
     SynthesisRequest,
     SynthResult,
     Undefined,
-    is_goal_history,
-    likelihood,
     system_step,
 )
 from fscsynth.verifier import Measures, brute_force_measures, exact_measures
@@ -42,7 +39,6 @@ __all__ = [
     "DomainError",
     "Environment",
     "GeneralizedProblem",
-    "History",
     "LambdaVector",
     "LedgerError",
     "Measures",
@@ -61,8 +57,6 @@ __all__ = [
     "calc_lambda",
     "cumulate_alpha",
     "exact_measures",
-    "is_goal_history",
-    "likelihood",
     "measure",
     "pandor_synth",
     "parse_controller",

@@ -26,7 +26,6 @@ from fscsynth.domains import (
     DomainError,
     ParseError,
     build,
-    default_params,
     domain_names,
     parse_controller,
     parse_env,
@@ -133,7 +132,7 @@ def cmd_synth(args) -> int:
         # the baseline solves the strong problem; likelihood bounds are ignored
         result = andor_synth(GeneralizedProblem.from_problem(problem), args.max_states, budget=args.budget)
     else:
-        result = pandor_synth(request, budget=args.budget, exact=not args.float)
+        result = pandor_synth(request, budget=args.budget)
     wall = time.perf_counter() - start
 
     report = RunReport(result.outcome, args.algo, result.or_steps, result.peak_depth, wall)
@@ -346,7 +345,6 @@ def build_parser() -> _Parser:
     synth.add_argument("--out", metavar="FILE", help="write the controller here")
     synth.add_argument("--dot", metavar="FILE", help="write a DOT rendering here")
     synth.add_argument("--json", action="store_true", help="machine-readable report")
-    synth.add_argument("--float", action="store_true", help="float arithmetic (faster, benchmark only)")
     synth.set_defaults(func=cmd_synth)
 
     verify = subs.add_parser("verify", help="exact measures of a controller")

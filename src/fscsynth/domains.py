@@ -14,9 +14,8 @@ parse to the same rational.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Union
+from typing import Callable, Mapping, Optional
 
 from fscsynth.model import (
     Controller,
@@ -41,17 +40,6 @@ class ParseError(ValueError):
         self.col = col
         self.message = message
         super().__init__(f"line {line}, col {col}: {message}")
-
-
-@dataclass(frozen=True)
-class DomainSpec:
-    """A named domain instance: builder name plus parameter assignment."""
-
-    name: str
-    params: tuple[tuple[str, Union[int, Fraction]], ...] = ()
-
-    def build(self) -> PlanningProblem:
-        return build(self.name, dict(self.params))
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +177,10 @@ def _hall_a_2d(n: int, p: Optional[Fraction]) -> PlanningProblem:
 def _check_int(name: str, value, low: int) -> int:
     try:
         n = int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise DomainError(f"parameter {name} must be an integer, got {value!r}")
-    if n < low or (isinstance(value, float) and value != n):
+    # int() truncates 2.5 and Fraction(5, 2); a string it accepts is whole
+    if n < low or (not isinstance(value, str) and n != value):
         raise DomainError(f"parameter {name} must be an integer >= {low}, got {value!r}")
     return n
 
@@ -416,6 +405,12 @@ def serialize_env(problem: PlanningProblem) -> str:
 # controller text format
 
 
+def _is_index(tok: str) -> bool:
+    """ASCII digits only: ``str.isdigit`` also accepts ``"²"``, which
+    ``int`` rejects."""
+    return tok.isascii() and tok.isdigit()
+
+
 def parse_controller(text: str, env: Environment) -> Controller:
     """Parse ``states N / start 0 / edge <q> <obs> <action|stop> <q'>``."""
     num_states: Optional[int] = None
@@ -426,7 +421,7 @@ def parse_controller(text: str, env: Environment) -> Controller:
             continue
         head = toks[0]
         if head == "states":
-            if len(toks) != 2 or not toks[1].isdigit():
+            if len(toks) != 2 or not _is_index(toks[1]):
                 raise _error(lineno, line, 0, "states takes one integer")
             num_states = int(toks[1])
         elif head == "start":
@@ -436,7 +431,7 @@ def parse_controller(text: str, env: Environment) -> Controller:
             if len(toks) != 5:
                 raise _error(lineno, line, 0, "edge takes <q> <obs> <action|stop> <q'>")
             _, qtok, otok, atok, q2tok = toks
-            if not qtok.isdigit() or not q2tok.isdigit():
+            if not _is_index(qtok) or not _is_index(q2tok):
                 raise _error(lineno, line, 1, "controller states are integers")
             q, q2 = int(qtok), int(q2tok)
             if otok not in env.observations:

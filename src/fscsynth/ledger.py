@@ -44,9 +44,7 @@ stays the side-effect-free reference the cache is tested against.
 Writing the slot lists directly bypasses the cache; ``calc_lambda`` and
 ``cumulate_alpha`` read only the slots and stay exact on such ledgers.
 
-Arithmetic is exact (Fractions) unless the ledger is built with
-``exact=False``, in which case floats and epsilon comparisons are used
-(benchmark mode only; every correctness test runs exact).
+All arithmetic is on ``Fraction``s and every comparison is exact.
 """
 
 from __future__ import annotations
@@ -54,7 +52,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-_FLOAT_EPS = 1e-12
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 #: Flat per-index lists copied by ``snapshot`` (``loop`` is copied per row).
 _LISTS = (
@@ -93,43 +92,34 @@ class SearchLedger:
     """Mutable search-branch state: ``h_curr``, the alpha slots and the
     cached bounds derived from them."""
 
-    __slots__ = _LISTS + ("pos", "loop", "exact")
+    __slots__ = _LISTS + ("pos", "loop")
 
-    def __init__(self, exact: bool = True):
+    def __init__(self):
         self.qs: list[int] = []
         self.ss: list[int] = []
-        self.ps: list = []
+        self.ps: list[Fraction] = []
         self.pos: dict[tuple[int, int], int] = {}
-        zero = Fraction(0) if exact else 0.0
-        one = 1 - zero
-        self.goal = [zero]
-        self.fail = [zero]
-        self.noter = [zero]
-        self.loop = [[zero]]
-        self.lam_loop = [zero]
-        self.headroom = [one]
-        self.through: list = []
-        self.prefix = [one]
-        self.acc_goal = [zero]
-        self.acc_fail = [zero]
-        self.acc_noter = [zero]
+        self.goal = [_ZERO]
+        self.fail = [_ZERO]
+        self.noter = [_ZERO]
+        self.loop = [[_ZERO]]
+        self.lam_loop = [_ZERO]
+        self.headroom = [_ONE]
+        self.through: list[Fraction] = []
+        self.prefix = [_ONE]
+        self.acc_goal = [_ZERO]
+        self.acc_fail = [_ZERO]
+        self.acc_noter = [_ZERO]
         self.top = [-1]
-        self.exact = exact
 
     # -- shape ----------------------------------------------------------
 
     def __len__(self) -> int:
         return len(self.qs)
 
-    def _zero(self):
-        return Fraction(0) if self.exact else 0.0
-
     def index_of(self, q: int, s: int):
         """Index of combined state (q, s) in h_curr, or None."""
         return self.pos.get((q, s))
-
-    def step_prob(self, k: int):
-        return self.ps[k]
 
     def extend(self, q: int, s: int, p) -> None:
         """Append a combined state to h_curr; grow every slot by one zero."""
@@ -139,18 +129,17 @@ class SearchLedger:
         self.qs.append(q)
         self.ss.append(s)
         self.ps.append(p)
-        zero = self._zero()
-        self.goal.append(zero)
-        self.fail.append(zero)
-        self.noter.append(zero)
+        self.goal.append(_ZERO)
+        self.fail.append(_ZERO)
+        self.noter.append(_ZERO)
         for row in self.loop:
-            row.append(zero)
-        self.loop.append([zero] * (len(self.qs) + 1))
+            row.append(_ZERO)
+        self.loop.append([_ZERO] * (len(self.qs) + 1))
         # the old frontier carries no cycle mass, so its headroom is 1
         self.through.append(p)
         self.prefix.append(self.prefix[-1] * p)
-        self.lam_loop.append(zero)
-        self.headroom.append(1 - zero)
+        self.lam_loop.append(_ZERO)
+        self.headroom.append(_ONE)
         self.top.append(-1)
         for acc in (self.acc_goal, self.acc_fail, self.acc_noter):
             acc.append(acc[-1])
@@ -205,9 +194,9 @@ class SearchLedger:
             value = self._row_lambda(j)
             if value == self.lam_loop[j]:
                 continue
-            if self._above_one(value):
+            if value > 1:
                 raise LedgerError(f"cycle mass above 1 at index {j}")
-            if self._is_one(value):
+            if value == 1:
                 # all mass from h_curr[j] cycles: the index is dead, and no
                 # lower row may run past it
                 if self.acc_noter[L] != self.acc_noter[j]:
@@ -226,7 +215,7 @@ class SearchLedger:
     def loop_mass_to(self, k: int):
         """Traversal probability of the on-branch suffix h_curr[k:]; the
         caller multiplies the closing step probability in."""
-        acc = Fraction(1) if self.exact else 1.0
+        acc = _ONE
         for t in range(k + 1, len(self.qs)):
             acc *= self.ps[t]
         return acc
@@ -239,7 +228,7 @@ class SearchLedger:
         headroom of every index strictly between j and m)."""
         top = self.top[j]
         if top < 0:
-            return self._zero()
+            return _ZERO
         row = self.loop[j]
         headroom = self.headroom
         acc = row[top]
@@ -272,7 +261,7 @@ class SearchLedger:
         if goal0 < 0 or fail0 < 0 or noter0 < 0:
             raise LedgerError(f"lambda component outside [0,1] at index 0: {goal0}, {fail0}, {noter0}")
         # goal, fail and noter continuations are disjoint trajectory sets
-        if self._above_one(goal0 + fail0 + noter0):
+        if goal0 + fail0 + noter0 > 1:
             raise LedgerError("goal+fail+noter mass above 1 at index 0")
 
     def _settle(self, k: int) -> None:
@@ -288,12 +277,12 @@ class SearchLedger:
         for j in range(k, last_terminal - 1, -1):
             lam = self.lam_loop[j]
             noter_after = self.acc_noter[L] - self.acc_noter[j]
-            if self._is_zero(lam) or not noter_after:
+            if not lam or not noter_after:
                 continue
             total = lam + noter_after / self.prefix[j + 1]
-            if self._above_one(total):
+            if total > 1:
                 raise LedgerError(f"cycle+noter mass above 1 at index {j}")
-            if self._is_one(total):
+            if total == 1:
                 self._saturate_at(j)
 
     def _saturate_at(self, k: int) -> None:
@@ -302,23 +291,21 @@ class SearchLedger:
         h_curr[k] becomes never-terminating mass."""
         L = len(self.qs)
         for j in range(k + 1, L + 1):
-            if not self._is_zero(self.goal[j]) or not self._is_zero(self.fail[j]):
+            if self.goal[j] or self.fail[j]:
                 raise LedgerError("goal/fail mass recorded beyond a saturated index")
         if any(self.top[j] > k for j in range(k)):
             raise LedgerError("cycle mass through a saturated index")
-        zero = self._zero()
-        one = 1 - zero
         for j in range(k, L + 1):
             if self.top[j] >= 0:
-                self.loop[j][j:] = [zero] * (L + 1 - j)
+                self.loop[j][j:] = [_ZERO] * (L + 1 - j)
                 self.top[j] = -1
-            self.lam_loop[j] = zero
-            self.headroom[j] = one
+            self.lam_loop[j] = _ZERO
+            self.headroom[j] = _ONE
         for j in range(k, L):
             self.through[j] = self.ps[j]
         for j in range(k + 2, L + 1):
-            self.noter[j] = zero
-        self.noter[k + 1] = one
+            self.noter[j] = _ZERO
+        self.noter[k + 1] = _ONE
         self._rescale(k)
 
     # -- snapshots (copy-on-branch, restored on backtrack) ---------------
@@ -337,23 +324,6 @@ class SearchLedger:
             setattr(self, name, list(values))
         self.loop = [list(row) for row in loop]
         self.pos = {(q, s): k for k, (q, s) in enumerate(zip(self.qs, self.ss))}
-
-    # -- numeric-mode comparisons ----------------------------------------
-
-    def _is_one(self, x) -> bool:
-        if self.exact:
-            return x == 1
-        return abs(x - 1) <= _FLOAT_EPS
-
-    def _is_zero(self, x) -> bool:
-        if self.exact:
-            return x == 0
-        return abs(x) <= _FLOAT_EPS
-
-    def _above_one(self, x) -> bool:
-        if self.exact:
-            return x > 1
-        return x > 1 + _FLOAT_EPS
 
 
 def calc_lambda(ledger: SearchLedger) -> LambdaVector:
@@ -374,13 +344,12 @@ def calc_lambda(ledger: SearchLedger) -> LambdaVector:
     lam_noter = [None] * (L + 1)
     lam_loop = [None] * (L + 1)
     loop = ledger.loop
-    zero = ledger._zero()
 
     for k in range(L, -1, -1):
         # cycle mass at index k: row k amplified by cycles at intermediate
         # indices strictly between the target k and each sealing column
         row = loop[k]
-        acc = zero
+        acc = _ZERO
         if any(row):
             amp = 1
             for m in range(k, L + 1):
@@ -389,21 +358,21 @@ def calc_lambda(ledger: SearchLedger) -> LambdaVector:
                     acc += amp * v
                 if m > k:
                     denom = 1 - lam_loop[m]
-                    if ledger._is_zero(denom):
+                    if not denom:
                         raise LedgerError("cycle amplification hit mass 1 past saturation")
                     amp = amp / denom if denom != 1 else amp
-        if ledger._above_one(acc):
+        if acc > 1:
             raise LedgerError(f"cycle mass above 1 at index {k}")
         lam_loop[k] = acc
 
         if k <= n:
             total = lam_loop[k] + lam_noter[k + 1]
-            if ledger._above_one(total):
+            if total > 1:
                 raise LedgerError(f"cycle+noter mass above 1 at index {k}")
-            if ledger._is_one(total) and not ledger._is_zero(lam_loop[k]):
+            if total == 1 and lam_loop[k]:
                 _saturate(ledger, k)
-                lam_loop[k] = zero
-                lam_noter[k + 1] = 1 - zero
+                lam_loop[k] = _ZERO
+                lam_noter[k + 1] = _ONE
 
         if k == L:
             lam_goal[k] = ledger.goal[k]
@@ -411,7 +380,7 @@ def calc_lambda(ledger: SearchLedger) -> LambdaVector:
             lam_noter[k] = ledger.noter[k]
         else:
             denom = 1 - lam_loop[k]
-            if ledger._is_zero(denom):
+            if not denom:
                 raise LedgerError("division by zero cycle headroom: saturation rule missed")
             pk = ledger.ps[k]
             through = pk / denom
@@ -420,10 +389,10 @@ def calc_lambda(ledger: SearchLedger) -> LambdaVector:
             lam_noter[k] = through * lam_noter[k + 1] + ledger.noter[k]
         for vec in (lam_goal, lam_fail, lam_noter):
             v = vec[k]
-            if v < 0 or ledger._above_one(v):
+            if v < 0 or v > 1:
                 raise LedgerError(f"lambda component {v} outside [0,1] at index {k}")
         # goal, fail and noter continuations are disjoint trajectory sets
-        if ledger._above_one(lam_goal[k] + lam_fail[k] + lam_noter[k]):
+        if lam_goal[k] + lam_fail[k] + lam_noter[k] > 1:
             raise LedgerError(f"goal+fail+noter mass above 1 at index {k}")
 
     return LambdaVector(tuple(lam_goal), tuple(lam_fail), tuple(lam_noter), tuple(lam_loop))
@@ -437,22 +406,21 @@ def _saturate(ledger: SearchLedger, k: int) -> None:
     target below k, must already be zero; that is asserted, not repaired.
     """
     L = len(ledger)
-    zero = ledger._zero()
     for j in range(k + 1, L + 1):
-        if not ledger._is_zero(ledger.goal[j]) or not ledger._is_zero(ledger.fail[j]):
+        if ledger.goal[j] or ledger.fail[j]:
             raise LedgerError("goal/fail mass recorded beyond a saturated index")
     for j in range(k):
         row = ledger.loop[j]
         for m in range(max(j, k + 1), L + 1):
-            if not ledger._is_zero(row[m]):
+            if row[m]:
                 raise LedgerError("cycle mass through a saturated index")
     for j in range(k, L + 1):
         row = ledger.loop[j]
         for m in range(j, L + 1):
-            row[m] = zero
+            row[m] = _ZERO
     for j in range(k + 2, L + 1):
-        ledger.noter[j] = zero
-    ledger.noter[k + 1] = 1 - zero
+        ledger.noter[j] = _ZERO
+    ledger.noter[k + 1] = _ONE
 
 
 def cumulate_alpha(ledger: SearchLedger) -> SearchLedger:
@@ -472,7 +440,7 @@ def cumulate_alpha(ledger: SearchLedger) -> SearchLedger:
     n = L - 1
     lam_n = ledger.loop[n][n] + ledger.loop[n][L]
     denom = 1 - lam_n
-    if ledger._is_zero(denom):
+    if not denom:
         raise LedgerError("fold hit cycle mass 1: saturation rule missed")
     amp = 1 / denom if denom != 1 else 1
     through = ledger.ps[n] * amp
@@ -481,7 +449,6 @@ def cumulate_alpha(ledger: SearchLedger) -> SearchLedger:
         if v:
             slots[n] += through * v
 
-    zero = ledger._zero()
     loop, top = ledger.loop, ledger.top
     for j in range(n):
         v = loop[j].pop()
@@ -489,14 +456,14 @@ def cumulate_alpha(ledger: SearchLedger) -> SearchLedger:
             loop[j][n] += amp * v
             top[j] = n
     del loop[L]
-    loop[n] = [zero] * L
+    loop[n] = [_ZERO] * L
 
     # index n becomes the frontier: no cycle mass, and the prefix sums up
     # to it already hold the folded mass
     del top[L], ledger.lam_loop[L], ledger.headroom[L], ledger.through[n], ledger.prefix[L]
     top[n] = -1
-    ledger.lam_loop[n] = zero
-    ledger.headroom[n] = 1 - zero
+    ledger.lam_loop[n] = _ZERO
+    ledger.headroom[n] = _ONE
     for acc in (ledger.acc_goal, ledger.acc_fail, ledger.acc_noter):
         acc[n] = acc.pop()
 

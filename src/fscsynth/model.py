@@ -1,4 +1,4 @@
-"""Core formal objects: environments, problems, controllers, histories.
+"""Core formal objects: environments, problems, controllers.
 
 Identifiers (states, actions, observations) are interned to dense integer
 indices at construction time; the search layers only ever touch indices.
@@ -116,10 +116,6 @@ class Environment:
         """Successor distribution of applicable ``(s, a)``, else None."""
         return self.delta.get((s, a))
 
-    def applicable(self, s: int) -> tuple[int, ...]:
-        """Actions with a transition distribution defined in ``s``."""
-        return tuple(a for a in range(len(self.actions)) if (s, a) in self.delta)
-
     def support(self, s: int, a: int) -> tuple[int, ...]:
         """Relational view of delta: possible successors of (s, a)."""
         dist = self.delta.get((s, a))
@@ -231,62 +227,6 @@ class Controller:
             if a != STOP:
                 used.add(q2)
         return used
-
-
-@dataclass(frozen=True)
-class History:
-    """Sequence of combined states with per-step transition probabilities.
-
-    ``steps[t] = (q, s, p)`` where ``p`` is the probability of the step
-    that *entered* this combined state; the first entry carries ``p = 1``.
-    """
-
-    steps: tuple[tuple[int, int, Fraction], ...]
-
-    def __post_init__(self):
-        if not self.steps:
-            raise ModelError("history must contain at least one combined state")
-        if self.steps[0][2] != 1:
-            raise ModelError("first history entry must have probability 1")
-        for _, _, p in self.steps:
-            if not 0 < p <= 1:
-                raise ModelError("history step probability outside (0, 1]")
-
-    def end(self) -> tuple[int, int]:
-        q, s, _ = self.steps[-1]
-        return (q, s)
-
-    def validate(self, problem: PlanningProblem, controller: Controller) -> None:
-        """Check the consecutive-pair condition against delta/gamma; raises."""
-        env = problem.environment
-        for t in range(len(self.steps) - 1):
-            q, s, _ = self.steps[t]
-            q2, s2, p2 = self.steps[t + 1]
-            tr = controller.transitions.get((q, env.obs(s)))
-            if tr is None or tr[0] == STOP:
-                raise ModelError(f"history step {t} has no executable action")
-            a, q_next = tr
-            if q_next != q2:
-                raise ModelError(f"history step {t + 1} controller state mismatch")
-            dist = env.dist(s, a)
-            actual = dict(dist or ())
-            if actual.get(s2) != p2:
-                raise ModelError(f"history step {t + 1} probability mismatch")
-
-
-def likelihood(h: History) -> Fraction:
-    """Product of the per-step probabilities; 1 for a single-element history."""
-    out = Fraction(1)
-    for _, _, p in h.steps:
-        out *= p
-    return out
-
-
-def is_goal_history(problem: PlanningProblem, controller: Controller, h: History) -> bool:
-    """True iff the final action is ``stop`` taken in a goal state."""
-    q, s = h.end()
-    tr = controller.transitions.get((q, problem.environment.obs(s)))
-    return tr is not None and tr[0] == STOP and problem.is_goal(s)
 
 
 # -- single-step execution semantics ----------------------------------

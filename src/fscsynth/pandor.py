@@ -69,7 +69,6 @@ class _Search:
         budget: Optional[int],
         hook: Optional[Hook],
         fixed: Optional[Controller],
-        exact: bool,
     ):
         self.env = problem.environment
         self.problem = problem
@@ -78,7 +77,6 @@ class _Search:
         self.lter_star = lter_star
         self.budget = budget
         self.hook = hook
-        self.exact = exact
         self.fixed = fixed is not None
         if fixed is not None:
             self.controller = dict(fixed.transitions)
@@ -89,24 +87,16 @@ class _Search:
         self.trail: list[tuple[int, int]] = []
         self.choices: list[_Choice] = []
         self.agenda: list = []
-        self.ledger = SearchLedger(exact=exact)
+        self.ledger = SearchLedger()
         self.or_steps = 0
         self.peak_depth = 0
-
-    # -- probability coercion for the optional float mode ---------------
-
-    def _p(self, p):
-        return p if self.exact else float(p)
-
-    def _one(self):
-        return Fraction(1) if self.exact else 1.0
 
     # -- main loop -------------------------------------------------------
 
     def run(self) -> tuple[str, Optional[Controller]]:
         q0 = 0
         s0 = self.problem.initial_state
-        self.agenda.append(("and", q0, ((s0, self._one()),), 0))
+        self.agenda.append(("and", q0, ((s0, Fraction(1)),), 0))
         agenda = self.agenda
         while True:
             if not agenda:
@@ -134,7 +124,7 @@ class _Search:
                     agenda.append(("and", q2, dist, j + 1))
                     agenda.append(("check",))
                     s2, p2 = dist[j]
-                    agenda.append(("or", q2, s2, self._p(p2)))
+                    agenda.append(("or", q2, s2, p2))
             elif tag == "check":
                 verdict = self._evaluate()
                 if verdict == "found":
@@ -154,9 +144,9 @@ class _Search:
         if k is not None:
             # revisit of the current branch: seal the cycle
             p_loop = ledger.loop_mass_to(k) * p
-            if ledger._above_one(p_loop):
+            if p_loop > 1:
                 raise LedgerError("cycle traversal mass above 1")
-            if ledger._is_one(p_loop):
+            if p_loop == 1:
                 ledger.record_noter(p)  # non-decaying cycle never terminates
             else:
                 ledger.record_loop(k, p_loop)
@@ -230,9 +220,7 @@ class _Search:
         goal0, fail0, noter0 = ledger.goal0, ledger.fail0, ledger.noter0
         if self.hook is not None or not len(ledger):
             lam = calc_lambda(ledger)
-            # float sums round differently from the reference; only exact
-            # runs can be held to it
-            if self.exact and (lam.goal0, lam.fail0, lam.noter0) != (goal0, fail0, noter0):
+            if (lam.goal0, lam.fail0, lam.noter0) != (goal0, fail0, noter0):
                 raise LedgerError("cached bounds differ from calc_lambda")
             if self.hook is not None:
                 self.hook(tuple(sorted(self.controller.items())), lam)
@@ -276,7 +264,6 @@ def pandor_synth(
     request: SynthesisRequest,
     budget: Optional[int] = DEFAULT_BUDGET,
     hook: Optional[Hook] = None,
-    exact: bool = True,
 ) -> SynthResult:
     """Search for an N-bounded controller meeting the requested bounds.
 
@@ -285,13 +272,9 @@ def pandor_synth(
     after the bounded space of canonical controllers is exhausted.  A
     ``budget-exhausted`` outcome is inconclusive.
     """
-    lgt = request.lgt_star if exact else float(request.lgt_star)
-    lter = request.lter_star
-    if lter is not None and not exact:
-        lter = float(lter)
     search = _Search(
-        request.problem, request.max_states, lgt, lter,
-        budget, hook, fixed=None, exact=exact,
+        request.problem, request.max_states, request.lgt_star, request.lter_star,
+        budget, hook, fixed=None,
     )
     outcome, controller = search.run()
     return SynthResult(outcome, controller, search.or_steps, search.peak_depth)
@@ -301,7 +284,6 @@ def measure(
     problem: PlanningProblem,
     controller: Controller,
     hook: Optional[Hook] = None,
-    exact: bool = True,
 ) -> LambdaVector:
     """Run the instrumented engine on a fixed controller to exhaustion.
 
@@ -315,7 +297,7 @@ def measure(
     controller.check_indices(problem.environment)
     search = _Search(
         problem, controller.num_states, None, None,
-        budget=None, hook=hook, fixed=controller, exact=exact,
+        budget=None, hook=hook, fixed=controller,
     )
     outcome, _ = search.run()
     if outcome != "explored":

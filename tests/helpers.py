@@ -56,7 +56,7 @@ def corridor_controller(env: Environment) -> Controller:
 
 
 def clone_ledger(ledger: SearchLedger) -> SearchLedger:
-    out = SearchLedger(exact=ledger.exact)
+    out = SearchLedger()
     out.restore(ledger.snapshot())
     return out
 

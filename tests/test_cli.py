@@ -200,6 +200,10 @@ def test_usage_errors_exit_64(capsys):
     assert code == 64
     code, _, _ = run(capsys, "synth", "--domain", "coin-flip", "--max-states", "0", "--lgt-star", "0.4")
     assert code == 64
+    for n in ("5/2", "2.5"):
+        code, _, err = run(capsys, "synth", "--domain", "hall-a-1d", "--param", f"n={n}",
+                           "--max-states", "2", "--lgt-star", "0.4")
+        assert code == 64 and "integer" in err
 
 
 def test_parse_errors_exit_65(tmp_path, capsys):
@@ -211,6 +215,10 @@ def test_parse_errors_exit_65(tmp_path, capsys):
     ctrl_file.write_text("states 1\nstart 0\nedge 0 nope flip 0\n")
     code, _, _ = run(capsys, "verify", "--domain", "coin-flip", "--controller", str(ctrl_file))
     assert code == 65
+    for text in ("states \u00b2\nstart 0\n", "states 1\nstart 0\nedge \u00b2 start flip 0\n"):
+        ctrl_file.write_text(text, encoding="utf-8")
+        code, _, err = run(capsys, "verify", "--domain", "coin-flip", "--controller", str(ctrl_file))
+        assert code == 65 and "line" in err
 
 
 @pytest.mark.parametrize("domain, param, max_states, lgt_star, outcome", [
@@ -218,11 +226,11 @@ def test_parse_errors_exit_65(tmp_path, capsys):
     ("bridgewalk", "n=4", "3", "0.7", "failure-proved"),
 ])
 def test_synth_float_mode_matches_exact_mode(capsys, domain, param, max_states, lgt_star, outcome):
+    # search arithmetic is always exact: there is no --float flag any more
     argv = ["synth", "--domain", domain, "--param", param, "--max-states", max_states,
             "--lgt-star", lgt_star, "--json"]
     code, out, _ = run(capsys, *argv)
-    fcode, fout, _ = run(capsys, *argv, "--float")
-    exact, fast = json.loads(out), json.loads(fout)
-    assert exact["outcome"] == fast["outcome"] == outcome and code == fcode
-    assert exact["or_steps"] == fast["or_steps"]
-    assert exact["controller"] == fast["controller"]
+    assert json.loads(out)["outcome"] == outcome
+    assert code == {"controller": 0, "failure-proved": 2}[outcome]
+    fcode, _, _ = run(capsys, *argv, "--float")
+    assert fcode == 64

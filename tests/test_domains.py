@@ -4,7 +4,6 @@ import pytest
 
 from fscsynth.domains import (
     DomainError,
-    DomainSpec,
     ParseError,
     build,
     default_params,
@@ -86,7 +85,7 @@ def test_perimeter_hall_shape():
     assert {env.states[g] for g in prob.goal_states} == {"p0m15"}
     # the ring makes every move applicable everywhere
     for s in range(len(env.states)):
-        assert env.applicable(s) == (0, 1)
+        assert all((s, a) in env.delta for a in (0, 1))
 
 
 @pytest.mark.parametrize("name", sorted(domain_names()))
@@ -115,6 +114,8 @@ def test_parameter_validation_errors():
     with pytest.raises(DomainError):
         build("hall-a-1d", {"n": 1})
     with pytest.raises(DomainError):
+        build("hall-a-1d", {"n": F(5, 2)})  # int() would truncate it to 2
+    with pytest.raises(DomainError):
         build("noisy-hall-a-1d", {"p": F(0)})
     with pytest.raises(DomainError):
         build("noisy-hall-a-1d", {"p": F(1)})
@@ -125,8 +126,7 @@ def test_parameter_validation_errors():
 
 
 def test_domain_spec_builds():
-    spec = DomainSpec("bridgewalk", (("n", 2), ("p_fall", F(1, 4))))
-    prob = spec.build()
+    prob = build("bridgewalk", {"n": 2, "p_fall": F(1, 4)})
     assert len(prob.environment.states) == 4
 
 
@@ -244,3 +244,16 @@ def test_controller_parse_errors():
         parse_controller("states 1\nstart 1\n", env)
     with pytest.raises(ParseError):
         parse_controller("states 1\nstart 0\nedge 0 A right 3\n", env)
+
+
+@pytest.mark.parametrize("text,line,col,message", [
+    ("states \u00b2\nstart 0\n", 1, 1, "states takes one integer"),
+    ("states 1\nstart 0\nedge \u00b2 A right 0\n", 3, 6, "controller states are integers"),
+    ("states 1\nstart 0\nedge 0 A right \u0663\n", 3, 6, "controller states are integers"),
+])
+def test_controller_states_are_ascii_digits(text, line, col, message):
+    # str.isdigit() holds for "²" (which int() rejects) and for "٣"
+    env = build("hall-a-1d", {"n": 3}).environment
+    with pytest.raises(ParseError) as err:
+        parse_controller(text, env)
+    assert (err.value.line, err.value.col, err.value.message) == (line, col, message)

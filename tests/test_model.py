@@ -7,15 +7,12 @@ from fscsynth.model import (
     Branch,
     Controller,
     Environment,
-    History,
     ModelError,
     STOP,
     Stop,
     SynthesisRequest,
     Undefined,
     as_prob,
-    is_goal_history,
-    likelihood,
     system_step,
 )
 from fscsynth.domains import build
@@ -78,65 +75,6 @@ def test_system_step_successors_positive_and_normalized():
                 if isinstance(step, Branch) and step.successors:
                     assert all(p > 0 for _, p in step.successors)
                     assert sum(p for _, p in step.successors) == 1
-
-
-def test_likelihood_single_element_is_one():
-    h = History(((0, 0, F(1)),))
-    assert likelihood(h) == 1
-
-
-def test_likelihood_product():
-    h = History(((0, 0, F(1)), (0, 1, F(1, 2)), (0, 2, F(1, 2))))
-    assert likelihood(h) == F(1, 4)
-
-
-def test_likelihood_three_state_cycle():
-    # s0 -> s1 -> s2 -> s0 with step probabilities 1, 1, 1/2
-    h = History(((0, 0, F(1)), (0, 1, F(1)), (0, 2, F(1)), (0, 0, F(1, 2))))
-    assert likelihood(h) == F(1, 2)
-
-
-def test_likelihood_multiplicative_over_concatenation():
-    rng = random.Random(3)
-    for _ in range(100):
-        n = rng.randint(2, 8)
-        steps = [(0, 0, F(1))] + [
-            (0, t, F(rng.randint(1, 4), 4)) for t in range(1, n)
-        ]
-        h = History(tuple(steps))
-        cut = rng.randint(1, n - 1)
-        h1 = History(tuple(steps[:cut]))
-        # the suffix re-based as its own history (first entry prob 1)
-        h2 = History(((steps[cut - 1][0], steps[cut - 1][1], F(1)),) + tuple(steps[cut:]))
-        assert likelihood(h) == likelihood(h1) * likelihood(h2)
-
-
-def test_is_goal_history(coin):
-    env = coin.environment
-    ctrl = flip_stop_controller(coin)
-    goal_h = History(((0, coin.initial_state, F(1)), (0, env.state_index("goal"), F(1, 2))))
-    assert is_goal_history(coin, ctrl, goal_h)
-    # same endpoint, controller that keeps flipping instead of stopping
-    restless = controller_from_names(env, 1, {(0, "start"): ("flip", 0), (0, "won"): ("flip", 0)})
-    assert not is_goal_history(coin, restless, goal_h)
-    # terminating but not in a goal state
-    fail_h = History(((0, coin.initial_state, F(1)), (0, env.state_index("nogoal"), F(1, 2))))
-    assert not is_goal_history(coin, ctrl, fail_h)
-
-
-def test_history_validate(coin):
-    ctrl = flip_stop_controller(coin)
-    env = coin.environment
-    good = History(((0, coin.initial_state, F(1)), (0, env.state_index("goal"), F(1, 2))))
-    good.validate(coin, ctrl)
-    bad = History(((0, coin.initial_state, F(1)), (0, env.state_index("goal"), F(1, 3))))
-    with pytest.raises(ModelError):
-        bad.validate(coin, ctrl)
-
-
-def test_history_first_probability_must_be_one():
-    with pytest.raises(ModelError):
-        History(((0, 0, F(1, 2)),))
 
 
 def test_environment_rejects_bad_distribution():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -172,9 +173,31 @@ def test_synthesis_hook_sees_monotone_sound_bounds():
     assert seen[-1][1] >= F(9, 10)
 
 
-def test_float_mode_agrees_on_dyadic_probabilities():
-    prob = build("noisy-hall-a-1d", {"n": 3})
-    exact = pandor_synth(SynthesisRequest(prob, 2, F(9, 10)))
-    fast = pandor_synth(SynthesisRequest(prob, 2, F(9, 10)), exact=False)
-    assert fast.outcome == "controller"
-    assert fast.controller.transitions == exact.controller.transitions
+def test_differential_against_enumeration_on_random_problems():
+    # both directions: a controller is returned iff some canonical bounded
+    # controller meets the bounds exactly (completeness and soundness)
+    # (the search may need far more OR steps than there are controllers, so
+    # problems with a large controller space are skipped to bound the time)
+    rng = random.Random(4242)
+    outcomes = {"controller": 0, "failure-proved": 0}
+    for trial in range(120):
+        prob = random_env(rng, n_states=rng.randint(2, 4), partial=(trial % 3 == 0))
+        n = rng.randint(1, 2)
+        controllers = list(itertools.islice(enumerate_controllers(prob, n), 3001))
+        if len(controllers) > 3000:
+            continue
+        vectors = {(m.lgt, m.lter) for m in (exact_measures(prob, c) for c in controllers)}
+        for _ in range(3):
+            lgt_star = F(rng.randint(1, 19), 20)
+            lter_star = F(rng.randint(1, 19), 20) if rng.random() < 0.5 else None
+            result = pandor_synth(SynthesisRequest(prob, n, lgt_star, lter_star), budget=200_000)
+            exists = any(
+                lgt >= lgt_star and (lter_star is None or lter >= lter_star) for lgt, lter in vectors
+            )
+            case = (trial, n, lgt_star, lter_star, result.outcome)
+            assert result.outcome == ("controller" if exists else "failure-proved"), case
+            if exists:
+                m = exact_measures(prob, result.controller)
+                assert m.lgt >= lgt_star and (lter_star is None or m.lter >= lter_star), case
+            outcomes[result.outcome] += 1
+    assert min(outcomes.values()) >= 20, outcomes

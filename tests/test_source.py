@@ -35,3 +35,23 @@ def test_verifier_is_independent_of_the_search():
     assert "fscsynth.model" in names
     search = {"fscsynth.pandor", "fscsynth.ledger", "fscsynth.andor"}
     assert sorted(n for n in names if ".".join(n.split(".")[:2]) in search) == []
+
+
+def test_no_unused_imports():
+    # an import nothing reads is dead weight, and often the last trace of
+    # deleted code
+    unused = []
+    for path in sorted(Path(fscsynth.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":  # re-exports the public names
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []
