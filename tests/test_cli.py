@@ -200,10 +200,14 @@ def test_usage_errors_exit_64(capsys):
     assert code == 64
     code, _, _ = run(capsys, "synth", "--domain", "coin-flip", "--max-states", "0", "--lgt-star", "0.4")
     assert code == 64
-    for n in ("5/2", "2.5"):
-        code, _, err = run(capsys, "synth", "--domain", "hall-a-1d", "--param", f"n={n}",
-                           "--max-states", "2", "--lgt-star", "0.4")
-        assert code == 64 and "integer" in err
+
+
+@pytest.mark.parametrize("n", ["5/2", "2.5"])
+def test_non_integral_integer_param_exits_64(capsys, n):
+    # int() would truncate it to 2 and run the search on the wrong domain
+    code, _, err = run(capsys, "synth", "--domain", "hall-a-1d", "--param", f"n={n}",
+                       "--max-states", "2", "--lgt-star", "0.4")
+    assert code == 64 and "integer" in err
 
 
 def test_parse_errors_exit_65(tmp_path, capsys):
@@ -215,10 +219,15 @@ def test_parse_errors_exit_65(tmp_path, capsys):
     ctrl_file.write_text("states 1\nstart 0\nedge 0 nope flip 0\n")
     code, _, _ = run(capsys, "verify", "--domain", "coin-flip", "--controller", str(ctrl_file))
     assert code == 65
-    for text in ("states \u00b2\nstart 0\n", "states 1\nstart 0\nedge \u00b2 start flip 0\n"):
-        ctrl_file.write_text(text, encoding="utf-8")
-        code, _, err = run(capsys, "verify", "--domain", "coin-flip", "--controller", str(ctrl_file))
-        assert code == 65 and "line" in err
+
+
+@pytest.mark.parametrize("text", ["states \u00b2\nstart 0\n", "states 1\nstart 0\nedge \u00b2 start flip 0\n"])
+def test_non_ascii_controller_state_exits_65(tmp_path, capsys, text):
+    # "\u00b2".isdigit() holds but int() rejects it; this used to be a traceback
+    ctrl_file = tmp_path / "bad.fsc"
+    ctrl_file.write_text(text, encoding="utf-8")
+    code, _, err = run(capsys, "verify", "--domain", "coin-flip", "--controller", str(ctrl_file))
+    assert code == 65 and "line" in err
 
 
 @pytest.mark.parametrize("domain, param, max_states, lgt_star, outcome", [

@@ -114,8 +114,6 @@ def test_parameter_validation_errors():
     with pytest.raises(DomainError):
         build("hall-a-1d", {"n": 1})
     with pytest.raises(DomainError):
-        build("hall-a-1d", {"n": F(5, 2)})  # int() would truncate it to 2
-    with pytest.raises(DomainError):
         build("noisy-hall-a-1d", {"p": F(0)})
     with pytest.raises(DomainError):
         build("noisy-hall-a-1d", {"p": F(1)})
@@ -123,6 +121,15 @@ def test_parameter_validation_errors():
         build("bridgewalk", {"p_fall": "7/5"})
     with pytest.raises(DomainError):
         build("coin-flip", {"n": 3})
+
+
+@pytest.mark.parametrize("name, key", [
+    (name, key) for name in sorted(domain_names())
+    for key, value in default_params(name).items() if isinstance(value, int)
+])
+def test_integer_parameters_reject_non_integral_values(name, key):
+    with pytest.raises(DomainError, match="integer"):
+        build(name, {key: F(5, 2)})  # int() would truncate it to 2
 
 
 def test_domain_spec_builds():
