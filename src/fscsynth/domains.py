@@ -224,12 +224,6 @@ def domain_names() -> tuple[str, ...]:
     return tuple(_BUILDERS)
 
 
-def default_params(name: str) -> dict:
-    if name not in _BUILDERS:
-        raise DomainError(f"unknown domain {name!r}")
-    return dict(_BUILDERS[name][1])
-
-
 def build(name: str, params: Optional[Mapping[str, object]] = None) -> PlanningProblem:
     """Instantiate a built-in domain; unknown names/parameters raise."""
     if name not in _BUILDERS:

@@ -32,7 +32,8 @@ method keeps a cache of the same bounds up to date instead:
   the index-0 bounds;
 * ``acc_goal[k]`` (and ``acc_fail``, ``acc_noter``): the prefix sums of
   ``prefix[j] * goal[j]``, so that ``goal0 = acc_goal[L]``;
-* ``top[k]``: the highest column of ``loop[k]`` holding mass, or -1.
+* ``top[k]``: the highest column of ``loop[k]`` holding mass, or -1;
+* ``total``: ``goal0 + fail0 + noter0``, the explored mass at index 0.
 
 ``extend``, a terminal record and a fold cost O(1) arithmetic; a cycle
 record to index k recomputes the cycle mass of k and of the lower rows
@@ -92,7 +93,7 @@ class SearchLedger:
     """Mutable search-branch state: ``h_curr``, the alpha slots and the
     cached bounds derived from them."""
 
-    __slots__ = _LISTS + ("pos", "loop")
+    __slots__ = _LISTS + ("pos", "loop", "total")
 
     def __init__(self):
         self.qs: list[int] = []
@@ -111,6 +112,7 @@ class SearchLedger:
         self.acc_fail = [_ZERO]
         self.acc_noter = [_ZERO]
         self.top = [-1]
+        self.total = _ZERO
 
     # -- shape ----------------------------------------------------------
 
@@ -173,9 +175,13 @@ class SearchLedger:
     def _record(self, slots: list, acc: list, p) -> None:
         """Terminal mass at the frontier slot; its weight in the index-0
         bounds is the prefix product at L."""
+        if not p > 0:
+            raise LedgerError(f"terminal record of non-positive mass {p}")
         L = len(self.qs)
         slots[L] += p
-        acc[L] += self.prefix[L] * p
+        weighted = self.prefix[L] * p
+        acc[L] += weighted
+        self.total += weighted
         self._check_bounds()
 
     def record_loop(self, k: int, p_loop) -> None:
@@ -251,17 +257,15 @@ class SearchLedger:
             for values, acc in slots:
                 v = values[t + 1]
                 acc[t + 1] = acc[t] + weight * v if v else acc[t]
+        self.total = self.goal0 + self.fail0 + self.noter0
         self._check_bounds()
 
     def _check_bounds(self) -> None:
-        """calc_lambda's range checks, on the cached index-0 bounds: with
-        every component non-negative, a total of at most 1 keeps each one
-        in [0, 1]."""
-        goal0, fail0, noter0 = self.goal0, self.fail0, self.noter0
-        if goal0 < 0 or fail0 < 0 or noter0 < 0:
-            raise LedgerError(f"lambda component outside [0,1] at index 0: {goal0}, {fail0}, {noter0}")
+        """calc_lambda's range checks, on the cached index-0 bounds: every
+        record adds positive mass with a positive weight, so each component
+        is non-negative, and a total of at most 1 keeps each one in [0, 1]."""
         # goal, fail and noter continuations are disjoint trajectory sets
-        if goal0 + fail0 + noter0 > 1:
+        if self.total > 1:
             raise LedgerError("goal+fail+noter mass above 1 at index 0")
 
     def _settle(self, k: int) -> None:
@@ -316,10 +320,10 @@ class SearchLedger:
         Folds running between snapshot and restore legitimately shorten
         h_curr below its snapshot length, so the branch contents are
         stored, not just a length."""
-        return [list(getattr(self, name)) for name in _LISTS], [list(row) for row in self.loop]
+        return [list(getattr(self, name)) for name in _LISTS], [list(row) for row in self.loop], self.total
 
     def restore(self, snap) -> None:
-        lists, loop = snap
+        lists, loop, self.total = snap
         for name, values in zip(_LISTS, lists):
             setattr(self, name, list(values))
         self.loop = [list(row) for row in loop]
@@ -459,7 +463,7 @@ def cumulate_alpha(ledger: SearchLedger) -> SearchLedger:
     loop[n] = [_ZERO] * L
 
     # index n becomes the frontier: no cycle mass, and the prefix sums up
-    # to it already hold the folded mass
+    # to it already hold the folded mass (so ``total`` is unchanged)
     del top[L], ledger.lam_loop[L], ledger.headroom[L], ledger.through[n], ledger.prefix[L]
     top[n] = -1
     ledger.lam_loop[n] = _ZERO

@@ -73,7 +73,8 @@ class Environment:
         for o in self.omega:
             if not 0 <= o < n_o:
                 raise ModelError(f"omega references unknown observation index {o}")
-        # many (state, action) pairs share one law: sum each distinct one once
+        # many (state, action) pairs share one law: check and sum each
+        # distinct one once
         summed = set()
         for (s, a), dist in self.delta.items():
             if not 0 <= s < n_s or not 0 <= a < n_a:
@@ -85,13 +86,14 @@ class Environment:
                 if s2 in seen:
                     raise ModelError(f"delta({s},{a}) lists successor {s2} twice")
                 seen.add(s2)
-                if p <= 0:
-                    raise ModelError(f"delta({s},{a}) has non-positive probability {p}")
             try:
                 key = tuple([(p.numerator, p.denominator) for _, p in dist])
             except AttributeError:
                 raise ModelError(f"delta({s},{a}) has a probability that is not rational") from None
             if key not in summed:
+                for _, p in dist:
+                    if p <= 0:
+                        raise ModelError(f"delta({s},{a}) has non-positive probability {p}")
                 total = sum((p for _, p in dist), Fraction(0))
                 if total != 1:
                     raise ModelError(f"delta({s},{a}) sums to {total}, not 1")
@@ -215,10 +217,6 @@ class Controller:
                     f"controller transition ({q},{o}) -> ({a},{q2}) uses action index {a}; "
                     f"the environment has {n_a} actions"
                 )
-
-    def fingerprint(self) -> tuple:
-        """Hashable canonical identity of the transition map."""
-        return (self.num_states, tuple(sorted(self.transitions.items())))
 
     def used_states(self) -> set[int]:
         used = {0}

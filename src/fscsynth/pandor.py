@@ -18,6 +18,25 @@ Backtracking is chronological: every choice point snapshots the alpha
 structures and their cached bounds (copy-on-branch), and the controller
 is unwound through a trail.  The machine is an explicit agenda loop, not recursion, so branch
 length is bounded by memory rather than the interpreter stack.
+
+A choice point offers every action crossed with the canonically numbered
+successor states, but a *stuck* action (one that no state with the
+observation at hand has in ``delta``) only once: the first stuck action,
+with successor 0.  No answer changes:
+
+* every stuck transition (q, o) -> (a, q2) records its step mass as
+  never-terminating, here and at every later state with observation o,
+  whatever a and q2 are;
+* q2 is never entered through it, so it only raises ``max_used``: a
+  controller below a dropped sibling, with that transition replaced by
+  (a, 0) and its states renumbered canonically, is a controller below
+  (a, 0) with the same ledger records and measures;
+* so if the (a, 0) subtree fails, every dropped sibling fails too, and if
+  it succeeds, the same controller is found first, since the remaining
+  candidates keep their order.
+
+Only the OR-step count shrinks, so a search that ran out of budget on the
+full candidate list may now finish.
 """
 
 from __future__ import annotations
@@ -75,6 +94,9 @@ class _Search:
         self.max_states = max_states
         self.lgt_star = lgt_star
         self.lter_star = lter_star
+        # the prune test compares explored non-goal mass with these caps
+        self.lgt_cap = None if lgt_star is None else 1 - lgt_star
+        self.lter_cap = None if lter_star is None else 1 - lter_star
         self.budget = budget
         self.hook = hook
         self.fixed = fixed is not None
@@ -90,6 +112,16 @@ class _Search:
         self.ledger = SearchLedger()
         self.or_steps = 0
         self.peak_depth = 0
+        # per observation: (action, applicable at some state) for every
+        # action offered at a choice point; only the first stuck one stays
+        actions = range(len(self.env.actions))
+        live = {(self.env.obs(s), a) for s, a in self.env.delta}
+        self.offers = []
+        for o in range(len(self.env.observations)):
+            first_stuck = next((a for a in actions if (o, a) not in live), None)
+            self.offers.append([
+                (a, (o, a) in live) for a in actions if (o, a) in live or a == first_stuck
+            ])
 
     # -- main loop -------------------------------------------------------
 
@@ -170,14 +202,15 @@ class _Search:
         self._execute(q, s, p, candidates[0])
 
     def _candidates(self, s: int) -> list[tuple[int, int]]:
-        """Extension choices: every action crossed with canonically numbered
-        successor states, plus stop.  Stop is tried first in goal states and
-        last elsewhere."""
+        """Extension choices: every applicable action crossed with
+        canonically numbered successor states, the first stuck action once
+        with successor 0, plus stop.  Stop is tried first in goal states
+        and last elsewhere."""
         hi = min(self.max_used + 1, self.max_states - 1)
         acts = [
             (a, q2)
-            for a in range(len(self.env.actions))
-            for q2 in range(hi + 1)
+            for a, live in self.offers[self.env.obs(s)]
+            for q2 in (range(hi + 1) if live else (0,))
         ]
         if self.problem.is_goal(s):
             return [(STOP, 0)] + acts
@@ -230,8 +263,8 @@ class _Search:
             self.lter_star is None or goal0 + fail0 >= self.lter_star
         ):
             return "found"
-        if 1 - fail0 - noter0 < self.lgt_star or (
-            self.lter_star is not None and 1 - noter0 < self.lter_star
+        if fail0 + noter0 > self.lgt_cap or (
+            self.lter_cap is not None and noter0 > self.lter_cap
         ):
             return "fail"
         return None

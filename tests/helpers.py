@@ -8,7 +8,8 @@ import random
 from fractions import Fraction
 
 from fscsynth.ledger import SearchLedger
-from fscsynth.model import Controller, Environment, PlanningProblem, STOP
+from fscsynth.model import Controller, Environment, PlanningProblem, STOP, SynthesisRequest, SynthResult
+from fscsynth.pandor import DEFAULT_BUDGET, _Search
 from fscsynth.verifier import FAIL_SINK, GOAL_SINK, UNDEF_SINK, ChainError, CombinedChain
 
 
@@ -59,6 +60,41 @@ def clone_ledger(ledger: SearchLedger) -> SearchLedger:
     out = SearchLedger()
     out.restore(ledger.snapshot())
     return out
+
+
+def stuck_pairs(env: Environment) -> set[tuple[int, int]]:
+    """(observation, action) pairs where the action is inapplicable in
+    every state with that observation."""
+    return {
+        (o, a)
+        for o in range(len(env.observations))
+        for a in range(len(env.actions))
+        if not any((s, a) in env.delta for s in range(len(env.states)) if env.obs(s) == o)
+    }
+
+
+class _FullCandidatesSearch(_Search):
+    """The search with the candidate list it had before stuck actions were
+    collapsed: every action, stuck or not, crossed with every canonical
+    successor state."""
+
+    def _candidates(self, s):
+        hi = min(self.max_used + 1, self.max_states - 1)
+        acts = [(a, q2) for a in range(len(self.env.actions)) for q2 in range(hi + 1)]
+        if self.problem.is_goal(s):
+            return [(STOP, 0)] + acts
+        return acts + [(STOP, 0)]
+
+
+def full_candidates_synth(request: SynthesisRequest, budget=DEFAULT_BUDGET) -> SynthResult:
+    """Reference for ``pandor_synth``: the same search over the full
+    candidate list."""
+    search = _FullCandidatesSearch(
+        request.problem, request.max_states, request.lgt_star, request.lter_star,
+        budget, None, fixed=None,
+    )
+    outcome, controller = search.run()
+    return SynthResult(outcome, controller, search.or_steps, search.peak_depth)
 
 
 def random_env(rng: random.Random, n_states: int = 4, partial: bool = False) -> PlanningProblem:

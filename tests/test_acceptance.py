@@ -16,7 +16,7 @@ from fractions import Fraction as F
 import pytest
 
 from fscsynth.andor import GeneralizedProblem, andor_synth
-from fscsynth.domains import build, default_params, domain_names
+from fscsynth.domains import build, domain_names
 from fscsynth.ledger import LedgerError, SearchLedger, calc_lambda, cumulate_alpha
 from fscsynth.model import STOP, SynthesisRequest
 from fscsynth.pandor import measure, pandor_synth
@@ -222,7 +222,7 @@ def _reference_controller(name, problem):
 @criterion(8, "finite-horizon enumeration brackets the exact solver")
 def check_oracle_cross_check():
     for name in domain_names():
-        problem = build(name, default_params(name))
+        problem = build(name, {})
         ctrl = _reference_controller(name, problem)
         exact = exact_measures(problem, ctrl).lgt
         prev_width = None

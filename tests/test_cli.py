@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import fscsynth
 from fscsynth.cli import main
 from fscsynth.domains import build, serialize_controller, serialize_env
 from fscsynth.verifier import exact_measures
@@ -243,3 +248,21 @@ def test_synth_float_mode_matches_exact_mode(capsys, domain, param, max_states, 
     assert code == {"controller": 0, "failure-proved": 2}[outcome]
     fcode, _, _ = run(capsys, *argv, "--float")
     assert fcode == 64
+
+
+@pytest.mark.parametrize("lgt_star, code", [("0.7", 2), ("0.6", 0)])
+def test_synth_is_the_same_under_python_O(lgt_star, code):
+    # no control flow may depend on assert, which -O strips
+    argv = ["-m", "fscsynth.cli", "synth", "--domain", "bridgewalk", "--param", "n=4",
+            "--max-states", "3", "--lgt-star", lgt_star, "--json"]
+    env = dict(os.environ, PYTHONPATH=str(Path(fscsynth.__file__).parents[1]))
+    reports = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, *argv], env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == code, proc.stderr
+        payload = json.loads(proc.stdout)
+        reports.append((payload["outcome"], payload["or_steps"], payload["controller"]))
+    assert reports[0] == reports[1]
+    assert reports[0][0] == ("failure-proved" if code else "controller")

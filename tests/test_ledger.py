@@ -195,3 +195,13 @@ def test_lambda_components_in_unit_interval(led):
     for vec in (lam.goal, lam.fail, lam.noter, lam.loop):
         for v in vec:
             assert 0 <= v <= 1
+
+
+@pytest.mark.parametrize("record", ["record_goal", "record_fail", "record_noter"])
+@pytest.mark.parametrize("mass", [F(0), F(-1, 4)])
+def test_terminal_records_need_positive_mass(record, mass):
+    # the cache keeps its bounds non-negative by refusing such records
+    led = SearchLedger()
+    led.extend(0, 0, F(1, 2))
+    with pytest.raises(LedgerError, match="non-positive"):
+        getattr(led, record)(mass)

@@ -70,6 +70,7 @@ def _assert_cache_matches_reference(led):
     ref_ledger = clone_ledger(led)
     lam = calc_lambda(ref_ledger)
     assert (led.goal0, led.fail0, led.noter0) == (lam.goal0, lam.fail0, lam.noter0)
+    assert led.total == lam.goal0 + lam.fail0 + lam.noter0
     assert tuple(led.lam_loop) == lam.loop
     # nothing was left for the reference to saturate
     assert ref_ledger.loop == led.loop and ref_ledger.noter == led.noter

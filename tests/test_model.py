@@ -157,3 +157,13 @@ def test_as_prob_accepts_exact_inputs():
     assert as_prob(1) == 1
     env = _one_step_env({"s1": 0.5, "s2": "0.5"})
     assert env.dist(0, 0) == ((1, F(1, 2)), (2, F(1, 2)))
+
+
+@pytest.mark.parametrize("law", [
+    ((0, F(0)), (1, F(1))),
+    ((0, F(3, 2)), (1, F(-1, 2))),
+])
+def test_environment_rejects_non_positive_probabilities_given_directly(law):
+    # positivity is checked once per distinct law, next to its sum
+    with pytest.raises(ModelError, match="non-positive probability"):
+        Environment(("s0", "s1"), ("a",), ("o",), {(0, 0): law, (1, 0): law}, (0, 0))

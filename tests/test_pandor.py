@@ -12,8 +12,10 @@ from fscsynth.verifier import exact_measures
 from helpers import (
     always_a_controller,
     enumerate_controllers,
+    full_candidates_synth,
     random_env,
     random_total_controller,
+    stuck_pairs,
 )
 
 
@@ -180,12 +182,14 @@ def test_differential_against_enumeration_on_random_problems():
     # problems with a large controller space are skipped to bound the time)
     rng = random.Random(4242)
     outcomes = {"controller": 0, "failure-proved": 0}
+    with_stuck_pairs = 0
     for trial in range(120):
         prob = random_env(rng, n_states=rng.randint(2, 4), partial=(trial % 3 == 0))
         n = rng.randint(1, 2)
         controllers = list(itertools.islice(enumerate_controllers(prob, n), 3001))
         if len(controllers) > 3000:
             continue
+        with_stuck_pairs += bool(stuck_pairs(prob.environment))
         vectors = {(m.lgt, m.lter) for m in (exact_measures(prob, c) for c in controllers)}
         for _ in range(3):
             lgt_star = F(rng.randint(1, 19), 20)
@@ -201,3 +205,81 @@ def test_differential_against_enumeration_on_random_problems():
                 assert m.lgt >= lgt_star and (lter_star is None or m.lter >= lter_star), case
             outcomes[result.outcome] += 1
     assert min(outcomes.values()) >= 20, outcomes
+    # the corpus must exercise the stuck-action collapse of the candidates
+    assert with_stuck_pairs >= 20, with_stuck_pairs
+
+
+def _assert_same_search(request, label):
+    """pandor_synth against the full candidate list: same outcome and
+    controller, never more OR steps; returns (new, full) OR steps."""
+    new, full = pandor_synth(request), full_candidates_synth(request)
+    case = (*label, request.max_states, request.lgt_star, request.lter_star)
+    assert (new.outcome, new.controller) == (full.outcome, full.controller), case
+    assert new.or_steps <= full.or_steps, case
+    return new.or_steps, full.or_steps
+
+
+@pytest.mark.parametrize("name, params", [
+    ("coin-flip", {}),
+    ("decay-loop", {}),
+    ("hall-a-1d", {}),
+    ("bridgewalk", {"n": 3}),
+    ("bridgewalk", {"n": 4}),
+    ("bridgewalk", {"n": 5}),
+], ids=["coin-flip", "decay-loop", "hall-a-1d", "bridgewalk-n3", "bridgewalk-n4", "bridgewalk-n5"])
+def test_stuck_action_collapse_keeps_every_answer(name, params):
+    prob = build(name, params)
+    assert stuck_pairs(prob.environment)
+    best = F(9, 10) ** params["n"] if name == "bridgewalk" else F(1, 2)
+    bounds = [(F(1, 2), None), (F(99, 100), None), (F(1, 10), F(9, 10)), (best, None)]
+    if name == "bridgewalk":
+        bounds.append((best * F(1001, 1000), None))  # just above the optimum: exhaustive
+    saved = 0
+    for N in (1, 2, 3, 4):
+        for lgt_star, lter_star in bounds:
+            new, full = _assert_same_search(SynthesisRequest(prob, N, lgt_star, lter_star), (name, params))
+            saved += full - new
+    if name == "bridgewalk":
+        assert saved > 0
+
+
+@pytest.mark.parametrize(
+    "name, params", [("three-state", {}), ("noisy-hall-a-1d", {"n": 3}), ("hall-a-2d", {"n": 3})],
+    ids=["three-state", "noisy-hall-a-1d-n3", "hall-a-2d-n3"],
+)
+def test_domains_without_stuck_pairs_search_as_before(name, params):
+    prob = build(name, params)
+    assert not stuck_pairs(prob.environment)
+    for N in (1, 2):
+        for lgt_star, lter_star in ((F(1, 2), None), (F(99, 100), F(1, 10))):
+            new, full = _assert_same_search(SynthesisRequest(prob, N, lgt_star, lter_star), (name, params))
+            assert new == full
+
+
+def test_stuck_action_collapse_on_random_partial_problems():
+    rng = random.Random(8080)
+    seen = {"stuck": 0, "lower": 0}
+    for trial in range(250):
+        prob = random_env(rng, n_states=rng.randint(2, 4), partial=True)
+        lgt_star = F(rng.randint(1, 19), 20)
+        lter_star = F(rng.randint(1, 19), 20) if rng.random() < 0.5 else None
+        request = SynthesisRequest(prob, rng.randint(1, 2), lgt_star, lter_star)
+        new, full = pandor_synth(request, budget=5000), full_candidates_synth(request, budget=5000)
+        case = (trial, request.max_states, lgt_star, lter_star)
+        assert new.or_steps <= full.or_steps, case
+        if full.outcome != "budget-exhausted":
+            assert (new.outcome, new.controller) == (full.outcome, full.controller), case
+        if stuck_pairs(prob.environment):
+            seen["stuck"] += 1
+            seen["lower"] += new.or_steps < full.or_steps
+        else:
+            assert new.or_steps == full.or_steps, case
+    assert seen["stuck"] >= 100 and seen["lower"] >= 1, seen
+
+
+def test_bridgewalk_proof_step_count():
+    # 19 960 OR steps when every stuck action was offered with every successor
+    prob = build("bridgewalk", {"n": 8, "p_fall": F(1, 10)})
+    result = pandor_synth(SynthesisRequest(prob, 4, F(1, 2)))
+    assert result.outcome == "failure-proved"
+    assert result.or_steps == 1536
