@@ -27,7 +27,7 @@ from fscsynth.model import (
     Undefined,
     system_step,
 )
-from fscsynth.verifier import Measures, brute_force_measures, exact_measures
+from fscsynth.verifier import Measures, exact_measures
 from fscsynth.ledger import LambdaVector, LedgerError, SearchLedger, calc_lambda, cumulate_alpha
 from fscsynth.pandor import measure, pandor_synth
 from fscsynth.andor import GeneralizedProblem, andor_synth
@@ -52,7 +52,6 @@ __all__ = [
     "SynthesisRequest",
     "Undefined",
     "andor_synth",
-    "brute_force_measures",
     "build",
     "calc_lambda",
     "cumulate_alpha",

@@ -98,20 +98,31 @@ def _parse_params(entries) -> dict:
     return params
 
 
+def _read_text(path: str) -> str:
+    """An input file's text; a byte that is not UTF-8 is a parse error.
+    The parsers split lines with ``str.splitlines``, so no newline
+    translation is needed."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lines = (data[:exc.start].decode("utf-8") + "?").splitlines()
+        raise ParseError(len(lines), len(lines[-1]), f"byte 0x{data[exc.start]:02x} is not UTF-8")
+
+
 def _load_problem(args) -> PlanningProblem:
     if getattr(args, "env", None):
         if getattr(args, "domain", None):
             raise _UsageError("give either --env or --domain, not both")
-        with open(args.env, encoding="utf-8") as fh:
-            return parse_env(fh.read())
+        return parse_env(_read_text(args.env))
     if not getattr(args, "domain", None):
         raise _UsageError("one of --env or --domain is required")
     return build(args.domain, _parse_params(getattr(args, "param", None)))
 
 
 def _load_controller(args, problem: PlanningProblem) -> Controller:
-    with open(args.controller, encoding="utf-8") as fh:
-        return parse_controller(fh.read(), problem.environment)
+    return parse_controller(_read_text(args.controller), problem.environment)
 
 
 # ---------------------------------------------------------------------------
@@ -158,23 +169,24 @@ def _ratio(x: Fraction) -> str:
 
 
 def _report_json(report: RunReport) -> dict:
-    m = report.measures
-    return {
+    out = {
         "outcome": report.outcome,
         "algo": report.algo,
         "or_steps": report.or_steps,
         "peak_depth": report.peak_depth,
         "wall_time_s": report.wall_time_s,
         "controller": report.controller_text,
-        "lgt": _ratio(m.lgt) if m else None,
-        "lgt_decimal": float(m.lgt) if m else None,
-        "lter": _ratio(m.lter) if m else None,
-        "lter_decimal": float(m.lter) if m else None,
-        "nonterm": _ratio(m.nonterm) if m else None,
-        "nonterm_decimal": float(m.nonterm) if m else None,
-        "undefined_mass": _ratio(m.undefined_mass) if m else None,
-        "undefined_mass_decimal": float(m.undefined_mass) if m else None,
     }
+    for name in ("lgt", "lter", "nonterm", "undefined_mass"):
+        x = getattr(report.measures, name, None)
+        out[name] = None if x is None else _ratio(x)
+        out[f"{name}_decimal"] = None if x is None else float(x)
+    return out
+
+
+def _print_measures(m: Measures) -> None:
+    for label, x in (("lgt", m.lgt), ("lter", m.lter), ("nonterm", m.nonterm), ("undefined-mass", m.undefined_mass)):
+        print(f"{label}: {_fmt(x)}")
 
 
 def _print_report(report: RunReport) -> None:
@@ -184,11 +196,7 @@ def _print_report(report: RunReport) -> None:
     print(f"peak-depth: {report.peak_depth}")
     print(f"wall-time-s: {report.wall_time_s:.3f}")
     if report.measures is not None:
-        m = report.measures
-        print(f"lgt: {_fmt(m.lgt)}")
-        print(f"lter: {_fmt(m.lter)}")
-        print(f"nonterm: {_fmt(m.nonterm)}")
-        print(f"undefined-mass: {_fmt(m.undefined_mass)}")
+        _print_measures(report.measures)
     if report.controller_text is not None:
         print("controller:")
         print(report.controller_text, end="")
@@ -201,11 +209,7 @@ def _print_report(report: RunReport) -> None:
 def cmd_verify(args) -> int:
     problem = _load_problem(args)
     controller = _load_controller(args, problem)
-    m = exact_measures(problem, controller)
-    print(f"lgt: {_fmt(m.lgt)}")
-    print(f"lter: {_fmt(m.lter)}")
-    print(f"nonterm: {_fmt(m.nonterm)}")
-    print(f"undefined-mass: {_fmt(m.undefined_mass)}")
+    _print_measures(exact_measures(problem, controller))
     return EXIT_OK
 
 
@@ -277,11 +281,7 @@ _BENCH_GRID = [
 
 
 def bench_rows(budget: Optional[int] = DEFAULT_BUDGET):
-    """Run the built-in grid; yields CSV-ready row dicts.
-
-    Cases are independent and pure, so they could go to a worker pool;
-    they run sequentially here to keep timing readable.
-    """
+    """Run the built-in grid; yields CSV-ready row dicts."""
     for domain, params, n, algo, lgt_star in _BENCH_GRID:
         problem = build(domain, params)
         start = time.perf_counter()
@@ -369,6 +369,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "budget", 1) < 1:
+            raise _UsageError(f"--budget must be a positive integer, got {args.budget}")
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

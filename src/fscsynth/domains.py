@@ -197,25 +197,17 @@ def _check_prob(name: str, value) -> Fraction:
     return p
 
 
-_BUILDERS: dict[str, tuple[Callable[..., PlanningProblem], dict]] = {
-    "coin-flip": (lambda: _coin_flip(), {}),
-    "decay-loop": (lambda: _decay_loop(), {}),
-    "three-state": (lambda: _three_state(), {}),
-    "hall-a-1d": (lambda n=5: _hall_a_1d(_check_int("n", n, 2), None), {"n": 5}),
-    "noisy-hall-a-1d": (
-        lambda n=4, p=Fraction(1, 2): _hall_a_1d(_check_int("n", n, 2), _check_prob("p", p)),
-        {"n": 4, "p": Fraction(1, 2)},
-    ),
-    "hall-a-2d": (lambda n=3: _hall_a_2d(_check_int("n", n, 2), None), {"n": 3}),
-    "noisy-hall-a-2d": (
-        lambda n=3, p=Fraction(1, 2): _hall_a_2d(_check_int("n", n, 2), _check_prob("p", p)),
-        {"n": 3, "p": Fraction(1, 2)},
-    ),
-    "bridgewalk": (
-        lambda n=5, p_fall=Fraction(1, 10): _bridgewalk(
-            _check_int("n", n, 1), _check_prob("p_fall", p_fall)
-        ),
-        {"n": 5, "p_fall": Fraction(1, 10)},
+#: name -> builder; a builder's keyword parameters are the domain's
+_BUILDERS: dict[str, Callable[..., PlanningProblem]] = {
+    "coin-flip": _coin_flip,
+    "decay-loop": _decay_loop,
+    "three-state": _three_state,
+    "hall-a-1d": lambda n=5: _hall_a_1d(_check_int("n", n, 2), None),
+    "noisy-hall-a-1d": lambda n=4, p=Fraction(1, 2): _hall_a_1d(_check_int("n", n, 2), _check_prob("p", p)),
+    "hall-a-2d": lambda n=3: _hall_a_2d(_check_int("n", n, 2), None),
+    "noisy-hall-a-2d": lambda n=3, p=Fraction(1, 2): _hall_a_2d(_check_int("n", n, 2), _check_prob("p", p)),
+    "bridgewalk": lambda n=5, p_fall=Fraction(1, 10): _bridgewalk(
+        _check_int("n", n, 1), _check_prob("p_fall", p_fall)
     ),
 }
 
@@ -228,10 +220,10 @@ def build(name: str, params: Optional[Mapping[str, object]] = None) -> PlanningP
     """Instantiate a built-in domain; unknown names/parameters raise."""
     if name not in _BUILDERS:
         raise DomainError(f"unknown domain {name!r} (available: {', '.join(sorted(_BUILDERS))})")
-    builder, defaults = _BUILDERS[name]
+    builder = _BUILDERS[name]
     params = dict(params or {})
     for key in params:
-        if key not in defaults:
+        if key not in builder.__code__.co_varnames[:builder.__code__.co_argcount]:
             raise DomainError(f"domain {name!r} takes no parameter {key!r}")
     return builder(**params)
 

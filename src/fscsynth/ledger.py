@@ -39,9 +39,10 @@ method keeps a cache of the same bounds up to date instead:
 record to index k recomputes the cycle mass of k and of the lower rows
 that run past a changed index, then rescales the prefix from the lowest
 changed index.  The dead-index rule (see ``calc_lambda``) is applied
-eagerly, by the mutation that triggers it, so ``calc_lambda`` finds
-nothing left to saturate on a ledger built through these methods and
-stays the side-effect-free reference the cache is tested against.
+eagerly, by the mutation that triggers it, in one O(L) pass that
+saturates at most once however many indices die, so ``calc_lambda``
+finds nothing left to saturate on a ledger built through these methods
+and stays the side-effect-free reference the cache is tested against.
 Writing the slot lists directly bypasses the cache; ``calc_lambda`` and
 ``cumulate_alpha`` read only the slots and stay exact on such ledgers.
 
@@ -207,9 +208,8 @@ class SearchLedger:
                 # lower row may run past it
                 if self.acc_noter[L] != self.acc_noter[j]:
                     raise LedgerError(f"cycle+noter mass above 1 at index {j}")
-                self._saturate_at(j)
-                low = None
-                break
+                self._settle(j - 1, dead=j)
+                return
             self.lam_loop[j] = value
             self.headroom[j] = 1 - value
             self.through[j] = self.ps[j] / self.headroom[j]
@@ -268,26 +268,45 @@ class SearchLedger:
         if self.total > 1:
             raise LedgerError("goal+fail+noter mass above 1 at index 0")
 
-    def _settle(self, k: int) -> None:
+    def _settle(self, k: int, dead=None) -> None:
         """Apply the dead-index rule at every index j <= k whose cycle mass
-        and never-terminating mass from h_curr[j] now fill the unit.
+        and never-terminating mass from h_curr[j] now fill the unit, and at
+        ``dead`` (above k) when the caller found that index dead already.
 
         Only indices at or above the highest goal/fail slot can qualify:
-        below it, ``_saturate_at`` would reject the state anyway."""
+        below it, ``_saturate_at`` would reject the state anyway.  One pass
+        walks down and saturates only the lowest dead index, in O(L), where
+        saturating each dead index from the top would cost O(L) apiece.
+        The state is the same: saturating d writes only indices >= d, so it
+        overwrites what any higher saturation wrote; no row below d runs
+        past d, so the cache below d does not change; and the one value a
+        lower check reads that it changes, the noter total ``acc_noter[L]``,
+        becomes ``acc_noter[d] + prefix[d] * ps[d]``, carried in
+        ``noter_top``.  The pass checks, at each index, that no row runs
+        past the dead index above it, as those saturations would."""
         L = len(self.qs)
-        if not self.acc_noter[L]:
-            return
+        if dead is not None:
+            noter_top = self.acc_noter[dead] + self.prefix[dead] * self.ps[dead]
+        else:
+            noter_top = self.acc_noter[L]
+            if not noter_top:
+                return
         last_terminal = next((j for j in range(L, 0, -1) if self.goal[j] or self.fail[j]), 0)
         for j in range(k, last_terminal - 1, -1):
+            if dead is not None and self.top[j] > dead:
+                raise LedgerError("cycle mass through a saturated index")
             lam = self.lam_loop[j]
-            noter_after = self.acc_noter[L] - self.acc_noter[j]
+            noter_after = noter_top - self.acc_noter[j]
             if not lam or not noter_after:
                 continue
             total = lam + noter_after / self.prefix[j + 1]
             if total > 1:
                 raise LedgerError(f"cycle+noter mass above 1 at index {j}")
             if total == 1:
-                self._saturate_at(j)
+                dead = j
+                noter_top = self.acc_noter[j] + self.prefix[j] * self.ps[j]
+        if dead is not None:
+            self._saturate_at(dead)
 
     def _saturate_at(self, k: int) -> None:
         """The dead-index rule of ``_saturate``, with the cache kept in step:

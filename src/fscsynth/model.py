@@ -320,7 +320,3 @@ class SynthResult:
     controller: Optional[Controller]
     or_steps: int
     peak_depth: int
-
-    @property
-    def found(self) -> bool:
-        return self.outcome == "controller"

@@ -131,19 +131,9 @@ class _Search:
         self.agenda.append(("and", q0, ((s0, Fraction(1)),), 0))
         agenda = self.agenda
         while True:
-            if not agenda:
-                verdict = self._evaluate()
-                if verdict == "found":
-                    return ("controller", self._freeze())
-                if verdict == "fail":
-                    if not self._backtrack():
-                        return ("failure-proved", None)
-                    continue
-                if self.fixed:
-                    return ("explored", None)
-                raise LedgerError("exploration exhausted without a termination verdict")
-            item = agenda.pop()
-            tag = item[0]
+            # an empty agenda is judged like a check, and must conclude
+            item = agenda.pop() if agenda else None
+            tag = "check" if item is None else item[0]
             if tag == "or":
                 _, q, s, p = item
                 self.or_steps += 1
@@ -157,15 +147,19 @@ class _Search:
                     agenda.append(("check",))
                     s2, p2 = dist[j]
                     agenda.append(("or", q2, s2, p2))
-            elif tag == "check":
+            elif tag == "fold":
+                cumulate_alpha(self.ledger)
+            else:
                 verdict = self._evaluate()
                 if verdict == "found":
                     return ("controller", self._freeze())
                 if verdict == "fail":
                     if not self._backtrack():
                         return ("failure-proved", None)
-            else:  # fold
-                self._fold()
+                elif item is None:
+                    if self.fixed:
+                        return ("explored", None)
+                    raise LedgerError("exploration exhausted without a termination verdict")
 
     # -- OR step ----------------------------------------------------------
 
@@ -243,9 +237,6 @@ class _Search:
         self.agenda.append(("fold",))
         self.agenda.append(("and", q2, dist, 0))
 
-    def _fold(self) -> None:
-        cumulate_alpha(self.ledger)
-
     # -- bound evaluation --------------------------------------------------
 
     def _evaluate(self) -> Optional[str]:
@@ -272,22 +263,25 @@ class _Search:
     # -- chronological backtracking ----------------------------------------
 
     def _backtrack(self) -> bool:
-        while self.choices:
-            cp = self.choices[-1]
-            self.agenda[:] = cp.agenda_copy
-            for key in reversed(self.trail[cp.trail_len:]):
-                del self.controller[key]
-            del self.trail[cp.trail_len:]
-            self.max_used = cp.max_used
-            self.ledger.restore(cp.snap)
-            cp.idx += 1
-            if cp.idx < len(cp.candidates):
-                cand = cp.candidates[cp.idx]
-                self._commit((cp.q, self.env.obs(cp.s)), cand)
-                self._execute(cp.q, cp.s, cp.p, cand)
-                return True
-            self.choices.pop()
-        return False
+        # exhausted choice points are dropped unrestored: the restore of
+        # the one that resumes overwrites everything theirs would set
+        choices = self.choices
+        while choices and choices[-1].idx + 1 >= len(choices[-1].candidates):
+            choices.pop()
+        if not choices:
+            return False
+        cp = choices[-1]
+        self.agenda[:] = cp.agenda_copy
+        for key in reversed(self.trail[cp.trail_len:]):
+            del self.controller[key]
+        del self.trail[cp.trail_len:]
+        self.max_used = cp.max_used
+        self.ledger.restore(cp.snap)
+        cp.idx += 1
+        cand = cp.candidates[cp.idx]
+        self._commit((cp.q, self.env.obs(cp.s)), cand)
+        self._execute(cp.q, cp.s, cp.p, cand)
+        return True
 
     def _freeze(self) -> Controller:
         return Controller(self.max_used + 1, dict(self.controller))

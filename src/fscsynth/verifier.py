@@ -204,48 +204,3 @@ def exact_measures(problem: PlanningProblem, controller: Controller) -> Measures
     undefined_mass = undef.get(root, Fraction(0))
     nonterm = 1 - lter - undefined_mass
     return Measures(lgt, lter, nonterm, undefined_mass)
-
-
-def brute_force_measures(
-    problem: PlanningProblem, controller: Controller, depth: int
-) -> tuple[Fraction, Fraction]:
-    """Finite-horizon sandwich bounds on LGT by mass-pushing enumeration.
-
-    Enumerates all histories of up to ``depth`` environment transitions.
-    Returns ``(lgt_lower, lgt_upper)`` where the lower bound is the goal
-    mass found and the upper bound adds the mass of histories that are
-    still running at the horizon.  Independent of the chain solver: this
-    is plain enumeration, used to cross-check it.
-    """
-    if depth < 1:
-        return (Fraction(0), Fraction(1))
-    goal_mass = Fraction(0)
-    live = {(controller.initial_cstate, problem.initial_state): Fraction(1)}
-
-    def absorb(frontier):
-        nonlocal goal_mass
-        running = {}
-        for (q, s), mass in frontier.items():
-            step = system_step(problem, controller, q, s)
-            if isinstance(step, Stop):
-                if problem.is_goal(s):
-                    goal_mass += mass
-                # fail-stop mass can never become goal mass: drop
-            elif isinstance(step, Undefined):
-                pass  # same: permanently non-goal
-            elif not step.successors:
-                pass  # stuck: permanently non-goal
-            else:
-                running[(q, s)] = (mass, step)
-        return running
-
-    running = absorb(live)
-    for _ in range(depth):
-        frontier = {}
-        for (q, s), (mass, step) in running.items():
-            for s2, p in step.successors:
-                key = (step.next_cstate, s2)
-                frontier[key] = frontier.get(key, Fraction(0)) + mass * p
-        running = absorb(frontier)
-    live_mass = sum((mass for mass, _ in running.values()), Fraction(0))
-    return (goal_mass, goal_mass + live_mass)

@@ -1,14 +1,17 @@
 """Shared test utilities: name-based controller building, random systems,
-and exhaustive enumeration of canonical bounded controllers (the
-independent route used to certify completeness claims)."""
+exhaustive enumeration of canonical bounded controllers (the independent
+route used to certify completeness claims), and the slower references the
+package's shortcuts are tested against."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
-from fscsynth.ledger import SearchLedger
-from fscsynth.model import Controller, Environment, PlanningProblem, STOP, SynthesisRequest, SynthResult
+from fscsynth.ledger import LedgerError, SearchLedger
+from fscsynth.model import (
+    Controller, Environment, PlanningProblem, STOP, Stop, SynthesisRequest, SynthResult, Undefined, system_step,
+)
 from fscsynth.pandor import DEFAULT_BUDGET, _Search
 from fscsynth.verifier import FAIL_SINK, GOAL_SINK, UNDEF_SINK, ChainError, CombinedChain
 
@@ -57,9 +60,38 @@ def corridor_controller(env: Environment) -> Controller:
 
 
 def clone_ledger(ledger: SearchLedger) -> SearchLedger:
-    out = SearchLedger()
+    out = type(ledger)()
     out.restore(ledger.snapshot())
     return out
+
+
+def cascade_settle(ledger: SearchLedger, k: int, dead=None) -> None:
+    """Reference for ``SearchLedger._settle``: the dead-index rule applied
+    as a cascade, saturating every dead index from the top down, each
+    saturation rescaling the prefix sums above it (O(L) per index)."""
+    if dead is not None:
+        ledger._saturate_at(dead)
+    L = len(ledger)
+    if not ledger.acc_noter[L]:
+        return
+    last_terminal = next((j for j in range(L, 0, -1) if ledger.goal[j] or ledger.fail[j]), 0)
+    for j in range(k, last_terminal - 1, -1):
+        lam = ledger.lam_loop[j]
+        noter_after = ledger.acc_noter[L] - ledger.acc_noter[j]
+        if not lam or not noter_after:
+            continue
+        total = lam + noter_after / ledger.prefix[j + 1]
+        if total > 1:
+            raise LedgerError(f"cycle+noter mass above 1 at index {j}")
+        if total == 1:
+            ledger._saturate_at(j)
+
+
+class CascadeLedger(SearchLedger):
+    """A ledger that settles by ``cascade_settle``."""
+
+    __slots__ = ()
+    _settle = cascade_settle
 
 
 def stuck_pairs(env: Environment) -> set[tuple[int, int]]:
@@ -274,3 +306,48 @@ def gauss_solve(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[F
                     acc -= row[k] * x[k][c]
             x[r][c] = acc / row[r]
     return x
+
+
+def brute_force_measures(
+    problem: PlanningProblem, controller: Controller, depth: int
+) -> tuple[Fraction, Fraction]:
+    """Finite-horizon sandwich bounds on LGT by mass-pushing enumeration.
+
+    Enumerates all histories of up to ``depth`` environment transitions.
+    Returns ``(lgt_lower, lgt_upper)`` where the lower bound is the goal
+    mass found and the upper bound adds the mass of histories that are
+    still running at the horizon.  Independent of the chain solver: this
+    is plain enumeration, used to cross-check it.
+    """
+    if depth < 1:
+        return (Fraction(0), Fraction(1))
+    goal_mass = Fraction(0)
+    live = {(controller.initial_cstate, problem.initial_state): Fraction(1)}
+
+    def absorb(frontier):
+        nonlocal goal_mass
+        running = {}
+        for (q, s), mass in frontier.items():
+            step = system_step(problem, controller, q, s)
+            if isinstance(step, Stop):
+                if problem.is_goal(s):
+                    goal_mass += mass
+                # fail-stop mass can never become goal mass: drop
+            elif isinstance(step, Undefined):
+                pass  # same: permanently non-goal
+            elif not step.successors:
+                pass  # stuck: permanently non-goal
+            else:
+                running[(q, s)] = (mass, step)
+        return running
+
+    running = absorb(live)
+    for _ in range(depth):
+        frontier = {}
+        for (q, s), (mass, step) in running.items():
+            for s2, p in step.successors:
+                key = (step.next_cstate, s2)
+                frontier[key] = frontier.get(key, Fraction(0)) + mass * p
+        running = absorb(frontier)
+    live_mass = sum((mass for mass, _ in running.values()), Fraction(0))
+    return (goal_mass, goal_mass + live_mass)

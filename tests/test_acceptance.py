@@ -20,11 +20,12 @@ from fscsynth.domains import build, domain_names
 from fscsynth.ledger import LedgerError, SearchLedger, calc_lambda, cumulate_alpha
 from fscsynth.model import STOP, SynthesisRequest
 from fscsynth.pandor import measure, pandor_synth
-from fscsynth.verifier import brute_force_measures, exact_measures
+from fscsynth.verifier import exact_measures
 
 from helpers import (
     always_a_controller,
     always_flip_controller,
+    brute_force_measures,
     clone_ledger,
     controller_from_names,
     corridor_controller,

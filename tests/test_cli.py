@@ -266,3 +266,41 @@ def test_synth_is_the_same_under_python_O(lgt_star, code):
         reports.append((payload["outcome"], payload["or_steps"], payload["controller"]))
     assert reports[0] == reports[1]
     assert reports[0][0] == ("failure-proved" if code else "controller")
+
+
+@pytest.mark.parametrize("flag", ["--env", "--controller"])
+def test_non_utf8_input_file_exits_65(tmp_path, capsys, flag):
+    # this used to be a UnicodeDecodeError traceback
+    prob = build("coin-flip")
+    env_file = tmp_path / "coin.env"
+    env_file.write_text(serialize_env(prob), encoding="utf-8")
+    ctrl_file = tmp_path / "flip.fsc"
+    ctrl_file.write_text(serialize_controller(flip_stop_controller(prob), prob.environment), encoding="utf-8")
+    bad = env_file if flag == "--env" else ctrl_file
+    bad.write_bytes(bad.read_bytes() + b"# caf\xff\n")
+    line = bad.read_bytes().count(b"\n")
+    code, out, err = run(capsys, "verify", "--env", str(env_file), "--controller", str(ctrl_file))
+    assert code == 65 and not out
+    assert err.startswith(f"parse error: line {line}, col 6:") and "0xff" in err
+
+
+def test_input_files_keep_universal_newlines(tmp_path, capsys):
+    prob = build("coin-flip")
+    env_file = tmp_path / "coin.env"
+    env_file.write_bytes(serialize_env(prob).replace("\n", "\r\n").encode("utf-8"))
+    ctrl_file = tmp_path / "flip.fsc"
+    ctrl_file.write_bytes(serialize_controller(flip_stop_controller(prob), prob.environment).replace("\n", "\r").encode())
+    code, out, _ = run(capsys, "verify", "--env", str(env_file), "--controller", str(ctrl_file))
+    assert code == 0 and "lgt: 1/2" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--domain", "coin-flip", "--max-states", "2", "--lgt-star", "0.4", "--algo", "pandor"],
+    ["synth", "--domain", "coin-flip", "--max-states", "2", "--lgt-star", "0.4", "--algo", "andor"],
+    ["bench"],
+])
+@pytest.mark.parametrize("budget", ["-1", "0", "ten"])
+def test_budget_below_one_exits_64(capsys, argv, budget):
+    # --budget -1 used to run one OR step and report budget-exhausted
+    code, out, err = run(capsys, *argv, "--budget", budget)
+    assert code == 64 and not out and "--budget" in err

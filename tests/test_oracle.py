@@ -14,7 +14,6 @@ from fscsynth.verifier import (
     CombinedChain,
     Measures,
     _solve_absorption,
-    brute_force_measures,
     build_chain,
     exact_measures,
 )
@@ -22,6 +21,7 @@ from fscsynth.verifier import (
 from helpers import (
     always_a_controller,
     always_flip_controller,
+    brute_force_measures,
     controller_from_names,
     corridor_controller,
     dense_absorption,

@@ -5,12 +5,14 @@ from fractions import Fraction as F
 import pytest
 
 from fscsynth.domains import build
+from fscsynth.ledger import SearchLedger
 from fscsynth.model import STOP, SynthesisRequest
 from fscsynth.pandor import measure, pandor_synth
 from fscsynth.verifier import exact_measures
 
 from helpers import (
     always_a_controller,
+    cascade_settle,
     enumerate_controllers,
     full_candidates_synth,
     random_env,
@@ -283,3 +285,45 @@ def test_bridgewalk_proof_step_count():
     result = pandor_synth(SynthesisRequest(prob, 4, F(1, 2)))
     assert result.outcome == "failure-proved"
     assert result.or_steps == 1536
+
+
+def _search_counting_saturations(monkeypatch, request, settle):
+    """``pandor_synth`` with the ledger settling by ``settle``; also returns
+    the saturations each settle made and the saturations in all."""
+    saturate = SearchLedger._saturate_at
+    calls = []
+    per_settle = []
+
+    def counted_saturate(self, k):
+        calls.append(k)
+        saturate(self, k)
+
+    def counted_settle(self, *args, **kwargs):
+        before = len(calls)
+        settle(self, *args, **kwargs)
+        per_settle.append(len(calls) - before)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SearchLedger, "_saturate_at", counted_saturate)
+        patch.setattr(SearchLedger, "_settle", counted_settle)
+        result = pandor_synth(request)
+    return result, per_settle, len(calls)
+
+
+@pytest.mark.parametrize("n, cascade_saturations", [(12, 3 * 11 + 4 * 12), (36, 3 * 35 + 4 * 36)])
+def test_one_pass_settle_searches_as_the_cascade(monkeypatch, n, cascade_saturations):
+    # seven branches die in one record each, three by a never-terminating
+    # record and four by a retry cycle that fills the unit at the top: the
+    # cascade saturates n - 1 or n indices of each, the one-pass settle one
+    request = SynthesisRequest(build("noisy-hall-a-1d", {"n": n, "p": F(1, 2)}), 2, F(9, 10))
+    new, per_settle, saturations = _search_counting_saturations(monkeypatch, request, SearchLedger._settle)
+    ref, ref_per_settle, ref_saturations = _search_counting_saturations(monkeypatch, request, cascade_settle)
+    assert new.outcome == "controller"
+    assert (new.outcome, new.or_steps, new.peak_depth, new.controller) == (
+        ref.outcome, ref.or_steps, ref.peak_depth, ref.controller
+    )
+    assert len(per_settle) == len(ref_per_settle)
+    # every saturation is a settle's, and a settle makes at most one
+    assert saturations == sum(per_settle) and max(per_settle) == 1
+    assert saturations == sum(1 for c in ref_per_settle if c) == 7
+    assert ref_saturations == cascade_saturations
