@@ -12,10 +12,11 @@ Two adaptations make the returned controllers verifiable under the
 stop-based execution semantics used everywhere else in this package:
 entering a goal state offers an explicit ``stop`` extension (tried
 first), and a defined transition whose action is inapplicable in the
-current state fails the branch instead of vacuously succeeding.  Search
-order, canonical numbering of fresh controller states, and the explored
-(q, s)-subtree memo mirror the probabilistic engine so that step counts
-are comparable.
+current state fails the branch instead of vacuously succeeding.  The
+agenda loop, choice points, canonical numbering of fresh controller
+states and chronological backtracking are the probabilistic engine's
+``_Backtracker``, so step counts are comparable; only the judgement of a
+branch and the explored (q, s)-subtree memo are this engine's own.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from fscsynth.model import Controller, Environment, ModelError, PlanningProblem, STOP, SynthResult
-from fscsynth.pandor import DEFAULT_BUDGET
+from fscsynth.model import Environment, ModelError, PlanningProblem, STOP, SynthResult
+from fscsynth.pandor import DEFAULT_BUDGET, _Backtracker
 
 
 @dataclass(frozen=True)
@@ -47,156 +48,78 @@ class GeneralizedProblem:
         return cls(problem.environment, frozenset({problem.initial_state}), problem.goal_states)
 
 
-@dataclass
-class _Choice:
-    # agenda and h are copied, not length-marked: pending items below a
-    # plain watermark get popped and replaced while the branch runs
-    agenda_copy: list
-    trail_len: int
-    h_copy: list
-    max_used: int
-    q: int
-    s: int
-    candidates: list
-    idx: int = 0
-
-
-class _Search:
+class _Search(_Backtracker):
     def __init__(self, gp: GeneralizedProblem, n: int, budget: Optional[int]):
-        self.env = gp.environment
+        super().__init__(gp.environment, n, budget, tuple((s, 1) for s in sorted(gp.initial_states)))
         self.goals = gp.goal_states
-        self.max_states = n
-        self.budget = budget
-        self.controller: dict[tuple[int, int], tuple[int, int]] = {}
-        self.max_used = 0
-        self.trail: list[tuple[str, tuple]] = []
         self.h: list[tuple[int, int]] = []
         self.h_set: set[tuple[int, int]] = set()
+        # (q, s) whose subtree is verified, and the order they were added in
         self.memo: set[tuple[int, int]] = set()
-        self.choices: list[_Choice] = []
-        self.agenda: list = []
-        self.or_steps = 0
-        self.peak_depth = 0
+        self.memo_log: list[tuple[int, int]] = []
 
-    def run(self, initial_states) -> tuple[str, Optional[Controller]]:
-        self.agenda.append(("and", 0, tuple(sorted(initial_states)), 0))
-        agenda = self.agenda
-        while agenda:
-            item = agenda.pop()
-            tag = item[0]
-            if tag == "or":
-                _, q, s = item
-                self.or_steps += 1
-                if self.budget is not None and self.or_steps > self.budget:
-                    return ("budget-exhausted", None)
-                if not self._or_step(q, s):
-                    if not self._backtrack():
-                        return ("failure-proved", None)
-            elif tag == "and":
-                _, q2, succ, j = item
-                if j < len(succ):
-                    agenda.append(("and", q2, succ, j + 1))
-                    agenda.append(("or", q2, succ[j]))
-            else:  # node done: close the subtree below (q, s)
-                _, q, s = item
-                self.h.pop()
-                self.h_set.discard((q, s))
-                self.memo.add((q, s))
-                self.trail.append(("m", (q, s)))
-        return ("controller", Controller(self.max_used + 1, dict(self.controller)))
-
-    def _or_step(self, q: int, s: int) -> bool:
+    def _or_step(self, q: int, s: int, p) -> Optional[str]:
         key = (q, self.env.obs(s))
         tr = self.controller.get(key)
         if s in self.goals and (tr is None or tr[0] == STOP):
-            if tr is not None:
-                return True  # stops here: goal run
-            # goal entry: offer stop first, other extensions on backtrack
-            return self._open_choice(q, s, [(STOP, 0)] + self._action_candidates(s))
+            if tr is None:
+                # goal entry: offer stop first, other extensions on backtrack
+                self._open(q, s, p, [(STOP, 0)] + self._action_candidates(s))
+            return None  # a stop here is a goal run
         if (q, s) in self.h_set:
-            return False  # repeated combined state: looping history
+            return "fail"  # repeated combined state: looping history
         if (q, s) in self.memo:
-            return True  # subtree already verified for a smaller controller
+            return None  # subtree already verified for a smaller controller
         if tr is not None:
-            return self._advance(q, s, tr)
+            return self._execute(q, s, p, tr)
         candidates = self._action_candidates(s)
         if not candidates:
-            return False  # dead end: no applicable action
-        return self._open_choice(q, s, candidates)
+            return "fail"  # dead end: no applicable action
+        self._open(q, s, p, candidates)
+        return None
 
     def _action_candidates(self, s: int) -> list[tuple[int, int]]:
-        hi = min(self.max_used + 1, self.max_states - 1)
         return [
             (a, q2)
             for a in range(len(self.env.actions))
-            if self.env.support(s, a)
-            for q2 in range(hi + 1)
+            if self.env.dist(s, a) is not None
+            for q2 in self._successors()
         ]
 
-    def _open_choice(self, q: int, s: int, candidates: list) -> bool:
-        choice = _Choice(
-            list(self.agenda), len(self.trail), list(self.h), self.max_used, q, s, candidates,
-            idx=-1,
-        )
-        self.choices.append(choice)
-        return self._try_next(choice)
-
-    def _try_next(self, cp: _Choice) -> bool:
-        """Commit the next untried candidate of ``cp``; pops it when spent."""
-        cp.idx += 1
-        while cp.idx < len(cp.candidates):
-            if self._commit(cp.q, cp.s, cp.candidates[cp.idx]):
-                return True
-            # candidate failed on the spot: undo just its transition
-            _, key = self.trail.pop()
-            del self.controller[key]
-            self.max_used = cp.max_used
-            cp.idx += 1
-        self.choices.pop()
-        return False
-
-    def _commit(self, q: int, s: int, cand) -> bool:
-        key = (q, self.env.obs(s))
-        self.controller[key] = cand
-        self.trail.append(("t", key))
-        if cand[0] != STOP and cand[1] > self.max_used:
-            self.max_used = cand[1]
-        if cand[0] == STOP:
-            # committing stop at a goal entry closes the branch on the spot
-            return True
-        return self._advance(q, s, cand)
-
-    def _advance(self, q: int, s: int, tr) -> bool:
+    def _execute(self, q: int, s: int, p, tr) -> Optional[str]:
         a, q2 = tr
         if a == STOP:
-            return s in self.goals  # stop outside the goal set is a failing run
-        succ = self.env.support(s, a)
-        if not succ:
-            return False  # inapplicable action: the run is stuck, not a goal run
+            return None if s in self.goals else "fail"  # stop outside the goal set fails
+        dist = self.env.dist(s, a)
+        if dist is None:
+            return "fail"  # inapplicable action: the run is stuck, not a goal run
         self.h.append((q, s))
         self.h_set.add((q, s))
-        if len(self.h) > self.peak_depth:
-            self.peak_depth = len(self.h)
-        self.agenda.append(("done", q, s))
-        self.agenda.append(("and", q2, succ, 0))
-        return True
+        self._descend(q, s, q2, dist, len(self.h))
+        return None
 
-    def _backtrack(self) -> bool:
-        while self.choices:
-            cp = self.choices[-1]
-            self.agenda[:] = cp.agenda_copy
-            for kind, key in reversed(self.trail[cp.trail_len:]):
-                if kind == "t":
-                    del self.controller[key]
-                else:
-                    self.memo.discard(key)
-            del self.trail[cp.trail_len:]
-            self.h[:] = cp.h_copy
-            self.h_set = set(self.h)
-            self.max_used = cp.max_used
-            if self._try_next(cp):
-                return True
-        return False
+    def _retreat(self, q: int, s: int) -> None:
+        self.h.pop()
+        self.h_set.discard((q, s))
+        self.memo.add((q, s))
+        self.memo_log.append((q, s))
+
+    def _evaluate(self) -> None:
+        return None
+
+    def _exhausted(self) -> str:
+        return "controller"
+
+    def _snapshot(self):
+        return (list(self.h), len(self.memo_log))
+
+    def _restore(self, snap) -> None:
+        h, n = snap
+        self.h[:] = h
+        self.h_set = set(h)
+        for key in self.memo_log[n:]:
+            self.memo.discard(key)
+        del self.memo_log[n:]
 
 
 def andor_synth(
@@ -211,5 +134,5 @@ def andor_synth(
     if n < 1:
         raise ModelError("state bound must be at least 1")
     search = _Search(gp, n, budget)
-    outcome, controller = search.run(gp.initial_states)
+    outcome, controller = search.run()
     return SynthResult(outcome, controller, search.or_steps, search.peak_depth)

@@ -1,4 +1,4 @@
-"""Command-line front-end: synthesis, verification, DOT export, benchmarks.
+"""Command-line front-end: synthesis, verification and DOT export.
 
 Exit codes are a stable contract:
 
@@ -12,8 +12,6 @@ Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 import time
@@ -257,71 +255,6 @@ def cmd_export_dot(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# bench
-
-
-_BENCH_GRID = [
-    # (domain, params, max_states, algo, lgt_star or None)
-    ("coin-flip", {}, 2, "pandor", Fraction(2, 5)),
-    ("coin-flip", {}, 2, "andor", None),
-    ("decay-loop", {}, 1, "pandor", Fraction(99, 100)),
-    ("decay-loop", {}, 2, "andor", None),
-    ("three-state", {}, 1, "pandor", Fraction(1, 2)),
-    ("hall-a-1d", {"n": 4}, 2, "pandor", Fraction(10**9 - 1, 10**9)),
-    ("hall-a-1d", {"n": 4}, 2, "andor", None),
-    ("hall-a-1d", {"n": 5}, 2, "pandor", Fraction(10**9 - 1, 10**9)),
-    ("hall-a-1d", {"n": 5}, 2, "andor", None),
-    ("noisy-hall-a-1d", {"n": 3}, 2, "pandor", Fraction(99, 100)),
-    ("noisy-hall-a-1d", {"n": 4}, 2, "pandor", Fraction(99, 100)),
-    ("bridgewalk", {"n": 3}, 1, "pandor", Fraction(7, 10)),
-    ("bridgewalk", {"n": 5}, 1, "pandor", Fraction(1, 2)),
-    ("hall-a-2d", {"n": 3}, 2, "pandor", Fraction(10**9 - 1, 10**9)),
-    ("hall-a-2d", {"n": 3}, 2, "andor", None),
-]
-
-
-def bench_rows(budget: Optional[int] = DEFAULT_BUDGET):
-    """Run the built-in grid; yields CSV-ready row dicts."""
-    for domain, params, n, algo, lgt_star in _BENCH_GRID:
-        problem = build(domain, params)
-        start = time.perf_counter()
-        if algo == "andor":
-            result = andor_synth(GeneralizedProblem.from_problem(problem), n, budget=budget)
-        else:
-            result = pandor_synth(SynthesisRequest(problem, n, lgt_star), budget=budget)
-        wall = time.perf_counter() - start
-        param_text = ";".join(
-            f"{k}={v}" for k, v in ({**params, "lgt_star": lgt_star} if lgt_star else params).items()
-        )
-        yield {
-            "domain": domain,
-            "params": param_text,
-            "max_states": n,
-            "algo": algo,
-            "outcome": result.outcome,
-            "or_steps": result.or_steps,
-            "time_s": f"{wall:.4f}",
-        }
-
-
-def cmd_bench(args) -> int:
-    out = io.StringIO()
-    writer = csv.DictWriter(
-        out, fieldnames=["domain", "params", "max_states", "algo", "outcome", "or_steps", "time_s"]
-    )
-    writer.writeheader()
-    for row in bench_rows(budget=args.budget):
-        writer.writerow(row)
-    text = out.getvalue()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
 # argument wiring
 
 
@@ -358,10 +291,6 @@ def build_parser() -> _Parser:
     dot.add_argument("--out", metavar="FILE")
     dot.set_defaults(func=cmd_export_dot)
 
-    bench = subs.add_parser("bench", help="run the built-in benchmark grid, emit CSV")
-    bench.add_argument("--out", metavar="FILE")
-    bench.add_argument("--budget", type=int, default=DEFAULT_BUDGET, metavar="STEPS")
-    bench.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -118,13 +118,6 @@ class Environment:
         """Successor distribution of applicable ``(s, a)``, else None."""
         return self.delta.get((s, a))
 
-    def support(self, s: int, a: int) -> tuple[int, ...]:
-        """Relational view of delta: possible successors of (s, a)."""
-        dist = self.delta.get((s, a))
-        if dist is None:
-            return ()
-        return tuple(s2 for s2, _ in dist)
-
     @classmethod
     def from_tables(
         cls,

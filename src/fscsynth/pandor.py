@@ -14,10 +14,10 @@ requirement).  ``calc_lambda`` is the reference for those cached bounds:
 it is evaluated, and compared with the cache, whenever a hook is
 installed and whenever the branch is empty (where it costs O(1)).
 
-Backtracking is chronological: every choice point snapshots the alpha
-structures and their cached bounds (copy-on-branch), and the controller
-is unwound through a trail.  The machine is an explicit agenda loop, not recursion, so branch
-length is bounded by memory rather than the interpreter stack.
+The agenda loop, the choice points and chronological backtracking live
+in ``_Backtracker``, which the deterministic baseline in ``andor`` shares;
+a choice point's snapshot here is the ledger's alpha structures and
+their cached bounds.
 
 A choice point offers every action crossed with the canonically numbered
 successor states, but a *stuck* action (one that no state with the
@@ -68,7 +68,7 @@ class _Choice:
     agenda_copy: list
     trail_len: int
     max_used: int
-    snap: tuple
+    snap: object
     q: int
     s: int
     p: object
@@ -76,7 +76,120 @@ class _Choice:
     idx: int = 0
 
 
-class _Search:
+class _Backtracker:
+    """The search machinery both AND-OR engines share.
+
+    The machine is an explicit agenda loop, not recursion, so branch
+    length is bounded by memory rather than the interpreter stack.  An
+    ``or`` item visits one combined state (``_or_step``); an ``and`` item
+    walks the next outcome of an action's distribution and judges the
+    branch after it (``check``, ``_evaluate``); a ``retreat`` item closes
+    the subtree below a combined state (``_retreat``); an empty agenda is
+    judged by ``_exhausted``.  A hook returns None to go on, ``"fail"`` to
+    abandon the branch, or an outcome that ends the search.
+
+    Backtracking is chronological: every choice point copies the agenda and
+    takes an engine snapshot (``_snapshot``, copy-on-branch), each committed
+    candidate is acted on by ``_execute``, and the controller is unwound
+    through a trail and the snapshot (``_restore``).  Fresh controller states are
+    numbered canonically: a choice point offers only successors up to one
+    above the highest state in use.  An engine offers only candidates that
+    do not fail on the spot, so committing one never backtracks.
+    """
+
+    def __init__(self, env, max_states: int, budget: Optional[int], roots):
+        self.env = env
+        self.max_states = max_states
+        self.budget = budget
+        self.controller: dict[tuple[int, int], tuple[int, int]] = {}
+        self.max_used = 0
+        self.trail: list[tuple[int, int]] = []
+        self.choices: list[_Choice] = []
+        self.agenda: list = [("and", 0, roots, 0)]
+        self.or_steps = 0
+        self.peak_depth = 0
+
+    def run(self) -> tuple[str, Optional[Controller]]:
+        agenda = self.agenda
+        while True:
+            if not agenda:
+                verdict = self._exhausted()
+            else:
+                item = agenda.pop()
+                tag = item[0]
+                if tag == "or":
+                    if self.or_steps == self.budget:
+                        return ("budget-exhausted", None)
+                    self.or_steps += 1
+                    _, q, s, p = item
+                    verdict = self._or_step(q, s, p)
+                elif tag == "and":
+                    _, q2, dist, j = item
+                    if j < len(dist):
+                        agenda.append(("and", q2, dist, j + 1))
+                        agenda.append(("check",))
+                        s2, p2 = dist[j]
+                        agenda.append(("or", q2, s2, p2))
+                    continue
+                elif tag == "retreat":
+                    self._retreat(item[1], item[2])
+                    continue
+                else:
+                    verdict = self._evaluate()
+            if verdict is None:
+                continue
+            if verdict != "fail":
+                found = verdict == "controller"
+                return (verdict, Controller(self.max_used + 1, dict(self.controller)) if found else None)
+            if not self._backtrack():
+                return ("failure-proved", None)
+
+    def _successors(self) -> range:
+        """Canonically numbered successor states for a fresh transition."""
+        return range(min(self.max_used + 1, self.max_states - 1) + 1)
+
+    def _open(self, q: int, s: int, p, candidates: list) -> None:
+        cp = _Choice(list(self.agenda), len(self.trail), self.max_used, self._snapshot(), q, s, p, candidates)
+        self.choices.append(cp)
+        self._commit(cp)
+
+    def _commit(self, cp: _Choice) -> None:
+        cand = cp.candidates[cp.idx]
+        key = (cp.q, self.env.obs(cp.s))
+        self.controller[key] = cand
+        self.trail.append(key)
+        if cand[0] != STOP and cand[1] > self.max_used:
+            self.max_used = cand[1]
+        self._execute(cp.q, cp.s, cp.p, cand)
+
+    def _descend(self, q: int, s: int, q2: int, dist, depth: int) -> None:
+        """Walk ``dist`` from (q, s), now at branch ``depth``."""
+        if depth > self.peak_depth:
+            self.peak_depth = depth
+        self.agenda.append(("retreat", q, s))
+        self.agenda.append(("and", q2, dist, 0))
+
+    def _backtrack(self) -> bool:
+        # exhausted choice points are dropped unrestored: the restore of
+        # the one that resumes overwrites everything theirs would set
+        choices = self.choices
+        while choices and choices[-1].idx + 1 >= len(choices[-1].candidates):
+            choices.pop()
+        if not choices:
+            return False
+        cp = choices[-1]
+        self.agenda[:] = cp.agenda_copy
+        for key in reversed(self.trail[cp.trail_len:]):
+            del self.controller[key]
+        del self.trail[cp.trail_len:]
+        self.max_used = cp.max_used
+        self._restore(cp.snap)
+        cp.idx += 1
+        self._commit(cp)
+        return True
+
+
+class _Search(_Backtracker):
     """One synthesis or instrumentation run; not reusable."""
 
     def __init__(
@@ -89,29 +202,19 @@ class _Search:
         hook: Optional[Hook],
         fixed: Optional[Controller],
     ):
-        self.env = problem.environment
+        super().__init__(problem.environment, max_states, budget, ((problem.initial_state, Fraction(1)),))
         self.problem = problem
-        self.max_states = max_states
         self.lgt_star = lgt_star
         self.lter_star = lter_star
         # the prune test compares explored non-goal mass with these caps
         self.lgt_cap = None if lgt_star is None else 1 - lgt_star
         self.lter_cap = None if lter_star is None else 1 - lter_star
-        self.budget = budget
         self.hook = hook
         self.fixed = fixed is not None
         if fixed is not None:
             self.controller = dict(fixed.transitions)
             self.max_used = max(fixed.used_states())
-        else:
-            self.controller = {}
-            self.max_used = 0
-        self.trail: list[tuple[int, int]] = []
-        self.choices: list[_Choice] = []
-        self.agenda: list = []
         self.ledger = SearchLedger()
-        self.or_steps = 0
-        self.peak_depth = 0
         # per observation: (action, applicable at some state) for every
         # action offered at a choice point; only the first stuck one stays
         actions = range(len(self.env.actions))
@@ -123,43 +226,23 @@ class _Search:
                 (a, (o, a) in live) for a in actions if (o, a) in live or a == first_stuck
             ])
 
-    # -- main loop -------------------------------------------------------
+    def _snapshot(self):
+        return self.ledger.snapshot()
 
-    def run(self) -> tuple[str, Optional[Controller]]:
-        q0 = 0
-        s0 = self.problem.initial_state
-        self.agenda.append(("and", q0, ((s0, Fraction(1)),), 0))
-        agenda = self.agenda
-        while True:
-            # an empty agenda is judged like a check, and must conclude
-            item = agenda.pop() if agenda else None
-            tag = "check" if item is None else item[0]
-            if tag == "or":
-                _, q, s, p = item
-                self.or_steps += 1
-                if self.budget is not None and self.or_steps > self.budget:
-                    return ("budget-exhausted", None)
-                self._or_step(q, s, p)
-            elif tag == "and":
-                _, q2, dist, j = item
-                if j < len(dist):
-                    agenda.append(("and", q2, dist, j + 1))
-                    agenda.append(("check",))
-                    s2, p2 = dist[j]
-                    agenda.append(("or", q2, s2, p2))
-            elif tag == "fold":
-                cumulate_alpha(self.ledger)
-            else:
-                verdict = self._evaluate()
-                if verdict == "found":
-                    return ("controller", self._freeze())
-                if verdict == "fail":
-                    if not self._backtrack():
-                        return ("failure-proved", None)
-                elif item is None:
-                    if self.fixed:
-                        return ("explored", None)
-                    raise LedgerError("exploration exhausted without a termination verdict")
+    def _restore(self, snap) -> None:
+        self.ledger.restore(snap)
+
+    def _retreat(self, q: int, s: int) -> None:
+        cumulate_alpha(self.ledger)
+
+    def _exhausted(self) -> Optional[str]:
+        # an empty agenda is judged like a check, and must conclude
+        verdict = self._evaluate()
+        if verdict is not None:
+            return verdict
+        if self.fixed:
+            return "explored"
+        raise LedgerError("exploration exhausted without a termination verdict")
 
     # -- OR step ----------------------------------------------------------
 
@@ -186,35 +269,21 @@ class _Search:
             # instrumentation on a fixed partial controller: undefined mass
             # stays unexplored (it is neither goal, fail, nor non-termination)
             return
-        candidates = self._candidates(s)
-        choice = _Choice(
-            list(self.agenda), len(self.trail), self.max_used,
-            ledger.snapshot(), q, s, p, candidates,
-        )
-        self.choices.append(choice)
-        self._commit(key, candidates[0])
-        self._execute(q, s, p, candidates[0])
+        self._open(q, s, p, self._candidates(s))
 
     def _candidates(self, s: int) -> list[tuple[int, int]]:
         """Extension choices: every applicable action crossed with
         canonically numbered successor states, the first stuck action once
         with successor 0, plus stop.  Stop is tried first in goal states
         and last elsewhere."""
-        hi = min(self.max_used + 1, self.max_states - 1)
         acts = [
             (a, q2)
             for a, live in self.offers[self.env.obs(s)]
-            for q2 in (range(hi + 1) if live else (0,))
+            for q2 in (self._successors() if live else (0,))
         ]
         if self.problem.is_goal(s):
             return [(STOP, 0)] + acts
         return acts + [(STOP, 0)]
-
-    def _commit(self, key, cand) -> None:
-        self.controller[key] = cand
-        self.trail.append(key)
-        if cand[0] != STOP and cand[1] > self.max_used:
-            self.max_used = cand[1]
 
     def _execute(self, q: int, s: int, p, tr) -> None:
         """Act on a defined transition from combined state (q, s)."""
@@ -232,10 +301,7 @@ class _Search:
             ledger.record_noter(p)
             return
         ledger.extend(q, s, p)
-        if len(ledger) > self.peak_depth:
-            self.peak_depth = len(ledger)
-        self.agenda.append(("fold",))
-        self.agenda.append(("and", q2, dist, 0))
+        self._descend(q, s, q2, dist, len(ledger))
 
     # -- bound evaluation --------------------------------------------------
 
@@ -253,38 +319,12 @@ class _Search:
         if goal0 >= self.lgt_star and (
             self.lter_star is None or goal0 + fail0 >= self.lter_star
         ):
-            return "found"
+            return "controller"
         if fail0 + noter0 > self.lgt_cap or (
             self.lter_cap is not None and noter0 > self.lter_cap
         ):
             return "fail"
         return None
-
-    # -- chronological backtracking ----------------------------------------
-
-    def _backtrack(self) -> bool:
-        # exhausted choice points are dropped unrestored: the restore of
-        # the one that resumes overwrites everything theirs would set
-        choices = self.choices
-        while choices and choices[-1].idx + 1 >= len(choices[-1].candidates):
-            choices.pop()
-        if not choices:
-            return False
-        cp = choices[-1]
-        self.agenda[:] = cp.agenda_copy
-        for key in reversed(self.trail[cp.trail_len:]):
-            del self.controller[key]
-        del self.trail[cp.trail_len:]
-        self.max_used = cp.max_used
-        self.ledger.restore(cp.snap)
-        cp.idx += 1
-        cand = cp.candidates[cp.idx]
-        self._commit((cp.q, self.env.obs(cp.s)), cand)
-        self._execute(cp.q, cp.s, cp.p, cand)
-        return True
-
-    def _freeze(self) -> Controller:
-        return Controller(self.max_used + 1, dict(self.controller))
 
 
 def pandor_synth(

@@ -6,8 +6,10 @@ package's shortcuts are tested against."""
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
+from fscsynth.andor import GeneralizedProblem
 from fscsynth.ledger import LedgerError, SearchLedger
 from fscsynth.model import (
     Controller, Environment, PlanningProblem, STOP, Stop, SynthesisRequest, SynthResult, Undefined, system_step,
@@ -111,8 +113,7 @@ class _FullCandidatesSearch(_Search):
     successor state."""
 
     def _candidates(self, s):
-        hi = min(self.max_used + 1, self.max_states - 1)
-        acts = [(a, q2) for a in range(len(self.env.actions)) for q2 in range(hi + 1)]
+        acts = [(a, q2) for a in range(len(self.env.actions)) for q2 in self._successors()]
         if self.problem.is_goal(s):
             return [(STOP, 0)] + acts
         return acts + [(STOP, 0)]
@@ -126,6 +127,177 @@ def full_candidates_synth(request: SynthesisRequest, budget=DEFAULT_BUDGET) -> S
         budget, None, fixed=None,
     )
     outcome, controller = search.run()
+    return SynthResult(outcome, controller, search.or_steps, search.peak_depth)
+
+
+def _support(env: Environment, s: int, a: int) -> tuple[int, ...]:
+    """Relational view of delta: possible successors of (s, a)."""
+    dist = env.delta.get((s, a))
+    if dist is None:
+        return ()
+    return tuple(s2 for s2, _ in dist)
+
+
+@dataclass
+class _ClassicChoice:
+    # agenda and h are copied, not length-marked: pending items below a
+    # plain watermark get popped and replaced while the branch runs
+    agenda_copy: list
+    trail_len: int
+    h_copy: list
+    max_used: int
+    q: int
+    s: int
+    candidates: list
+    idx: int = 0
+
+
+class _ClassicAndorSearch:
+    def __init__(self, gp: GeneralizedProblem, n: int, budget):
+        self.env = gp.environment
+        self.goals = gp.goal_states
+        self.max_states = n
+        self.budget = budget
+        self.controller: dict[tuple[int, int], tuple[int, int]] = {}
+        self.max_used = 0
+        self.trail: list[tuple[str, tuple]] = []
+        self.h: list[tuple[int, int]] = []
+        self.h_set: set[tuple[int, int]] = set()
+        self.memo: set[tuple[int, int]] = set()
+        self.choices: list[_ClassicChoice] = []
+        self.agenda: list = []
+        self.or_steps = 0
+        self.peak_depth = 0
+
+    def run(self, initial_states) -> tuple:
+        self.agenda.append(("and", 0, tuple(sorted(initial_states)), 0))
+        agenda = self.agenda
+        while agenda:
+            item = agenda.pop()
+            tag = item[0]
+            if tag == "or":
+                _, q, s = item
+                self.or_steps += 1
+                if self.budget is not None and self.or_steps > self.budget:
+                    return ("budget-exhausted", None)
+                if not self._or_step(q, s):
+                    if not self._backtrack():
+                        return ("failure-proved", None)
+            elif tag == "and":
+                _, q2, succ, j = item
+                if j < len(succ):
+                    agenda.append(("and", q2, succ, j + 1))
+                    agenda.append(("or", q2, succ[j]))
+            else:  # node done: close the subtree below (q, s)
+                _, q, s = item
+                self.h.pop()
+                self.h_set.discard((q, s))
+                self.memo.add((q, s))
+                self.trail.append(("m", (q, s)))
+        return ("controller", Controller(self.max_used + 1, dict(self.controller)))
+
+    def _or_step(self, q: int, s: int) -> bool:
+        key = (q, self.env.obs(s))
+        tr = self.controller.get(key)
+        if s in self.goals and (tr is None or tr[0] == STOP):
+            if tr is not None:
+                return True  # stops here: goal run
+            # goal entry: offer stop first, other extensions on backtrack
+            return self._open_choice(q, s, [(STOP, 0)] + self._action_candidates(s))
+        if (q, s) in self.h_set:
+            return False  # repeated combined state: looping history
+        if (q, s) in self.memo:
+            return True  # subtree already verified for a smaller controller
+        if tr is not None:
+            return self._advance(q, s, tr)
+        candidates = self._action_candidates(s)
+        if not candidates:
+            return False  # dead end: no applicable action
+        return self._open_choice(q, s, candidates)
+
+    def _action_candidates(self, s: int) -> list[tuple[int, int]]:
+        hi = min(self.max_used + 1, self.max_states - 1)
+        return [
+            (a, q2)
+            for a in range(len(self.env.actions))
+            if _support(self.env, s, a)
+            for q2 in range(hi + 1)
+        ]
+
+    def _open_choice(self, q: int, s: int, candidates: list) -> bool:
+        choice = _ClassicChoice(
+            list(self.agenda), len(self.trail), list(self.h), self.max_used, q, s, candidates,
+            idx=-1,
+        )
+        self.choices.append(choice)
+        return self._try_next(choice)
+
+    def _try_next(self, cp: _ClassicChoice) -> bool:
+        """Commit the next untried candidate of ``cp``; pops it when spent."""
+        cp.idx += 1
+        while cp.idx < len(cp.candidates):
+            if self._commit(cp.q, cp.s, cp.candidates[cp.idx]):
+                return True
+            # candidate failed on the spot: undo just its transition
+            _, key = self.trail.pop()
+            del self.controller[key]
+            self.max_used = cp.max_used
+            cp.idx += 1
+        self.choices.pop()
+        return False
+
+    def _commit(self, q: int, s: int, cand) -> bool:
+        key = (q, self.env.obs(s))
+        self.controller[key] = cand
+        self.trail.append(("t", key))
+        if cand[0] != STOP and cand[1] > self.max_used:
+            self.max_used = cand[1]
+        if cand[0] == STOP:
+            # committing stop at a goal entry closes the branch on the spot
+            return True
+        return self._advance(q, s, cand)
+
+    def _advance(self, q: int, s: int, tr) -> bool:
+        a, q2 = tr
+        if a == STOP:
+            return s in self.goals  # stop outside the goal set is a failing run
+        succ = _support(self.env, s, a)
+        if not succ:
+            return False  # inapplicable action: the run is stuck, not a goal run
+        self.h.append((q, s))
+        self.h_set.add((q, s))
+        if len(self.h) > self.peak_depth:
+            self.peak_depth = len(self.h)
+        self.agenda.append(("done", q, s))
+        self.agenda.append(("and", q2, succ, 0))
+        return True
+
+    def _backtrack(self) -> bool:
+        while self.choices:
+            cp = self.choices[-1]
+            self.agenda[:] = cp.agenda_copy
+            for kind, key in reversed(self.trail[cp.trail_len:]):
+                if kind == "t":
+                    del self.controller[key]
+                else:
+                    self.memo.discard(key)
+            del self.trail[cp.trail_len:]
+            self.h[:] = cp.h_copy
+            self.h_set = set(self.h)
+            self.max_used = cp.max_used
+            if self._try_next(cp):
+                return True
+        return False
+
+
+def classic_andor_synth(gp: GeneralizedProblem, n: int, budget=DEFAULT_BUDGET) -> SynthResult:
+    """Reference for ``andor_synth``: the baseline with its own agenda loop,
+    trail of transitions and memo entries, and a backtrack that restores
+    every exhausted choice point on the way to the one that resumes.  It
+    counts the OR step that exceeds a budget, so a ``budget-exhausted``
+    run reports ``budget + 1`` steps."""
+    search = _ClassicAndorSearch(gp, n, budget)
+    outcome, controller = search.run(gp.initial_states)
     return SynthResult(outcome, controller, search.or_steps, search.peak_depth)
 
 

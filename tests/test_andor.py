@@ -1,14 +1,16 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from fscsynth import andor
 from fscsynth.andor import GeneralizedProblem, andor_synth
-from fscsynth.domains import build
+from fscsynth.domains import build, domain_names
 from fscsynth.model import ModelError, PlanningProblem, STOP, SynthesisRequest
 from fscsynth.pandor import pandor_synth
 from fscsynth.verifier import exact_measures
 
-from helpers import corridor_controller
+from helpers import classic_andor_synth, corridor_controller, random_env
 
 
 def _gp(problem):
@@ -85,6 +87,85 @@ def test_budget_abort_is_distinct():
     result = andor_synth(_gp(build("hall-a-1d", {"n": 5})), 2, budget=3)
     assert result.outcome == "budget-exhausted"
     assert result.controller is None
+
+
+def test_budget_exhausted_run_reports_exactly_the_budget():
+    # the OR step that would exceed the budget is not counted
+    result = andor_synth(_gp(build("hall-a-1d", {"n": 5})), 2, budget=5)
+    assert (result.outcome, result.or_steps) == ("budget-exhausted", 5)
+
+
+def _differential_corpus():
+    """(label, generalized problem, N, budget) runs of the differential test:
+    every built-in domain, then seeded random problems, partial ones and
+    ones with two initial states included."""
+    for name in domain_names():
+        gp = _gp(build(name))
+        for n in (1, 2, 3):
+            for budget in (1, 5, 37, 200_000):
+                yield f"{name} N={n} budget={budget}", gp, n, budget
+    rng = random.Random(2024)
+    for i in range(320):
+        prob = random_env(rng, n_states=rng.randint(3, 5), partial=rng.random() < 0.5)
+        env = prob.environment
+        inits = frozenset(rng.sample(range(len(env.states)), rng.choice((1, 1, 2))))
+        gp = GeneralizedProblem(env, inits, prob.goal_states)
+        yield f"random #{i}", gp, rng.choice((1, 2, 3)), rng.choice((3, 50, 20_000))
+
+
+def _summary(result):
+    c = result.controller
+    return result.outcome, result.peak_depth, None if c is None else (c.num_states, c.transitions)
+
+
+def test_shared_core_searches_like_the_classic_baseline(monkeypatch):
+    dead_ends = []
+    candidates = andor._Search._action_candidates
+
+    def recording(self, s):
+        found = candidates(self, s)
+        if not found and s not in self.goals:
+            dead_ends.append(s)
+        return found
+
+    monkeypatch.setattr(andor._Search, "_action_candidates", recording)
+    seen = set()
+    for label, gp, n, budget in _differential_corpus():
+        dead_ends.clear()
+        new, ref = andor_synth(gp, n, budget), classic_andor_synth(gp, n, budget)
+        assert _summary(new) == _summary(ref), label
+        if new.outcome == "budget-exhausted":
+            # the reference counts the step that exceeds the budget
+            assert (new.or_steps, ref.or_steps) == (budget, budget + 1), label
+        else:
+            assert new.or_steps == ref.or_steps, label
+        seen.add(new.outcome)
+        if dead_ends:
+            seen.add("dead-end")
+    assert seen == {"controller", "failure-proved", "budget-exhausted", "dead-end"}
+
+
+@pytest.mark.parametrize("name,params,n,resumed", [
+    ("bridgewalk", {"n": 6}, 2, 5),
+    ("hall-a-1d", {"n": 5}, 1, 1),
+])
+def test_backtrack_restores_only_the_choice_point_that_resumes(name, params, n, resumed):
+    search = andor._Search(_gp(build(name, params)), n, None)
+    counts = {"restores": 0, "resumed": 0}
+    restore, backtrack = search._restore, search._backtrack
+
+    def counting_restore(snap):
+        counts["restores"] += 1
+        restore(snap)
+
+    def counting_backtrack():
+        went_on = backtrack()
+        counts["resumed"] += went_on
+        return went_on
+
+    search._restore, search._backtrack = counting_restore, counting_backtrack
+    search.run()
+    assert counts == {"restores": resumed, "resumed": resumed}
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

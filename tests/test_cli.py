@@ -45,6 +45,20 @@ def test_synth_budget_exits_three(capsys):
     assert "outcome: budget-exhausted" in out
 
 
+def test_synth_budget_one_reports_one_or_step(capsys):
+    code, out, _ = run(
+        capsys, "synth", "--domain", "noisy-hall-a-1d", "--param", "n=4",
+        "--max-states", "2", "--lgt-star", "0.99", "--budget", "1",
+    )
+    assert code == 3
+    assert "or-steps: 1\n" in out
+
+
+def test_bench_subcommand_is_gone(capsys):
+    code, out, err = run(capsys, "bench")
+    assert code == 64 and not out and "bench" in err
+
+
 def test_synth_corridor_with_baseline_algo(capsys):
     code, out, _ = run(
         capsys, "synth", "--domain", "hall-a-1d", "--param", "n=5",
@@ -180,20 +194,6 @@ def test_export_dot_noisy_retry_edge(tmp_path, capsys):
     assert q1_self and "B : left" in q1_self[0]
 
 
-def test_bench_csv(capsys):
-    code, out, _ = run(capsys, "bench", "--budget", "100000")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "domain,params,max_states,algo,outcome,or_steps,time_s"
-    body = "\n".join(lines[1:])
-    assert "coin-flip" in body
-    noisy = [l for l in lines if l.startswith("noisy-hall-a-1d,n=4")]
-    assert noisy and ",2,pandor,controller," in noisy[0]
-    hall = [l for l in lines if l.startswith("hall-a-1d,n=5")]
-    assert len(hall) == 2  # both engines succeed on the deterministic hall
-    assert all(",controller," in l for l in hall)
-
-
 def test_usage_errors_exit_64(capsys):
     code, _, err = run(capsys, "synth", "--domain", "coin-flip", "--max-states", "2", "--lgt-star", "bogus")
     assert code == 64 and "rational" in err
@@ -297,7 +297,6 @@ def test_input_files_keep_universal_newlines(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["synth", "--domain", "coin-flip", "--max-states", "2", "--lgt-star", "0.4", "--algo", "pandor"],
     ["synth", "--domain", "coin-flip", "--max-states", "2", "--lgt-star", "0.4", "--algo", "andor"],
-    ["bench"],
 ])
 @pytest.mark.parametrize("budget", ["-1", "0", "ten"])
 def test_budget_below_one_exits_64(capsys, argv, budget):

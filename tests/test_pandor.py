@@ -69,6 +69,13 @@ def test_budget_abort_is_not_a_proof():
     assert result.controller is None
 
 
+def test_budget_exhausted_run_reports_exactly_the_budget():
+    # the OR step that would exceed the budget is not counted
+    prob = build("bridgewalk", {"n": 4})
+    result = pandor_synth(SynthesisRequest(prob, 3, F(99, 100)), budget=5)
+    assert (result.outcome, result.or_steps) == ("budget-exhausted", 5)
+
+
 def test_deterministic_runs_are_identical():
     prob = build("noisy-hall-a-1d", {"n": 3})
     r1 = pandor_synth(SynthesisRequest(prob, 2, F(9, 10)))
