@@ -15,17 +15,13 @@ All probability arithmetic is done in exact rationals.
 """
 
 from fscsynth.model import (
-    Branch,
     Controller,
     Environment,
     ModelError,
     PlanningProblem,
     STOP,
-    Stop,
     SynthesisRequest,
     SynthResult,
-    Undefined,
-    system_step,
 )
 from fscsynth.verifier import Measures, exact_measures
 from fscsynth.ledger import LambdaVector, LedgerError, SearchLedger, calc_lambda, cumulate_alpha
@@ -34,7 +30,6 @@ from fscsynth.andor import GeneralizedProblem, andor_synth
 from fscsynth.domains import DomainError, ParseError, build, parse_controller, parse_env, serialize_controller, serialize_env
 
 __all__ = [
-    "Branch",
     "Controller",
     "DomainError",
     "Environment",
@@ -47,10 +42,8 @@ __all__ = [
     "PlanningProblem",
     "STOP",
     "SearchLedger",
-    "Stop",
     "SynthResult",
     "SynthesisRequest",
-    "Undefined",
     "andor_synth",
     "build",
     "calc_lambda",
@@ -62,5 +55,4 @@ __all__ = [
     "parse_env",
     "serialize_controller",
     "serialize_env",
-    "system_step",
 ]

@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -29,7 +28,7 @@ from fscsynth.domains import (
     parse_env,
     serialize_controller,
 )
-from fscsynth.model import Controller, ModelError, PlanningProblem, STOP, STOP_NAME, SynthesisRequest
+from fscsynth.model import Controller, ModelError, PlanningProblem, STOP, STOP_NAME, SynthesisRequest, SynthResult
 from fscsynth.pandor import DEFAULT_BUDGET, pandor_synth
 from fscsynth.verifier import Measures, exact_measures
 
@@ -53,23 +52,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-@dataclass
-class RunReport:
-    """Everything a synthesis invocation reports.
-
-    Oracle fields (lgt/lter/nonterm/undefined_mass) are present exactly
-    when the outcome is ``controller``.
-    """
-
-    outcome: str
-    algo: str
-    or_steps: int
-    peak_depth: int
-    wall_time_s: float
-    controller_text: Optional[str] = None
-    measures: Optional[Measures] = None
 
 
 def _fmt(x: Fraction) -> str:
@@ -144,21 +126,21 @@ def cmd_synth(args) -> int:
         result = pandor_synth(request, budget=args.budget)
     wall = time.perf_counter() - start
 
-    report = RunReport(result.outcome, args.algo, result.or_steps, result.peak_depth, wall)
+    text = measures = None
     if result.controller is not None:
-        report.controller_text = serialize_controller(result.controller, problem.environment)
-        report.measures = exact_measures(problem, result.controller)
+        text = serialize_controller(result.controller, problem.environment)
+        measures = exact_measures(problem, result.controller)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(report.controller_text)
+                fh.write(text)
         if args.dot:
             with open(args.dot, "w", encoding="utf-8") as fh:
                 fh.write(controller_to_dot(result.controller, problem.environment))
 
     if args.json:
-        print(json.dumps(_report_json(report), indent=2))
+        print(json.dumps(_report_json(result, args.algo, wall, text, measures), indent=2))
     else:
-        _print_report(report)
+        _print_report(result, args.algo, wall, text, measures)
     return _OUTCOME_EXIT[result.outcome]
 
 
@@ -166,17 +148,22 @@ def _ratio(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _report_json(report: RunReport) -> dict:
+def _report_json(
+    result: SynthResult, algo: str, wall: float, text: Optional[str], measures: Optional[Measures]
+) -> dict:
+    """The synthesis report as JSON; the controller text and the measure
+    fields (lgt/lter/nonterm/undefined_mass) are set exactly when the
+    outcome is ``controller``, and null otherwise."""
     out = {
-        "outcome": report.outcome,
-        "algo": report.algo,
-        "or_steps": report.or_steps,
-        "peak_depth": report.peak_depth,
-        "wall_time_s": report.wall_time_s,
-        "controller": report.controller_text,
+        "outcome": result.outcome,
+        "algo": algo,
+        "or_steps": result.or_steps,
+        "peak_depth": result.peak_depth,
+        "wall_time_s": wall,
+        "controller": text,
     }
     for name in ("lgt", "lter", "nonterm", "undefined_mass"):
-        x = getattr(report.measures, name, None)
+        x = getattr(measures, name, None)
         out[name] = None if x is None else _ratio(x)
         out[f"{name}_decimal"] = None if x is None else float(x)
     return out
@@ -187,17 +174,19 @@ def _print_measures(m: Measures) -> None:
         print(f"{label}: {_fmt(x)}")
 
 
-def _print_report(report: RunReport) -> None:
-    print(f"outcome: {report.outcome}")
-    print(f"algo: {report.algo}")
-    print(f"or-steps: {report.or_steps}")
-    print(f"peak-depth: {report.peak_depth}")
-    print(f"wall-time-s: {report.wall_time_s:.3f}")
-    if report.measures is not None:
-        _print_measures(report.measures)
-    if report.controller_text is not None:
+def _print_report(
+    result: SynthResult, algo: str, wall: float, text: Optional[str], measures: Optional[Measures]
+) -> None:
+    print(f"outcome: {result.outcome}")
+    print(f"algo: {algo}")
+    print(f"or-steps: {result.or_steps}")
+    print(f"peak-depth: {result.peak_depth}")
+    print(f"wall-time-s: {wall:.3f}")
+    if measures is not None:
+        _print_measures(measures)
+    if text is not None:
         print("controller:")
-        print(report.controller_text, end="")
+        print(text, end="")
 
 
 # ---------------------------------------------------------------------------

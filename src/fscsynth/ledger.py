@@ -25,9 +25,8 @@ so that ``calc_lambda`` is invariant under the fold.
 The search never calls ``calc_lambda`` on its hot path.  Every mutating
 method keeps a cache of the same bounds up to date instead:
 
-* ``lam_loop[k]``: calc_lambda's cycle mass at index k (zero at L), with
-  its ``headroom[k] = 1 - lam_loop[k]`` and ``through[k] = ps[k] /
-  headroom[k]``;
+* ``headroom[k]``: one minus calc_lambda's cycle mass at index k (one
+  at L), and ``through[k] = ps[k] / headroom[k]``;
 * ``prefix[k]``: the product of ``through[:k]``, the weight of slot k in
   the index-0 bounds;
 * ``acc_goal[k]`` (and ``acc_fail``, ``acc_noter``): the prefix sums of
@@ -60,7 +59,7 @@ _ONE = Fraction(1)
 #: Flat per-index lists copied by ``snapshot`` (``loop`` is copied per row).
 _LISTS = (
     "qs", "ss", "ps", "goal", "fail", "noter",
-    "lam_loop", "headroom", "through", "prefix", "acc_goal", "acc_fail", "acc_noter", "top",
+    "headroom", "through", "prefix", "acc_goal", "acc_fail", "acc_noter", "top",
 )
 
 
@@ -105,7 +104,6 @@ class SearchLedger:
         self.fail = [_ZERO]
         self.noter = [_ZERO]
         self.loop = [[_ZERO]]
-        self.lam_loop = [_ZERO]
         self.headroom = [_ONE]
         self.through: list[Fraction] = []
         self.prefix = [_ONE]
@@ -141,7 +139,6 @@ class SearchLedger:
         # the old frontier carries no cycle mass, so its headroom is 1
         self.through.append(p)
         self.prefix.append(self.prefix[-1] * p)
-        self.lam_loop.append(_ZERO)
         self.headroom.append(_ONE)
         self.top.append(-1)
         for acc in (self.acc_goal, self.acc_fail, self.acc_noter):
@@ -198,21 +195,20 @@ class SearchLedger:
         for j in range(k, -1, -1):
             if j < k and (low is None or self.top[j] <= low):
                 continue
-            value = self._row_lambda(j)
-            if value == self.lam_loop[j]:
+            h = 1 - self._row_lambda(j)
+            if h == self.headroom[j]:
                 continue
-            if value > 1:
+            if h < 0:
                 raise LedgerError(f"cycle mass above 1 at index {j}")
-            if value == 1:
+            if not h:
                 # all mass from h_curr[j] cycles: the index is dead, and no
                 # lower row may run past it
                 if self.acc_noter[L] != self.acc_noter[j]:
                     raise LedgerError(f"cycle+noter mass above 1 at index {j}")
                 self._settle(j - 1, dead=j)
                 return
-            self.lam_loop[j] = value
-            self.headroom[j] = 1 - value
-            self.through[j] = self.ps[j] / self.headroom[j]
+            self.headroom[j] = h
+            self.through[j] = self.ps[j] / h
             low = j
         if low is not None:
             self._rescale(low)
@@ -295,14 +291,15 @@ class SearchLedger:
         for j in range(k, last_terminal - 1, -1):
             if dead is not None and self.top[j] > dead:
                 raise LedgerError("cycle mass through a saturated index")
-            lam = self.lam_loop[j]
+            h = self.headroom[j]
             noter_after = noter_top - self.acc_noter[j]
-            if not lam or not noter_after:
+            if h == 1 or not noter_after:
                 continue
-            total = lam + noter_after / self.prefix[j + 1]
-            if total > 1:
+            # the index is dead when its noter mass fills the cycle headroom
+            rest = noter_after / self.prefix[j + 1]
+            if rest > h:
                 raise LedgerError(f"cycle+noter mass above 1 at index {j}")
-            if total == 1:
+            if rest == h:
                 dead = j
                 noter_top = self.acc_noter[j] + self.prefix[j] * self.ps[j]
         if dead is not None:
@@ -322,7 +319,6 @@ class SearchLedger:
             if self.top[j] >= 0:
                 self.loop[j][j:] = [_ZERO] * (L + 1 - j)
                 self.top[j] = -1
-            self.lam_loop[j] = _ZERO
             self.headroom[j] = _ONE
         for j in range(k, L):
             self.through[j] = self.ps[j]
@@ -483,9 +479,8 @@ def cumulate_alpha(ledger: SearchLedger) -> SearchLedger:
 
     # index n becomes the frontier: no cycle mass, and the prefix sums up
     # to it already hold the folded mass (so ``total`` is unchanged)
-    del top[L], ledger.lam_loop[L], ledger.headroom[L], ledger.through[n], ledger.prefix[L]
+    del top[L], ledger.headroom[L], ledger.through[n], ledger.prefix[L]
     top[n] = -1
-    ledger.lam_loop[n] = _ZERO
     ledger.headroom[n] = _ONE
     for acc in (ledger.acc_goal, ledger.acc_fail, ledger.acc_noter):
         acc[n] = acc.pop()

@@ -17,7 +17,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 #: Distinguished terminal action. A controller transition whose action is
 #: STOP halts execution; the successor controller state of such an edge is
-#: ignored (it is normalized to 0 when controllers are built).
+#: kept as given but ignored.
 STOP = -1
 
 #: Name used for STOP in every textual surface (files, DOT, reports).
@@ -174,19 +174,17 @@ class Controller:
 
     ``transitions[(q, o)] = (a, q2)`` reads: in controller state ``q``,
     upon observation ``o``, do ``a`` and switch to ``q2``.  ``a == STOP``
-    terminates execution and ``q2`` is ignored.  Labeling and transition
-    function share one domain by construction.
+    terminates execution and ``q2`` is ignored.  Execution starts in
+    controller state 0.  Labeling and transition function share one
+    domain by construction.
     """
 
     num_states: int
     transitions: Mapping[tuple[int, int], tuple[int, int]]
-    initial_cstate: int = 0
 
     def __post_init__(self):
         if self.num_states < 1:
             raise ModelError("controller needs at least one state")
-        if self.initial_cstate != 0:
-            raise ModelError("controller initial state must be index 0")
         for (q, o), (a, q2) in self.transitions.items():
             if not 0 <= q < self.num_states or not 0 <= q2 < self.num_states:
                 raise ModelError(f"controller transition ({q},{o}) uses out-of-range state")
@@ -218,60 +216,6 @@ class Controller:
             if a != STOP:
                 used.add(q2)
         return used
-
-
-# -- single-step execution semantics ----------------------------------
-
-
-@dataclass(frozen=True)
-class Stop:
-    """The controller executes ``stop`` in this combined state."""
-
-
-@dataclass(frozen=True)
-class Undefined:
-    """The controller has no transition for this (state, observation)."""
-
-
-@dataclass(frozen=True)
-class Branch:
-    """One execution step: action, next controller state, successor law.
-
-    ``successors`` is empty iff the chosen action is inapplicable in the
-    current environment state (execution is stuck and never terminates);
-    otherwise the listed probabilities are positive and sum to 1.
-    """
-
-    action: int
-    next_cstate: int
-    successors: tuple[tuple[int, Fraction], ...]
-
-
-StepResult = Union[Stop, Undefined, Branch]
-
-_STOP_RESULT = Stop()
-_UNDEFINED_RESULT = Undefined()
-
-
-def system_step(problem: PlanningProblem, controller: Controller, q: int, s: int) -> StepResult:
-    """One observe-act-transition cycle of the combined system.
-
-    Pure function of (controller, environment, q, s); total by the
-    three-way return.
-    """
-    env = problem.environment
-    if not 0 <= q < controller.num_states:
-        raise ModelError(f"controller state {q} out of range")
-    if not 0 <= s < len(env.states):
-        raise ModelError(f"state {s} out of range")
-    tr = controller.transitions.get((q, env.obs(s)))
-    if tr is None:
-        return _UNDEFINED_RESULT
-    a, q2 = tr
-    if a == STOP:
-        return _STOP_RESULT
-    dist = env.dist(s, a)
-    return Branch(a, q2, tuple(dist) if dist is not None else ())
 
 
 @dataclass(frozen=True)

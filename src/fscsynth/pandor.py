@@ -48,6 +48,7 @@ from typing import Callable, Optional
 from fscsynth.ledger import LambdaVector, LedgerError, SearchLedger, calc_lambda, cumulate_alpha
 from fscsynth.model import (
     Controller,
+    ModelError,
     PlanningProblem,
     STOP,
     SynthResult,
@@ -98,6 +99,8 @@ class _Backtracker:
     """
 
     def __init__(self, env, max_states: int, budget: Optional[int], roots):
+        if budget is not None and (not isinstance(budget, int) or budget < 1):
+            raise ModelError(f"budget must be None or an integer of at least 1, got {budget!r}")
         self.env = env
         self.max_states = max_states
         self.budget = budget

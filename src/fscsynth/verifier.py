@@ -22,7 +22,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-from fscsynth.model import Branch, Controller, PlanningProblem, Stop, Undefined, system_step
+from fscsynth.model import Controller, PlanningProblem, STOP
 
 #: Sink pseudo-indices used in CombinedChain transition targets.
 GOAL_SINK = -1
@@ -43,11 +43,11 @@ class CombinedChain:
     node executing ``stop`` routes all mass to GOAL_SINK or FAIL_SINK; an
     undefined (q, o) pair routes to UNDEF_SINK; a node whose action is
     inapplicable has no outgoing edges at all (its mass never terminates).
+    Node 0 is the initial combined state ``(0, s0)``.
     """
 
     nodes: tuple[tuple[int, int], ...]
     transitions: tuple[tuple[tuple[int, Fraction], ...], ...]
-    root: int = 0
 
 
 @dataclass(frozen=True)
@@ -66,36 +66,30 @@ class Measures:
 
 
 def build_chain(problem: PlanningProblem, controller: Controller) -> CombinedChain:
-    """Explore the combined state space reachable from (q0, s0)."""
-    root = (controller.initial_cstate, problem.initial_state)
+    """Explore the combined state space reachable from (0, s0)."""
+    env = problem.environment
+    root = (0, problem.initial_state)
     index = {root: 0}
     nodes = [root]
     transitions = []
-    i = 0
-    while i < len(nodes):
-        q, s = nodes[i]
-        step = system_step(problem, controller, q, s)
-        if isinstance(step, Stop):
-            sink = GOAL_SINK if problem.is_goal(s) else FAIL_SINK
-            transitions.append(((sink, Fraction(1)),))
-        elif isinstance(step, Undefined):
+    for q, s in nodes:  # breadth-first: nodes grows while it is walked
+        tr = controller.transitions.get((q, env.obs(s)))
+        if tr is None:
             transitions.append(((UNDEF_SINK, Fraction(1)),))
-        elif isinstance(step, Branch):
-            out = []
-            for s2, p in step.successors:
-                node = (step.next_cstate, s2)
-                j = index.get(node)
-                if j is None:
-                    j = len(nodes)
-                    index[node] = j
-                    nodes.append(node)
-                out.append((j, p))
-            transitions.append(tuple(out))
-        else:
-            raise ChainError(f"system step of type {type(step).__name__} at node {i}")
-        i += 1
-    if not nodes:
-        raise ChainError("combined chain has no reachable nodes")
+            continue
+        a, q2 = tr
+        if a == STOP:
+            transitions.append(((GOAL_SINK if problem.is_goal(s) else FAIL_SINK, Fraction(1)),))
+            continue
+        out = []
+        for s2, p in env.dist(s, a) or ():
+            node = (q2, s2)
+            j = index.get(node)
+            if j is None:
+                j = index[node] = len(nodes)
+                nodes.append(node)
+            out.append((j, p))
+        transitions.append(tuple(out))
     return CombinedChain(tuple(nodes), tuple(transitions))
 
 
@@ -198,9 +192,8 @@ def exact_measures(problem: PlanningProblem, controller: Controller) -> Measures
     controller.check_indices(problem.environment)
     chain = build_chain(problem, controller)
     goal, fail, undef = _solve_absorption(chain)
-    root = chain.root
-    lgt = goal.get(root, Fraction(0))
-    lter = lgt + fail.get(root, Fraction(0))
-    undefined_mass = undef.get(root, Fraction(0))
+    lgt = goal.get(0, Fraction(0))
+    lter = lgt + fail.get(0, Fraction(0))
+    undefined_mass = undef.get(0, Fraction(0))
     nonterm = 1 - lter - undefined_mass
     return Measures(lgt, lter, nonterm, undefined_mass)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from fscsynth.andor import GeneralizedProblem
 from fscsynth.ledger import LedgerError, SearchLedger
 from fscsynth.model import (
-    Controller, Environment, PlanningProblem, STOP, Stop, SynthesisRequest, SynthResult, Undefined, system_step,
+    Controller, Environment, PlanningProblem, STOP, SynthesisRequest, SynthResult,
 )
 from fscsynth.pandor import DEFAULT_BUDGET, _Search
 from fscsynth.verifier import FAIL_SINK, GOAL_SINK, UNDEF_SINK, ChainError, CombinedChain
@@ -78,7 +78,7 @@ def cascade_settle(ledger: SearchLedger, k: int, dead=None) -> None:
         return
     last_terminal = next((j for j in range(L, 0, -1) if ledger.goal[j] or ledger.fail[j]), 0)
     for j in range(k, last_terminal - 1, -1):
-        lam = ledger.lam_loop[j]
+        lam = 1 - ledger.headroom[j]
         noter_after = ledger.acc_noter[L] - ledger.acc_noter[j]
         if not lam or not noter_after:
             continue
@@ -493,33 +493,32 @@ def brute_force_measures(
     """
     if depth < 1:
         return (Fraction(0), Fraction(1))
+    env = problem.environment
     goal_mass = Fraction(0)
-    live = {(controller.initial_cstate, problem.initial_state): Fraction(1)}
+    live = {(0, problem.initial_state): Fraction(1)}
 
     def absorb(frontier):
+        """One step of every (q, s) in ``frontier``: a goal stop adds to the
+        goal mass; a fail stop, an undefined pair and a stuck action can
+        never become goal mass and drop; the rest keep (mass, q2, law)."""
         nonlocal goal_mass
-        running = {}
+        running = []
         for (q, s), mass in frontier.items():
-            step = system_step(problem, controller, q, s)
-            if isinstance(step, Stop):
-                if problem.is_goal(s):
+            a, q2 = controller.transitions.get((q, env.omega[s]), (None, None))
+            if a == STOP:
+                if s in problem.goal_states:
                     goal_mass += mass
-                # fail-stop mass can never become goal mass: drop
-            elif isinstance(step, Undefined):
-                pass  # same: permanently non-goal
-            elif not step.successors:
-                pass  # stuck: permanently non-goal
-            else:
-                running[(q, s)] = (mass, step)
+            elif a is not None and (s, a) in env.delta:
+                running.append((mass, q2, env.delta[(s, a)]))
         return running
 
     running = absorb(live)
     for _ in range(depth):
         frontier = {}
-        for (q, s), (mass, step) in running.items():
-            for s2, p in step.successors:
-                key = (step.next_cstate, s2)
+        for mass, q2, law in running:
+            for s2, p in law:
+                key = (q2, s2)
                 frontier[key] = frontier.get(key, Fraction(0)) + mass * p
         running = absorb(frontier)
-    live_mass = sum((mass for mass, _ in running.values()), Fraction(0))
+    live_mass = sum((mass for mass, _, _ in running), Fraction(0))
     return (goal_mass, goal_mass + live_mass)

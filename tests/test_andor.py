@@ -95,6 +95,13 @@ def test_budget_exhausted_run_reports_exactly_the_budget():
     assert (result.outcome, result.or_steps) == ("budget-exhausted", 5)
 
 
+@pytest.mark.parametrize("budget", [-1, 0, 2.5])
+def test_a_budget_that_is_not_a_positive_integer_is_rejected(budget):
+    # a budget the OR-step count can never equal would run to completion
+    with pytest.raises(ModelError, match="budget"):
+        andor_synth(_gp(build("hall-a-1d", {"n": 5})), 2, budget=budget)
+
+
 def _differential_corpus():
     """(label, generalized problem, N, budget) runs of the differential test:
     every built-in domain, then seeded random problems, partial ones and

@@ -96,7 +96,7 @@ def _assert_cache_matches_reference(led):
     lam = calc_lambda(ref_ledger)
     assert (led.goal0, led.fail0, led.noter0) == (lam.goal0, lam.fail0, lam.noter0)
     assert led.total == lam.goal0 + lam.fail0 + lam.noter0
-    assert tuple(led.lam_loop) == lam.loop
+    assert tuple(1 - h for h in led.headroom) == lam.loop
     # nothing was left for the reference to saturate
     assert ref_ledger.loop == led.loop and ref_ledger.noter == led.noter
     assert led.top == [max((m for m, v in enumerate(row) if v), default=-1) for row in led.loop]
@@ -156,7 +156,7 @@ def test_cycles_that_fill_the_unit_saturate_at_once():
 
 def test_never_terminating_mass_completing_a_cycle_saturates_at_once():
     led = _run(_CYCLE_PLUS_NOTER[:-1])
-    assert led.noter0 == 1 and led.noter[1] == 1 and led.lam_loop == [0, 0]
+    assert led.noter0 == 1 and led.noter[1] == 1 and led.headroom == [1, 1]
     cumulate_alpha(led)
     assert len(led) == 0 and led.noter == [1]
 
@@ -164,7 +164,7 @@ def test_never_terminating_mass_completing_a_cycle_saturates_at_once():
 def test_a_cycle_completing_never_terminating_mass_saturates_at_once():
     led = _run(_NOTER_PLUS_CYCLE)
     assert len(led) == 2
-    assert led.noter0 == 1 and led.noter[1] == 1 and led.lam_loop == [0, 0, 0]
+    assert led.noter0 == 1 and led.noter[1] == 1 and led.headroom == [1, 1, 1]
 
 
 def _count_saturations(monkeypatch):
@@ -189,7 +189,7 @@ def test_a_corridor_of_dead_indices_saturates_once(monkeypatch, m, end):
     assert len(led) == m
     # the whole corridor is dead: everything entering h_curr[0] is lost
     assert led.noter0 == 1 and led.noter[1] == 1 and not any(led.noter[2:])
-    assert all(not any(row) for row in led.loop) and not any(led.lam_loop)
+    assert all(not any(row) for row in led.loop) and all(h == 1 for h in led.headroom)
 
 
 def test_a_live_index_between_dead_ones_is_saturated_with_them(monkeypatch):

@@ -4,18 +4,14 @@ from fractions import Fraction as F
 import pytest
 
 from fscsynth.model import (
-    Branch,
     Controller,
     Environment,
     ModelError,
-    STOP,
-    Stop,
     SynthesisRequest,
-    Undefined,
     as_prob,
-    system_step,
 )
 from fscsynth.domains import build
+from fscsynth.verifier import FAIL_SINK, GOAL_SINK, UNDEF_SINK, build_chain
 
 from helpers import controller_from_names, flip_stop_controller, random_env, random_total_controller
 
@@ -25,56 +21,51 @@ def coin():
     return build("coin-flip")
 
 
-def test_system_step_branch(coin):
+def _row_of(chain, node):
+    return chain.transitions[chain.nodes.index(node)]
+
+
+def test_chain_row_branch(coin):
     env = coin.environment
     ctrl = controller_from_names(env, 1, {(0, "start"): ("flip", 0)})
-    step = system_step(coin, ctrl, 0, coin.initial_state)
-    assert isinstance(step, Branch)
-    assert step.action == env.action_index("flip")
-    assert step.next_cstate == 0
-    assert dict(step.successors) == {
-        env.state_index("goal"): F(1, 2),
-        env.state_index("nogoal"): F(1, 2),
+    chain = build_chain(coin, ctrl)
+    assert {chain.nodes[j]: p for j, p in chain.transitions[0]} == {
+        (0, env.state_index("goal")): F(1, 2),
+        (0, env.state_index("nogoal")): F(1, 2),
     }
 
 
-def test_system_step_undefined(coin):
-    empty = Controller(1, {})
-    assert isinstance(system_step(coin, empty, 0, coin.initial_state), Undefined)
+def test_chain_row_undefined(coin):
+    chain = build_chain(coin, Controller(1, {}))
+    assert chain.nodes == ((0, coin.initial_state),)
+    assert chain.transitions == (((UNDEF_SINK, 1),),)
 
 
-def test_system_step_stop(coin):
+def test_chain_row_stop(coin):
     env = coin.environment
-    ctrl = controller_from_names(env, 1, {(0, "won"): ("stop", 0)})
-    assert isinstance(system_step(coin, ctrl, 0, env.state_index("goal")), Stop)
+    chain = build_chain(coin, flip_stop_controller(coin))
+    assert _row_of(chain, (0, env.state_index("goal"))) == ((GOAL_SINK, 1),)
+    assert _row_of(chain, (0, env.state_index("nogoal"))) == ((FAIL_SINK, 1),)
 
 
-def test_system_step_stuck_action_has_empty_successors(coin):
+def test_chain_row_stuck_action_is_empty(coin):
     # flip is not applicable in the terminal states
     env = coin.environment
-    ctrl = controller_from_names(env, 1, {(0, "won"): ("flip", 0)})
-    step = system_step(coin, ctrl, 0, env.state_index("goal"))
-    assert isinstance(step, Branch) and step.successors == ()
+    ctrl = controller_from_names(env, 1, {(0, "start"): ("flip", 0), (0, "won"): ("flip", 0)})
+    assert _row_of(build_chain(coin, ctrl), (0, env.state_index("goal"))) == ()
 
 
-def test_system_step_is_pure(coin):
-    ctrl = flip_stop_controller(coin)
-    a = system_step(coin, ctrl, 0, coin.initial_state)
-    b = system_step(coin, ctrl, 0, coin.initial_state)
-    assert a == b
-
-
-def test_system_step_successors_positive_and_normalized():
+def test_chain_rows_positive_and_normalized():
     rng = random.Random(7)
     for _ in range(50):
         prob = random_env(rng, partial=True)
         ctrl = random_total_controller(rng, prob.environment)
-        for q in range(ctrl.num_states):
-            for s in range(len(prob.environment.states)):
-                step = system_step(prob, ctrl, q, s)
-                if isinstance(step, Branch) and step.successors:
-                    assert all(p > 0 for _, p in step.successors)
-                    assert sum(p for _, p in step.successors) == 1
+        chain = build_chain(prob, ctrl)
+        assert chain == build_chain(prob, ctrl)  # a pure function of its inputs
+        for out in chain.transitions:
+            if out:  # an empty row is a stuck action
+                assert all(p > 0 for _, p in out)
+                assert sum(p for _, p in out) == 1
 
 
 def test_environment_rejects_bad_distribution():

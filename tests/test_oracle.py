@@ -154,7 +154,7 @@ def test_goal_set_of_everything_forces_lgt_equal_lter():
 def test_chain_structure():
     prob = build("coin-flip")
     chain = build_chain(prob, flip_stop_controller(prob))
-    assert chain.nodes[chain.root] == (0, prob.initial_state)
+    assert chain.nodes[0] == (0, prob.initial_state)
     # non-sink rows are stochastic
     for out in chain.transitions:
         assert sum(p for _, p in out) == 1

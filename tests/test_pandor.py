@@ -6,7 +6,7 @@ import pytest
 
 from fscsynth.domains import build
 from fscsynth.ledger import SearchLedger
-from fscsynth.model import STOP, SynthesisRequest
+from fscsynth.model import ModelError, STOP, SynthesisRequest
 from fscsynth.pandor import measure, pandor_synth
 from fscsynth.verifier import exact_measures
 
@@ -74,6 +74,14 @@ def test_budget_exhausted_run_reports_exactly_the_budget():
     prob = build("bridgewalk", {"n": 4})
     result = pandor_synth(SynthesisRequest(prob, 3, F(99, 100)), budget=5)
     assert (result.outcome, result.or_steps) == ("budget-exhausted", 5)
+
+
+@pytest.mark.parametrize("budget", [-1, 0, 2.5])
+def test_a_budget_that_is_not_a_positive_integer_is_rejected(budget):
+    # a budget the OR-step count can never equal would run to completion
+    prob = build("bridgewalk", {"n": 4})
+    with pytest.raises(ModelError, match="budget"):
+        pandor_synth(SynthesisRequest(prob, 3, F(99, 100)), budget=budget)
 
 
 def test_deterministic_runs_are_identical():
