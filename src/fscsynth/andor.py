@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from fscsynth.model import Environment, ModelError, PlanningProblem, STOP, SynthResult
+from fscsynth.model import Environment, ModelError, PlanningProblem, STOP, SynthResult, check_count
 from fscsynth.pandor import DEFAULT_BUDGET, _Backtracker
 
 
@@ -40,7 +40,7 @@ class GeneralizedProblem:
         n = len(self.environment.states)
         if not self.initial_states:
             raise ModelError("generalized problem needs at least one initial state")
-        if any(not 0 <= s < n for s in self.initial_states | self.goal_states):
+        if any(not isinstance(s, int) or not 0 <= s < n for s in self.initial_states | self.goal_states):
             raise ModelError("initial/goal set references unknown state")
 
     @classmethod
@@ -131,8 +131,7 @@ def andor_synth(
     property; any returned controller verifies to exact LGT 1 and zero
     non-termination from every initial state.
     """
-    if n < 1:
-        raise ModelError("state bound must be at least 1")
+    check_count("state bound", n, 1)
     search = _Search(gp, n, budget)
     outcome, controller = search.run()
     return SynthResult(outcome, controller, search.or_steps, search.peak_depth)

@@ -195,9 +195,9 @@ class SearchLedger:
         for j in range(k, -1, -1):
             if j < k and (low is None or self.top[j] <= low):
                 continue
+            # the new mass strictly raises the cycle mass of row k, and so of
+            # every lower row that runs past a changed index: h always moves
             h = 1 - self._row_lambda(j)
-            if h == self.headroom[j]:
-                continue
             if h < 0:
                 raise LedgerError(f"cycle mass above 1 at index {j}")
             if not h:
@@ -227,10 +227,9 @@ class SearchLedger:
     def _row_lambda(self, j: int):
         """calc_lambda's cycle mass at index j from row j and the cached
         headroom above it (Horner form: column m is divided by the
-        headroom of every index strictly between j and m)."""
+        headroom of every index strictly between j and m).  Only rows with
+        mass past a changed index are recomputed, so ``top[j] >= 0``."""
         top = self.top[j]
-        if top < 0:
-            return _ZERO
         row = self.loop[j]
         headroom = self.headroom
         acc = row[top]
@@ -309,22 +308,11 @@ class SearchLedger:
         """The dead-index rule of ``_saturate``, with the cache kept in step:
         every index from k up loses its cycle mass, and the step into
         h_curr[k] becomes never-terminating mass."""
-        L = len(self.qs)
-        for j in range(k + 1, L + 1):
-            if self.goal[j] or self.fail[j]:
-                raise LedgerError("goal/fail mass recorded beyond a saturated index")
-        if any(self.top[j] > k for j in range(k)):
-            raise LedgerError("cycle mass through a saturated index")
-        for j in range(k, L + 1):
-            if self.top[j] >= 0:
-                self.loop[j][j:] = [_ZERO] * (L + 1 - j)
-                self.top[j] = -1
+        _saturate(self, k)
+        for j in range(k, len(self.qs) + 1):
+            self.top[j] = -1
             self.headroom[j] = _ONE
-        for j in range(k, L):
-            self.through[j] = self.ps[j]
-        for j in range(k + 2, L + 1):
-            self.noter[j] = _ZERO
-        self.noter[k + 1] = _ONE
+        self.through[k:] = self.ps[k:]
         self._rescale(k)
 
     # -- snapshots (copy-on-branch, restored on backtrack) ---------------

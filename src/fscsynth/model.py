@@ -44,6 +44,14 @@ def as_prob(value: ProbLike) -> Fraction:
     return exact
 
 
+def check_count(name: str, value, low: int) -> None:
+    """Raise ModelError unless ``value`` is an int of at least ``low``:
+    ``2.5``, ``Fraction(3, 2)`` or ``"2"`` would pass a bare comparison
+    and fail later inside a search."""
+    if not isinstance(value, int) or value < low:
+        raise ModelError(f"{name} must be an integer of at least {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Environment:
     """Finite stochastic environment.
@@ -159,9 +167,9 @@ class PlanningProblem:
 
     def __post_init__(self):
         n = len(self.environment.states)
-        if not 0 <= self.initial_state < n:
+        if not isinstance(self.initial_state, int) or not 0 <= self.initial_state < n:
             raise ModelError("initial state outside the state set")
-        if any(not 0 <= g < n for g in self.goal_states):
+        if any(not isinstance(g, int) or not 0 <= g < n for g in self.goal_states):
             raise ModelError("goal set references unknown state")
 
     def is_goal(self, s: int) -> bool:
@@ -183,8 +191,7 @@ class Controller:
     transitions: Mapping[tuple[int, int], tuple[int, int]]
 
     def __post_init__(self):
-        if self.num_states < 1:
-            raise ModelError("controller needs at least one state")
+        check_count("controller num_states", self.num_states, 1)
         for (q, o), (a, q2) in self.transitions.items():
             if not 0 <= q < self.num_states or not 0 <= q2 < self.num_states:
                 raise ModelError(f"controller transition ({q},{o}) uses out-of-range state")
@@ -209,14 +216,6 @@ class Controller:
                     f"the environment has {n_a} actions"
                 )
 
-    def used_states(self) -> set[int]:
-        used = {0}
-        for (q, _), (a, q2) in self.transitions.items():
-            used.add(q)
-            if a != STOP:
-                used.add(q2)
-        return used
-
 
 @dataclass(frozen=True)
 class SynthesisRequest:
@@ -236,8 +235,7 @@ class SynthesisRequest:
         object.__setattr__(self, "lgt_star", as_prob(self.lgt_star))
         if self.lter_star is not None:
             object.__setattr__(self, "lter_star", as_prob(self.lter_star))
-        if self.max_states < 1:
-            raise ModelError("max_states must be at least 1")
+        check_count("max_states", self.max_states, 1)
         if not 0 < self.lgt_star < 1:
             raise ModelError("lgt_star must lie strictly inside (0, 1)")
         if self.lter_star is not None and not 0 < self.lter_star < 1:

@@ -11,8 +11,9 @@ as soon as the guaranteed goal mass reaches the requested bound, and the
 branch is abandoned as soon as the remaining optimistic mass drops below
 it (both bounds also cover the optional termination-likelihood
 requirement).  ``calc_lambda`` is the reference for those cached bounds:
-it is evaluated, and compared with the cache, whenever a hook is
-installed and whenever the branch is empty (where it costs O(1)).
+the search compares it with the cache whenever the branch is empty (where
+it costs O(1)).  ``measure`` runs the same engine on a fixed controller
+(``_Measure``) and returns ``calc_lambda``'s final vector.
 
 The agenda loop, the choice points and chronological backtracking live
 in ``_Backtracker``, which the deterministic baseline in ``andor`` shares;
@@ -43,23 +44,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from fscsynth.ledger import LambdaVector, LedgerError, SearchLedger, calc_lambda, cumulate_alpha
 from fscsynth.model import (
     Controller,
-    ModelError,
     PlanningProblem,
     STOP,
     SynthResult,
     SynthesisRequest,
+    check_count,
 )
 
 #: Default OR-step budget; exceeding it yields an inconclusive abort,
 #: never a proof of absence.
 DEFAULT_BUDGET = 10_000_000
-
-Hook = Callable[[tuple, LambdaVector], None]
 
 
 @dataclass
@@ -99,8 +98,8 @@ class _Backtracker:
     """
 
     def __init__(self, env, max_states: int, budget: Optional[int], roots):
-        if budget is not None and (not isinstance(budget, int) or budget < 1):
-            raise ModelError(f"budget must be None or an integer of at least 1, got {budget!r}")
+        if budget is not None:
+            check_count("budget", budget, 1)
         self.env = env
         self.max_states = max_states
         self.budget = budget
@@ -193,30 +192,16 @@ class _Backtracker:
 
 
 class _Search(_Backtracker):
-    """One synthesis or instrumentation run; not reusable."""
+    """One synthesis run; not reusable."""
 
-    def __init__(
-        self,
-        problem: PlanningProblem,
-        max_states: int,
-        lgt_star,
-        lter_star,
-        budget: Optional[int],
-        hook: Optional[Hook],
-        fixed: Optional[Controller],
-    ):
+    def __init__(self, problem: PlanningProblem, max_states: int, lgt_star, lter_star, budget: Optional[int]):
         super().__init__(problem.environment, max_states, budget, ((problem.initial_state, Fraction(1)),))
         self.problem = problem
         self.lgt_star = lgt_star
         self.lter_star = lter_star
         # the prune test compares explored non-goal mass with these caps
-        self.lgt_cap = None if lgt_star is None else 1 - lgt_star
+        self.lgt_cap = 1 - lgt_star
         self.lter_cap = None if lter_star is None else 1 - lter_star
-        self.hook = hook
-        self.fixed = fixed is not None
-        if fixed is not None:
-            self.controller = dict(fixed.transitions)
-            self.max_used = max(fixed.used_states())
         self.ledger = SearchLedger()
         # per observation: (action, applicable at some state) for every
         # action offered at a choice point; only the first stuck one stays
@@ -238,13 +223,9 @@ class _Search(_Backtracker):
     def _retreat(self, q: int, s: int) -> None:
         cumulate_alpha(self.ledger)
 
-    def _exhausted(self) -> Optional[str]:
-        # an empty agenda is judged like a check, and must conclude
-        verdict = self._evaluate()
-        if verdict is not None:
-            return verdict
-        if self.fixed:
-            return "explored"
+    def _exhausted(self) -> str:
+        # the check after the last root outcome judged this same ledger with
+        # all mass explored, and bounds that sum to one always give a verdict
         raise LedgerError("exploration exhausted without a termination verdict")
 
     # -- OR step ----------------------------------------------------------
@@ -267,10 +248,6 @@ class _Search(_Backtracker):
         tr = self.controller.get(key)
         if tr is not None:
             self._execute(q, s, p, tr)
-            return
-        if self.fixed:
-            # instrumentation on a fixed partial controller: undefined mass
-            # stays unexplored (it is neither goal, fail, nor non-termination)
             return
         self._open(q, s, p, self._candidates(s))
 
@@ -311,14 +288,8 @@ class _Search(_Backtracker):
     def _evaluate(self) -> Optional[str]:
         ledger = self.ledger
         goal0, fail0, noter0 = ledger.goal0, ledger.fail0, ledger.noter0
-        if self.hook is not None or not len(ledger):
-            lam = calc_lambda(ledger)
-            if (lam.goal0, lam.fail0, lam.noter0) != (goal0, fail0, noter0):
-                raise LedgerError("cached bounds differ from calc_lambda")
-            if self.hook is not None:
-                self.hook(tuple(sorted(self.controller.items())), lam)
-        if self.fixed:
-            return None
+        if not len(ledger):
+            _check_cache(ledger, calc_lambda(ledger))
         if goal0 >= self.lgt_star and (
             self.lter_star is None or goal0 + fail0 >= self.lter_star
         ):
@@ -330,11 +301,32 @@ class _Search(_Backtracker):
         return None
 
 
-def pandor_synth(
-    request: SynthesisRequest,
-    budget: Optional[int] = DEFAULT_BUDGET,
-    hook: Optional[Hook] = None,
-) -> SynthResult:
+class _Measure(_Search):
+    """A run on a fixed controller to exhaustion: it opens no choice point,
+    so mass that reaches an undefined pair stays unexplored (it is neither
+    goal, fail nor non-termination), and it judges no branch."""
+
+    def __init__(self, problem: PlanningProblem, controller: Controller):
+        # the bounds are never read: ``_evaluate`` judges nothing
+        super().__init__(problem, controller.num_states, 0, None, None)
+        self.controller = dict(controller.transitions)
+
+    def _open(self, q: int, s: int, p, candidates: list) -> None:
+        pass
+
+    def _evaluate(self) -> None:
+        return None
+
+    def _exhausted(self) -> str:
+        return "explored"
+
+
+def _check_cache(ledger: SearchLedger, lam: LambdaVector) -> None:
+    if (lam.goal0, lam.fail0, lam.noter0) != (ledger.goal0, ledger.fail0, ledger.noter0):
+        raise LedgerError("cached bounds differ from calc_lambda")
+
+
+def pandor_synth(request: SynthesisRequest, budget: Optional[int] = DEFAULT_BUDGET) -> SynthResult:
     """Search for an N-bounded controller meeting the requested bounds.
 
     Sound: any returned controller has exact LGT >= lgt_star (and LTER >=
@@ -342,34 +334,25 @@ def pandor_synth(
     after the bounded space of canonical controllers is exhausted.  A
     ``budget-exhausted`` outcome is inconclusive.
     """
-    search = _Search(
-        request.problem, request.max_states, request.lgt_star, request.lter_star,
-        budget, hook, fixed=None,
-    )
+    search = _Search(request.problem, request.max_states, request.lgt_star, request.lter_star, budget)
     outcome, controller = search.run()
     return SynthResult(outcome, controller, search.or_steps, search.peak_depth)
 
 
-def measure(
-    problem: PlanningProblem,
-    controller: Controller,
-    hook: Optional[Hook] = None,
-) -> LambdaVector:
+def measure(problem: PlanningProblem, controller: Controller) -> LambdaVector:
     """Run the instrumented engine on a fixed controller to exhaustion.
 
     Explores every at-most-once-looping history of the system and returns
-    the final lower-bound vector.  For a controller defined on every
-    reachable (q, o) pair, goal0/fail0/noter0 sum to one and goal0 equals
-    the exact goal-termination likelihood; mass reaching undefined pairs
-    is left out of all three bounds.  A transition naming an action or
-    observation the environment lacks raises ``ModelError``.
+    ``calc_lambda``'s final vector, once it has been compared with the
+    ledger's cached bounds.  For a controller defined on every reachable
+    (q, o) pair, goal0/fail0/noter0 sum to one and goal0 equals the exact
+    goal-termination likelihood; mass reaching undefined pairs is left out
+    of all three bounds.  A transition naming an action or observation the
+    environment lacks raises ``ModelError``.
     """
     controller.check_indices(problem.environment)
-    search = _Search(
-        problem, controller.num_states, None, None,
-        budget=None, hook=hook, fixed=controller,
-    )
-    outcome, _ = search.run()
-    if outcome != "explored":
-        raise LedgerError(f"fixed-controller run ended in {outcome!r}, not 'explored'")
-    return calc_lambda(search.ledger)
+    search = _Measure(problem, controller)
+    search.run()
+    lam = calc_lambda(search.ledger)
+    _check_cache(search.ledger, lam)
+    return lam

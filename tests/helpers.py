@@ -10,11 +10,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from fscsynth.andor import GeneralizedProblem
-from fscsynth.ledger import LedgerError, SearchLedger
+from fscsynth.ledger import LambdaVector, LedgerError, SearchLedger, calc_lambda
 from fscsynth.model import (
     Controller, Environment, PlanningProblem, STOP, SynthesisRequest, SynthResult,
 )
-from fscsynth.pandor import DEFAULT_BUDGET, _Search
+from fscsynth.pandor import DEFAULT_BUDGET, _check_cache, _Measure, _Search
 from fscsynth.verifier import FAIL_SINK, GOAL_SINK, UNDEF_SINK, ChainError, CombinedChain
 
 
@@ -123,11 +123,44 @@ def full_candidates_synth(request: SynthesisRequest, budget=DEFAULT_BUDGET) -> S
     """Reference for ``pandor_synth``: the same search over the full
     candidate list."""
     search = _FullCandidatesSearch(
-        request.problem, request.max_states, request.lgt_star, request.lter_star,
-        budget, None, fixed=None,
+        request.problem, request.max_states, request.lgt_star, request.lter_star, budget
     )
     outcome, controller = search.run()
     return SynthResult(outcome, controller, search.or_steps, search.peak_depth)
+
+
+def _hooked(engine, hook):
+    """``engine`` with ``calc_lambda`` run at every evaluation: the result
+    is compared with the ledger's cache and handed to ``hook`` with the
+    sorted controller transitions, before the engine judges the branch."""
+
+    class Hooked(engine):
+        def _evaluate(self):
+            lam = calc_lambda(self.ledger)
+            _check_cache(self.ledger, lam)
+            hook(tuple(sorted(self.controller.items())), lam)
+            return super()._evaluate()
+
+    return Hooked
+
+
+def hooked_synth(request: SynthesisRequest, hook, budget=DEFAULT_BUDGET) -> SynthResult:
+    """``pandor_synth`` with ``hook(transitions, lambda vector)`` called at
+    every evaluation."""
+    search = _hooked(_Search, hook)(request.problem, request.max_states, request.lgt_star, request.lter_star, budget)
+    outcome, controller = search.run()
+    return SynthResult(outcome, controller, search.or_steps, search.peak_depth)
+
+
+def hooked_measure(problem: PlanningProblem, controller: Controller, hook) -> LambdaVector:
+    """``measure`` with ``hook(transitions, lambda vector)`` called at
+    every evaluation."""
+    controller.check_indices(problem.environment)
+    search = _hooked(_Measure, hook)(problem, controller)
+    search.run()
+    lam = calc_lambda(search.ledger)
+    _check_cache(search.ledger, lam)
+    return lam
 
 
 def _support(env: Environment, s: int, a: int) -> tuple[int, ...]:

@@ -75,6 +75,22 @@ def test_empty_initial_set_rejected():
         GeneralizedProblem(prob.environment, frozenset(), prob.goal_states)
 
 
+def test_unknown_state_rejected():
+    prob = build("coin-flip")
+    with pytest.raises(ModelError):
+        GeneralizedProblem(prob.environment, frozenset({7}), prob.goal_states)
+    with pytest.raises(ModelError):
+        GeneralizedProblem(prob.environment, frozenset({0}), frozenset({-1}))
+    with pytest.raises(ModelError):
+        GeneralizedProblem(prob.environment, frozenset({0.0}), prob.goal_states)
+
+
+@pytest.mark.parametrize("n", [0, 2.5, F(3, 2), "2"])
+def test_a_state_bound_that_is_not_a_positive_integer_is_rejected(n):
+    with pytest.raises(ModelError, match="state bound"):
+        andor_synth(_gp(build("hall-a-1d", {"n": 4})), n)
+
+
 def test_deterministic_runs_are_identical():
     prob = build("hall-a-1d", {"n": 4})
     r1 = andor_synth(_gp(prob), 2)

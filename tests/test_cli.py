@@ -166,6 +166,12 @@ def test_export_dot_corridor(tmp_path, capsys):
     edges = [line for line in out.splitlines() if "label=" in line and "->" in line]
     assert len(edges) == 4  # parallel transitions share one drawn edge
     assert any("stop" in e and "style=dashed" in e for e in edges)
+    dot_file = tmp_path / "c.dot"
+    code, again, _ = run(
+        capsys, "export-dot", "--domain", "hall-a-1d", "--param", "n=5",
+        "--controller", str(ctrl_file), "--out", str(dot_file),
+    )
+    assert code == 0 and not again and dot_file.read_text(encoding="utf-8") == out
 
 
 def test_export_dot_empty_controller(tmp_path, capsys):
@@ -205,6 +211,10 @@ def test_usage_errors_exit_64(capsys):
     assert code == 64
     code, _, _ = run(capsys, "synth", "--domain", "coin-flip", "--max-states", "0", "--lgt-star", "0.4")
     assert code == 64
+    code, _, err = run(capsys, "synth", "--domain", "hall-a-1d", "--param", "n", "--max-states", "2", "--lgt-star", "0.4")
+    assert code == 64 and "name=value" in err
+    code, _, err = run(capsys, "synth", "--env", "x.env", "--domain", "coin-flip", "--max-states", "2", "--lgt-star", "0.4")
+    assert code == 64 and "not both" in err
 
 
 @pytest.mark.parametrize("n", ["5/2", "2.5"])
@@ -224,6 +234,8 @@ def test_parse_errors_exit_65(tmp_path, capsys):
     ctrl_file.write_text("states 1\nstart 0\nedge 0 nope flip 0\n")
     code, _, _ = run(capsys, "verify", "--domain", "coin-flip", "--controller", str(ctrl_file))
     assert code == 65
+    code, out, _ = run(capsys, "synth", "--env", str(tmp_path / "missing.env"), "--max-states", "1", "--lgt-star", "0.4")
+    assert code == 65 and not out
 
 
 @pytest.mark.parametrize("text", ["states \u00b2\nstart 0\n", "states 1\nstart 0\nedge \u00b2 start flip 0\n"])

@@ -12,7 +12,7 @@ from fscsynth.domains import (
     serialize_controller,
     serialize_env,
 )
-from fscsynth.model import STOP
+from fscsynth.model import Controller, STOP
 from fscsynth.verifier import exact_measures
 
 from helpers import controller_from_names, corridor_controller, enumerate_controllers
@@ -120,6 +120,12 @@ def test_parameter_validation_errors():
         build("bridgewalk", {"p_fall": "7/5"})
     with pytest.raises(DomainError):
         build("coin-flip", {"n": 3})
+    with pytest.raises(DomainError):
+        build("hall-a-1d", {"n": "x"})
+    with pytest.raises(DomainError):
+        build("noisy-hall-a-1d", {"p": 0.1})  # not exactly 1/10 in binary
+    with pytest.raises(DomainError):
+        build("noisy-hall-a-1d", {"p": "abc"})
 
 
 @pytest.mark.parametrize("name, key", [
@@ -214,6 +220,15 @@ trans s1 flip 1/2 s0 1/2 gaol
         ),
         10, 29, "dangling identifier: unknown state 'nogal'",
     ),
+    (COIN_FLIP_TEXT.replace("states s0 goal nogoal", "states s0 goal s0"), 2, 16, "duplicate state 's0'"),
+    (COIN_FLIP_TEXT + "trans s0 flip 1/2\n", 11, 1, "trans takes <state> <action> (<prob> <state>)+"),
+    (COIN_FLIP_TEXT + "trans s0 flip 1 goal 1\n", 11, 1, "trans takes <state> <action> (<prob> <state>)+"),
+    (COIN_FLIP_TEXT + "trans s0 flip 1 goal\n", 11, 7, "transition (s0, flip) declared twice"),
+    (COIN_FLIP_TEXT.replace("1/2 nogoal", "1/2 goal"), 10, 28, "successor 'goal' listed twice"),
+    (COIN_FLIP_TEXT.replace("observe goal won", "observe goal"), 6, 1, "observe takes exactly <state> <obs>"),
+    (COIN_FLIP_TEXT.replace("init s0", "init s0 goal"), 8, 1, "init takes exactly one state"),
+    (COIN_FLIP_TEXT + "init goal\n", 11, 1, "init declared twice"),
+    (COIN_FLIP_TEXT.replace("observe nogoal lost\n", ""), 0, 0, "state 'nogoal' has no observation"),
 ])
 def test_parse_error_position(text, line, col, message):
     with pytest.raises(ParseError) as err:
@@ -253,6 +268,14 @@ def test_controller_parse_errors():
         parse_controller("states 1\nstart 1\n", env)
     with pytest.raises(ParseError):
         parse_controller("states 1\nstart 0\nedge 0 A right 3\n", env)
+    with pytest.raises(ParseError, match="edge takes"):
+        parse_controller("states 1\nstart 0\nedge 0 A right\n", env)
+    with pytest.raises(ParseError, match="declared twice"):
+        parse_controller("states 1\nstart 0\nedge 0 A right 0\nedge 0 A left 0\n", env)
+    with pytest.raises(ParseError, match="unknown declaration 'initial'"):
+        parse_controller("states 1\ninitial 0\n", env)
+    # blank and comment-only lines are skipped
+    assert parse_controller("states 1\n\n   \n# no edges yet\nstart 0\n", env) == Controller(1, {})
 
 
 @pytest.mark.parametrize("text,line,col,message", [

@@ -7,6 +7,7 @@ from fscsynth.model import (
     Controller,
     Environment,
     ModelError,
+    PlanningProblem,
     SynthesisRequest,
     as_prob,
 )
@@ -84,6 +85,20 @@ def test_environment_rejects_unknown_identifiers():
         Environment.from_tables(("s0",), ("a",), ("o",), {"s0": "o"}, {("s0", "b"): {"s0": 1}})
 
 
+@pytest.mark.parametrize("states, observations, delta, omega", [
+    ((), ("o",), {}, ()),  # no states
+    (("s0", "s1"), ("o",), {}, (0,)),  # omega of the wrong length
+    (("s0",), ("o",), {}, (1,)),  # unknown observation index
+    (("s0",), ("o",), {(1, 0): ((0, F(1)),)}, (0,)),  # unknown state
+    (("s0",), ("o",), {(0, 1): ((0, F(1)),)}, (0,)),  # unknown action
+    (("s0",), ("o",), {(0, 0): ((1, F(1)),)}, (0,)),  # unknown successor
+    (("s0", "s1"), ("o",), {(0, 0): ((1, F(1, 2)), (1, F(1, 2)))}, (0, 0)),  # successor listed twice
+])
+def test_environment_rejects_bad_indices(states, observations, delta, omega):
+    with pytest.raises(ModelError):
+        Environment(states, ("a",), observations, delta, omega)
+
+
 def test_environment_rejects_duplicates_and_nonpositive_probs():
     with pytest.raises(ModelError):
         Environment.from_tables(("s0", "s0"), ("a",), ("o",), {"s0": "o"}, {})
@@ -101,6 +116,18 @@ def test_controller_validation():
         Controller(1, {(0, 0): (0, 5)})  # successor state out of range
     with pytest.raises(ModelError):
         Controller(2, {(3, 0): (0, 0)})  # source state out of range
+    with pytest.raises(ModelError):
+        Controller(1, {(0, 0): (-5, 0)})  # negative action other than STOP
+    with pytest.raises(ModelError, match="integer"):
+        Controller(1.5, {})
+
+
+def test_planning_problem_validation(coin):
+    env = coin.environment
+    PlanningProblem(env, 0, frozenset({1}))
+    for initial, goals in ((0.0, frozenset()), (3, frozenset()), (-1, frozenset()), (0, frozenset({3})), (0, frozenset({1.0}))):
+        with pytest.raises(ModelError):
+            PlanningProblem(env, initial, goals)
 
 
 def test_synthesis_request_validation(coin):
@@ -115,6 +142,9 @@ def test_synthesis_request_validation(coin):
         SynthesisRequest(coin, 1, F(1))
     with pytest.raises(ModelError):
         SynthesisRequest(coin, 1, F(1, 2), F(1))
+    for max_states in (2.5, F(3, 2), "2"):
+        with pytest.raises(ModelError, match="integer"):
+            SynthesisRequest(coin, max_states, F(1, 2))
 
 
 def _one_step_env(dist):

@@ -15,6 +15,8 @@ from helpers import (
     cascade_settle,
     enumerate_controllers,
     full_candidates_synth,
+    hooked_measure,
+    hooked_synth,
     random_env,
     random_total_controller,
     stuck_pairs,
@@ -106,7 +108,7 @@ def test_lower_bounds_never_exceed_truth_during_exploration():
             assert lam.fail0 <= m.fail
             assert lam.noter0 <= m.nonterm
 
-        measure(prob, ctrl, hook=hook)
+        hooked_measure(prob, ctrl, hook)
         assert evaluations
 
 
@@ -185,7 +187,7 @@ def test_synthesis_hook_sees_monotone_sound_bounds():
         assert lam.goal0 + lam.fail0 + lam.noter0 <= 1
         seen.append((fingerprint, lam.goal0))
 
-    result = pandor_synth(SynthesisRequest(prob, 2, F(9, 10)), hook=hook)
+    result = hooked_synth(SynthesisRequest(prob, 2, F(9, 10)), hook)
     assert result.outcome == "controller"
     assert seen
     # the last evaluation is the one that met the bound
