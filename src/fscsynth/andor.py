@@ -52,8 +52,9 @@ class _Search(_Backtracker):
     def __init__(self, gp: GeneralizedProblem, n: int, budget: Optional[int]):
         super().__init__(gp.environment, n, budget, tuple((s, 1) for s in sorted(gp.initial_states)))
         self.goals = gp.goal_states
-        self.h: list[tuple[int, int]] = []
-        self.h_set: set[tuple[int, int]] = set()
+        # the branch, never holding a state twice: ``_or_step`` fails on a repeat, and a
+        # goal-entry choice point opens only on an undefined (q, o), which no branch state has
+        self.h: set[tuple[int, int]] = set()
         # (q, s) whose subtree is verified, and the order they were added in
         self.memo: set[tuple[int, int]] = set()
         self.memo_log: list[tuple[int, int]] = []
@@ -66,7 +67,7 @@ class _Search(_Backtracker):
                 # goal entry: offer stop first, other extensions on backtrack
                 self._open(q, s, p, [(STOP, 0)] + self._action_candidates(s))
             return None  # a stop here is a goal run
-        if (q, s) in self.h_set:
+        if (q, s) in self.h:
             return "fail"  # repeated combined state: looping history
         if (q, s) in self.memo:
             return None  # subtree already verified for a smaller controller
@@ -93,14 +94,12 @@ class _Search(_Backtracker):
         dist = self.env.dist(s, a)
         if dist is None:
             return "fail"  # inapplicable action: the run is stuck, not a goal run
-        self.h.append((q, s))
-        self.h_set.add((q, s))
+        self.h.add((q, s))
         self._descend(q, s, q2, dist, len(self.h))
         return None
 
     def _retreat(self, q: int, s: int) -> None:
-        self.h.pop()
-        self.h_set.discard((q, s))
+        self.h.remove((q, s))
         self.memo.add((q, s))
         self.memo_log.append((q, s))
 
@@ -111,12 +110,11 @@ class _Search(_Backtracker):
         return "controller"
 
     def _snapshot(self):
-        return (list(self.h), len(self.memo_log))
+        return (set(self.h), len(self.memo_log))
 
     def _restore(self, snap) -> None:
         h, n = snap
-        self.h[:] = h
-        self.h_set = set(h)
+        self.h = set(h)
         for key in self.memo_log[n:]:
             self.memo.discard(key)
         del self.memo_log[n:]
@@ -132,6 +130,4 @@ def andor_synth(
     non-termination from every initial state.
     """
     check_count("state bound", n, 1)
-    search = _Search(gp, n, budget)
-    outcome, controller = search.run()
-    return SynthResult(outcome, controller, search.or_steps, search.peak_depth)
+    return _Search(gp, n, budget).run()

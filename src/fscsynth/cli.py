@@ -58,24 +58,11 @@ def _fmt(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator} ~ {float(x):.12f}"
 
 
-def _parse_fraction(text: str, flag: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise _UsageError(f"{flag} expects a rational like 9/10 or 0.9, got {text!r}")
-
-
 def _parse_params(entries) -> dict:
-    params = {}
     for entry in entries or []:
         if "=" not in entry:
             raise _UsageError(f"--param expects name=value, got {entry!r}")
-        key, value = entry.split("=", 1)
-        try:
-            params[key] = int(value)
-        except ValueError:
-            params[key] = _parse_fraction(value, f"--param {key}")
-    return params
+    return dict(entry.split("=", 1) for entry in entries or [])
 
 
 def _read_text(path: str) -> str:
@@ -111,10 +98,8 @@ def _load_controller(args, problem: PlanningProblem) -> Controller:
 
 def cmd_synth(args) -> int:
     problem = _load_problem(args)
-    lgt_star = _parse_fraction(args.lgt_star, "--lgt-star")
-    lter_star = _parse_fraction(args.lter_star, "--lter-star") if args.lter_star else None
     try:
-        request = SynthesisRequest(problem, args.max_states, lgt_star, lter_star)
+        request = SynthesisRequest(problem, args.max_states, args.lgt_star, args.lter_star)
     except ModelError as exc:
         raise _UsageError(str(exc))
 
@@ -290,10 +275,7 @@ def main(argv=None) -> int:
         if getattr(args, "budget", 1) < 1:
             raise _UsageError(f"--budget must be a positive integer, got {args.budget}")
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DomainError as exc:
+    except (_UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ParseError as exc:

@@ -174,24 +174,22 @@ def _hall_a_2d(n: int, p: Optional[Fraction]) -> PlanningProblem:
     return PlanningProblem(env, env.state_index(name(0, 1)), frozenset({env.state_index(name(0, 15))}))
 
 
-def _check_int(name: str, value, low: int) -> int:
+def _read_param(name: str, value) -> Fraction:
     try:
-        n = int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"parameter {name} must be an integer, got {value!r}")
-    # int() truncates 2.5 and Fraction(5, 2); a string it accepts is whole
-    if n < low or (not isinstance(value, str) and n != value):
+        return as_prob(value)
+    except ModelError as exc:
+        raise DomainError(f"parameter {name}: {exc}") from None
+
+
+def _check_int(name: str, value, low: int) -> int:
+    n = _read_param(name, value)
+    if n.denominator != 1 or n < low:
         raise DomainError(f"parameter {name} must be an integer >= {low}, got {value!r}")
-    return n
+    return int(n)
 
 
 def _check_prob(name: str, value) -> Fraction:
-    try:
-        p = as_prob(value)
-    except ModelError as exc:
-        raise DomainError(f"parameter {name}: {exc}")
-    except (TypeError, ValueError, ZeroDivisionError):
-        raise DomainError(f"parameter {name} must be a probability, got {value!r}")
+    p = _read_param(name, value)
     if not 0 < p < 1:
         raise DomainError(f"parameter {name} must lie strictly inside (0, 1), got {value!r}")
     return p
@@ -248,9 +246,9 @@ def _error(lineno: int, line: str, index: int, message: str) -> ParseError:
 
 def _probability(tok: str, lineno: int, line: str, index: int) -> Fraction:
     try:
-        p = Fraction(tok)
-    except (ValueError, ZeroDivisionError):
-        raise _error(lineno, line, index, f"invalid probability {tok!r}")
+        p = as_prob(tok)
+    except ModelError:
+        raise _error(lineno, line, index, f"invalid probability {tok!r}") from None
     if p <= 0:
         raise _error(lineno, line, index, f"probability must be positive, got {tok}")
     return p
@@ -328,6 +326,8 @@ def parse_env(text: str) -> PlanningProblem:
         elif head == "states":
             declare(states, toks, lineno, line, "state")
         elif head == "actions":
+            if STOP_NAME in toks[1:]:
+                raise _error(lineno, line, toks.index(STOP_NAME, 1), f"{STOP_NAME!r} cannot name an action")
             declare(actions, toks, lineno, line, "action")
         elif head == "observations":
             declare(observations, toks, lineno, line, "observation")
@@ -409,6 +409,8 @@ def parse_controller(text: str, env: Environment) -> Controller:
         if head == "states":
             if len(toks) != 2 or not _is_index(toks[1]):
                 raise _error(lineno, line, 0, "states takes one integer")
+            if num_states is not None:
+                raise _error(lineno, line, 0, "states declared twice")
             num_states = int(toks[1])
         elif head == "start":
             if len(toks) != 2 or toks[1] != "0":

@@ -40,10 +40,11 @@ that run past a changed index, then rescales the prefix from the lowest
 changed index.  The dead-index rule (see ``calc_lambda``) is applied
 eagerly, by the mutation that triggers it, in one O(L) pass that
 saturates at most once however many indices die, so ``calc_lambda``
-finds nothing left to saturate on a ledger built through these methods
-and stays the side-effect-free reference the cache is tested against.
+finds nothing left to saturate on a ledger built through these methods,
+changes nothing there, and is the reference the cache is tested against.
 Writing the slot lists directly bypasses the cache; ``calc_lambda`` and
-``cumulate_alpha`` read only the slots and stay exact on such ledgers.
+``cumulate_alpha`` read only the slots and stay exact on such ledgers,
+where ``calc_lambda`` saturates a dead index in place.
 
 All arithmetic is on ``Fraction``s and every comparison is exact.
 """
@@ -58,8 +59,7 @@ _ONE = Fraction(1)
 
 #: Flat per-index lists copied by ``snapshot`` (``loop`` is copied per row).
 _LISTS = (
-    "qs", "ss", "ps", "goal", "fail", "noter",
-    "headroom", "through", "prefix", "acc_goal", "acc_fail", "acc_noter", "top",
+    "ps", "goal", "fail", "noter", "headroom", "through", "prefix", "acc_goal", "acc_fail", "acc_noter", "top",
 )
 
 
@@ -96,9 +96,8 @@ class SearchLedger:
     __slots__ = _LISTS + ("pos", "loop", "total")
 
     def __init__(self):
-        self.qs: list[int] = []
-        self.ss: list[int] = []
         self.ps: list[Fraction] = []
+        # h_curr: combined state -> index, in insertion (branch) order
         self.pos: dict[tuple[int, int], int] = {}
         self.goal = [_ZERO]
         self.fail = [_ZERO]
@@ -116,26 +115,20 @@ class SearchLedger:
     # -- shape ----------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.qs)
-
-    def index_of(self, q: int, s: int):
-        """Index of combined state (q, s) in h_curr, or None."""
-        return self.pos.get((q, s))
+        return len(self.ps)
 
     def extend(self, q: int, s: int, p) -> None:
         """Append a combined state to h_curr; grow every slot by one zero."""
         if (q, s) in self.pos:
             raise LedgerError("h_curr must not contain a combined state twice")
-        self.pos[(q, s)] = len(self.qs)
-        self.qs.append(q)
-        self.ss.append(s)
+        self.pos[(q, s)] = len(self.ps)
         self.ps.append(p)
         self.goal.append(_ZERO)
         self.fail.append(_ZERO)
         self.noter.append(_ZERO)
         for row in self.loop:
             row.append(_ZERO)
-        self.loop.append([_ZERO] * (len(self.qs) + 1))
+        self.loop.append([_ZERO] * (len(self.ps) + 1))
         # the old frontier carries no cycle mass, so its headroom is 1
         self.through.append(p)
         self.prefix.append(self.prefix[-1] * p)
@@ -168,14 +161,14 @@ class SearchLedger:
 
     def record_noter(self, p) -> None:
         self._record(self.noter, self.acc_noter, p)
-        self._settle(len(self.qs) - 1)
+        self._settle(len(self.ps) - 1)
 
     def _record(self, slots: list, acc: list, p) -> None:
         """Terminal mass at the frontier slot; its weight in the index-0
         bounds is the prefix product at L."""
         if not p > 0:
             raise LedgerError(f"terminal record of non-positive mass {p}")
-        L = len(self.qs)
+        L = len(self.ps)
         slots[L] += p
         weighted = self.prefix[L] * p
         acc[L] += weighted
@@ -184,7 +177,7 @@ class SearchLedger:
 
     def record_loop(self, k: int, p_loop) -> None:
         """Seal a decaying cycle back to index k (traversal mass < 1)."""
-        L = len(self.qs)
+        L = len(self.ps)
         if not 0 <= k < L:
             raise LedgerError("loop record outside h_curr")
         self.loop[k][L] += p_loop
@@ -218,7 +211,7 @@ class SearchLedger:
         """Traversal probability of the on-branch suffix h_curr[k:]; the
         caller multiplies the closing step probability in."""
         acc = _ONE
-        for t in range(k + 1, len(self.qs)):
+        for t in range(k + 1, len(self.ps)):
             acc *= self.ps[t]
         return acc
 
@@ -246,7 +239,7 @@ class SearchLedger:
         """Recompute ``prefix`` and the prefix sums above index ``low``."""
         prefix = self.prefix
         slots = ((self.goal, self.acc_goal), (self.fail, self.acc_fail), (self.noter, self.acc_noter))
-        for t in range(low, len(self.qs)):
+        for t in range(low, len(self.ps)):
             weight = prefix[t] * self.through[t]
             prefix[t + 1] = weight
             for values, acc in slots:
@@ -279,7 +272,7 @@ class SearchLedger:
         becomes ``acc_noter[d] + prefix[d] * ps[d]``, carried in
         ``noter_top``.  The pass checks, at each index, that no row runs
         past the dead index above it, as those saturations would."""
-        L = len(self.qs)
+        L = len(self.ps)
         if dead is not None:
             noter_top = self.acc_noter[dead] + self.prefix[dead] * self.ps[dead]
         else:
@@ -309,7 +302,7 @@ class SearchLedger:
         every index from k up loses its cycle mass, and the step into
         h_curr[k] becomes never-terminating mass."""
         _saturate(self, k)
-        for j in range(k, len(self.qs) + 1):
+        for j in range(k, len(self.ps) + 1):
             self.top[j] = -1
             self.headroom[j] = _ONE
         self.through[k:] = self.ps[k:]
@@ -323,14 +316,14 @@ class SearchLedger:
         Folds running between snapshot and restore legitimately shorten
         h_curr below its snapshot length, so the branch contents are
         stored, not just a length."""
-        return [list(getattr(self, name)) for name in _LISTS], [list(row) for row in self.loop], self.total
+        return [list(getattr(self, name)) for name in _LISTS], [list(row) for row in self.loop], dict(self.pos), self.total
 
     def restore(self, snap) -> None:
-        lists, loop, self.total = snap
+        lists, loop, pos, self.total = snap
         for name, values in zip(_LISTS, lists):
             setattr(self, name, list(values))
         self.loop = [list(row) for row in loop]
-        self.pos = {(q, s): k for k, (q, s) in enumerate(zip(self.qs, self.ss))}
+        self.pos = dict(pos)
 
 
 def calc_lambda(ledger: SearchLedger) -> LambdaVector:
@@ -467,12 +460,13 @@ def cumulate_alpha(ledger: SearchLedger) -> SearchLedger:
 
     # index n becomes the frontier: no cycle mass, and the prefix sums up
     # to it already hold the folded mass (so ``total`` is unchanged)
-    del top[L], ledger.headroom[L], ledger.through[n], ledger.prefix[L]
+    del top[L], ledger.headroom[L], ledger.through[n], ledger.prefix[L], ledger.ps[n]
     top[n] = -1
     ledger.headroom[n] = _ONE
     for acc in (ledger.acc_goal, ledger.acc_fail, ledger.acc_noter):
         acc[n] = acc.pop()
 
-    del ledger.pos[(ledger.qs[n], ledger.ss[n])]
-    del ledger.qs[n], ledger.ss[n], ledger.ps[n]
+    # h_curr[n] is the newest entry of ``pos``: ``extend`` only appends and
+    # a fold only removes the last entry, so insertion order is branch order
+    ledger.pos.popitem()
     return ledger

@@ -33,10 +33,14 @@ class ModelError(ValueError):
 def as_prob(value: ProbLike) -> Fraction:
     """Coerce ints, strings like ``1/2`` or ``0.5``, and floats whose binary
     value is exactly their printed decimal (``0.5``, not ``0.1``) to a
-    Fraction."""
+    Fraction; anything else raises ModelError.  The package reads every
+    number from outside through here."""
     if isinstance(value, Fraction):
         return value
-    exact = Fraction(value)
+    try:
+        exact = Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise ModelError(f"expected a rational like 9/10 or 0.9, got {value!r}") from None
     if isinstance(value, float) and exact != Fraction(repr(value)):
         raise ModelError(
             f"float {value!r} is not exactly {value!r} in binary; pass the string {repr(value)!r}"
@@ -76,6 +80,8 @@ class Environment:
             raise ModelError("environment needs at least one state and one observation")
         if len(set(self.states)) != n_s or len(set(self.actions)) != n_a or len(set(self.observations)) != n_o:
             raise ModelError("duplicate identifier in state/action/observation sets")
+        if STOP_NAME in self.actions:
+            raise ModelError(f"action name {STOP_NAME!r} is reserved for the stop action")
         if len(self.omega) != n_s:
             raise ModelError("omega must be defined for every state")
         for o in self.omega:
@@ -139,6 +145,10 @@ class Environment:
         states = tuple(states)
         actions = tuple(actions)
         observations = tuple(observations)
+        for name in states + actions + observations:
+            # the text formats split on whitespace and cut comments at '#'
+            if not isinstance(name, str) or name.split() != [name] or "#" in name:
+                raise ModelError(f"identifier {name!r} must be a non-empty string without whitespace or '#'")
         s_idx = {name: i for i, name in enumerate(states)}
         a_idx = {name: i for i, name in enumerate(actions)}
         o_idx = {name: i for i, name in enumerate(observations)}

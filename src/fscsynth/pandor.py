@@ -111,7 +111,7 @@ class _Backtracker:
         self.or_steps = 0
         self.peak_depth = 0
 
-    def run(self) -> tuple[str, Optional[Controller]]:
+    def run(self) -> SynthResult:
         agenda = self.agenda
         while True:
             if not agenda:
@@ -121,7 +121,8 @@ class _Backtracker:
                 tag = item[0]
                 if tag == "or":
                     if self.or_steps == self.budget:
-                        return ("budget-exhausted", None)
+                        verdict = "budget-exhausted"
+                        break
                     self.or_steps += 1
                     _, q, s, p = item
                     verdict = self._or_step(q, s, p)
@@ -141,10 +142,13 @@ class _Backtracker:
             if verdict is None:
                 continue
             if verdict != "fail":
-                found = verdict == "controller"
-                return (verdict, Controller(self.max_used + 1, dict(self.controller)) if found else None)
+                break
             if not self._backtrack():
-                return ("failure-proved", None)
+                verdict = "failure-proved"
+                break
+        found = verdict == "controller"
+        controller = Controller(self.max_used + 1, dict(self.controller)) if found else None
+        return SynthResult(verdict, controller, self.or_steps, self.peak_depth)
 
     def _successors(self) -> range:
         """Canonically numbered successor states for a fresh transition."""
@@ -233,7 +237,7 @@ class _Search(_Backtracker):
     def _or_step(self, q: int, s: int, p) -> None:
         """Process one combined-state visit."""
         ledger = self.ledger
-        k = ledger.index_of(q, s)
+        k = ledger.pos.get((q, s))
         if k is not None:
             # revisit of the current branch: seal the cycle
             p_loop = ledger.loop_mass_to(k) * p
@@ -334,9 +338,7 @@ def pandor_synth(request: SynthesisRequest, budget: Optional[int] = DEFAULT_BUDG
     after the bounded space of canonical controllers is exhausted.  A
     ``budget-exhausted`` outcome is inconclusive.
     """
-    search = _Search(request.problem, request.max_states, request.lgt_star, request.lter_star, budget)
-    outcome, controller = search.run()
-    return SynthResult(outcome, controller, search.or_steps, search.peak_depth)
+    return _Search(request.problem, request.max_states, request.lgt_star, request.lter_star, budget).run()
 
 
 def measure(problem: PlanningProblem, controller: Controller) -> LambdaVector:

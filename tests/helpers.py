@@ -122,11 +122,9 @@ class _FullCandidatesSearch(_Search):
 def full_candidates_synth(request: SynthesisRequest, budget=DEFAULT_BUDGET) -> SynthResult:
     """Reference for ``pandor_synth``: the same search over the full
     candidate list."""
-    search = _FullCandidatesSearch(
+    return _FullCandidatesSearch(
         request.problem, request.max_states, request.lgt_star, request.lter_star, budget
-    )
-    outcome, controller = search.run()
-    return SynthResult(outcome, controller, search.or_steps, search.peak_depth)
+    ).run()
 
 
 def _hooked(engine, hook):
@@ -147,9 +145,7 @@ def _hooked(engine, hook):
 def hooked_synth(request: SynthesisRequest, hook, budget=DEFAULT_BUDGET) -> SynthResult:
     """``pandor_synth`` with ``hook(transitions, lambda vector)`` called at
     every evaluation."""
-    search = _hooked(_Search, hook)(request.problem, request.max_states, request.lgt_star, request.lter_star, budget)
-    outcome, controller = search.run()
-    return SynthResult(outcome, controller, search.or_steps, search.peak_depth)
+    return _hooked(_Search, hook)(request.problem, request.max_states, request.lgt_star, request.lter_star, budget).run()
 
 
 def hooked_measure(problem: PlanningProblem, controller: Controller, hook) -> LambdaVector:

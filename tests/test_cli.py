@@ -203,6 +203,10 @@ def test_export_dot_noisy_retry_edge(tmp_path, capsys):
 def test_usage_errors_exit_64(capsys):
     code, _, err = run(capsys, "synth", "--domain", "coin-flip", "--max-states", "2", "--lgt-star", "bogus")
     assert code == 64 and "rational" in err
+    code, _, err = run(capsys, "synth", "--domain", "coin-flip", "--max-states", "2", "--lgt-star", "1/0")
+    assert code == 64 and "rational" in err
+    code, _, err = run(capsys, "synth", "--domain", "coin-flip", "--max-states", "2", "--lgt-star", "0.4", "--lter-star", "")
+    assert code == 64 and "rational" in err
     code, _, _ = run(capsys, "synth", "--domain", "nope", "--max-states", "2", "--lgt-star", "0.4")
     assert code == 64
     code, _, _ = run(capsys, "synth", "--domain", "coin-flip", "--max-states", "2", "--lgt-star", "0.4", "--param", "n=9")

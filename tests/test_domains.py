@@ -229,6 +229,8 @@ trans s1 flip 1/2 s0 1/2 gaol
     (COIN_FLIP_TEXT.replace("init s0", "init s0 goal"), 8, 1, "init takes exactly one state"),
     (COIN_FLIP_TEXT + "init goal\n", 11, 1, "init declared twice"),
     (COIN_FLIP_TEXT.replace("observe nogoal lost\n", ""), 0, 0, "state 'nogoal' has no observation"),
+    # a controller file would read this action back as the stop action
+    (COIN_FLIP_TEXT.replace("actions flip", "actions flip stop"), 3, 14, "'stop' cannot name an action"),
 ])
 def test_parse_error_position(text, line, col, message):
     with pytest.raises(ParseError) as err:
@@ -274,6 +276,9 @@ def test_controller_parse_errors():
         parse_controller("states 1\nstart 0\nedge 0 A right 0\nedge 0 A left 0\n", env)
     with pytest.raises(ParseError, match="unknown declaration 'initial'"):
         parse_controller("states 1\ninitial 0\n", env)
+    with pytest.raises(ParseError, match="states declared twice") as err:
+        parse_controller("states 1\nstart 0\nstates 2\n", env)
+    assert (err.value.line, err.value.col) == (3, 1)
     # blank and comment-only lines are skipped
     assert parse_controller("states 1\n\n   \n# no edges yet\nstart 0\n", env) == Controller(1, {})
 

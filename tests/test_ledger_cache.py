@@ -100,6 +100,8 @@ def _assert_cache_matches_reference(led):
     # nothing was left for the reference to saturate
     assert ref_ledger.loop == led.loop and ref_ledger.noter == led.noter
     assert led.top == [max((m for m, v in enumerate(row) if v), default=-1) for row in led.loop]
+    # h_curr in branch order, also after folds and restores
+    assert list(led.pos.values()) == list(range(len(led)))
 
 
 def _run(ops):

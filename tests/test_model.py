@@ -83,6 +83,21 @@ def test_environment_rejects_unknown_identifiers():
         Environment.from_tables(("s0",), ("a",), ("o",), {"s0": "nope"}, {})
     with pytest.raises(ModelError):
         Environment.from_tables(("s0",), ("a",), ("o",), {"s0": "o"}, {("s0", "b"): {"s0": 1}})
+    with pytest.raises(ModelError, match="unknown state 's9'"):
+        Environment.from_tables(("s0",), ("a",), ("o",), {"s0": "o"}, {("s0", "a"): {"s9": 1}})
+
+
+@pytest.mark.parametrize("states, actions", [
+    (("s0", "a b"), ("a",)),  # ``observe a b o`` would not parse back
+    (("s0", ""), ("a",)),
+    (("s0", "s#1"), ("a",)),  # the text formats cut a comment at '#'
+    (("s0", "s1"), (" a",)),
+    (("s0", "s1"), ("a", "stop")),  # a controller file would read it back as the stop action
+    (("s0", 1), ("a",)),
+])
+def test_environment_rejects_names_the_text_formats_cannot_carry(states, actions):
+    with pytest.raises(ModelError):
+        Environment.from_tables(states, actions, ("o",), {s: "o" for s in states}, {})
 
 
 @pytest.mark.parametrize("states, observations, delta, omega", [
@@ -169,6 +184,16 @@ def test_as_prob_rejects_inexact_floats():
         as_prob(0.1)
     with pytest.raises(ModelError):
         _one_step_env({"s1": 0.1, "s2": "9/10"})
+
+
+@pytest.mark.parametrize("value", ["bogus", "1/0", None, float("inf")])
+def test_unreadable_numbers_raise_model_error(coin, value):
+    with pytest.raises(ModelError, match="rational"):
+        as_prob(value)
+    with pytest.raises(ModelError, match="rational"):
+        SynthesisRequest(coin, 1, value)
+    with pytest.raises(ModelError, match="rational"):
+        _one_step_env({"s1": value})
 
 
 def test_as_prob_accepts_exact_inputs():
