@@ -37,14 +37,25 @@ method keeps a cache of the same bounds up to date instead:
 ``extend``, a terminal record and a fold cost O(1) arithmetic; a cycle
 record to index k recomputes the cycle mass of k and of the lower rows
 that run past a changed index, then rescales the prefix from the lowest
-changed index.  The dead-index rule (see ``calc_lambda``) is applied
-eagerly, by the mutation that triggers it, in one O(L) pass that
-saturates at most once however many indices die, so ``calc_lambda``
-finds nothing left to saturate on a ledger built through these methods,
-changes nothing there, and is the reference the cache is tested against.
-Writing the slot lists directly bypasses the cache; ``calc_lambda`` and
-``cumulate_alpha`` read only the slots and stay exact on such ledgers,
-where ``calc_lambda`` saturates a dead index in place.
+changed index.  No record walks the rest of the branch.
+
+Index j is dead when nothing entering h_curr[j] can terminate: its
+never-terminating mass ``nu`` (calc_lambda's ``noter[j + 1]``) fills
+``h = headroom[j]``.  The dead-index rule (``_saturate``) rewrites such
+an index only where ``h`` is 0 and ``ps[j] / h`` fails, which
+``record_loop`` detects.  Elsewhere the rewrite would change no bound:
+with ``h > 0`` the through factor passes ``ps[j] / h * nu = ps[j]`` into
+j's noter bound, the value a saturation writes; no row below j runs past
+j (that escape would push j's explored mass above 1), so nothing below j
+changes; and with j's explored mass at 1 its next event is its fold,
+where ``cumulate_alpha`` charges ``noter[j] += ps[j]`` exactly.  So
+``calc_lambda`` saturates only a cycle mass of 1, which these methods
+have saturated already: on their ledgers it changes nothing and is the
+reference the cache is tested against.  The fold checks each index's
+cycle plus noter mass once; ``calc_lambda`` checks the complete law at
+every index.  Writing the slot lists directly bypasses the cache;
+``calc_lambda`` and ``cumulate_alpha`` read only the slots and stay
+exact on such ledgers, where ``calc_lambda`` saturates in place.
 
 All arithmetic is on ``Fraction``s and every comparison is exact.
 """
@@ -161,7 +172,6 @@ class SearchLedger:
 
     def record_noter(self, p) -> None:
         self._record(self.noter, self.acc_noter, p)
-        self._settle(len(self.ps) - 1)
 
     def _record(self, slots: list, acc: list, p) -> None:
         """Terminal mass at the frontier slot; its weight in the index-0
@@ -194,18 +204,17 @@ class SearchLedger:
             if h < 0:
                 raise LedgerError(f"cycle mass above 1 at index {j}")
             if not h:
-                # all mass from h_curr[j] cycles: the index is dead, and no
-                # lower row may run past it
+                # all mass from h_curr[j] cycles, so ps[j] / h cannot be
+                # formed: the one place the dead-index rule must rewrite
                 if self.acc_noter[L] != self.acc_noter[j]:
                     raise LedgerError(f"cycle+noter mass above 1 at index {j}")
-                self._settle(j - 1, dead=j)
+                self._saturate_at(j)
                 return
             self.headroom[j] = h
             self.through[j] = self.ps[j] / h
             low = j
         if low is not None:
             self._rescale(low)
-        self._settle(k)
 
     def loop_mass_to(self, k: int):
         """Traversal probability of the on-branch suffix h_curr[k:]; the
@@ -256,51 +265,11 @@ class SearchLedger:
         if self.total > 1:
             raise LedgerError("goal+fail+noter mass above 1 at index 0")
 
-    def _settle(self, k: int, dead=None) -> None:
-        """Apply the dead-index rule at every index j <= k whose cycle mass
-        and never-terminating mass from h_curr[j] now fill the unit, and at
-        ``dead`` (above k) when the caller found that index dead already.
-
-        Only indices at or above the highest goal/fail slot can qualify:
-        below it, ``_saturate_at`` would reject the state anyway.  One pass
-        walks down and saturates only the lowest dead index, in O(L), where
-        saturating each dead index from the top would cost O(L) apiece.
-        The state is the same: saturating d writes only indices >= d, so it
-        overwrites what any higher saturation wrote; no row below d runs
-        past d, so the cache below d does not change; and the one value a
-        lower check reads that it changes, the noter total ``acc_noter[L]``,
-        becomes ``acc_noter[d] + prefix[d] * ps[d]``, carried in
-        ``noter_top``.  The pass checks, at each index, that no row runs
-        past the dead index above it, as those saturations would."""
-        L = len(self.ps)
-        if dead is not None:
-            noter_top = self.acc_noter[dead] + self.prefix[dead] * self.ps[dead]
-        else:
-            noter_top = self.acc_noter[L]
-            if not noter_top:
-                return
-        last_terminal = next((j for j in range(L, 0, -1) if self.goal[j] or self.fail[j]), 0)
-        for j in range(k, last_terminal - 1, -1):
-            if dead is not None and self.top[j] > dead:
-                raise LedgerError("cycle mass through a saturated index")
-            h = self.headroom[j]
-            noter_after = noter_top - self.acc_noter[j]
-            if h == 1 or not noter_after:
-                continue
-            # the index is dead when its noter mass fills the cycle headroom
-            rest = noter_after / self.prefix[j + 1]
-            if rest > h:
-                raise LedgerError(f"cycle+noter mass above 1 at index {j}")
-            if rest == h:
-                dead = j
-                noter_top = self.acc_noter[j] + self.prefix[j] * self.ps[j]
-        if dead is not None:
-            self._saturate_at(dead)
-
     def _saturate_at(self, k: int) -> None:
         """The dead-index rule of ``_saturate``, with the cache kept in step:
         every index from k up loses its cycle mass, and the step into
-        h_curr[k] becomes never-terminating mass."""
+        h_curr[k] becomes never-terminating mass.  Only a cycle record
+        that leaves index k no headroom calls it."""
         _saturate(self, k)
         for j in range(k, len(self.ps) + 1):
             self.top[j] = -1
@@ -329,13 +298,13 @@ class SearchLedger:
 def calc_lambda(ledger: SearchLedger) -> LambdaVector:
     """Lower-bound vectors for the current branch, highest index first.
 
-    May mutate the ledger: when the explored cycle mass at an index plus
-    the never-terminating mass from that index saturate the whole unit of
-    probability, nothing entering that index can ever terminate; the loop
-    slots at and below it are zeroed out and the full step mass is
-    reclassified as never-terminating.  Without this rule the geometric
-    amplification would divide by zero exactly when a combination of
-    decaying cycles never terminates.
+    May mutate the ledger: where the cycle mass at an index is 1, nothing
+    entering that index can terminate and the amplification through it
+    would divide by zero, so ``_saturate`` applies the dead-index rule
+    there.  A dead index with cycle mass below 1 needs no rewrite (see
+    the module docstring).  At every index the cycle mass plus the goal,
+    fail and never-terminating mass that leaves without returning must
+    fit in the unit, and each component must lie in [0, 1].
     """
     L = len(ledger)
     n = L - 1
@@ -366,10 +335,11 @@ def calc_lambda(ledger: SearchLedger) -> LambdaVector:
         lam_loop[k] = acc
 
         if k <= n:
-            total = lam_loop[k] + lam_noter[k + 1]
-            if total > 1:
-                raise LedgerError(f"cycle+noter mass above 1 at index {k}")
-            if total == 1 and lam_loop[k]:
+            # from h_curr[k], returning to it and ending without a return
+            # are disjoint trajectory sets
+            if acc + lam_goal[k + 1] + lam_fail[k + 1] + lam_noter[k + 1] > 1:
+                raise LedgerError(f"cycle+goal+fail+noter mass above 1 at index {k}")
+            if acc == 1:
                 _saturate(ledger, k)
                 lam_loop[k] = _ZERO
                 lam_noter[k + 1] = _ONE
@@ -379,11 +349,8 @@ def calc_lambda(ledger: SearchLedger) -> LambdaVector:
             lam_fail[k] = ledger.fail[k]
             lam_noter[k] = ledger.noter[k]
         else:
-            denom = 1 - lam_loop[k]
-            if not denom:
-                raise LedgerError("division by zero cycle headroom: saturation rule missed")
-            pk = ledger.ps[k]
-            through = pk / denom
+            # below 1 here: a cycle mass of 1 was saturated just above
+            through = ledger.ps[k] / (1 - lam_loop[k])
             lam_goal[k] = through * lam_goal[k + 1] + ledger.goal[k]
             lam_fail[k] = through * lam_fail[k + 1] + ledger.fail[k]
             lam_noter[k] = through * lam_noter[k + 1] + ledger.noter[k]
@@ -442,6 +409,9 @@ def cumulate_alpha(ledger: SearchLedger) -> SearchLedger:
     denom = 1 - lam_n
     if not denom:
         raise LedgerError("fold hit cycle mass 1: saturation rule missed")
+    # index n's cycle + noter law, checked once, as n is folded
+    if ledger.noter[L] > denom:
+        raise LedgerError(f"cycle+noter mass above 1 at index {n}")
     amp = 1 / denom if denom != 1 else 1
     through = ledger.ps[n] * amp
     for slots in (ledger.goal, ledger.fail, ledger.noter):

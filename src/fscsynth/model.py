@@ -78,6 +78,16 @@ class Environment:
         n_s, n_a, n_o = len(self.states), len(self.actions), len(self.observations)
         if n_s == 0 or n_o == 0:
             raise ModelError("environment needs at least one state and one observation")
+        # the text formats split on whitespace and cut comments at '#'; one
+        # split of the joined names checks them all (a non-string fails the join)
+        names = [*self.states, *self.actions, *self.observations]
+        try:
+            joined = " ".join(names)
+        except TypeError:
+            joined = "#"
+        if joined.split() != names or "#" in joined:
+            bad = next(n for n in names if not isinstance(n, str) or n.split() != [n] or "#" in n)
+            raise ModelError(f"identifier {bad!r} must be a non-empty string without whitespace or '#'")
         if len(set(self.states)) != n_s or len(set(self.actions)) != n_a or len(set(self.observations)) != n_o:
             raise ModelError("duplicate identifier in state/action/observation sets")
         if STOP_NAME in self.actions:
@@ -145,13 +155,13 @@ class Environment:
         states = tuple(states)
         actions = tuple(actions)
         observations = tuple(observations)
-        for name in states + actions + observations:
-            # the text formats split on whitespace and cut comments at '#'
-            if not isinstance(name, str) or name.split() != [name] or "#" in name:
-                raise ModelError(f"identifier {name!r} must be a non-empty string without whitespace or '#'")
-        s_idx = {name: i for i, name in enumerate(states)}
-        a_idx = {name: i for i, name in enumerate(actions)}
-        o_idx = {name: i for i, name in enumerate(observations)}
+        try:
+            s_idx = {name: i for i, name in enumerate(states)}
+            a_idx = {name: i for i, name in enumerate(actions)}
+            o_idx = {name: i for i, name in enumerate(observations)}
+        except TypeError:
+            # the identifier check in __post_init__ runs after this lookup
+            raise ModelError("identifiers must be strings, not unhashable values") from None
         try:
             omega_t = tuple(o_idx[omega[name]] for name in states)
         except KeyError as exc:

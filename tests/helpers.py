@@ -67,12 +67,11 @@ def clone_ledger(ledger: SearchLedger) -> SearchLedger:
     return out
 
 
-def cascade_settle(ledger: SearchLedger, k: int, dead=None) -> None:
-    """Reference for ``SearchLedger._settle``: the dead-index rule applied
-    as a cascade, saturating every dead index from the top down, each
-    saturation rescaling the prefix sums above it (O(L) per index)."""
-    if dead is not None:
-        ledger._saturate_at(dead)
+def cascade_settle(ledger: SearchLedger, k: int) -> None:
+    """The dead-index rule applied eagerly, as a cascade: every index from
+    ``k`` down to the highest goal/fail slot whose cycle and
+    never-terminating mass fill its unit is saturated, from the top down,
+    each saturation rescaling the prefix sums above it (O(L) per index)."""
     L = len(ledger)
     if not ledger.acc_noter[L]:
         return
@@ -90,10 +89,19 @@ def cascade_settle(ledger: SearchLedger, k: int, dead=None) -> None:
 
 
 class CascadeLedger(SearchLedger):
-    """A ledger that settles by ``cascade_settle``."""
+    """Reference for the ledger's lazy dead-index rule: this one applies
+    ``cascade_settle`` after every never-terminating and cycle record, so
+    no dead index is left unsaturated."""
 
     __slots__ = ()
-    _settle = cascade_settle
+
+    def record_noter(self, p) -> None:
+        super().record_noter(p)
+        cascade_settle(self, len(self) - 1)
+
+    def record_loop(self, k: int, p_loop) -> None:
+        super().record_loop(k, p_loop)
+        cascade_settle(self, k)
 
 
 def stuck_pairs(env: Environment) -> set[tuple[int, int]]:

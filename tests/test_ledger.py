@@ -130,10 +130,51 @@ def test_saturation_rule_on_conspiring_cycles():
     assert lam2.noter0 == 1
 
 
+def test_fold_rejects_cycle_and_noter_mass_above_the_unit():
+    # cycle 1/2 at index 0 leaves headroom 1/2; noter 3/4 from h_curr[0]
+    # would be charged as 3/2
+    led = SearchLedger()
+    led.extend(0, 0, F(1))
+    led.loop[0][1] = F(1, 2)
+    led.noter[1] = F(3, 4)
+    with pytest.raises(LedgerError, match="cycle\\+noter mass above 1 at index 0"):
+        cumulate_alpha(led)
+
+
+def test_a_dead_index_folds_to_its_step_mass(monkeypatch):
+    # cycle 1/2 plus noter 1/2 fill index 1's unit; the fold charges the
+    # step into it, 1/3, to the parent's noter slot, and nothing saturates
+    def no_saturation(self, k):
+        raise AssertionError(f"saturated index {k}")
+
+    monkeypatch.setattr(SearchLedger, "_saturate_at", no_saturation)
+    led = SearchLedger()
+    led.extend(0, 0, F(1))
+    led.record_goal(F(1, 4))
+    led.extend(0, 1, F(1, 3))
+    led.record_loop(1, F(1, 2))
+    led.record_noter(F(1, 2))
+    assert led.noter[2] == F(1, 2) and led.noter[1] == 0
+    cumulate_alpha(led)
+    assert len(led) == 1 and led.noter == [0, F(1, 3)]
+    assert (led.goal0, led.noter0) == (F(1, 4), F(1, 3))
+
+
 def test_lambda_out_of_range_raises():
     led = SearchLedger()
     led.goal[0] = F(2)
     with pytest.raises(LedgerError):
+        calc_lambda(led)
+
+
+def test_lambda_checks_cycle_goal_fail_and_noter_mass_together():
+    # from h_curr[0]: a return of mass 1/2 and goal mass 3/4 without one;
+    # the step of mass 1/2 into it keeps every amplified bound in [0, 1]
+    led = SearchLedger()
+    led.extend(0, 0, F(1, 2))
+    led.loop[0][1] = F(1, 2)
+    led.goal[1] = F(3, 4)
+    with pytest.raises(LedgerError, match="cycle\\+goal\\+fail\\+noter mass above 1 at index 0"):
         calc_lambda(led)
 
 

@@ -3,9 +3,10 @@
 Every mutation goes through the ledger's own methods, so after each one
 the cached index-0 bounds and cycle masses must equal a from-scratch
 ``calc_lambda`` exactly, and the reference must find no saturation left
-to apply.  A ledger that applies the dead-index rule as a cascade
-(``helpers.CascadeLedger``) runs alongside: its slots and cache must stay
-equal to the one-pass ledger's.
+to apply.  A ledger that applies the dead-index rule eagerly
+(``helpers.CascadeLedger``) runs alongside: its index-0 bounds must stay
+equal to the lazy ledger's, and so must both ledgers once folded down to
+the empty branch.
 """
 
 from fractions import Fraction as F
@@ -47,6 +48,9 @@ _CONSPIRING_CYCLES = [
 ]
 _CYCLE_PLUS_NOTER = [("extend", F(1)), ("loop", 0, F(1, 2)), ("noter", F(1, 2)), ("fold",)]
 _NOTER_PLUS_CYCLE = [("extend", F(1)), ("noter", F(1, 2)), ("extend", F(1, 2)), ("loop", 0, F(1, 2))]
+# a cycle of 1/3 next to noter mass 3/4: the eager cascade rejects the
+# cycle record, the lazy ledger accepts it and calc_lambda rejects it
+_OVERFULL_CYCLE_PLUS_NOTER = [("extend", F(1, 3)), ("noter", F(3, 4)), ("loop", 0, F(1, 3))]
 
 
 def _corridor(m, end="noter"):
@@ -104,36 +108,56 @@ def _assert_cache_matches_reference(led):
     assert list(led.pos.values()) == list(range(len(led)))
 
 
-def _run(ops):
-    """Apply each feasible op and compare after it; returns the ledger.
-
-    An op is tried on copies first and dropped when the cache or the
-    reference rejects the result (mass above 1 somewhere).  The cascading
-    ledger must accept and reject the same ops and end each one in the
-    same state."""
-    led, cascade = SearchLedger(), CascadeLedger()
-    snaps = []
-    for fresh, op in enumerate(ops):
-        trial, cascade_trial = clone_ledger(led), clone_ledger(cascade)
-        trial_snaps = list(snaps)
-        try:
-            _apply(cascade_trial, op, list(snaps), fresh)
-        except LedgerError:
-            cascade_trial = None
-        try:
-            _apply(trial, op, trial_snaps, fresh)
-        except LedgerError:
-            assert cascade_trial is None
-            continue
-        assert cascade_trial is not None
-        assert trial.snapshot() == cascade_trial.snapshot()
-        try:
-            calc_lambda(clone_ledger(trial))
-        except LedgerError:
-            continue
-        led, cascade, snaps = trial, cascade_trial, trial_snaps
-        _assert_cache_matches_reference(led)
+def _drained(led):
+    """A copy of ``led`` folded down to the empty branch."""
+    led = clone_ledger(led)
+    while len(led):
+        cumulate_alpha(led)
     return led
+
+
+def _rejected_later(led):
+    """Whether ``calc_lambda`` or folding down to the empty branch rejects ``led``."""
+    try:
+        calc_lambda(clone_ledger(led))
+        _drained(led)
+    except LedgerError:
+        return True
+    return False
+
+
+def _attempt(led, snaps, op, fresh):
+    """``op`` applied to copies of ``led`` and its snapshots, or None when
+    the ledger rejects it."""
+    led, snaps = clone_ledger(led), list(snaps)
+    try:
+        _apply(led, op, snaps, fresh)
+    except LedgerError:
+        return None
+    return led, snaps
+
+
+def _run(ops):
+    """Apply each feasible op to a ledger and to the eager cascade, compare
+    after it, and return the ledger.
+
+    An op is kept when both ledgers and ``calc_lambda`` accept it.  One
+    that a single side rejects (the eager side checks each dead index when
+    it saturates, the lazy side when it folds) must be rejected by the
+    other side once folded down or checked by ``calc_lambda``."""
+    lazy, eager = (SearchLedger(), []), (CascadeLedger(), [])
+    for fresh, op in enumerate(ops):
+        trials = [_attempt(*lazy, op, fresh), _attempt(*eager, op, fresh)]
+        if None in trials or _rejected_later(trials[0][0]):
+            assert all(trial is None or _rejected_later(trial[0]) for trial in trials), op
+            continue
+        lazy, eager = trials
+        led, ref = lazy[0], eager[0]
+        assert (led.goal0, led.fail0, led.noter0, led.total) == (ref.goal0, ref.fail0, ref.noter0, ref.total)
+        assert _drained(led).snapshot() == _drained(ref).snapshot()
+        _assert_cache_matches_reference(led)
+        _assert_cache_matches_reference(ref)
+    return lazy[0]
 
 
 @settings(max_examples=250, deadline=None, derandomize=True)
@@ -142,31 +166,12 @@ def _run(ops):
 @example(_CONSPIRING_CYCLES)
 @example(_CYCLE_PLUS_NOTER)
 @example(_NOTER_PLUS_CYCLE)
+@example(_OVERFULL_CYCLE_PLUS_NOTER)
 @example(_corridor(6))
 @example(_corridor(6, "loop"))
 @example(_DEAD_LIVE_DEAD)
 def test_cached_bounds_equal_calc_lambda(ops):
     _run(ops)
-
-
-def test_cycles_that_fill_the_unit_saturate_at_once():
-    led = _run(_CONSPIRING_CYCLES)
-    assert len(led) == 3
-    assert led.noter0 == 1 and led.noter[1] == 1
-    assert all(not any(row) for row in led.loop)
-
-
-def test_never_terminating_mass_completing_a_cycle_saturates_at_once():
-    led = _run(_CYCLE_PLUS_NOTER[:-1])
-    assert led.noter0 == 1 and led.noter[1] == 1 and led.headroom == [1, 1]
-    cumulate_alpha(led)
-    assert len(led) == 0 and led.noter == [1]
-
-
-def test_a_cycle_completing_never_terminating_mass_saturates_at_once():
-    led = _run(_NOTER_PLUS_CYCLE)
-    assert len(led) == 2
-    assert led.noter0 == 1 and led.noter[1] == 1 and led.headroom == [1, 1, 1]
 
 
 def _count_saturations(monkeypatch):
@@ -182,22 +187,63 @@ def _count_saturations(monkeypatch):
     return calls
 
 
+def _saturations(calls, ledger_class):
+    return [k for cls, k in calls if cls is ledger_class]
+
+
+def _assert_all_lost(led):
+    """Everything entering h_curr[0] never terminates, and folding the
+    branch away charges it all to the root's noter slot."""
+    assert led.noter0 == 1
+    drained = _drained(led)
+    assert (drained.goal, drained.fail, drained.noter) == ([0], [0], [1])
+
+
+def test_cycles_that_fill_the_unit_saturate_at_once(monkeypatch):
+    calls = _count_saturations(monkeypatch)
+    led = _run(_CONSPIRING_CYCLES)
+    assert _saturations(calls, SearchLedger) == _saturations(calls, CascadeLedger) == [0]
+    assert len(led) == 3
+    assert led.noter[1] == 1
+    assert all(not any(row) for row in led.loop)
+    _assert_all_lost(led)
+
+
+def test_never_terminating_mass_completing_a_cycle_is_charged_at_the_fold(monkeypatch):
+    calls = _count_saturations(monkeypatch)
+    led = _run(_CYCLE_PLUS_NOTER[:-1])
+    assert _saturations(calls, SearchLedger) == [] and _saturations(calls, CascadeLedger) == [0]
+    # index 0 is dead but keeps its cycle: 1 / (1 - 1/2) * 1/2 = 1
+    assert led.noter[1] == F(1, 2) and led.headroom == [F(1, 2), 1]
+    _assert_all_lost(led)
+
+
+def test_a_cycle_completing_never_terminating_mass_is_charged_at_the_fold(monkeypatch):
+    calls = _count_saturations(monkeypatch)
+    led = _run(_NOTER_PLUS_CYCLE)
+    assert _saturations(calls, SearchLedger) == [] and _saturations(calls, CascadeLedger) == [0]
+    assert len(led) == 2
+    assert led.noter[1] == F(1, 2) and led.headroom == [F(1, 2), 1, 1]
+    _assert_all_lost(led)
+
+
 @pytest.mark.parametrize("end", ["noter", "loop"])
 @pytest.mark.parametrize("m", [1, 2, 5, 12])
-def test_a_corridor_of_dead_indices_saturates_once(monkeypatch, m, end):
+def test_a_corridor_of_dead_indices_saturates_only_a_full_cycle(monkeypatch, m, end):
     calls = _count_saturations(monkeypatch)
     led = _run(_corridor(m, end))
-    assert calls == [(CascadeLedger, k) for k in reversed(range(m))] + [(SearchLedger, 0)]
+    # the eager cascade saturates every index from the top; the ledger only
+    # the top index when a retry leaves it no headroom
+    assert _saturations(calls, CascadeLedger) == list(reversed(range(m)))
+    assert _saturations(calls, SearchLedger) == ([] if end == "noter" else [m - 1])
     assert len(led) == m
-    # the whole corridor is dead: everything entering h_curr[0] is lost
-    assert led.noter0 == 1 and led.noter[1] == 1 and not any(led.noter[2:])
-    assert all(not any(row) for row in led.loop) and all(h == 1 for h in led.headroom)
+    _assert_all_lost(led)
 
 
-def test_a_live_index_between_dead_ones_is_saturated_with_them(monkeypatch):
+def test_dead_indices_around_a_live_one_are_not_saturated(monkeypatch):
     calls = _count_saturations(monkeypatch)
     led = _run(_DEAD_LIVE_DEAD)
-    assert calls == [(CascadeLedger, 3), (CascadeLedger, 1), (CascadeLedger, 0), (SearchLedger, 0)]
+    assert _saturations(calls, CascadeLedger) == [3, 1, 0]
+    assert _saturations(calls, SearchLedger) == []
     assert len(led) == 4
-    assert led.noter0 == 1 and led.noter[1] == 1 and not any(led.noter[2:])
-    assert all(not any(row) for row in led.loop)
+    _assert_all_lost(led)

@@ -94,10 +94,18 @@ def test_environment_rejects_unknown_identifiers():
     (("s0", "s1"), (" a",)),
     (("s0", "s1"), ("a", "stop")),  # a controller file would read it back as the stop action
     (("s0", 1), ("a",)),
+    (("a b", "g"), ("x",)),  # built directly, it was serialised as ``observe a b o``
 ])
 def test_environment_rejects_names_the_text_formats_cannot_carry(states, actions):
     with pytest.raises(ModelError):
         Environment.from_tables(states, actions, ("o",), {s: "o" for s in states}, {})
+    with pytest.raises(ModelError):
+        Environment(states, actions, ("o",), {(0, 0): ((0, F(1)),)}, (0,) * len(states))
+
+
+def test_from_tables_rejects_an_unhashable_identifier():
+    with pytest.raises(ModelError):
+        Environment.from_tables(("s0",), ("a", ["b"]), ("o",), {"s0": "o"}, {})
 
 
 @pytest.mark.parametrize("states, observations, delta, omega", [

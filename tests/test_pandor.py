@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from fscsynth import pandor
 from fscsynth.domains import build
 from fscsynth.ledger import SearchLedger
 from fscsynth.model import ModelError, STOP, SynthesisRequest
@@ -11,8 +12,8 @@ from fscsynth.pandor import measure, pandor_synth
 from fscsynth.verifier import exact_measures
 
 from helpers import (
+    CascadeLedger,
     always_a_controller,
-    cascade_settle,
     enumerate_controllers,
     full_candidates_synth,
     hooked_measure,
@@ -304,43 +305,47 @@ def test_bridgewalk_proof_step_count():
     assert result.or_steps == 1536
 
 
-def _search_counting_saturations(monkeypatch, request, settle):
-    """``pandor_synth`` with the ledger settling by ``settle``; also returns
-    the saturations each settle made and the saturations in all."""
+def _search_counting_saturations(monkeypatch, request, ledger_class):
+    """``pandor_synth`` on a ``ledger_class`` ledger; also returns, for each
+    saturation, the number of the never-terminating or cycle record that
+    made it."""
     saturate = SearchLedger._saturate_at
+    records = itertools.count()
+    current = [None]
     calls = []
-    per_settle = []
 
     def counted_saturate(self, k):
-        calls.append(k)
+        calls.append(current[0])
         saturate(self, k)
 
-    def counted_settle(self, *args, **kwargs):
-        before = len(calls)
-        settle(self, *args, **kwargs)
-        per_settle.append(len(calls) - before)
+    def counted(record):
+        def wrapped(self, *args):
+            current[0] = next(records)
+            record(self, *args)
+        return wrapped
 
     with monkeypatch.context() as patch:
+        patch.setattr(pandor, "SearchLedger", ledger_class)
         patch.setattr(SearchLedger, "_saturate_at", counted_saturate)
-        patch.setattr(SearchLedger, "_settle", counted_settle)
+        for name in ("record_noter", "record_loop"):
+            patch.setattr(ledger_class, name, counted(getattr(ledger_class, name)))
         result = pandor_synth(request)
-    return result, per_settle, len(calls)
+    return result, calls
 
 
 @pytest.mark.parametrize("n, cascade_saturations", [(12, 3 * 11 + 4 * 12), (36, 3 * 35 + 4 * 36)])
-def test_one_pass_settle_searches_as_the_cascade(monkeypatch, n, cascade_saturations):
+def test_lazy_dead_index_rule_searches_as_the_cascade(monkeypatch, n, cascade_saturations):
     # seven branches die in one record each, three by a never-terminating
     # record and four by a retry cycle that fills the unit at the top: the
-    # cascade saturates n - 1 or n indices of each, the one-pass settle one
+    # eager cascade saturates n - 1 or n indices of each, the ledger only
+    # the top index of the four, where the headroom reaches zero
     request = SynthesisRequest(build("noisy-hall-a-1d", {"n": n, "p": F(1, 2)}), 2, F(9, 10))
-    new, per_settle, saturations = _search_counting_saturations(monkeypatch, request, SearchLedger._settle)
-    ref, ref_per_settle, ref_saturations = _search_counting_saturations(monkeypatch, request, cascade_settle)
+    new, calls = _search_counting_saturations(monkeypatch, request, SearchLedger)
+    ref, ref_calls = _search_counting_saturations(monkeypatch, request, CascadeLedger)
     assert new.outcome == "controller"
     assert (new.outcome, new.or_steps, new.peak_depth, new.controller) == (
         ref.outcome, ref.or_steps, ref.peak_depth, ref.controller
     )
-    assert len(per_settle) == len(ref_per_settle)
-    # every saturation is a settle's, and a settle makes at most one
-    assert saturations == sum(per_settle) and max(per_settle) == 1
-    assert saturations == sum(1 for c in ref_per_settle if c) == 7
-    assert ref_saturations == cascade_saturations
+    assert len(calls) == len(set(calls)) == 4
+    assert len(set(ref_calls)) == 7
+    assert len(ref_calls) == cascade_saturations
