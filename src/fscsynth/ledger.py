@@ -52,10 +52,11 @@ where ``cumulate_alpha`` charges ``noter[j] += ps[j]`` exactly.  So
 ``calc_lambda`` saturates only a cycle mass of 1, which these methods
 have saturated already: on their ledgers it changes nothing and is the
 reference the cache is tested against.  The fold checks each index's
-cycle plus noter mass once; ``calc_lambda`` checks the complete law at
-every index.  Writing the slot lists directly bypasses the cache;
-``calc_lambda`` and ``cumulate_alpha`` read only the slots and stay
-exact on such ledgers, where ``calc_lambda`` saturates in place.
+cycle plus noter mass once and, at a dead index, that no row below runs
+past it; ``calc_lambda`` checks the complete law at every index and the
+same escape at every dead one.  Writing the slot lists directly bypasses
+the cache; ``calc_lambda`` and ``cumulate_alpha`` read only the slots and
+stay exact on such ledgers, where ``calc_lambda`` saturates in place.
 
 All arithmetic is on ``Fraction``s and every comparison is exact.
 """
@@ -304,10 +305,10 @@ def calc_lambda(ledger: SearchLedger) -> LambdaVector:
     there.  A dead index with cycle mass below 1 needs no rewrite (see
     the module docstring).  At every index the cycle mass plus the goal,
     fail and never-terminating mass that leaves without returning must
-    fit in the unit, and each component must lie in [0, 1].
+    fit in the unit, each component must lie in [0, 1], and no row below
+    a dead index may run past it.
     """
     L = len(ledger)
-    n = L - 1
     lam_goal = [None] * (L + 1)
     lam_fail = [None] * (L + 1)
     lam_noter = [None] * (L + 1)
@@ -330,11 +331,16 @@ def calc_lambda(ledger: SearchLedger) -> LambdaVector:
                     if not denom:
                         raise LedgerError("cycle amplification hit mass 1 past saturation")
                     amp = amp / denom if denom != 1 else amp
-        if acc > 1:
-            raise LedgerError(f"cycle mass above 1 at index {k}")
         lam_loop[k] = acc
 
-        if k <= n:
+        if k == L:
+            # the frontier row, which no method writes
+            if acc > 1:
+                raise LedgerError(f"cycle mass above 1 at index {k}")
+            lam_goal[k] = ledger.goal[k]
+            lam_fail[k] = ledger.fail[k]
+            lam_noter[k] = ledger.noter[k]
+        else:
             # from h_curr[k], returning to it and ending without a return
             # are disjoint trajectory sets
             if acc + lam_goal[k + 1] + lam_fail[k + 1] + lam_noter[k + 1] > 1:
@@ -343,12 +349,8 @@ def calc_lambda(ledger: SearchLedger) -> LambdaVector:
                 _saturate(ledger, k)
                 lam_loop[k] = _ZERO
                 lam_noter[k + 1] = _ONE
-
-        if k == L:
-            lam_goal[k] = ledger.goal[k]
-            lam_fail[k] = ledger.fail[k]
-            lam_noter[k] = ledger.noter[k]
-        else:
+            elif acc + lam_noter[k + 1] == 1:
+                _check_none_past(ledger, k)
             # below 1 here: a cycle mass of 1 was saturated just above
             through = ledger.ps[k] / (1 - lam_loop[k])
             lam_goal[k] = through * lam_goal[k + 1] + ledger.goal[k]
@@ -376,11 +378,7 @@ def _saturate(ledger: SearchLedger, k: int) -> None:
     for j in range(k + 1, L + 1):
         if ledger.goal[j] or ledger.fail[j]:
             raise LedgerError("goal/fail mass recorded beyond a saturated index")
-    for j in range(k):
-        row = ledger.loop[j]
-        for m in range(max(j, k + 1), L + 1):
-            if row[m]:
-                raise LedgerError("cycle mass through a saturated index")
+    _check_none_past(ledger, k)
     for j in range(k, L + 1):
         row = ledger.loop[j]
         for m in range(j, L + 1):
@@ -388,6 +386,14 @@ def _saturate(ledger: SearchLedger, k: int) -> None:
     for j in range(k + 2, L + 1):
         ledger.noter[j] = _ZERO
     ledger.noter[k + 1] = _ONE
+
+
+def _check_none_past(ledger: SearchLedger, k: int) -> None:
+    """No row below the dead index k may hold a cycle sealed past k: that
+    escape from h_curr[k] would push its explored mass above 1."""
+    for j in range(k):
+        if any(ledger.loop[j][k + 1:]):
+            raise LedgerError(f"cycle mass through dead index {k}")
 
 
 def cumulate_alpha(ledger: SearchLedger) -> SearchLedger:
@@ -409,9 +415,11 @@ def cumulate_alpha(ledger: SearchLedger) -> SearchLedger:
     denom = 1 - lam_n
     if not denom:
         raise LedgerError("fold hit cycle mass 1: saturation rule missed")
-    # index n's cycle + noter law, checked once, as n is folded
+    # index n's cycle + noter law, checked once, as n is folded; a dead n
+    # (noter filling the headroom) admits no cycle from below sealed past it
     if ledger.noter[L] > denom:
         raise LedgerError(f"cycle+noter mass above 1 at index {n}")
+    dead = ledger.noter[L] == denom
     amp = 1 / denom if denom != 1 else 1
     through = ledger.ps[n] * amp
     for slots in (ledger.goal, ledger.fail, ledger.noter):
@@ -423,6 +431,8 @@ def cumulate_alpha(ledger: SearchLedger) -> SearchLedger:
     for j in range(n):
         v = loop[j].pop()
         if v:
+            if dead:
+                raise LedgerError(f"cycle mass through dead index {n}")
             loop[j][n] += amp * v
             top[j] = n
     del loop[L]

@@ -78,16 +78,10 @@ class Environment:
         n_s, n_a, n_o = len(self.states), len(self.actions), len(self.observations)
         if n_s == 0 or n_o == 0:
             raise ModelError("environment needs at least one state and one observation")
-        # the text formats split on whitespace and cut comments at '#'; one
-        # split of the joined names checks them all (a non-string fails the join)
-        names = [*self.states, *self.actions, *self.observations]
-        try:
-            joined = " ".join(names)
-        except TypeError:
-            joined = "#"
-        if joined.split() != names or "#" in joined:
-            bad = next(n for n in names if not isinstance(n, str) or n.split() != [n] or "#" in n)
-            raise ModelError(f"identifier {bad!r} must be a non-empty string without whitespace or '#'")
+        for name in (*self.states, *self.actions, *self.observations):
+            # the text formats split on whitespace and cut comments at '#'
+            if not isinstance(name, str) or name.split() != [name] or "#" in name:
+                raise ModelError(f"identifier {name!r} must be a non-empty string without whitespace or '#'")
         if len(set(self.states)) != n_s or len(set(self.actions)) != n_a or len(set(self.observations)) != n_o:
             raise ModelError("duplicate identifier in state/action/observation sets")
         if STOP_NAME in self.actions:

@@ -160,6 +160,25 @@ def test_a_dead_index_folds_to_its_step_mass(monkeypatch):
     assert (led.goal0, led.noter0) == (F(1, 4), F(1, 3))
 
 
+def _cycle_past_a_dead_index():
+    """Index 1 is dead (cycle 1/2 plus noter 1/2) while row 0 holds a
+    cycle of 1/8 sealed past it: an escape of mass 1/4 from h_curr[1], so
+    1 + 1/4 leaves it."""
+    led = SearchLedger()
+    led.extend(0, 0, F(1))
+    led.extend(0, 1, F(1, 2))
+    led.record_loop(0, F(1, 8))
+    led.record_loop(1, F(1, 2))
+    led.record_noter(F(1, 2))
+    return led
+
+
+@pytest.mark.parametrize("check", [cumulate_alpha, calc_lambda])
+def test_a_cycle_through_a_dead_index_is_rejected(check):
+    with pytest.raises(LedgerError, match="cycle mass through dead index 1"):
+        check(_cycle_past_a_dead_index())
+
+
 def test_lambda_out_of_range_raises():
     led = SearchLedger()
     led.goal[0] = F(2)

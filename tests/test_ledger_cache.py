@@ -51,6 +51,12 @@ _NOTER_PLUS_CYCLE = [("extend", F(1)), ("noter", F(1, 2)), ("extend", F(1, 2)), 
 # a cycle of 1/3 next to noter mass 3/4: the eager cascade rejects the
 # cycle record, the lazy ledger accepts it and calc_lambda rejects it
 _OVERFULL_CYCLE_PLUS_NOTER = [("extend", F(1, 3)), ("noter", F(3, 4)), ("loop", 0, F(1, 3))]
+# index 1 dies (cycle 1/2 plus noter 1/2) with a cycle of row 0 sealed
+# past it: the eager cascade rejects the noter record as it saturates
+# index 1, the lazy ledger accepts it and its fold of index 1 rejects it
+_CYCLE_THROUGH_DEAD_INDEX = [
+    ("extend", F(1)), ("extend", F(1, 2)), ("loop", 0, F(1, 8)), ("loop", 1, F(1, 2)), ("noter", F(1, 2)),
+]
 
 
 def _corridor(m, end="noter"):
@@ -167,6 +173,7 @@ def _run(ops):
 @example(_CYCLE_PLUS_NOTER)
 @example(_NOTER_PLUS_CYCLE)
 @example(_OVERFULL_CYCLE_PLUS_NOTER)
+@example(_CYCLE_THROUGH_DEAD_INDEX)
 @example(_corridor(6))
 @example(_corridor(6, "loop"))
 @example(_DEAD_LIVE_DEAD)
