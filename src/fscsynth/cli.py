@@ -3,7 +3,9 @@
 Exit codes are a stable contract:
 
 * 0  -- synthesized a controller (or the command simply succeeded)
-* 2  -- exhaustive search proved no bounded controller meets the bounds
+* 2  -- exhaustive search proved no bounded controller meets the bounds;
+  under --algo andor it only proves that no bounded controller reaches
+  a goal on every run (a controller meeting --lgt-star may still exist)
 * 3  -- node budget exhausted (inconclusive)
 * 64 -- flag/parameter validation error
 * 65 -- input file parse error
@@ -97,6 +99,8 @@ def _load_controller(args, problem: PlanningProblem) -> Controller:
 
 
 def cmd_synth(args) -> int:
+    if args.algo == "andor" and args.lter_star is not None:
+        raise _UsageError("--lter-star needs --algo pandor: andor ignores likelihood bounds")
     problem = _load_problem(args)
     try:
         request = SynthesisRequest(problem, args.max_states, args.lgt_star, args.lter_star)

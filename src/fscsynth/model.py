@@ -6,13 +6,16 @@ Probabilities are exact ``fractions.Fraction`` values so that every
 correctness statement in the test suite can be checked with ``==``.
 
 All types here are immutable after construction (the dicts they carry are
-never mutated) and safe to share across threads.
+never mutated) and safe to share across threads.  A derived fact cached
+on first use, such as ``PlanningProblem.lost_states``, is the same value
+whichever thread computes it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Optional, Sequence, Union
 
 #: Distinguished terminal action. A controller transition whose action is
@@ -188,6 +191,27 @@ class PlanningProblem:
 
     def is_goal(self, s: int) -> bool:
         return s in self.goal_states
+
+    @cached_property
+    def lost_states(self) -> frozenset[int]:
+        """States with no path to a goal in the support graph under any
+        action (the Prob0 states of probabilistic model checking): one
+        backward pass over the transition table, made once per problem."""
+        env = self.environment
+        preds: list[list[int]] = [[] for _ in env.states]
+        for (s, _), dist in env.delta.items():
+            for s2, _ in dist:
+                preds[s2].append(s)
+        reaches = [False] * len(env.states)
+        stack = list(self.goal_states)
+        for s in stack:
+            reaches[s] = True
+        while stack:
+            for s in preds[stack.pop()]:
+                if not reaches[s]:
+                    reaches[s] = True
+                    stack.append(s)
+        return frozenset(s for s, r in enumerate(reaches) if not r)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import fscsynth
-from fscsynth.cli import main
+from fscsynth.cli import build_parser, main
 from fscsynth.domains import build, serialize_controller, serialize_env
 from fscsynth.verifier import exact_measures
 from fscsynth.domains import parse_controller
@@ -66,6 +66,26 @@ def test_synth_corridor_with_baseline_algo(capsys):
     )
     assert code == 0
     assert "lgt: 1/1" in out
+
+
+def test_baseline_algo_rejects_a_termination_bound(capsys):
+    # andor ignores likelihood bounds, so the bound used to be dropped silently
+    code, out, err = run(
+        capsys, "synth", "--domain", "coin-flip", "--max-states", "2", "--lgt-star", "0.4",
+        "--lter-star", "0.9", "--algo", "andor",
+    )
+    assert code == 64 and not out and "--lter-star" in err
+
+
+def test_baseline_exit_two_only_refutes_a_goal_on_every_run(capsys):
+    # andor proves that no 2-state controller always reaches the goal;
+    # pandor finds one with LGT 1/2 >= 0.4 for the same flags
+    argv = ("synth", "--domain", "coin-flip", "--max-states", "2", "--lgt-star", "0.4")
+    assert run(capsys, *argv, "--algo", "andor")[0] == 2
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "lgt: 1/2" in out
+    help_text = " ".join(build_parser().format_help().split())
+    assert "under --algo andor it only proves that no bounded controller reaches a goal on every run" in help_text
 
 
 def test_synth_json_schema(capsys):

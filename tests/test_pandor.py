@@ -5,10 +5,10 @@ from fractions import Fraction as F
 import pytest
 
 from fscsynth import pandor
-from fscsynth.domains import build
+from fscsynth.domains import build, parse_env
 from fscsynth.ledger import SearchLedger
 from fscsynth.model import ModelError, STOP, SynthesisRequest
-from fscsynth.pandor import measure, pandor_synth
+from fscsynth.pandor import DEFAULT_BUDGET, measure, pandor_synth
 from fscsynth.verifier import exact_measures
 
 from helpers import (
@@ -16,11 +16,13 @@ from helpers import (
     always_a_controller,
     enumerate_controllers,
     full_candidates_synth,
+    goal_unreachable,
     hooked_measure,
     hooked_synth,
     random_env,
     random_total_controller,
     stuck_pairs,
+    uncut_synth,
 )
 
 
@@ -298,11 +300,100 @@ def test_stuck_action_collapse_on_random_partial_problems():
 
 
 def test_bridgewalk_proof_step_count():
-    # 19 960 OR steps when every stuck action was offered with every successor
-    prob = build("bridgewalk", {"n": 8, "p_fall": F(1, 10)})
-    result = pandor_synth(SynthesisRequest(prob, 4, F(1, 2)))
-    assert result.outcome == "failure-proved"
-    assert result.or_steps == 1536
+    # 19 960 OR steps when every stuck action was offered with every
+    # successor, 1 536 without the cut at the fallen state
+    request = SynthesisRequest(build("bridgewalk", {"n": 8, "p_fall": F(1, 10)}), 4, F(1, 2))
+    result, uncut = pandor_synth(request), uncut_synth(request)
+    assert result.outcome == uncut.outcome == "failure-proved"
+    assert (result.or_steps, uncut.or_steps) == (548, 1536)
+
+
+def _assert_cut_keeps_the_answer(request, label, budget=DEFAULT_BUDGET):
+    """pandor_synth against the search without the goal-unreachable cut:
+    the same outcome wherever the reference is conclusive, never more OR
+    steps, and every returned controller meets the bounds exactly;
+    returns (cut, uncut) OR steps."""
+    new, ref = pandor_synth(request, budget), uncut_synth(request, budget)
+    case = (*label, request.max_states, request.lgt_star, request.lter_star)
+    if ref.outcome != "budget-exhausted":
+        assert new.outcome == ref.outcome, case
+    assert new.or_steps <= ref.or_steps, case
+    if new.controller is not None:
+        m = exact_measures(request.problem, new.controller)
+        assert m.lgt >= request.lgt_star, case
+        assert request.lter_star is None or m.lter >= request.lter_star, case
+    return new.or_steps, ref.or_steps
+
+
+@pytest.mark.parametrize("name, params, lost, best", [
+    ("coin-flip", {}, {"nogoal"}, F(1, 2)),
+    ("bridgewalk", {"n": 3}, {"fallen"}, F(9, 10) ** 3),
+    ("bridgewalk", {"n": 5}, {"fallen"}, F(9, 10) ** 5),
+    ("three-state", {}, {"s0", "s1", "s2"}, F(0)),
+], ids=["coin-flip", "bridgewalk-n3", "bridgewalk-n5", "three-state"])
+def test_goal_unreachable_cut_keeps_every_answer(name, params, lost, best):
+    prob = build(name, params)
+    assert prob.lost_states == goal_unreachable(prob)
+    assert {prob.environment.states[s] for s in prob.lost_states} == lost
+    # the last two bounds lie just above the best LGT: exhaustive proofs
+    bounds = [
+        (F(1, 2), None), (F(1, 10), F(9, 10)), (F(1, 2), F(1, 10)),
+        (best + F(1, 1000), None), (best + F(1, 1000), F(1, 10)),
+    ]
+    saved = 0
+    for N in (1, 2, 3):
+        for lgt_star, lter_star in bounds:
+            new, ref = _assert_cut_keeps_the_answer(SynthesisRequest(prob, N, lgt_star, lter_star), (name,))
+            if lter_star is not None:
+                assert new == ref  # the cut is off under LTER*
+            saved += ref - new
+    # nogoal has no successor: a visit is one OR step, cut or not
+    assert saved > 0 or name == "coin-flip"
+
+
+def test_goal_unreachable_cut_on_random_problems():
+    rng = random.Random(6060)
+    seen = {"lost": 0, "lower": 0, "lter": 0}
+    for trial in range(250):
+        prob = random_env(rng, n_states=rng.randint(2, 4), partial=rng.random() < 0.5)
+        lgt_star = F(rng.randint(1, 19), 20)
+        lter_star = F(rng.randint(1, 19), 20) if trial % 2 else None
+        request = SynthesisRequest(prob, rng.randint(1, 2), lgt_star, lter_star)
+        lost = prob.lost_states
+        assert lost == goal_unreachable(prob), trial
+        new, ref = _assert_cut_keeps_the_answer(request, (trial,), budget=3000)
+        if lter_star is not None or not lost:
+            assert new == ref, trial
+            seen["lter"] += lter_star is not None
+        else:
+            seen["lost"] += 1
+            seen["lower"] += new < ref
+    assert seen["lter"] == 125 and seen["lost"] >= 30 and seen["lower"] >= 15, seen
+
+
+def test_lost_mass_is_not_counted_as_terminating():
+    # s1 is lost (it only loops on itself) yet stopping there is what lifts
+    # LTER to 7/10: counting lost mass as failing (terminating) mass would
+    # return a total controller with LTER 2/5, and counting it in no LTER
+    # test would leave the exhausted search without a verdict
+    prob = parse_env(
+        "states s0 s1 s2 s3\n"
+        "actions a0 a1\n"
+        "observations o0 o1\n"
+        "observe s0 o0\nobserve s1 o0\nobserve s2 o0\nobserve s3 o1\n"
+        "init s0\ngoal s3\n"
+        "trans s0 a1 1/8 s2 1/2 s1 3/8 s3\n"
+        "trans s1 a1 1 s1\n"
+        "trans s2 a0 1 s3\n"
+        "trans s2 a1 1/2 s0 1/2 s1\n"
+        "trans s3 a0 1 s0\n"
+    )
+    assert prob.lost_states == goal_unreachable(prob) == {prob.environment.state_index("s1")}
+    request = SynthesisRequest(prob, 2, F(3, 10), F(7, 10))
+    result, ref = pandor_synth(request), uncut_synth(request)
+    assert result == ref and result.outcome == "controller"
+    m = exact_measures(prob, result.controller)
+    assert m.lgt >= F(3, 10) and m.lter >= F(7, 10)
 
 
 def _search_counting_saturations(monkeypatch, request, ledger_class):
