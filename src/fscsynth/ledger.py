@@ -4,17 +4,13 @@ The ledger tracks, for the currently simulated branch ``h_curr`` of
 length L (entries 0..n, n = L-1, each entry carrying the probability of
 the step that entered it), one accounting slot per index 0..L:
 
-* ``goal[k]`` / ``fail[k]`` / ``noter[k]`` / ``lost[k]``: explored mass
-  of goal / failing / never-terminating / lost continuations measured
-  *from* the combined state ``h_curr[k-1]``, restricted to continuations
-  that do not revisit ``h_curr[:k-1]`` and (for k <= n) do not begin
-  with the on-branch step into ``h_curr[k]``.  Slot L is the open
-  frontier: terminal events at the current node are recorded there with
-  just their final step probability.  Lost mass entered a state from
-  which no action sequence reaches a goal: it is non-goal mass whatever
-  the controller does, but it may still stop or run forever, so it is
-  neither fail nor noter mass (the search's ``LGT*`` prune counts it,
-  neither ``LTER*`` test does).
+* ``goal[k]`` / ``fail[k]`` / ``noter[k]``: explored mass of goal /
+  failing / never-terminating continuations measured *from* the combined
+  state ``h_curr[k-1]``, restricted to continuations that do not revisit
+  ``h_curr[:k-1]`` and (for k <= n) do not begin with the on-branch step
+  into ``h_curr[k]``.  Slot L is the open frontier: terminal events at
+  the current node are recorded there with just their final step
+  probability.
 * ``loop[k][m]``: explored mass of cycles that return to ``h_curr[k]``,
   measured from ``h_curr[k]`` (the full cycle traversal probability),
   bucketed by the index m at which the cycle was sealed.  Fresh records
@@ -33,10 +29,10 @@ method keeps a cache of the same bounds up to date instead:
   at L), and ``through[k] = ps[k] / headroom[k]``;
 * ``prefix[k]``: the product of ``through[:k]``, the weight of slot k in
   the index-0 bounds;
-* ``acc_goal[k]`` (and ``acc_fail``, ``acc_noter``, ``acc_lost``): the
-  prefix sums of ``prefix[j] * goal[j]``, so that ``goal0 = acc_goal[L]``;
+* ``acc_goal[k]`` (and ``acc_fail``, ``acc_noter``): the prefix sums of
+  ``prefix[j] * goal[j]``, so that ``goal0 = acc_goal[L]``;
 * ``top[k]``: the highest column of ``loop[k]`` holding mass, or -1;
-* ``total``: ``goal0 + fail0 + noter0 + lost0``, the explored mass at index 0.
+* ``total``: ``goal0 + fail0 + noter0``, the explored mass at index 0.
 
 ``extend``, a terminal record and a fold cost O(1) arithmetic; a cycle
 record to index k recomputes the cycle mass of k and of the lower rows
@@ -75,8 +71,7 @@ _ONE = Fraction(1)
 
 #: Flat per-index lists copied by ``snapshot`` (``loop`` is copied per row).
 _LISTS = (
-    "ps", "goal", "fail", "noter", "lost", "headroom", "through", "prefix",
-    "acc_goal", "acc_fail", "acc_noter", "acc_lost", "top",
+    "ps", "goal", "fail", "noter", "headroom", "through", "prefix", "acc_goal", "acc_fail", "acc_noter", "top",
 )
 
 
@@ -91,7 +86,6 @@ class LambdaVector:
     goal: tuple
     fail: tuple
     noter: tuple
-    lost: tuple
     loop: tuple
 
     @property
@@ -105,10 +99,6 @@ class LambdaVector:
     @property
     def noter0(self):
         return self.noter[0]
-
-    @property
-    def lost0(self):
-        return self.lost[0]
 
 
 class SearchLedger:
@@ -124,7 +114,6 @@ class SearchLedger:
         self.goal = [_ZERO]
         self.fail = [_ZERO]
         self.noter = [_ZERO]
-        self.lost = [_ZERO]
         self.loop = [[_ZERO]]
         self.headroom = [_ONE]
         self.through: list[Fraction] = []
@@ -132,7 +121,6 @@ class SearchLedger:
         self.acc_goal = [_ZERO]
         self.acc_fail = [_ZERO]
         self.acc_noter = [_ZERO]
-        self.acc_lost = [_ZERO]
         self.top = [-1]
         self.total = _ZERO
 
@@ -150,7 +138,6 @@ class SearchLedger:
         self.goal.append(_ZERO)
         self.fail.append(_ZERO)
         self.noter.append(_ZERO)
-        self.lost.append(_ZERO)
         for row in self.loop:
             row.append(_ZERO)
         self.loop.append([_ZERO] * (len(self.ps) + 1))
@@ -159,7 +146,7 @@ class SearchLedger:
         self.prefix.append(self.prefix[-1] * p)
         self.headroom.append(_ONE)
         self.top.append(-1)
-        for acc in (self.acc_goal, self.acc_fail, self.acc_noter, self.acc_lost):
+        for acc in (self.acc_goal, self.acc_fail, self.acc_noter):
             acc.append(acc[-1])
 
     # -- cached bounds at index 0 ------------------------------------------
@@ -176,10 +163,6 @@ class SearchLedger:
     def noter0(self):
         return self.acc_noter[-1]
 
-    @property
-    def lost0(self):
-        return self.acc_lost[-1]
-
     # -- mass records -----------------------------------------------------
 
     def record_goal(self, p) -> None:
@@ -190,9 +173,6 @@ class SearchLedger:
 
     def record_noter(self, p) -> None:
         self._record(self.noter, self.acc_noter, p)
-
-    def record_lost(self, p) -> None:
-        self._record(self.lost, self.acc_lost, p)
 
     def _record(self, slots: list, acc: list, p) -> None:
         """Terminal mass at the frontier slot; its weight in the index-0
@@ -266,31 +246,25 @@ class SearchLedger:
         return acc + row[j] if top > j else acc
 
     def _rescale(self, low: int) -> None:
-        """Recompute ``prefix`` and the prefix sums above index ``low``.
-        Every weight is positive, so lost slots that are all zero (in every
-        search that does not cut) keep their zero sums and are skipped."""
+        """Recompute ``prefix`` and the prefix sums above index ``low``."""
         prefix = self.prefix
-        slots = [(self.goal, self.acc_goal), (self.fail, self.acc_fail), (self.noter, self.acc_noter)]
-        lost = self.acc_lost[-1]
-        if lost:
-            slots.append((self.lost, self.acc_lost))
+        slots = ((self.goal, self.acc_goal), (self.fail, self.acc_fail), (self.noter, self.acc_noter))
         for t in range(low, len(self.ps)):
             weight = prefix[t] * self.through[t]
             prefix[t + 1] = weight
             for values, acc in slots:
                 v = values[t + 1]
                 acc[t + 1] = acc[t] + weight * v if v else acc[t]
-        total = self.goal0 + self.fail0 + self.noter0
-        self.total = total + self.lost0 if lost else total
+        self.total = self.goal0 + self.fail0 + self.noter0
         self._check_bounds()
 
     def _check_bounds(self) -> None:
         """calc_lambda's range checks, on the cached index-0 bounds: every
         record adds positive mass with a positive weight, so each component
         is non-negative, and a total of at most 1 keeps each one in [0, 1]."""
-        # goal, fail, noter and lost continuations are disjoint trajectory sets
+        # goal, fail and noter continuations are disjoint trajectory sets
         if self.total > 1:
-            raise LedgerError("goal+fail+noter+lost mass above 1 at index 0")
+            raise LedgerError("goal+fail+noter mass above 1 at index 0")
 
     def _saturate_at(self, k: int) -> None:
         """The dead-index rule of ``_saturate``, with the cache kept in step:
@@ -330,15 +304,14 @@ def calc_lambda(ledger: SearchLedger) -> LambdaVector:
     would divide by zero, so ``_saturate`` applies the dead-index rule
     there.  A dead index with cycle mass below 1 needs no rewrite (see
     the module docstring).  At every index the cycle mass plus the goal,
-    fail, never-terminating and lost mass that leaves without returning
-    must fit in the unit, each component must lie in [0, 1], and no row
-    below a dead index may run past it.
+    fail and never-terminating mass that leaves without returning must
+    fit in the unit, each component must lie in [0, 1], and no row below
+    a dead index may run past it.
     """
     L = len(ledger)
     lam_goal = [None] * (L + 1)
     lam_fail = [None] * (L + 1)
     lam_noter = [None] * (L + 1)
-    lam_lost = [None] * (L + 1)
     lam_loop = [None] * (L + 1)
     loop = ledger.loop
 
@@ -367,12 +340,11 @@ def calc_lambda(ledger: SearchLedger) -> LambdaVector:
             lam_goal[k] = ledger.goal[k]
             lam_fail[k] = ledger.fail[k]
             lam_noter[k] = ledger.noter[k]
-            lam_lost[k] = ledger.lost[k]
         else:
             # from h_curr[k], returning to it and ending without a return
             # are disjoint trajectory sets
-            if acc + lam_goal[k + 1] + lam_fail[k + 1] + lam_noter[k + 1] + lam_lost[k + 1] > 1:
-                raise LedgerError(f"cycle+goal+fail+noter+lost mass above 1 at index {k}")
+            if acc + lam_goal[k + 1] + lam_fail[k + 1] + lam_noter[k + 1] > 1:
+                raise LedgerError(f"cycle+goal+fail+noter mass above 1 at index {k}")
             if acc == 1:
                 _saturate(ledger, k)
                 lam_loop[k] = _ZERO
@@ -384,30 +356,28 @@ def calc_lambda(ledger: SearchLedger) -> LambdaVector:
             lam_goal[k] = through * lam_goal[k + 1] + ledger.goal[k]
             lam_fail[k] = through * lam_fail[k + 1] + ledger.fail[k]
             lam_noter[k] = through * lam_noter[k + 1] + ledger.noter[k]
-            lam_lost[k] = through * lam_lost[k + 1] + ledger.lost[k]
-        vecs = (lam_goal, lam_fail, lam_noter, lam_lost)
-        for vec in vecs:
+        for vec in (lam_goal, lam_fail, lam_noter):
             v = vec[k]
             if v < 0 or v > 1:
                 raise LedgerError(f"lambda component {v} outside [0,1] at index {k}")
-        # goal, fail, noter and lost continuations are disjoint trajectory sets
-        if sum(vec[k] for vec in vecs) > 1:
-            raise LedgerError(f"goal+fail+noter+lost mass above 1 at index {k}")
+        # goal, fail and noter continuations are disjoint trajectory sets
+        if lam_goal[k] + lam_fail[k] + lam_noter[k] > 1:
+            raise LedgerError(f"goal+fail+noter mass above 1 at index {k}")
 
-    return LambdaVector(*map(tuple, vecs), tuple(lam_loop))
+    return LambdaVector(tuple(lam_goal), tuple(lam_fail), tuple(lam_noter), tuple(lam_loop))
 
 
 def _saturate(ledger: SearchLedger, k: int) -> None:
     """Apply the dead-index rule: everything entering h_curr[k] is lost.
 
     All mass from index k provably sits in its cycle and noter slots, so
-    any goal/fail/lost slot past k, and any cycle slot sealed past k for a
+    any goal/fail slot past k, and any cycle slot sealed past k for a
     target below k, must already be zero; that is asserted, not repaired.
     """
     L = len(ledger)
     for j in range(k + 1, L + 1):
-        if ledger.goal[j] or ledger.fail[j] or ledger.lost[j]:
-            raise LedgerError("goal/fail/lost mass recorded beyond a saturated index")
+        if ledger.goal[j] or ledger.fail[j]:
+            raise LedgerError("goal/fail mass recorded beyond a saturated index")
     _check_none_past(ledger, k)
     for j in range(k, L + 1):
         row = ledger.loop[j]
@@ -452,7 +422,7 @@ def cumulate_alpha(ledger: SearchLedger) -> SearchLedger:
     dead = ledger.noter[L] == denom
     amp = 1 / denom if denom != 1 else 1
     through = ledger.ps[n] * amp
-    for slots in (ledger.goal, ledger.fail, ledger.noter, ledger.lost):
+    for slots in (ledger.goal, ledger.fail, ledger.noter):
         v = slots.pop()
         if v:
             slots[n] += through * v
@@ -473,7 +443,7 @@ def cumulate_alpha(ledger: SearchLedger) -> SearchLedger:
     del top[L], ledger.headroom[L], ledger.through[n], ledger.prefix[L], ledger.ps[n]
     top[n] = -1
     ledger.headroom[n] = _ONE
-    for acc in (ledger.acc_goal, ledger.acc_fail, ledger.acc_noter, ledger.acc_lost):
+    for acc in (ledger.acc_goal, ledger.acc_fail, ledger.acc_noter):
         acc[n] = acc.pop()
 
     # h_curr[n] is the newest entry of ``pos``: ``extend`` only appends and

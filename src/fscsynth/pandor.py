@@ -42,16 +42,18 @@ full candidate list may now finish.
 A search for ``LGT*`` alone also cuts at *lost* states, those from which
 no action sequence reaches a goal in the support graph (the Prob0 states
 of probabilistic model checking, ``PlanningProblem.lost_states``, found
-by backward reachability once per problem).  An OR step that enters one records its mass as lost
-and neither extends the branch nor opens a choice point.  No answer
-changes:
+by backward reachability once per problem).  An OR step that enters one
+records its mass as failing mass and neither extends the branch nor
+opens a choice point.  No answer changes:
 
 * lost mass is non-goal mass under every completion of the controller,
   whatever other states share its observations: it stops in a non-goal
   state, gets stuck, runs forever or meets an undefined pair;
-* so it counts in the prune test (explored non-goal mass above
-  ``1 - LGT*``) at once, where its histories would have recorded it as
-  fail or never-terminating mass one by one, and never in the goal bound;
+* a search for ``LGT*`` alone reads only the goal bound and the non-goal
+  sum (fail plus never-terminating mass above ``1 - LGT*``), so lost
+  mass counts in the prune test at once, where its histories would have
+  recorded it as fail or never-terminating mass one by one, and never in
+  the goal bound;
 * a pair that only lost histories reach stays undefined, and a returned
   controller meets ``LGT*`` however it is completed (its goal bound never
   counted those histories); a failure proof still covers every
@@ -62,10 +64,10 @@ So the search stays sound and complete, and wherever it and the uncut
 search both finish, their outcomes agree.  The OR-step count is not
 proved to shrink (a pair first met in a lost state may now be opened
 later, at another state, in another candidate order), but it never grew
-on any problem tested.  With ``LTER*`` the cut is off: lost mass may
-still stop, and a branch whose termination bound waits on that mass
-would end its exploration with no verdict.  ``measure`` never cuts, so
-its vectors stay exact.
+on any problem tested.  With ``LTER*`` the cut is off: the termination
+bound counts fail mass as terminating, but lost mass may run forever,
+and it may still stop, so neither the fail nor the never-terminating
+slot holds it.  ``measure`` never cuts, so its vectors stay exact.
 """
 
 from __future__ import annotations
@@ -236,7 +238,7 @@ class _Search(_Backtracker):
         self.lter_cap = None if lter_star is None else 1 - lter_star
         self.ledger = SearchLedger()
         # the goal-unreachable cut serves LGT* alone (module docstring)
-        self.lost = self._lost_states() if lter_star is None else frozenset()
+        self.lost = problem.lost_states if lter_star is None else frozenset()
         # per observation: (action, applicable at some state) for every
         # action offered at a choice point; only the first stuck one stays
         actions = range(len(self.env.actions))
@@ -247,9 +249,6 @@ class _Search(_Backtracker):
             self.offers.append([
                 (a, (o, a) in live) for a in actions if (o, a) in live or a == first_stuck
             ])
-
-    def _lost_states(self) -> frozenset:
-        return self.problem.lost_states
 
     def _snapshot(self):
         return self.ledger.snapshot()
@@ -272,7 +271,7 @@ class _Search(_Backtracker):
         ledger = self.ledger
         if s in self.lost:
             # never on the branch: a lost state is never extended
-            ledger.record_lost(p)
+            ledger.record_fail(p)
             return
         k = ledger.pos.get((q, s))
         if k is not None:
@@ -328,16 +327,15 @@ class _Search(_Backtracker):
 
     def _evaluate(self) -> Optional[str]:
         ledger = self.ledger
-        goal0 = ledger.goal0
+        goal0, fail0, noter0 = ledger.goal0, ledger.fail0, ledger.noter0
         if not len(ledger):
             _check_cache(ledger, calc_lambda(ledger))
         if goal0 >= self.lgt_star and (
-            self.lter_star is None or goal0 + ledger.fail0 >= self.lter_star
+            self.lter_star is None or goal0 + fail0 >= self.lter_star
         ):
             return "controller"
-        # lost mass counts as non-goal here, and in neither LTER test
-        if ledger.total - goal0 > self.lgt_cap or (
-            self.lter_cap is not None and ledger.noter0 > self.lter_cap
+        if fail0 + noter0 > self.lgt_cap or (
+            self.lter_cap is not None and noter0 > self.lter_cap
         ):
             return "fail"
         return None
@@ -353,9 +351,7 @@ class _Measure(_Search):
         # the bounds are never read: ``_evaluate`` judges nothing
         super().__init__(problem, controller.num_states, 0, None, None)
         self.controller = dict(controller.transitions)
-
-    def _lost_states(self) -> frozenset:
-        return frozenset()
+        self.lost = frozenset()
 
     def _open(self, q: int, s: int, p, candidates: list) -> None:
         pass
@@ -368,7 +364,7 @@ class _Measure(_Search):
 
 
 def _check_cache(ledger: SearchLedger, lam: LambdaVector) -> None:
-    if (lam.goal0, lam.fail0, lam.noter0, lam.lost0) != (ledger.goal0, ledger.fail0, ledger.noter0, ledger.lost0):
+    if (lam.goal0, lam.fail0, lam.noter0) != (ledger.goal0, ledger.fail0, ledger.noter0):
         raise LedgerError("cached bounds differ from calc_lambda")
 
 

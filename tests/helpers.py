@@ -69,13 +69,13 @@ def clone_ledger(ledger: SearchLedger) -> SearchLedger:
 
 def cascade_settle(ledger: SearchLedger, k: int) -> None:
     """The dead-index rule applied eagerly, as a cascade: every index from
-    ``k`` down to the highest goal/fail/lost slot whose cycle and
+    ``k`` down to the highest goal/fail slot whose cycle and
     never-terminating mass fill its unit is saturated, from the top down,
     each saturation rescaling the prefix sums above it (O(L) per index)."""
     L = len(ledger)
     if not ledger.acc_noter[L]:
         return
-    last_terminal = next((j for j in range(L, 0, -1) if ledger.goal[j] or ledger.fail[j] or ledger.lost[j]), 0)
+    last_terminal = next((j for j in range(L, 0, -1) if ledger.goal[j] or ledger.fail[j]), 0)
     for j in range(k, last_terminal - 1, -1):
         lam = 1 - ledger.headroom[j]
         noter_after = ledger.acc_noter[L] - ledger.acc_noter[j]
@@ -154,18 +154,12 @@ def goal_unreachable(problem: PlanningProblem) -> frozenset:
     return frozenset(lost)
 
 
-class _UncutSearch(_Search):
-    """The search without the goal-unreachable cut: no state is lost, so
-    every history below a lost state is explored."""
-
-    def _lost_states(self):
-        return frozenset()
-
-
 def uncut_synth(request: SynthesisRequest, budget=DEFAULT_BUDGET) -> SynthResult:
     """Reference for ``pandor_synth``: the same search with an empty lost
-    set."""
-    return _UncutSearch(request.problem, request.max_states, request.lgt_star, request.lter_star, budget).run()
+    set, so every history below a lost state is explored."""
+    search = _Search(request.problem, request.max_states, request.lgt_star, request.lter_star, budget)
+    search.lost = frozenset()
+    return search.run()
 
 
 def _hooked(engine, hook):

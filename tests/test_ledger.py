@@ -193,34 +193,8 @@ def test_lambda_checks_cycle_goal_fail_and_noter_mass_together():
     led.extend(0, 0, F(1, 2))
     led.loop[0][1] = F(1, 2)
     led.goal[1] = F(3, 4)
-    with pytest.raises(LedgerError, match="cycle\\+goal\\+fail\\+noter\\+lost mass above 1 at index 0"):
+    with pytest.raises(LedgerError, match="cycle\\+goal\\+fail\\+noter mass above 1 at index 0"):
         calc_lambda(led)
-
-
-def test_lambda_counts_lost_mass_in_the_unit():
-    # lost mass 1/2 next to cycle mass 1/2 fills index 0; a little goal
-    # mass more overfills it
-    led = SearchLedger()
-    led.extend(0, 0, F(1, 2))
-    led.loop[0][1] = F(1, 2)
-    led.lost[1] = F(1, 2)
-    lam = calc_lambda(clone_ledger(led))
-    assert (lam.lost[1], lam.lost0) == (F(1, 2), F(1, 2))
-    led.goal[1] = F(1, 16)
-    with pytest.raises(LedgerError, match="cycle\\+goal\\+fail\\+noter\\+lost mass above 1 at index 0"):
-        calc_lambda(led)
-
-
-@pytest.mark.parametrize("record", ["record_goal", "record_fail", "record_lost"])
-def test_a_saturated_index_admits_no_terminal_mass_past_it(record):
-    # a cycle of mass 1 leaves index 0 no headroom, so mass recorded past
-    # it would be a second escape from a unit that is already full
-    led = SearchLedger()
-    led.extend(0, 0, F(1))
-    led.extend(0, 1, F(1, 2))
-    getattr(led, record)(F(1, 4))
-    with pytest.raises(LedgerError, match="goal/fail/lost mass recorded beyond a saturated index"):
-        led.record_loop(0, F(1))
 
 
 def test_snapshot_restore_round_trip():
@@ -250,7 +224,6 @@ def feasible_ledgers(draw, min_len=0):
         led.goal[k] = draw(_MASS)
         led.fail[k] = draw(_MASS)
         led.noter[k] = draw(_MASS)
-        led.lost[k] = draw(_MASS)
     for k in range(length):
         for m in range(k, length + 1):
             led.loop[k][m] = draw(_MASS)
@@ -272,7 +245,6 @@ def test_fold_preserves_lambda_prefix(led):
     assert after.goal[:keep] == before.goal[:keep]
     assert after.fail[:keep] == before.fail[:keep]
     assert after.noter[:keep] == before.noter[:keep]
-    assert after.lost[:keep] == before.lost[:keep]
     assert after.loop[:keep - 1] == before.loop[:keep - 1]
 
 
@@ -280,12 +252,12 @@ def test_fold_preserves_lambda_prefix(led):
 @given(feasible_ledgers())
 def test_lambda_components_in_unit_interval(led):
     lam = calc_lambda(led)
-    for vec in (lam.goal, lam.fail, lam.noter, lam.lost, lam.loop):
+    for vec in (lam.goal, lam.fail, lam.noter, lam.loop):
         for v in vec:
             assert 0 <= v <= 1
 
 
-@pytest.mark.parametrize("record", ["record_goal", "record_fail", "record_noter", "record_lost"])
+@pytest.mark.parametrize("record", ["record_goal", "record_fail", "record_noter"])
 @pytest.mark.parametrize("mass", [F(0), F(-1, 4)])
 def test_terminal_records_need_positive_mass(record, mass):
     # the cache keeps its bounds non-negative by refusing such records

@@ -27,7 +27,6 @@ _OPS = st.lists(
         st.tuples(st.just("goal"), _MASS),
         st.tuples(st.just("fail"), _MASS),
         st.tuples(st.just("noter"), _MASS),
-        st.tuples(st.just("lost"), _MASS),
         st.tuples(st.just("loop"), st.integers(0, 7), _MASS),
         st.tuples(st.just("fold")),
         st.tuples(st.just("snapshot")),
@@ -58,18 +57,6 @@ _OVERFULL_CYCLE_PLUS_NOTER = [("extend", F(1, 3)), ("noter", F(3, 4)), ("loop", 
 _CYCLE_THROUGH_DEAD_INDEX = [
     ("extend", F(1)), ("extend", F(1, 2)), ("loop", 0, F(1, 8)), ("loop", 1, F(1, 2)), ("noter", F(1, 2)),
 ]
-
-# lost mass amplified by a cycle at index 0 and folded down twice
-_LOST_THROUGH_A_CYCLE = [
-    ("extend", F(1)), ("loop", 0, F(1, 2)), ("lost", F(1, 4)),
-    ("extend", F(1, 2)), ("lost", F(1, 2)), ("fold",), ("fold",),
-]
-# lost mass and a cycle fill index 0 together, so both sides reject the
-# never-terminating record next to them
-_LOST_FILLS_THE_UNIT = [("extend", F(1)), ("lost", F(1, 2)), ("loop", 0, F(1, 2)), ("noter", F(1, 4))]
-# a cycle of mass 1 to index 1 with lost mass past it: both sides reject
-# the cycle as they saturate index 1
-_LOST_PAST_A_FULL_CYCLE = [("extend", F(1)), ("extend", F(1, 2)), ("lost", F(1, 4)), ("loop", 1, F(1))]
 
 
 def _corridor(m, end="noter"):
@@ -104,8 +91,6 @@ def _apply(led, op, snaps, fresh):
         led.record_fail(op[1])
     elif kind == "noter":
         led.record_noter(op[1])
-    elif kind == "lost":
-        led.record_lost(op[1])
     elif kind == "loop" and len(led):
         led.record_loop(op[1] % len(led), op[2])
     elif kind == "fold" and len(led):
@@ -119,8 +104,8 @@ def _apply(led, op, snaps, fresh):
 def _assert_cache_matches_reference(led):
     ref_ledger = clone_ledger(led)
     lam = calc_lambda(ref_ledger)
-    assert (led.goal0, led.fail0, led.noter0, led.lost0) == (lam.goal0, lam.fail0, lam.noter0, lam.lost0)
-    assert led.total == lam.goal0 + lam.fail0 + lam.noter0 + lam.lost0
+    assert (led.goal0, led.fail0, led.noter0) == (lam.goal0, lam.fail0, lam.noter0)
+    assert led.total == lam.goal0 + lam.fail0 + lam.noter0
     assert tuple(1 - h for h in led.headroom) == lam.loop
     # nothing was left for the reference to saturate
     assert ref_ledger.loop == led.loop and ref_ledger.noter == led.noter
@@ -174,9 +159,7 @@ def _run(ops):
             continue
         lazy, eager = trials
         led, ref = lazy[0], eager[0]
-        assert (led.goal0, led.fail0, led.noter0, led.lost0, led.total) == (
-            ref.goal0, ref.fail0, ref.noter0, ref.lost0, ref.total
-        )
+        assert (led.goal0, led.fail0, led.noter0, led.total) == (ref.goal0, ref.fail0, ref.noter0, ref.total)
         assert _drained(led).snapshot() == _drained(ref).snapshot()
         _assert_cache_matches_reference(led)
         _assert_cache_matches_reference(ref)
@@ -191,9 +174,6 @@ def _run(ops):
 @example(_NOTER_PLUS_CYCLE)
 @example(_OVERFULL_CYCLE_PLUS_NOTER)
 @example(_CYCLE_THROUGH_DEAD_INDEX)
-@example(_LOST_THROUGH_A_CYCLE)
-@example(_LOST_FILLS_THE_UNIT)
-@example(_LOST_PAST_A_FULL_CYCLE)
 @example(_corridor(6))
 @example(_corridor(6, "loop"))
 @example(_DEAD_LIVE_DEAD)
@@ -223,7 +203,7 @@ def _assert_all_lost(led):
     branch away charges it all to the root's noter slot."""
     assert led.noter0 == 1
     drained = _drained(led)
-    assert (drained.goal, drained.fail, drained.noter, drained.lost) == ([0], [0], [1], [0])
+    assert (drained.goal, drained.fail, drained.noter) == ([0], [0], [1])
 
 
 def test_cycles_that_fill_the_unit_saturate_at_once(monkeypatch):
