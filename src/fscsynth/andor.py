@@ -65,7 +65,7 @@ class _Search(_Backtracker):
         if s in self.goals and (tr is None or tr[0] == STOP):
             if tr is None:
                 # goal entry: offer stop first, other extensions on backtrack
-                self._open(q, s, p, [(STOP, 0)] + self._action_candidates(s))
+                return self._open(q, s, p, [(STOP, 0)] + self._action_candidates(s))
             return None  # a stop here is a goal run
         if (q, s) in self.h:
             return "fail"  # repeated combined state: looping history
@@ -76,8 +76,7 @@ class _Search(_Backtracker):
         candidates = self._action_candidates(s)
         if not candidates:
             return "fail"  # dead end: no applicable action
-        self._open(q, s, p, candidates)
-        return None
+        return self._open(q, s, p, candidates)
 
     def _action_candidates(self, s: int) -> list[tuple[int, int]]:
         return [
@@ -102,9 +101,6 @@ class _Search(_Backtracker):
         self.h.remove((q, s))
         self.memo.add((q, s))
         self.memo_log.append((q, s))
-
-    def _evaluate(self) -> None:
-        return None
 
     def _exhausted(self) -> str:
         return "controller"

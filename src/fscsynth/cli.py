@@ -61,10 +61,13 @@ def _fmt(x: Fraction) -> str:
 
 
 def _parse_params(entries) -> dict:
+    params = {}
     for entry in entries or []:
-        if "=" not in entry:
-            raise _UsageError(f"--param expects name=value, got {entry!r}")
-    return dict(entry.split("=", 1) for entry in entries or [])
+        name, eq, value = entry.partition("=")
+        if not eq or name in params:
+            raise _UsageError(f"--param expects name=value with distinct names, got {entry!r}")
+        params[name] = value
+    return params
 
 
 def _read_text(path: str) -> str:

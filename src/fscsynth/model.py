@@ -92,18 +92,18 @@ class Environment:
         if len(self.omega) != n_s:
             raise ModelError("omega must be defined for every state")
         for o in self.omega:
-            if not 0 <= o < n_o:
-                raise ModelError(f"omega references unknown observation index {o}")
+            if not isinstance(o, int) or not 0 <= o < n_o:
+                raise ModelError(f"omega references unknown observation index {o!r}")
         # many (state, action) pairs share one law: check and sum each
         # distinct one once
         summed = set()
         for (s, a), dist in self.delta.items():
-            if not 0 <= s < n_s or not 0 <= a < n_a:
-                raise ModelError(f"delta references unknown state/action ({s}, {a})")
+            if not (isinstance(s, int) and isinstance(a, int)) or not 0 <= s < n_s or not 0 <= a < n_a:
+                raise ModelError(f"delta references unknown state/action ({s!r}, {a!r})")
             seen = set()
             for s2, p in dist:
-                if not 0 <= s2 < n_s:
-                    raise ModelError(f"delta({s},{a}) references unknown successor {s2}")
+                if not isinstance(s2, int) or not 0 <= s2 < n_s:
+                    raise ModelError(f"delta({s},{a}) references unknown successor {s2!r}")
                 if s2 in seen:
                     raise ModelError(f"delta({s},{a}) lists successor {s2} twice")
                 seen.add(s2)
@@ -231,6 +231,8 @@ class Controller:
     def __post_init__(self):
         check_count("controller num_states", self.num_states, 1)
         for (q, o), (a, q2) in self.transitions.items():
+            if not all(isinstance(i, int) for i in (q, o, a, q2)):
+                raise ModelError(f"controller transition ({q!r},{o!r}) -> ({a!r},{q2!r}) has a non-integer index")
             if not 0 <= q < self.num_states or not 0 <= q2 < self.num_states:
                 raise ModelError(f"controller transition ({q},{o}) uses out-of-range state")
             if a != STOP and a < 0:

@@ -5,15 +5,15 @@ combined state: a revisit of the current branch seals a cycle in the
 ledger, a stop records terminal mass, an undefined (controller state,
 observation) pair opens a choice point over every extension of the
 controller.  AND steps walk the outcome distribution of the chosen
-action.  After each explored outcome the search reads the lower bounds
-the ledger keeps up to date as it is mutated: the controller is returned
-as soon as the guaranteed goal mass reaches the requested bound, and the
-branch is abandoned as soon as the remaining optimistic mass drops below
-it (both bounds also cover the optional termination-likelihood
-requirement).  ``calc_lambda`` is the reference for those cached bounds:
-the search compares it with the cache whenever the branch is empty (where
-it costs O(1)).  ``measure`` runs the same engine on a fixed controller
-(``_Measure``) and returns ``calc_lambda``'s final vector.
+action.  After each record the search reads the lower bounds the ledger
+keeps up to date as it is mutated: the controller is returned as soon as
+the guaranteed goal mass reaches the requested bound, and the branch is
+abandoned as soon as the remaining optimistic mass drops below it (both
+bounds also cover the optional termination-likelihood requirement).
+``calc_lambda`` is the reference for those cached bounds: the search
+compares it with the cache at each record or fold that leaves the branch
+empty (where it costs O(1)).  ``measure`` runs the same engine on a fixed
+controller (``_Measure``) and returns ``calc_lambda``'s final vector.
 
 The agenda loop, the choice points and chronological backtracking live
 in ``_Backtracker``, which the deterministic baseline in ``andor`` shares;
@@ -93,8 +93,7 @@ DEFAULT_BUDGET = 10_000_000
 
 @dataclass
 class _Choice:
-    # agenda contents are copied, not length-marked: pending items below a
-    # plain watermark get popped and replaced while the branch runs
+    # agenda contents are copied: the branch pops pending items below any length mark
     agenda_copy: list
     trail_len: int
     max_used: int
@@ -110,21 +109,29 @@ class _Backtracker:
     """The search machinery both AND-OR engines share.
 
     The machine is an explicit agenda loop, not recursion, so branch
-    length is bounded by memory rather than the interpreter stack.  An
-    ``or`` item visits one combined state (``_or_step``); an ``and`` item
-    walks the next outcome of an action's distribution and judges the
-    branch after it (``check``, ``_evaluate``); a ``retreat`` item closes
-    the subtree below a combined state (``_retreat``); an empty agenda is
-    judged by ``_exhausted``.  A hook returns None to go on, ``"fail"`` to
-    abandon the branch, or an outcome that ends the search.
+    length is bounded by memory rather than the interpreter stack.  It has
+    two item kinds: ``or`` visits one combined state (``_or_step``), one
+    item per outcome of a distribution, pushed in reverse so they pop in
+    order; ``retreat`` closes the subtree below one (``_retreat``).  An OR
+    step returns None to go on, ``"fail"`` to abandon the branch, or an
+    outcome that ends the search; an empty agenda is judged by ``_exhausted``.
 
     Backtracking is chronological: every choice point copies the agenda and
     takes an engine snapshot (``_snapshot``, copy-on-branch), each committed
     candidate is acted on by ``_execute``, and the controller is unwound
     through a trail and the snapshot (``_restore``).  Fresh controller states are
     numbered canonically: a choice point offers only successors up to one
-    above the highest state in use.  An engine offers only candidates that
-    do not fail on the spot, so committing one never backtracks.
+    above the highest state in use.  A commit's verdict is handled like an
+    OR step's: ``_backtrack`` returns it, or ``"failure-proved"`` once no
+    choice point is left.
+
+    ``_Search`` judges right after each ledger record, never after an extend
+    or a fold, and judging there too would change no answer: an extend
+    appends copies of ``acc_*[-1]`` and a fold sets ``acc[n] = acc.pop()``,
+    so neither moves ``goal0``, ``fail0`` or ``noter0``; every subtree ends
+    in a judged record, and a restore brings back the bounds of an earlier
+    one (or the zero bounds, where ``0 < LGT* < 1`` gives no verdict); so
+    each dropped judgement would return None.
     """
 
     def __init__(self, env, max_states: int, budget: Optional[int], roots):
@@ -137,45 +144,28 @@ class _Backtracker:
         self.max_used = 0
         self.trail: list[tuple[int, int]] = []
         self.choices: list[_Choice] = []
-        self.agenda: list = [("and", 0, roots, 0)]
+        self.agenda: list = [("or", 0, s, p) for s, p in reversed(roots)]
         self.or_steps = 0
         self.peak_depth = 0
 
     def run(self) -> SynthResult:
         agenda = self.agenda
-        while True:
-            if not agenda:
-                verdict = self._exhausted()
-            else:
-                item = agenda.pop()
-                tag = item[0]
-                if tag == "or":
-                    if self.or_steps == self.budget:
-                        verdict = "budget-exhausted"
-                        break
-                    self.or_steps += 1
-                    _, q, s, p = item
-                    verdict = self._or_step(q, s, p)
-                elif tag == "and":
-                    _, q2, dist, j = item
-                    if j < len(dist):
-                        agenda.append(("and", q2, dist, j + 1))
-                        agenda.append(("check",))
-                        s2, p2 = dist[j]
-                        agenda.append(("or", q2, s2, p2))
-                    continue
-                elif tag == "retreat":
-                    self._retreat(item[1], item[2])
-                    continue
-                else:
-                    verdict = self._evaluate()
-            if verdict is None:
+        while agenda:
+            item = agenda.pop()
+            if item[0] == "retreat":
+                self._retreat(item[1], item[2])
                 continue
-            if verdict != "fail":
+            if self.or_steps == self.budget:
+                verdict = "budget-exhausted"
                 break
-            if not self._backtrack():
-                verdict = "failure-proved"
+            self.or_steps += 1
+            verdict = self._or_step(item[1], item[2], item[3])
+            while verdict == "fail":
+                verdict = self._backtrack()
+            if verdict is not None:
                 break
+        else:
+            verdict = self._exhausted()
         found = verdict == "controller"
         controller = Controller(self.max_used + 1, dict(self.controller)) if found else None
         return SynthResult(verdict, controller, self.or_steps, self.peak_depth)
@@ -184,35 +174,35 @@ class _Backtracker:
         """Canonically numbered successor states for a fresh transition."""
         return range(min(self.max_used + 1, self.max_states - 1) + 1)
 
-    def _open(self, q: int, s: int, p, candidates: list) -> None:
+    def _open(self, q: int, s: int, p, candidates: list) -> Optional[str]:
         cp = _Choice(list(self.agenda), len(self.trail), self.max_used, self._snapshot(), q, s, p, candidates)
         self.choices.append(cp)
-        self._commit(cp)
+        return self._commit(cp)
 
-    def _commit(self, cp: _Choice) -> None:
+    def _commit(self, cp: _Choice) -> Optional[str]:
         cand = cp.candidates[cp.idx]
         key = (cp.q, self.env.obs(cp.s))
         self.controller[key] = cand
         self.trail.append(key)
         if cand[0] != STOP and cand[1] > self.max_used:
             self.max_used = cand[1]
-        self._execute(cp.q, cp.s, cp.p, cand)
+        return self._execute(cp.q, cp.s, cp.p, cand)
 
     def _descend(self, q: int, s: int, q2: int, dist, depth: int) -> None:
         """Walk ``dist`` from (q, s), now at branch ``depth``."""
         if depth > self.peak_depth:
             self.peak_depth = depth
         self.agenda.append(("retreat", q, s))
-        self.agenda.append(("and", q2, dist, 0))
+        self.agenda.extend([("or", q2, s2, p2) for s2, p2 in reversed(dist)])
 
-    def _backtrack(self) -> bool:
+    def _backtrack(self) -> Optional[str]:
         # exhausted choice points are dropped unrestored: the restore of
         # the one that resumes overwrites everything theirs would set
         choices = self.choices
         while choices and choices[-1].idx + 1 >= len(choices[-1].candidates):
             choices.pop()
         if not choices:
-            return False
+            return "failure-proved"
         cp = choices[-1]
         self.agenda[:] = cp.agenda_copy
         for key in reversed(self.trail[cp.trail_len:]):
@@ -221,8 +211,7 @@ class _Backtracker:
         self.max_used = cp.max_used
         self._restore(cp.snap)
         cp.idx += 1
-        self._commit(cp)
-        return True
+        return self._commit(cp)
 
 
 class _Search(_Backtracker):
@@ -257,22 +246,22 @@ class _Search(_Backtracker):
         self.ledger.restore(snap)
 
     def _retreat(self, q: int, s: int) -> None:
-        cumulate_alpha(self.ledger)
+        if not len(cumulate_alpha(self.ledger)):
+            _check_cache(self.ledger, calc_lambda(self.ledger))
 
     def _exhausted(self) -> str:
-        # the check after the last root outcome judged this same ledger with
-        # all mass explored, and bounds that sum to one always give a verdict
+        # the last record was judged on the final bounds, which sum to one and so give a verdict
         raise LedgerError("exploration exhausted without a termination verdict")
 
     # -- OR step ----------------------------------------------------------
 
-    def _or_step(self, q: int, s: int, p) -> None:
+    def _or_step(self, q: int, s: int, p) -> Optional[str]:
         """Process one combined-state visit."""
         ledger = self.ledger
         if s in self.lost:
             # never on the branch: a lost state is never extended
             ledger.record_fail(p)
-            return
+            return self._evaluate()
         k = ledger.pos.get((q, s))
         if k is not None:
             # revisit of the current branch: seal the cycle
@@ -283,13 +272,11 @@ class _Search(_Backtracker):
                 ledger.record_noter(p)  # non-decaying cycle never terminates
             else:
                 ledger.record_loop(k, p_loop)
-            return
-        key = (q, self.env.obs(s))
-        tr = self.controller.get(key)
+            return self._evaluate()
+        tr = self.controller.get((q, self.env.obs(s)))
         if tr is not None:
-            self._execute(q, s, p, tr)
-            return
-        self._open(q, s, p, self._candidates(s))
+            return self._execute(q, s, p, tr)
+        return self._open(q, s, p, self._candidates(s))
 
     def _candidates(self, s: int) -> list[tuple[int, int]]:
         """Extension choices: every applicable action crossed with
@@ -305,7 +292,7 @@ class _Search(_Backtracker):
             return [(STOP, 0)] + acts
         return acts + [(STOP, 0)]
 
-    def _execute(self, q: int, s: int, p, tr) -> None:
+    def _execute(self, q: int, s: int, p, tr) -> Optional[str]:
         """Act on a defined transition from combined state (q, s)."""
         a, q2 = tr
         ledger = self.ledger
@@ -314,14 +301,15 @@ class _Search(_Backtracker):
                 ledger.record_goal(p)
             else:
                 ledger.record_fail(p)
-            return
+            return self._evaluate()
         dist = self.env.dist(s, a)
         if dist is None:
             # inapplicable action: execution is stuck and never terminates
             ledger.record_noter(p)
-            return
+            return self._evaluate()
         ledger.extend(q, s, p)
         self._descend(q, s, q2, dist, len(ledger))
+        return None
 
     # -- bound evaluation --------------------------------------------------
 

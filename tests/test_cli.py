@@ -241,6 +241,15 @@ def test_usage_errors_exit_64(capsys):
     assert code == 64 and "not both" in err
 
 
+def test_repeated_param_exits_64(capsys):
+    # keeping the last value would search n=9 and prove failure where n=3 has a controller
+    code, out, err = run(capsys, "synth", "--domain", "bridgewalk", "--param", "n=3", "--param", "n=9",
+                         "--max-states", "1", "--lgt-star", "0.5")
+    assert code == 64 and not out and "distinct names, got 'n=9'" in err
+    code, _, _ = run(capsys, "synth", "--domain", "bridgewalk", "--param", "n=3", "--max-states", "1", "--lgt-star", "0.5")
+    assert code == 0
+
+
 @pytest.mark.parametrize("n", ["5/2", "2.5"])
 def test_non_integral_integer_param_exits_64(capsys, n):
     # int() would truncate it to 2 and run the search on the wrong domain

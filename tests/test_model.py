@@ -122,6 +122,18 @@ def test_environment_rejects_bad_indices(states, observations, delta, omega):
         Environment(states, ("a",), observations, delta, omega)
 
 
+@pytest.mark.parametrize("delta, omega", [
+    ({(0, 0): ((1, F(1)),)}, ("0", 0)),  # observation given as a string
+    ({(0, 0): ((1, F(1)),)}, (0.0, 0)),  # observation given as a float
+    ({(0.5, 0): ((1, F(1)),)}, (0, 0)),  # a state that matches no index
+    ({(0, 0.0): ((1, F(1)),)}, (0, 0)),  # an action equal to 0 but not an int
+    ({(0, 0): ((1.0, F(1)),)}, (0, 0)),  # successor 1.0 would index a list later
+])
+def test_environment_rejects_non_integer_indices(delta, omega):
+    with pytest.raises(ModelError):
+        Environment(("a", "g"), ("x",), ("o",), delta, omega)
+
+
 def test_environment_rejects_duplicates_and_nonpositive_probs():
     with pytest.raises(ModelError):
         Environment.from_tables(("s0", "s0"), ("a",), ("o",), {"s0": "o"}, {})
@@ -143,6 +155,17 @@ def test_controller_validation():
         Controller(1, {(0, 0): (-5, 0)})  # negative action other than STOP
     with pytest.raises(ModelError, match="integer"):
         Controller(1.5, {})
+
+
+@pytest.mark.parametrize("transitions", [
+    {(0.5, 0): (0, 1)},  # would match no pair and pass as undefined mass
+    {(0, 0.0): (0, 1)},
+    {(0, 0): (F(0), 1)},
+    {(0, 0): (0, 1.0)},
+])
+def test_controller_rejects_non_integer_indices(transitions):
+    with pytest.raises(ModelError, match="non-integer"):
+        Controller(2, transitions)
 
 
 def test_planning_problem_validation(coin):

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from fscsynth import pandor
-from fscsynth.domains import build, parse_env
+from fscsynth.domains import build, domain_names, parse_env
 from fscsynth.ledger import SearchLedger
 from fscsynth.model import ModelError, STOP, SynthesisRequest
 from fscsynth.pandor import DEFAULT_BUDGET, measure, pandor_synth
@@ -297,6 +297,49 @@ def test_stuck_action_collapse_on_random_partial_problems():
         else:
             assert new.or_steps == full.or_steps, case
     assert seen["stuck"] >= 100 and seen["lower"] >= 1, seen
+
+
+class _JudgingEverywhere(pandor._Search):
+    """The search, also judging its branch after every extend and every
+    fold; each of those judgements must give no verdict."""
+
+    judged = 0
+
+    def _execute(self, q, s, p, tr):
+        depth = len(self.ledger)
+        verdict = super()._execute(q, s, p, tr)
+        if len(self.ledger) > depth:
+            self._judge_in_vain()
+        return verdict
+
+    def _retreat(self, q, s):
+        super()._retreat(q, s)
+        self._judge_in_vain()
+
+    def _judge_in_vain(self):
+        assert self._evaluate() is None
+        self.judged += 1
+
+
+def _assert_judging_everywhere_changes_nothing(request, budget=DEFAULT_BUDGET):
+    search = _JudgingEverywhere(request.problem, request.max_states, request.lgt_star, request.lter_star, budget)
+    assert search.run() == pandor_synth(request, budget)
+    return search.judged
+
+
+def test_folds_and_extends_never_move_a_verdict():
+    judged = 0
+    for name in domain_names():
+        prob = build(name)
+        for N, lgt_star in itertools.product((1, 2, 3), (F(1, 10), F(1, 2), F(9, 10))):
+            judged += _assert_judging_everywhere_changes_nothing(SynthesisRequest(prob, N, lgt_star))
+    rng = random.Random(7070)
+    for trial in range(200):
+        prob = random_env(rng, n_states=rng.randint(2, 4), partial=rng.random() < 0.5)
+        lter_star = F(rng.randint(1, 19), 20) if trial % 2 else None
+        request = SynthesisRequest(prob, rng.randint(1, 2), F(rng.randint(1, 19), 20), lter_star)
+        judged += _assert_judging_everywhere_changes_nothing(request, budget=3000)
+    assert judged > 1000
 
 
 def test_bridgewalk_proof_step_count():
