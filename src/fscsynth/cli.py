@@ -215,7 +215,8 @@ def controller_to_dot(controller: Controller, env) -> str:
         for o, a in labels:
             name = STOP_NAME if a == STOP else env.actions[a]
             dashed = dashed or a == STOP
-            parts.append(f"{env.observations[o]} : {name}")
+            # an identifier may hold a backslash or a quote: escape both for DOT
+            parts.append(f"{env.observations[o]} : {name}".replace("\\", "\\\\").replace('"', '\\"'))
         style = ", style=dashed" if dashed else ""
         label = "\\n".join(parts)
         lines.append(f'  q{q} -> q{q2} [label="{label}"{style}];')

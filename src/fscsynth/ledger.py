@@ -11,10 +11,11 @@ the step that entered it), one accounting slot per index 0..L:
   into ``h_curr[k]``.  Slot L is the open frontier: terminal events at
   the current node are recorded there with just their final step
   probability.
-* ``loop[k][m]``: explored mass of cycles that return to ``h_curr[k]``,
-  measured from ``h_curr[k]`` (the full cycle traversal probability),
-  bucketed by the index m at which the cycle was sealed.  Fresh records
-  always land in column L; folds migrate them to lower columns.
+* ``loop[k]``, one dict per branch entry k < L: explored mass of cycles
+  that return to ``h_curr[k]``, measured from ``h_curr[k]`` (the full
+  cycle traversal probability), keyed by the index m (k <= m <= L) at
+  which the cycle was sealed; only positive masses are stored.  Fresh
+  records always land in column L; folds migrate them to lower columns.
 
 ``calc_lambda`` turns the slots into sound lower bounds
 (lambda vectors) by amplifying through-branch mass with the geometric
@@ -31,7 +32,6 @@ method keeps a cache of the same bounds up to date instead:
   the index-0 bounds;
 * ``acc_goal[k]`` (and ``acc_fail``, ``acc_noter``): the prefix sums of
   ``prefix[j] * goal[j]``, so that ``goal0 = acc_goal[L]``;
-* ``top[k]``: the highest column of ``loop[k]`` holding mass, or -1;
 * ``total``: ``goal0 + fail0 + noter0``, the explored mass at index 0.
 
 ``extend``, a terminal record and a fold cost O(1) arithmetic; a cycle
@@ -71,7 +71,7 @@ _ONE = Fraction(1)
 
 #: Flat per-index lists copied by ``snapshot`` (``loop`` is copied per row).
 _LISTS = (
-    "ps", "goal", "fail", "noter", "headroom", "through", "prefix", "acc_goal", "acc_fail", "acc_noter", "top",
+    "ps", "goal", "fail", "noter", "headroom", "through", "prefix", "acc_goal", "acc_fail", "acc_noter",
 )
 
 
@@ -114,14 +114,13 @@ class SearchLedger:
         self.goal = [_ZERO]
         self.fail = [_ZERO]
         self.noter = [_ZERO]
-        self.loop = [[_ZERO]]
+        self.loop: list[dict[int, Fraction]] = []
         self.headroom = [_ONE]
         self.through: list[Fraction] = []
         self.prefix = [_ONE]
         self.acc_goal = [_ZERO]
         self.acc_fail = [_ZERO]
         self.acc_noter = [_ZERO]
-        self.top = [-1]
         self.total = _ZERO
 
     # -- shape ----------------------------------------------------------
@@ -130,7 +129,7 @@ class SearchLedger:
         return len(self.ps)
 
     def extend(self, q: int, s: int, p) -> None:
-        """Append a combined state to h_curr; grow every slot by one zero."""
+        """Append a combined state to h_curr; grow every slot list by one."""
         if (q, s) in self.pos:
             raise LedgerError("h_curr must not contain a combined state twice")
         self.pos[(q, s)] = len(self.ps)
@@ -138,14 +137,11 @@ class SearchLedger:
         self.goal.append(_ZERO)
         self.fail.append(_ZERO)
         self.noter.append(_ZERO)
-        for row in self.loop:
-            row.append(_ZERO)
-        self.loop.append([_ZERO] * (len(self.ps) + 1))
+        self.loop.append({})
         # the old frontier carries no cycle mass, so its headroom is 1
         self.through.append(p)
         self.prefix.append(self.prefix[-1] * p)
         self.headroom.append(_ONE)
-        self.top.append(-1)
         for acc in (self.acc_goal, self.acc_fail, self.acc_noter):
             acc.append(acc[-1])
 
@@ -191,14 +187,16 @@ class SearchLedger:
         L = len(self.ps)
         if not 0 <= k < L:
             raise LedgerError("loop record outside h_curr")
-        self.loop[k][L] += p_loop
-        self.top[k] = L
+        row = self.loop[k]
+        row[L] = row.get(L, _ZERO) + p_loop
         # a new cycle mass at index j changes the amplification of every
         # lower row that has a column past j; walk down and recompute those
         low = None
         for j in range(k, -1, -1):
-            if j < k and (low is None or self.top[j] <= low):
-                continue
+            if j < k:
+                row = self.loop[j]
+                if low is None or not row or max(row) <= low:
+                    continue
             # the new mass strictly raises the cycle mass of row k, and so of
             # every lower row that runs past a changed index: h always moves
             h = 1 - self._row_lambda(j)
@@ -231,19 +229,19 @@ class SearchLedger:
         """calc_lambda's cycle mass at index j from row j and the cached
         headroom above it (Horner form: column m is divided by the
         headroom of every index strictly between j and m).  Only rows with
-        mass past a changed index are recomputed, so ``top[j] >= 0``."""
-        top = self.top[j]
+        mass past a changed index are recomputed, so row j is not empty."""
         row = self.loop[j]
+        top = max(row)
         headroom = self.headroom
         acc = row[top]
         for m in range(top - 1, j, -1):
             h = headroom[m]
             if h != 1:
                 acc /= h
-            v = row[m]
+            v = row.get(m)
             if v:
                 acc += v
-        return acc + row[j] if top > j else acc
+        return acc + row.get(j, _ZERO) if top > j else acc
 
     def _rescale(self, low: int) -> None:
         """Recompute ``prefix`` and the prefix sums above index ``low``."""
@@ -273,7 +271,6 @@ class SearchLedger:
         that leaves index k no headroom calls it."""
         _saturate(self, k)
         for j in range(k, len(self.ps) + 1):
-            self.top[j] = -1
             self.headroom[j] = _ONE
         self.through[k:] = self.ps[k:]
         self._rescale(k)
@@ -286,13 +283,13 @@ class SearchLedger:
         Folds running between snapshot and restore legitimately shorten
         h_curr below its snapshot length, so the branch contents are
         stored, not just a length."""
-        return [list(getattr(self, name)) for name in _LISTS], [list(row) for row in self.loop], dict(self.pos), self.total
+        return [list(getattr(self, name)) for name in _LISTS], [dict(row) for row in self.loop], dict(self.pos), self.total
 
     def restore(self, snap) -> None:
         lists, loop, pos, self.total = snap
         for name, values in zip(_LISTS, lists):
             setattr(self, name, list(values))
-        self.loop = [list(row) for row in loop]
+        self.loop = [dict(row) for row in loop]
         self.pos = dict(pos)
 
 
@@ -309,38 +306,29 @@ def calc_lambda(ledger: SearchLedger) -> LambdaVector:
     a dead index may run past it.
     """
     L = len(ledger)
-    lam_goal = [None] * (L + 1)
-    lam_fail = [None] * (L + 1)
-    lam_noter = [None] * (L + 1)
-    lam_loop = [None] * (L + 1)
+    # the frontier slot L carries no cycle mass: its bounds are its slots
+    lam_goal, lam_fail, lam_noter = ([None] * L + [slots[L]] for slots in (ledger.goal, ledger.fail, ledger.noter))
+    lam_loop = [None] * L + [_ZERO]
     loop = ledger.loop
 
     for k in range(L, -1, -1):
-        # cycle mass at index k: row k amplified by cycles at intermediate
-        # indices strictly between the target k and each sealing column
-        row = loop[k]
-        acc = _ZERO
-        if any(row):
-            amp = 1
-            for m in range(k, L + 1):
-                v = row[m]
-                if v:
-                    acc += amp * v
-                if m > k:
-                    denom = 1 - lam_loop[m]
-                    if not denom:
-                        raise LedgerError("cycle amplification hit mass 1 past saturation")
-                    amp = amp / denom if denom != 1 else amp
-        lam_loop[k] = acc
-
-        if k == L:
-            # the frontier row, which no method writes
-            if acc > 1:
-                raise LedgerError(f"cycle mass above 1 at index {k}")
-            lam_goal[k] = ledger.goal[k]
-            lam_fail[k] = ledger.fail[k]
-            lam_noter[k] = ledger.noter[k]
-        else:
+        if k < L:
+            # cycle mass at index k: row k amplified by cycles at intermediate
+            # indices strictly between the target k and each sealing column
+            row = loop[k]
+            acc = _ZERO
+            if row:
+                amp = 1
+                for m in range(k, L + 1):
+                    v = row.get(m)
+                    if v:
+                        acc += amp * v
+                    if m > k:
+                        denom = 1 - lam_loop[m]
+                        if not denom:
+                            raise LedgerError("cycle amplification hit mass 1 past saturation")
+                        amp = amp / denom if denom != 1 else amp
+            lam_loop[k] = acc
             # from h_curr[k], returning to it and ending without a return
             # are disjoint trajectory sets
             if acc + lam_goal[k + 1] + lam_fail[k + 1] + lam_noter[k + 1] > 1:
@@ -379,10 +367,8 @@ def _saturate(ledger: SearchLedger, k: int) -> None:
         if ledger.goal[j] or ledger.fail[j]:
             raise LedgerError("goal/fail mass recorded beyond a saturated index")
     _check_none_past(ledger, k)
-    for j in range(k, L + 1):
-        row = ledger.loop[j]
-        for m in range(j, L + 1):
-            row[m] = _ZERO
+    for row in ledger.loop[k:]:
+        row.clear()
     for j in range(k + 2, L + 1):
         ledger.noter[j] = _ZERO
     ledger.noter[k + 1] = _ONE
@@ -391,8 +377,8 @@ def _saturate(ledger: SearchLedger, k: int) -> None:
 def _check_none_past(ledger: SearchLedger, k: int) -> None:
     """No row below the dead index k may hold a cycle sealed past k: that
     escape from h_curr[k] would push its explored mass above 1."""
-    for j in range(k):
-        if any(ledger.loop[j][k + 1:]):
+    for row in ledger.loop[:k]:
+        if any(v for m, v in row.items() if m > k):
             raise LedgerError(f"cycle mass through dead index {k}")
 
 
@@ -402,16 +388,19 @@ def cumulate_alpha(ledger: SearchLedger) -> SearchLedger:
     The new slot values are chosen so that ``calc_lambda`` returns the
     same values before and after the fold (on the shared indices); the
     through mass of the disappearing entry is amplified by its recorded
-    cycles and charged to the parent slot.  Row L is always empty, so the
-    cycle mass at n is just ``loop[n][n] + loop[n][L]``: the fold reads it
-    from the slots, and leaves every cached bound below n as it was.
+    cycles and charged to the parent slot.  The folded entry's row is
+    popped: it can only hold columns n and L, so the cycle mass at n is
+    just their sum, read from the slots; every cached bound below n stays
+    as it was.
     Mutates and returns the ledger.
     """
     L = len(ledger)
     if L == 0:
         raise LedgerError("cannot fold a ledger with an empty branch")
     n = L - 1
-    lam_n = ledger.loop[n][n] + ledger.loop[n][L]
+    loop = ledger.loop
+    row = loop.pop()
+    lam_n = row.get(n, _ZERO) + row.get(L, _ZERO)
     denom = 1 - lam_n
     if not denom:
         raise LedgerError("fold hit cycle mass 1: saturation rule missed")
@@ -427,21 +416,16 @@ def cumulate_alpha(ledger: SearchLedger) -> SearchLedger:
         if v:
             slots[n] += through * v
 
-    loop, top = ledger.loop, ledger.top
-    for j in range(n):
-        v = loop[j].pop()
+    for row in loop:
+        v = row.pop(L, None)
         if v:
             if dead:
                 raise LedgerError(f"cycle mass through dead index {n}")
-            loop[j][n] += amp * v
-            top[j] = n
-    del loop[L]
-    loop[n] = [_ZERO] * L
+            row[n] = row.get(n, _ZERO) + amp * v
 
     # index n becomes the frontier: no cycle mass, and the prefix sums up
     # to it already hold the folded mass (so ``total`` is unchanged)
-    del top[L], ledger.headroom[L], ledger.through[n], ledger.prefix[L], ledger.ps[n]
-    top[n] = -1
+    del ledger.headroom[L], ledger.through[n], ledger.prefix[L], ledger.ps[n]
     ledger.headroom[n] = _ONE
     for acc in (ledger.acc_goal, ledger.acc_fail, ledger.acc_noter):
         acc[n] = acc.pop()

@@ -97,11 +97,19 @@ class Environment:
         # many (state, action) pairs share one law: check and sum each
         # distinct one once
         summed = set()
-        for (s, a), dist in self.delta.items():
+        for key, dist in self.delta.items():
+            try:
+                s, a = key
+            except (TypeError, ValueError):
+                raise ModelError(f"delta key {key!r} is not a (state, action) pair") from None
             if not (isinstance(s, int) and isinstance(a, int)) or not 0 <= s < n_s or not 0 <= a < n_a:
                 raise ModelError(f"delta references unknown state/action ({s!r}, {a!r})")
             seen = set()
-            for s2, p in dist:
+            for entry in dist:
+                try:
+                    s2, p = entry
+                except (TypeError, ValueError):
+                    raise ModelError(f"delta({s},{a}) entry {entry!r} is not a (successor, probability) pair") from None
                 if not isinstance(s2, int) or not 0 <= s2 < n_s:
                     raise ModelError(f"delta({s},{a}) references unknown successor {s2!r}")
                 if s2 in seen:
@@ -230,7 +238,11 @@ class Controller:
 
     def __post_init__(self):
         check_count("controller num_states", self.num_states, 1)
-        for (q, o), (a, q2) in self.transitions.items():
+        for key, value in self.transitions.items():
+            try:
+                (q, o), (a, q2) = key, value
+            except (TypeError, ValueError):
+                raise ModelError(f"controller transition {key!r} -> {value!r} is not a (q, o) -> (a, q2) pair") from None
             if not all(isinstance(i, int) for i in (q, o, a, q2)):
                 raise ModelError(f"controller transition ({q!r},{o!r}) -> ({a!r},{q2!r}) has a non-integer index")
             if not 0 <= q < self.num_states or not 0 <= q2 < self.num_states:

@@ -220,6 +220,19 @@ def test_export_dot_noisy_retry_edge(tmp_path, capsys):
     assert q1_self and "B : left" in q1_self[0]
 
 
+def test_export_dot_escapes_quotes_and_backslashes(tmp_path, capsys):
+    from fscsynth.model import Controller, Environment, PlanningProblem
+
+    env = Environment(("s", "t"), ("go\\",), ('o"1', "won"), {(0, 0): ((1, F(1)),)}, (0, 1))
+    prob = PlanningProblem(env, 0, frozenset({1}))
+    env_file, ctrl_file = tmp_path / "q.env", tmp_path / "q.fsc"
+    env_file.write_text(serialize_env(prob))
+    ctrl_file.write_text(serialize_controller(Controller(1, {(0, 0): (0, 0), (0, 1): (-1, 0)}), env))
+    code, out, _ = run(capsys, "export-dot", "--env", str(env_file), "--controller", str(ctrl_file))
+    assert code == 0
+    assert '  q0 -> q0 [label="o\\"1 : go\\\\\\nwon : stop", style=dashed];' in out.splitlines()
+
+
 def test_usage_errors_exit_64(capsys):
     code, _, err = run(capsys, "synth", "--domain", "coin-flip", "--max-states", "2", "--lgt-star", "bogus")
     assert code == 64 and "rational" in err

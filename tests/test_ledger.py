@@ -124,7 +124,7 @@ def test_saturation_rule_on_conspiring_cycles():
     assert lam.noter0 == 1
     assert lam.goal0 == 0 and lam.fail0 == 0
     # mutation persists: the cycle slots are zeroed, noter slot saturated
-    assert all(not any(row) for row in led.loop)
+    assert all(not any(row.values()) for row in led.loop)
     assert led.noter[1] == 1
     lam2 = calc_lambda(led)
     assert lam2.noter0 == 1

@@ -109,7 +109,11 @@ def _assert_cache_matches_reference(led):
     assert tuple(1 - h for h in led.headroom) == lam.loop
     # nothing was left for the reference to saturate
     assert ref_ledger.loop == led.loop and ref_ledger.noter == led.noter
-    assert led.top == [max((m for m, v in enumerate(row) if v), default=-1) for row in led.loop]
+    # one sparse cycle row per branch entry, holding only positive masses
+    # sealed at or above the row's own index and at most at the frontier
+    L = len(led)
+    assert len(led.loop) == L
+    assert all(j <= m <= L and v > 0 for j, row in enumerate(led.loop) for m, v in row.items())
     # h_curr in branch order, also after folds and restores
     assert list(led.pos.values()) == list(range(len(led)))
 
@@ -212,7 +216,7 @@ def test_cycles_that_fill_the_unit_saturate_at_once(monkeypatch):
     assert _saturations(calls, SearchLedger) == _saturations(calls, CascadeLedger) == [0]
     assert len(led) == 3
     assert led.noter[1] == 1
-    assert all(not any(row) for row in led.loop)
+    assert all(not any(row.values()) for row in led.loop)
     _assert_all_lost(led)
 
 

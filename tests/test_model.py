@@ -134,6 +134,17 @@ def test_environment_rejects_non_integer_indices(delta, omega):
         Environment(("a", "g"), ("x",), ("o",), delta, omega)
 
 
+@pytest.mark.parametrize("delta", [
+    {0: ((0, F(1)),)},  # a key that is not a (state, action) pair
+    {(0, 0, 1): ((0, F(1)),)},
+    {(0, 0): (0,)},  # a law entry that is not a (successor, probability) pair
+    {(0, 0): ((0, F(1), 3),)},
+])
+def test_environment_rejects_malformed_delta_shapes(delta):
+    with pytest.raises(ModelError, match="not a"):
+        Environment(("a",), ("x",), ("o",), delta, (0,))
+
+
 def test_environment_rejects_duplicates_and_nonpositive_probs():
     with pytest.raises(ModelError):
         Environment.from_tables(("s0", "s0"), ("a",), ("o",), {"s0": "o"}, {})
@@ -166,6 +177,17 @@ def test_controller_validation():
 def test_controller_rejects_non_integer_indices(transitions):
     with pytest.raises(ModelError, match="non-integer"):
         Controller(2, transitions)
+
+
+@pytest.mark.parametrize("transitions", [
+    {0: (0, 0)},  # a key that is not a (q, o) pair
+    {(0, 0, 1): (0, 0)},
+    {(0, 0): 0},  # a value that is not an (a, q2) pair
+    {(0, 0): (0, 0, 1)},
+])
+def test_controller_rejects_malformed_transition_shapes(transitions):
+    with pytest.raises(ModelError, match="not a"):
+        Controller(1, transitions)
 
 
 def test_planning_problem_validation(coin):
