@@ -26,14 +26,13 @@ from fscsynth.model import (
 from fscsynth.verifier import Measures, exact_measures
 from fscsynth.ledger import LambdaVector, LedgerError, SearchLedger, calc_lambda, cumulate_alpha
 from fscsynth.pandor import measure, pandor_synth
-from fscsynth.andor import GeneralizedProblem, andor_synth
+from fscsynth.andor import andor_synth
 from fscsynth.domains import DomainError, ParseError, build, parse_controller, parse_env, serialize_controller, serialize_env
 
 __all__ = [
     "Controller",
     "DomainError",
     "Environment",
-    "GeneralizedProblem",
     "LambdaVector",
     "LedgerError",
     "Measures",

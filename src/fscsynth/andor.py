@@ -1,12 +1,11 @@
 """Classical bounded AND-OR synthesis over the support relation.
 
 This is the deterministic-outcome baseline: it accepts a controller only
-if *every* history from every initial state reaches a goal state with no
-repeated combined state, treating the transition function as a bare
-relation (probabilities are ignored).  It exists to reproduce the two
-failure modes that motivate the probabilistic engine: domains where some
-run is unavoidably non-goal, and domains where every controller has a
-looping history.
+if *every* history reaches a goal state with no repeated combined state,
+treating the transition function as a bare relation (probabilities are
+ignored).  It exists to reproduce the two failure modes that motivate the
+probabilistic engine: domains where some run is unavoidably non-goal, and
+domains where every controller has a looping history.
 
 Two adaptations make the returned controllers verifiable under the
 stop-based execution semantics used everywhere else in this package:
@@ -21,43 +20,21 @@ branch and the explored (q, s)-subtree memo are this engine's own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from fscsynth.model import Environment, ModelError, PlanningProblem, STOP, SynthResult, check_count
+from fscsynth.model import PlanningProblem, STOP, SynthResult, check_count
 from fscsynth.pandor import DEFAULT_BUDGET, _Backtracker
 
 
-@dataclass(frozen=True)
-class GeneralizedProblem:
-    """Environment with a set of initial states and a goal set."""
-
-    environment: Environment
-    initial_states: frozenset[int]
-    goal_states: frozenset[int]
-
-    def __post_init__(self):
-        n = len(self.environment.states)
-        if not self.initial_states:
-            raise ModelError("generalized problem needs at least one initial state")
-        if any(not isinstance(s, int) or not 0 <= s < n for s in self.initial_states | self.goal_states):
-            raise ModelError("initial/goal set references unknown state")
-
-    @classmethod
-    def from_problem(cls, problem: PlanningProblem) -> "GeneralizedProblem":
-        return cls(problem.environment, frozenset({problem.initial_state}), problem.goal_states)
-
-
 class _Search(_Backtracker):
-    def __init__(self, gp: GeneralizedProblem, n: int, budget: Optional[int]):
-        super().__init__(gp.environment, n, budget, tuple((s, 1) for s in sorted(gp.initial_states)))
-        self.goals = gp.goal_states
+    def __init__(self, problem: PlanningProblem, n: int, budget: Optional[int]):
+        super().__init__(problem, n, budget)
+        self.goals = problem.goal_states
         # the branch, never holding a state twice: ``_or_step`` fails on a repeat, and a
         # goal-entry choice point opens only on an undefined (q, o), which no branch state has
         self.h: set[tuple[int, int]] = set()
-        # (q, s) whose subtree is verified, and the order they were added in
-        self.memo: set[tuple[int, int]] = set()
-        self.memo_log: list[tuple[int, int]] = []
+        # (q, s) whose subtree is verified, in insertion order (a memo hit returns, so no key repeats)
+        self.memo: dict[tuple[int, int], None] = {}
 
     def _or_step(self, q: int, s: int, p) -> Optional[str]:
         key = (q, self.env.obs(s))
@@ -99,31 +76,27 @@ class _Search(_Backtracker):
 
     def _retreat(self, q: int, s: int) -> None:
         self.h.remove((q, s))
-        self.memo.add((q, s))
-        self.memo_log.append((q, s))
+        self.memo[(q, s)] = None
 
     def _exhausted(self) -> str:
         return "controller"
 
     def _snapshot(self):
-        return (set(self.h), len(self.memo_log))
+        return (set(self.h), len(self.memo))
 
     def _restore(self, snap) -> None:
         h, n = snap
         self.h = set(h)
-        for key in self.memo_log[n:]:
-            self.memo.discard(key)
-        del self.memo_log[n:]
+        while len(self.memo) > n:
+            self.memo.popitem()
 
 
-def andor_synth(
-    gp: GeneralizedProblem, n: int, budget: Optional[int] = DEFAULT_BUDGET
-) -> SynthResult:
+def andor_synth(problem: PlanningProblem, n: int, budget: Optional[int] = DEFAULT_BUDGET) -> SynthResult:
     """Bounded AND-OR search for a strong controller (all runs reach goals).
 
     Returns ``failure-proved`` when no N-bounded controller has the strong
     property; any returned controller verifies to exact LGT 1 and zero
-    non-termination from every initial state.
+    non-termination.
     """
     check_count("state bound", n, 1)
-    return _Search(gp, n, budget).run()
+    return _Search(problem, n, budget).run()

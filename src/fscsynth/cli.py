@@ -20,7 +20,7 @@ import time
 from fractions import Fraction
 from typing import Optional
 
-from fscsynth.andor import GeneralizedProblem, andor_synth
+from fscsynth.andor import andor_synth
 from fscsynth.domains import (
     DomainError,
     ParseError,
@@ -30,7 +30,7 @@ from fscsynth.domains import (
     parse_env,
     serialize_controller,
 )
-from fscsynth.model import Controller, ModelError, PlanningProblem, STOP, STOP_NAME, SynthesisRequest, SynthResult
+from fscsynth.model import Controller, ModelError, PlanningProblem, STOP, STOP_NAME, SynthesisRequest, SynthResult, check_count
 from fscsynth.pandor import DEFAULT_BUDGET, pandor_synth
 from fscsynth.verifier import Measures, exact_measures
 
@@ -106,6 +106,7 @@ def cmd_synth(args) -> int:
         raise _UsageError("--lter-star needs --algo pandor: andor ignores likelihood bounds")
     problem = _load_problem(args)
     try:
+        check_count("--budget", args.budget, 1)
         request = SynthesisRequest(problem, args.max_states, args.lgt_star, args.lter_star)
     except ModelError as exc:
         raise _UsageError(str(exc))
@@ -113,7 +114,7 @@ def cmd_synth(args) -> int:
     start = time.perf_counter()
     if args.algo == "andor":
         # the baseline solves the strong problem; likelihood bounds are ignored
-        result = andor_synth(GeneralizedProblem.from_problem(problem), args.max_states, budget=args.budget)
+        result = andor_synth(problem, args.max_states, budget=args.budget)
     else:
         result = pandor_synth(request, budget=args.budget)
     wall = time.perf_counter() - start
@@ -280,8 +281,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "budget", 1) < 1:
-            raise _UsageError(f"--budget must be a positive integer, got {args.budget}")
         return args.func(args)
     except (_UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

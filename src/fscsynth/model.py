@@ -13,10 +13,11 @@ whichever thread computes it.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Optional, Sequence, Union
+from typing import Optional, Union
 
 #: Distinguished terminal action. A controller transition whose action is
 #: STOP halts execution; the successor controller state of such an edge is
@@ -97,6 +98,8 @@ class Environment:
         # many (state, action) pairs share one law: check and sum each
         # distinct one once
         summed = set()
+        if not isinstance(self.delta, Mapping):
+            raise ModelError(f"delta {self.delta!r} is not a mapping from (state, action) pairs to laws")
         for key, dist in self.delta.items():
             try:
                 s, a = key
@@ -105,16 +108,19 @@ class Environment:
             if not (isinstance(s, int) and isinstance(a, int)) or not 0 <= s < n_s or not 0 <= a < n_a:
                 raise ModelError(f"delta references unknown state/action ({s!r}, {a!r})")
             seen = set()
-            for entry in dist:
-                try:
-                    s2, p = entry
-                except (TypeError, ValueError):
-                    raise ModelError(f"delta({s},{a}) entry {entry!r} is not a (successor, probability) pair") from None
-                if not isinstance(s2, int) or not 0 <= s2 < n_s:
-                    raise ModelError(f"delta({s},{a}) references unknown successor {s2!r}")
-                if s2 in seen:
-                    raise ModelError(f"delta({s},{a}) lists successor {s2} twice")
-                seen.add(s2)
+            try:  # only iterating ``dist`` can raise TypeError here; an ABC check would cost every law
+                for entry in dist:
+                    try:
+                        s2, p = entry
+                    except (TypeError, ValueError):
+                        raise ModelError(f"delta({s},{a}) entry {entry!r} is not a (successor, probability) pair") from None
+                    if not isinstance(s2, int) or not 0 <= s2 < n_s:
+                        raise ModelError(f"delta({s},{a}) references unknown successor {s2!r}")
+                    if s2 in seen:
+                        raise ModelError(f"delta({s},{a}) lists successor {s2} twice")
+                    seen.add(s2)
+            except TypeError:
+                raise ModelError(f"delta({s},{a}) law {dist!r} is not a sequence of (successor, probability) pairs") from None
             try:
                 key = tuple([(p.numerator, p.denominator) for _, p in dist])
             except AttributeError:
@@ -238,6 +244,8 @@ class Controller:
 
     def __post_init__(self):
         check_count("controller num_states", self.num_states, 1)
+        if not isinstance(self.transitions, Mapping):
+            raise ModelError(f"controller transitions {self.transitions!r} is not a mapping from (q, o) to (a, q2)")
         for key, value in self.transitions.items():
             try:
                 (q, o), (a, q2) = key, value

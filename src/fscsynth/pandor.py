@@ -95,7 +95,6 @@ DEFAULT_BUDGET = 10_000_000
 class _Choice:
     # agenda contents are copied: the branch pops pending items below any length mark
     agenda_copy: list
-    trail_len: int
     max_used: int
     snap: object
     q: int
@@ -118,8 +117,10 @@ class _Backtracker:
 
     Backtracking is chronological: every choice point copies the agenda and
     takes an engine snapshot (``_snapshot``, copy-on-branch), each committed
-    candidate is acted on by ``_execute``, and the controller is unwound
-    through a trail and the snapshot (``_restore``).  Fresh controller states are
+    candidate is acted on by ``_execute``, and the search is unwound through
+    the choice stack, which holds one controller entry per live choice point
+    (a point opens on an undefined pair and its commits write only that
+    entry), and the snapshot (``_restore``).  Fresh controller states are
     numbered canonically: a choice point offers only successors up to one
     above the highest state in use.  A commit's verdict is handled like an
     OR step's: ``_backtrack`` returns it, or ``"failure-proved"`` once no
@@ -134,17 +135,17 @@ class _Backtracker:
     each dropped judgement would return None.
     """
 
-    def __init__(self, env, max_states: int, budget: Optional[int], roots):
+    def __init__(self, problem: PlanningProblem, max_states: int, budget: Optional[int]):
         if budget is not None:
             check_count("budget", budget, 1)
-        self.env = env
+        self.problem = problem
+        self.env = problem.environment
         self.max_states = max_states
         self.budget = budget
         self.controller: dict[tuple[int, int], tuple[int, int]] = {}
         self.max_used = 0
-        self.trail: list[tuple[int, int]] = []
         self.choices: list[_Choice] = []
-        self.agenda: list = [("or", 0, s, p) for s, p in reversed(roots)]
+        self.agenda: list = [("or", 0, problem.initial_state, Fraction(1))]
         self.or_steps = 0
         self.peak_depth = 0
 
@@ -175,15 +176,13 @@ class _Backtracker:
         return range(min(self.max_used + 1, self.max_states - 1) + 1)
 
     def _open(self, q: int, s: int, p, candidates: list) -> Optional[str]:
-        cp = _Choice(list(self.agenda), len(self.trail), self.max_used, self._snapshot(), q, s, p, candidates)
+        cp = _Choice(list(self.agenda), self.max_used, self._snapshot(), q, s, p, candidates)
         self.choices.append(cp)
         return self._commit(cp)
 
     def _commit(self, cp: _Choice) -> Optional[str]:
         cand = cp.candidates[cp.idx]
-        key = (cp.q, self.env.obs(cp.s))
-        self.controller[key] = cand
-        self.trail.append(key)
+        self.controller[(cp.q, self.env.obs(cp.s))] = cand
         if cand[0] != STOP and cand[1] > self.max_used:
             self.max_used = cand[1]
         return self._execute(cp.q, cp.s, cp.p, cand)
@@ -196,18 +195,16 @@ class _Backtracker:
         self.agenda.extend([("or", q2, s2, p2) for s2, p2 in reversed(dist)])
 
     def _backtrack(self) -> Optional[str]:
-        # exhausted choice points are dropped unrestored: the restore of
-        # the one that resumes overwrites everything theirs would set
+        # exhausted choice points are dropped unrestored but for their controller
+        # entry: the resumed one's restore and commit overwrite all else they set
         choices = self.choices
         while choices and choices[-1].idx + 1 >= len(choices[-1].candidates):
-            choices.pop()
+            cp = choices.pop()
+            del self.controller[(cp.q, self.env.obs(cp.s))]
         if not choices:
             return "failure-proved"
         cp = choices[-1]
         self.agenda[:] = cp.agenda_copy
-        for key in reversed(self.trail[cp.trail_len:]):
-            del self.controller[key]
-        del self.trail[cp.trail_len:]
         self.max_used = cp.max_used
         self._restore(cp.snap)
         cp.idx += 1
@@ -218,8 +215,7 @@ class _Search(_Backtracker):
     """One synthesis run; not reusable."""
 
     def __init__(self, problem: PlanningProblem, max_states: int, lgt_star, lter_star, budget: Optional[int]):
-        super().__init__(problem.environment, max_states, budget, ((problem.initial_state, Fraction(1)),))
-        self.problem = problem
+        super().__init__(problem, max_states, budget)
         self.lgt_star = lgt_star
         self.lter_star = lter_star
         # the prune test compares explored non-goal mass with these caps

@@ -9,7 +9,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from fscsynth.andor import GeneralizedProblem
 from fscsynth.ledger import LambdaVector, LedgerError, SearchLedger, calc_lambda
 from fscsynth.model import (
     Controller, Environment, PlanningProblem, STOP, SynthesisRequest, SynthResult,
@@ -217,9 +216,9 @@ class _ClassicChoice:
 
 
 class _ClassicAndorSearch:
-    def __init__(self, gp: GeneralizedProblem, n: int, budget):
-        self.env = gp.environment
-        self.goals = gp.goal_states
+    def __init__(self, problem: PlanningProblem, n: int, budget):
+        self.env = problem.environment
+        self.goals = problem.goal_states
         self.max_states = n
         self.budget = budget
         self.controller: dict[tuple[int, int], tuple[int, int]] = {}
@@ -354,14 +353,14 @@ class _ClassicAndorSearch:
         return False
 
 
-def classic_andor_synth(gp: GeneralizedProblem, n: int, budget=DEFAULT_BUDGET) -> SynthResult:
+def classic_andor_synth(problem: PlanningProblem, n: int, budget=DEFAULT_BUDGET) -> SynthResult:
     """Reference for ``andor_synth``: the baseline with its own agenda loop,
     trail of transitions and memo entries, and a backtrack that restores
     every exhausted choice point on the way to the one that resumes.  It
     counts the OR step that exceeds a budget, so a ``budget-exhausted``
     run reports ``budget + 1`` steps."""
-    search = _ClassicAndorSearch(gp, n, budget)
-    outcome, controller = search.run(gp.initial_states)
+    search = _ClassicAndorSearch(problem, n, budget)
+    outcome, controller = search.run({problem.initial_state})
     return SynthResult(outcome, controller, search.or_steps, search.peak_depth)
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from fscsynth.andor import GeneralizedProblem, andor_synth
+from fscsynth.andor import andor_synth
 from fscsynth.domains import build, domain_names
 from fscsynth.ledger import LedgerError, SearchLedger, calc_lambda, cumulate_alpha
 from fscsynth.model import STOP, SynthesisRequest
@@ -105,7 +105,7 @@ def check_baseline_regressions():
     decay = build("decay-loop")
     for problem in (coin, decay):
         for n in (1, 2, 3):
-            result = andor_synth(GeneralizedProblem.from_problem(problem), n)
+            result = andor_synth(problem, n)
             assert result.outcome == "failure-proved"
     fixed = pandor_synth(SynthesisRequest(coin, 2, F(2, 5)))
     assert fixed.outcome == "controller"
@@ -140,7 +140,7 @@ def check_deterministic_equivalence():
     problem = build("hall-a-1d", {"n": 5})
     near_one = F(10**9 - 1, 10**9)
     rp = pandor_synth(SynthesisRequest(problem, 2, near_one))
-    ra = andor_synth(GeneralizedProblem.from_problem(problem), 2)
+    ra = andor_synth(problem, 2)
     assert rp.outcome == "controller" and ra.outcome == "controller"
     assert exact_measures(problem, rp.controller).lgt == 1
     assert exact_measures(problem, ra.controller).lgt == 1

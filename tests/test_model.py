@@ -139,6 +139,8 @@ def test_environment_rejects_non_integer_indices(delta, omega):
     {(0, 0, 1): ((0, F(1)),)},
     {(0, 0): (0,)},  # a law entry that is not a (successor, probability) pair
     {(0, 0): ((0, F(1), 3),)},
+    {(0, 0): 5},  # a law that is not iterable
+    [((0, 0), ((0, F(1)),))],  # pairs rather than a mapping
 ])
 def test_environment_rejects_malformed_delta_shapes(delta):
     with pytest.raises(ModelError, match="not a"):
@@ -184,6 +186,7 @@ def test_controller_rejects_non_integer_indices(transitions):
     {(0, 0, 1): (0, 0)},
     {(0, 0): 0},  # a value that is not an (a, q2) pair
     {(0, 0): (0, 0, 1)},
+    [((0, 0), (0, 0))],  # pairs rather than a mapping
 ])
 def test_controller_rejects_malformed_transition_shapes(transitions):
     with pytest.raises(ModelError, match="not a"):

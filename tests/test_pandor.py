@@ -4,7 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from fscsynth import pandor
+from fscsynth import andor, pandor
+from fscsynth.andor import andor_synth
 from fscsynth.domains import build, domain_names, parse_env
 from fscsynth.ledger import SearchLedger
 from fscsynth.model import ModelError, STOP, SynthesisRequest
@@ -340,6 +341,39 @@ def test_folds_and_extends_never_move_a_verdict():
         request = SynthesisRequest(prob, rng.randint(1, 2), F(rng.randint(1, 19), 20), lter_star)
         judged += _assert_judging_everywhere_changes_nothing(request, budget=3000)
     assert judged > 1000
+
+
+def _checking_choice_stack(engine):
+    """``engine``'s search, checking before every OR step that the
+    controller holds exactly the entry of each live choice point: the only
+    undo record ``_backtrack`` keeps."""
+
+    class Checking(engine):
+        checked = 0
+
+        def _or_step(self, q, s, p):
+            assert set(self.controller) == {(c.q, self.env.obs(c.s)) for c in self.choices}
+            self.checked += 1
+            return super()._or_step(q, s, p)
+
+    return Checking
+
+
+def test_the_controller_holds_one_entry_per_live_choice_point():
+    problems = [(build(name), n) for name in domain_names() for n in (1, 2, 3)]
+    rng = random.Random(1515)
+    for _ in range(100):
+        prob = random_env(rng, n_states=rng.randint(3, 5), partial=rng.random() < 0.5)
+        problems.append((prob, rng.randint(1, 3)))
+    checked = 0
+    for prob, n in problems:
+        request = SynthesisRequest(prob, n, F(3, 4))
+        search = _checking_choice_stack(pandor._Search)(prob, n, F(3, 4), None, 1000)
+        assert search.run() == pandor_synth(request, 1000)
+        classic = _checking_choice_stack(andor._Search)(prob, n, 1000)
+        assert classic.run() == andor_synth(prob, n, 1000)
+        checked += search.checked + classic.checked
+    assert checked > 10_000
 
 
 def test_bridgewalk_proof_step_count():
