@@ -58,7 +58,10 @@ same escape at every dead one.  Writing the slot lists directly bypasses
 the cache; ``calc_lambda`` and ``cumulate_alpha`` read only the slots and
 stay exact on such ledgers, where ``calc_lambda`` saturates in place.
 
-All arithmetic is on ``Fraction``s and every comparison is exact.
+All arithmetic is on ``Fraction``s and every comparison is exact.  An
+operation whose result is one of its operands (adding zero, multiplying
+by a one the code can see) is skipped and that operand stored, the same
+rational for no ``Fraction`` call.
 """
 
 from __future__ import annotations
@@ -73,6 +76,11 @@ _ONE = Fraction(1)
 _LISTS = (
     "ps", "goal", "fail", "noter", "headroom", "through", "prefix", "acc_goal", "acc_fail", "acc_noter",
 )
+
+
+def _plus(a, b):
+    """``a + b``; where one of them is zero, the other, with no ``Fraction`` call."""
+    return a + b if a and b else a or b
 
 
 class LedgerError(AssertionError):
@@ -176,10 +184,10 @@ class SearchLedger:
         if not p > 0:
             raise LedgerError(f"terminal record of non-positive mass {p}")
         L = len(self.ps)
-        slots[L] += p
+        slots[L] = _plus(slots[L], p)
         weighted = self.prefix[L] * p
-        acc[L] += weighted
-        self.total += weighted
+        acc[L] = _plus(acc[L], weighted)
+        self.total = _plus(self.total, weighted)
         self._check_bounds()
 
     def record_loop(self, k: int, p_loop) -> None:
@@ -188,7 +196,7 @@ class SearchLedger:
         if not 0 <= k < L:
             raise LedgerError("loop record outside h_curr")
         row = self.loop[k]
-        row[L] = row.get(L, _ZERO) + p_loop
+        row[L] = _plus(row.get(L, _ZERO), p_loop)
         # a new cycle mass at index j changes the amplification of every
         # lower row that has a column past j; walk down and recompute those
         low = None
@@ -215,13 +223,13 @@ class SearchLedger:
         if low is not None:
             self._rescale(low)
 
-    def loop_mass_to(self, k: int):
-        """Traversal probability of the on-branch suffix h_curr[k:]; the
-        caller multiplies the closing step probability in."""
-        acc = _ONE
+    def loop_mass_to(self, k: int, p):
+        """Traversal probability of a cycle back to h_curr[k] closed by a
+        step of probability ``p``: ``p`` times the on-branch suffix
+        h_curr[k:]."""
         for t in range(k + 1, len(self.ps)):
-            acc *= self.ps[t]
-        return acc
+            p *= self.ps[t]
+        return p
 
     # -- cache maintenance --------------------------------------------------
 
@@ -241,19 +249,21 @@ class SearchLedger:
             v = row.get(m)
             if v:
                 acc += v
-        return acc + row.get(j, _ZERO) if top > j else acc
+        return _plus(acc, row.get(j, _ZERO)) if top > j else acc
 
     def _rescale(self, low: int) -> None:
         """Recompute ``prefix`` and the prefix sums above index ``low``."""
         prefix = self.prefix
         slots = ((self.goal, self.acc_goal), (self.fail, self.acc_fail), (self.noter, self.acc_noter))
         for t in range(low, len(self.ps)):
-            weight = prefix[t] * self.through[t]
+            # a retry corridor's through factor is p / (1 - (1 - p)) = 1
+            through = self.through[t]
+            weight = prefix[t] if through == 1 else prefix[t] * through
             prefix[t + 1] = weight
             for values, acc in slots:
                 v = values[t + 1]
-                acc[t + 1] = acc[t] + weight * v if v else acc[t]
-        self.total = self.goal0 + self.fail0 + self.noter0
+                acc[t + 1] = _plus(acc[t], weight * v) if v else acc[t]
+        self.total = _plus(_plus(self.goal0, self.fail0), self.noter0)
         self._check_bounds()
 
     def _check_bounds(self) -> None:
@@ -400,8 +410,8 @@ def cumulate_alpha(ledger: SearchLedger) -> SearchLedger:
     n = L - 1
     loop = ledger.loop
     row = loop.pop()
-    lam_n = row.get(n, _ZERO) + row.get(L, _ZERO)
-    denom = 1 - lam_n
+    lam_n = _plus(row.get(n, _ZERO), row.get(L, _ZERO))
+    denom = 1 - lam_n if lam_n else _ONE
     if not denom:
         raise LedgerError("fold hit cycle mass 1: saturation rule missed")
     # index n's cycle + noter law, checked once, as n is folded; a dead n
@@ -409,19 +419,19 @@ def cumulate_alpha(ledger: SearchLedger) -> SearchLedger:
     if ledger.noter[L] > denom:
         raise LedgerError(f"cycle+noter mass above 1 at index {n}")
     dead = ledger.noter[L] == denom
-    amp = 1 / denom if denom != 1 else 1
-    through = ledger.ps[n] * amp
+    # with no cycle mass at n, through is ps[n] and v / denom is v
+    through = ledger.ps[n] / denom if lam_n else ledger.ps[n]
     for slots in (ledger.goal, ledger.fail, ledger.noter):
         v = slots.pop()
         if v:
-            slots[n] += through * v
+            slots[n] = _plus(slots[n], through * v)
 
     for row in loop:
         v = row.pop(L, None)
         if v:
             if dead:
                 raise LedgerError(f"cycle mass through dead index {n}")
-            row[n] = row.get(n, _ZERO) + amp * v
+            row[n] = _plus(row.get(n, _ZERO), v / denom if lam_n else v)
 
     # index n becomes the frontier: no cycle mass, and the prefix sums up
     # to it already hold the folded mass (so ``total`` is unchanged)

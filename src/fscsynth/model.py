@@ -107,20 +107,20 @@ class Environment:
                 raise ModelError(f"delta key {key!r} is not a (state, action) pair") from None
             if not (isinstance(s, int) and isinstance(a, int)) or not 0 <= s < n_s or not 0 <= a < n_a:
                 raise ModelError(f"delta references unknown state/action ({s!r}, {a!r})")
+            # the law is read three times below, so a one-shot iterator is no law
+            if not isinstance(dist, (tuple, list)):
+                raise ModelError(f"delta({s},{a}) law {dist!r} is not a tuple or list of (successor, probability) pairs")
             seen = set()
-            try:  # only iterating ``dist`` can raise TypeError here; an ABC check would cost every law
-                for entry in dist:
-                    try:
-                        s2, p = entry
-                    except (TypeError, ValueError):
-                        raise ModelError(f"delta({s},{a}) entry {entry!r} is not a (successor, probability) pair") from None
-                    if not isinstance(s2, int) or not 0 <= s2 < n_s:
-                        raise ModelError(f"delta({s},{a}) references unknown successor {s2!r}")
-                    if s2 in seen:
-                        raise ModelError(f"delta({s},{a}) lists successor {s2} twice")
-                    seen.add(s2)
-            except TypeError:
-                raise ModelError(f"delta({s},{a}) law {dist!r} is not a sequence of (successor, probability) pairs") from None
+            for entry in dist:
+                try:
+                    s2, p = entry
+                except (TypeError, ValueError):
+                    raise ModelError(f"delta({s},{a}) entry {entry!r} is not a (successor, probability) pair") from None
+                if not isinstance(s2, int) or not 0 <= s2 < n_s:
+                    raise ModelError(f"delta({s},{a}) references unknown successor {s2!r}")
+                if s2 in seen:
+                    raise ModelError(f"delta({s},{a}) lists successor {s2} twice")
+                seen.add(s2)
             try:
                 key = tuple([(p.numerator, p.denominator) for _, p in dist])
             except AttributeError:

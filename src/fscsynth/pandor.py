@@ -76,7 +76,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from fscsynth.ledger import LambdaVector, LedgerError, SearchLedger, calc_lambda, cumulate_alpha
+from fscsynth.ledger import LambdaVector, LedgerError, SearchLedger, _plus, calc_lambda, cumulate_alpha
 from fscsynth.model import (
     Controller,
     PlanningProblem,
@@ -261,7 +261,7 @@ class _Search(_Backtracker):
         k = ledger.pos.get((q, s))
         if k is not None:
             # revisit of the current branch: seal the cycle
-            p_loop = ledger.loop_mass_to(k) * p
+            p_loop = ledger.loop_mass_to(k, p)
             if p_loop > 1:
                 raise LedgerError("cycle traversal mass above 1")
             if p_loop == 1:
@@ -315,10 +315,10 @@ class _Search(_Backtracker):
         if not len(ledger):
             _check_cache(ledger, calc_lambda(ledger))
         if goal0 >= self.lgt_star and (
-            self.lter_star is None or goal0 + fail0 >= self.lter_star
+            self.lter_star is None or _plus(goal0, fail0) >= self.lter_star
         ):
             return "controller"
-        if fail0 + noter0 > self.lgt_cap or (
+        if _plus(fail0, noter0) > self.lgt_cap or (
             self.lter_cap is not None and noter0 > self.lter_cap
         ):
             return "fail"

@@ -14,7 +14,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fscsynth.ledger import LedgerError, SearchLedger, calc_lambda, cumulate_alpha
+from fscsynth.ledger import _LISTS, LedgerError, SearchLedger, calc_lambda, cumulate_alpha
 
 from helpers import CascadeLedger, clone_ledger
 
@@ -118,6 +118,14 @@ def _assert_cache_matches_reference(led):
     assert list(led.pos.values()) == list(range(len(led)))
 
 
+def _assert_all_fractions(led):
+    """Skipping an addition of zero or a product with one stores the other
+    operand: every stored value must still be a Fraction, never an int."""
+    values = [v for name in _LISTS for v in getattr(led, name)]
+    values += [v for row in led.loop for v in row.values()] + [led.total]
+    assert all(type(v) is F for v in values), values
+
+
 def _drained(led):
     """A copy of ``led`` folded down to the empty branch."""
     led = clone_ledger(led)
@@ -167,6 +175,8 @@ def _run(ops):
         assert _drained(led).snapshot() == _drained(ref).snapshot()
         _assert_cache_matches_reference(led)
         _assert_cache_matches_reference(ref)
+        _assert_all_fractions(led)
+        _assert_all_fractions(ref)
     return lazy[0]
 
 

@@ -141,6 +141,8 @@ def test_environment_rejects_non_integer_indices(delta, omega):
     {(0, 0): ((0, F(1), 3),)},
     {(0, 0): 5},  # a law that is not iterable
     [((0, 0), ((0, F(1)),))],  # pairs rather than a mapping
+    {(0, 0): ((0, F(1)) for _ in range(1))},  # one-shot iterators: the law is read three times
+    {(0, 0): iter([(0, F(1))])},
 ])
 def test_environment_rejects_malformed_delta_shapes(delta):
     with pytest.raises(ModelError, match="not a"):

@@ -517,3 +517,39 @@ def test_lazy_dead_index_rule_searches_as_the_cascade(monkeypatch, n, cascade_sa
     assert len(calls) == len(set(calls)) == 4
     assert len(set(ref_calls)) == 7
     assert len(ref_calls) == cascade_saturations
+
+
+def test_the_search_adds_and_subtracts_no_zero_outside_calc_lambda(monkeypatch):
+    # adding or subtracting zero gives back the other operand, which the
+    # ledger and the bound test keep with no Fraction call; calc_lambda,
+    # the plain reference the cache is checked against, still makes them
+    requests = [
+        SynthesisRequest(build("bridgewalk", {"n": 5}), 3, F(9, 10) ** 5 * F(1001, 1000)),
+        SynthesisRequest(build("noisy-hall-a-1d", {"n": 12}), 2, F(99, 100)),
+    ]
+    in_reference, calls, zero_operand = [False], [], []
+
+    def counted(name, op):
+        def wrapped(a, b):
+            if not in_reference[0]:
+                calls.append(name)
+                if not a or not b:
+                    zero_operand.append((name, a, b))
+            return op(a, b)
+        return wrapped
+
+    def reference(ledger, calc_lambda=pandor.calc_lambda):
+        in_reference[0] = True
+        try:
+            return calc_lambda(ledger)
+        finally:
+            in_reference[0] = False
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__"):
+        monkeypatch.setattr(F, name, counted(name, getattr(F, name)))
+    monkeypatch.setattr(pandor, "calc_lambda", reference)
+    outcomes = [pandor_synth(request).outcome for request in requests]
+    monkeypatch.undo()
+    assert outcomes == ["failure-proved", "controller"]
+    assert calls  # the patched operators see the search's arithmetic
+    assert zero_operand == []
