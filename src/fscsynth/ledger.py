@@ -237,7 +237,9 @@ class SearchLedger:
         """calc_lambda's cycle mass at index j from row j and the cached
         headroom above it (Horner form: column m is divided by the
         headroom of every index strictly between j and m).  Only rows with
-        mass past a changed index are recomputed, so row j is not empty."""
+        mass past a changed index are recomputed, so row j is not empty.
+        Row j holds no column <= j: a cycle record lands in a column above
+        its row, and a fold moves column L of a lower row to n > j."""
         row = self.loop[j]
         top = max(row)
         headroom = self.headroom
@@ -249,7 +251,7 @@ class SearchLedger:
             v = row.get(m)
             if v:
                 acc += v
-        return _plus(acc, row.get(j, _ZERO)) if top > j else acc
+        return acc
 
     def _rescale(self, low: int) -> None:
         """Recompute ``prefix`` and the prefix sums above index ``low``."""

@@ -121,10 +121,10 @@ class Environment:
                 if s2 in seen:
                     raise ModelError(f"delta({s},{a}) lists successor {s2} twice")
                 seen.add(s2)
-            try:
-                key = tuple([(p.numerator, p.denominator) for _, p in dist])
-            except AttributeError:
-                raise ModelError(f"delta({s},{a}) has a probability that is not rational") from None
+                # an int or bool would pass every check below and reach the search as is
+                if not isinstance(p, Fraction):
+                    raise ModelError(f"delta({s},{a}) has a probability that is not rational as a Fraction: {p!r}")
+            key = tuple([(p.numerator, p.denominator) for _, p in dist])
             if key not in summed:
                 for _, p in dist:
                     if p <= 0:

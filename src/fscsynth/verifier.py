@@ -3,17 +3,19 @@
 The combined system ``(controller state, environment state)`` is a finite
 Markov chain.  Goal termination likelihood (LGT) and termination
 likelihood (LTER) are absorption probabilities of that chain into the
-goal-stop and either-stop sinks, computed with exact Gaussian elimination
-over rationals.  This module is the independent ground truth against
+goal-stop and either-stop sinks, computed exactly by Gaussian elimination
+on integer rows.  This module is the independent ground truth against
 which both search engines are tested, and imports nothing from them.
 
 Cost note: the elimination is sparse and exact.  It stores only nonzero
 entries and eliminates each row against the finished rows its nonzeros
-(and their fill-in) reach, so it costs about m * w^2 Fraction operations
+(and their fill-in) reach, so it costs about m * w^2 integer operations
 for m transient combined states whose rows reach w columns back after
 fill-in: linear in m on the banded chains of corridor walks, cubic only
-on a dense chain.  ``tests/helpers.py`` keeps the dense solve as the
-reference it is tested against.
+on a dense chain.  Rows are scaled to integers by the lcm of their step
+denominators and kept small by the gcd of their entries; ``Fraction``s
+appear only in the results.  ``tests/helpers.py`` keeps the dense solve
+as the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from fscsynth.model import Controller, PlanningProblem, STOP
 
@@ -28,6 +31,8 @@ from fscsynth.model import Controller, PlanningProblem, STOP
 GOAL_SINK = -1
 FAIL_SINK = -2
 UNDEF_SINK = -3
+
+_ONE = Fraction(1)
 
 
 class ChainError(ValueError):
@@ -75,11 +80,11 @@ def build_chain(problem: PlanningProblem, controller: Controller) -> CombinedCha
     for q, s in nodes:  # breadth-first: nodes grows while it is walked
         tr = controller.transitions.get((q, env.obs(s)))
         if tr is None:
-            transitions.append(((UNDEF_SINK, Fraction(1)),))
+            transitions.append(((UNDEF_SINK, _ONE),))
             continue
         a, q2 = tr
         if a == STOP:
-            transitions.append(((GOAL_SINK if problem.is_goal(s) else FAIL_SINK, Fraction(1)),))
+            transitions.append(((GOAL_SINK if problem.is_goal(s) else FAIL_SINK, _ONE),))
             continue
         out = []
         for s2, p in env.dist(s, a) or ():
@@ -122,28 +127,28 @@ def _solve_absorption(chain: CombinedChain) -> tuple[dict, dict, dict]:
                 stack.append(j)
 
     transient = [i for i in range(n) if can_terminate[i]]
-    pos = {i: k for k, i in enumerate(transient)}
-    zero = Fraction(0)
+    pos = {i: k for k, i in enumerate(transient)} | {s: s for s in (GOAL_SINK, FAIL_SINK, UNDEF_SINK)}
 
-    # (I - Q) x = b for the three sinks at once, by row-wise elimination
-    # that touches only stored nonzeros.  A row is a dict over the
-    # augmented matrix: node columns are >= 0 and the sink constants key
-    # the right-hand sides.  Row r is reduced against the finished rows of
-    # its node columns below r, smallest first; fill-in below r joins the
-    # heap as it appears.  No pivoting: I - Q on the nodes that can
-    # terminate is a nonsingular M-matrix, so every leading block is too
-    # and each diagonal pivot is positive.  A finished row is divided by
-    # its pivot and keeps its nonzero columns above r and right-hand sides.
-    upper: list[dict[int, Fraction]] = []
+    # (I - Q) x - b = 0 for the three sinks at once, by row-wise
+    # elimination that touches only stored nonzeros.  A row is an integer
+    # dict over (I - Q | -b): node columns are >= 0, the sink constants
+    # key -b.  Row r is reduced against the finished rows of its node
+    # columns below r, smallest first, as row <- P_c * row - f * U_c over
+    # the gcd of its entries; fill-in below r joins the heap as it appears.
+    # No pivoting: I - Q on the nodes that can terminate is a nonsingular
+    # M-matrix, so every leading block is too and each rational pivot is
+    # positive; scaling by positive integers keeps each row a positive
+    # multiple of the rational one.  Finished row r keeps its pivot P_r and
+    # its nonzero columns above r and sinks, U_r.
+    upper: list[tuple[int, dict[int, int]]] = []
     for r, i in enumerate(transient):
-        row = {r: Fraction(1)}
-        for target, p in chain.transitions[i]:
-            if target < 0:
-                row[target] = row.get(target, zero) + p
-            elif can_terminate[target]:
-                c = pos[target]
-                row[c] = row.get(c, zero) - p
-            # mass into non-terminating nodes is simply lost to the sinks
+        out = chain.transitions[i]
+        scale = lcm(*[p.denominator for _, p in out])
+        row = {r: scale}
+        for target, p in out:
+            c = pos.get(target)
+            if c is not None:  # mass into non-terminating nodes is lost to the sinks
+                row[c] = row.get(c, 0) - p.numerator * (scale // p.denominator)
         below = [c for c in row if 0 <= c < r]
         heapq.heapify(below)
         while below:
@@ -151,33 +156,43 @@ def _solve_absorption(chain: CombinedChain) -> tuple[dict, dict, dict]:
             f = row.pop(c)
             if not f:
                 continue
-            for col, v in upper[c].items():
+            pc, uc = upper[c]
+            if pc != 1:
+                row = {col: v * pc for col, v in row.items()}
+            for col, v in uc.items():
                 if col in row:
                     row[col] -= f * v
                 else:
                     row[col] = -f * v
                     if 0 <= col < r:
                         heapq.heappush(below, col)
+            g = gcd(*row.values())
+            if g > 1:
+                row = {col: v // g for col, v in row.items()}
         pivot = row.pop(r)
         if not pivot:
             raise ChainError("singular system in absorbing-chain analysis")
-        upper.append({col: v / pivot for col, v in row.items() if v})
+        upper.append((pivot, {col: v for col, v in row.items() if v}))
 
-    # back-substitution; x[r] maps each sink to its absorption probability
-    x: list[dict[int, Fraction]] = [{}] * len(upper)
+    # back-substitution, x[r] = -(U_r . x) / P_r with each sink's unit
+    # vector at its (negative) index of x: x[r] is a denominator and the
+    # goal, fail and undefined numerators, in lowest terms
+    x = [(1, 0, 0, 0)] * len(upper) + [(1, 0, 0, 1), (1, 0, 1, 0), (1, 1, 0, 0)]
     for r in range(len(upper) - 1, -1, -1):
-        xr: dict[int, Fraction] = {}
-        for col, v in upper[r].items():
-            if col < 0:
-                xr[col] = xr.get(col, zero) + v
-            else:
-                for sink, xv in x[col].items():
-                    xr[sink] = xr.get(sink, zero) - v * xv
-        x[r] = xr
-    return tuple(  # type: ignore[return-value]
-        {i: x[r].get(sink, zero) for r, i in enumerate(transient)}
-        for sink in (GOAL_SINK, FAIL_SINK, UNDEF_SINK)
-    )
+        pivot, ur = upper[r]
+        den = lcm(*[x[col][0] for col in ur])
+        goal = fail = undef = 0
+        for col, v in ur.items():
+            d, xg, xf, xu = x[col]
+            v *= den // d
+            goal -= v * xg
+            fail -= v * xf
+            undef -= v * xu
+        den *= pivot
+        g = gcd(den, goal, fail, undef)
+        x[r] = (den // g, goal // g, fail // g, undef // g)
+    values = {xr: [Fraction(v, xr[0]) for v in xr[1:]] for xr in set(x[: len(upper)])}
+    return tuple({i: values[x[r]][k] for r, i in enumerate(transient)} for k in range(3))  # type: ignore[return-value]
 
 
 def exact_measures(problem: PlanningProblem, controller: Controller) -> Measures:

@@ -126,6 +126,13 @@ def _assert_all_fractions(led):
     assert all(type(v) is F for v in values), values
 
 
+def _assert_cycle_columns_above_rows(led):
+    """A cycle record lands in a column above its row, and a fold moves a
+    lower row's column L to n above it: ``SearchLedger._row_lambda`` reads
+    no column <= k in row k."""
+    assert all(min(row) > k for k, row in enumerate(led.loop) if row), led.loop
+
+
 def _drained(led):
     """A copy of ``led`` folded down to the empty branch."""
     led = clone_ledger(led)
@@ -177,6 +184,8 @@ def _run(ops):
         _assert_cache_matches_reference(ref)
         _assert_all_fractions(led)
         _assert_all_fractions(ref)
+        _assert_cycle_columns_above_rows(led)
+        _assert_cycle_columns_above_rows(ref)
     return lazy[0]
 
 

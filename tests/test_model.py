@@ -237,6 +237,13 @@ def test_environment_rejects_float_probabilities():
         Environment(("s0", "s1"), ("a",), ("o",), {(0, 0): ((0, 0.5), (1, 0.5))}, (0, 0))
 
 
+@pytest.mark.parametrize("p", [1, True])
+def test_environment_rejects_int_and_bool_probabilities(p):
+    # both sum to 1 exactly, so only the type check stops them reaching the search as given
+    with pytest.raises(ModelError, match="not rational"):
+        Environment(("a", "g"), ("x",), ("o", "p"), {(0, 0): ((1, p),)}, (0, 1))
+
+
 def test_as_prob_rejects_inexact_floats():
     with pytest.raises(ModelError, match="pass the string '0.1'"):
         as_prob(0.1)

@@ -1,7 +1,9 @@
 import heapq
 import itertools
+import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -97,21 +99,32 @@ def test_brute_force_depth_zero_knows_nothing():
     assert brute_force_measures(prob, flip_stop_controller(prob), 0) == (F(0), F(1))
 
 
+def _noisy_corridor(n, p):
+    """The 1-D noisy hall with its sweep-right-then-left controller: a
+    failed move stays put, so the turn at B repeats; LGT 1."""
+    prob = build("noisy-hall-a-1d", {"n": n, "p": p})
+    return prob, controller_from_names(prob.environment, 2, {
+        (0, "A"): ("right", 0), (0, "-"): ("right", 0), (0, "B"): ("left", 1),
+        (1, "-"): ("left", 1), (1, "B"): ("left", 1), (1, "A"): ("stop", 0),
+    })
+
+
+def _walk_to_the_end(prob):
+    """Walk the bridge and stop at its end; a fallen run is left undefined."""
+    return controller_from_names(prob.environment, 1, {
+        (0, "start"): ("walk", 0), (0, "mid"): ("walk", 0), (0, "end"): ("stop", 0),
+    })
+
+
 def _reference_controllers():
     yield build("coin-flip"), flip_stop_controller(build("coin-flip"))
     yield build("decay-loop"), always_flip_controller(build("decay-loop"))
     yield build("three-state"), always_a_controller(build("three-state"))
     hall = build("hall-a-1d", {"n": 4})
     yield hall, corridor_controller(hall.environment)
-    noisy = build("noisy-hall-a-1d", {"n": 3})
-    yield noisy, controller_from_names(noisy.environment, 2, {
-        (0, "A"): ("right", 0), (0, "-"): ("right", 0), (0, "B"): ("left", 1),
-        (1, "-"): ("left", 1), (1, "B"): ("left", 1), (1, "A"): ("stop", 0),
-    })
+    yield _noisy_corridor(3, F(1, 2))
     bridge = build("bridgewalk", {"n": 3})
-    yield bridge, controller_from_names(bridge.environment, 1, {
-        (0, "start"): ("walk", 0), (0, "mid"): ("walk", 0), (0, "end"): ("stop", 0),
-    })
+    yield bridge, _walk_to_the_end(bridge)
 
 
 @pytest.mark.parametrize("prob,ctrl", list(_reference_controllers()))
@@ -165,9 +178,7 @@ def test_chain_structure():
 def test_exact_equals_brute_force_limit():
     # on an acyclic system deep enumeration pins the value exactly
     prob = build("bridgewalk", {"n": 3})
-    ctrl = controller_from_names(prob.environment, 1, {
-        (0, "start"): ("walk", 0), (0, "mid"): ("walk", 0), (0, "end"): ("stop", 0),
-    })
+    ctrl = _walk_to_the_end(prob)
     lo, hi = brute_force_measures(prob, ctrl, 12)
     m = exact_measures(prob, ctrl)
     assert lo == hi == m.lgt == F(729, 1000)
@@ -209,17 +220,93 @@ def test_sparse_solve_equals_dense_reference(fill_in):
     assert fill_in
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_sparse_solve_with_fill_in_on_a_2d_hall(n, fill_in):
+def _bouncing_2d_hall_chain(n):
     prob = build("noisy-hall-a-2d", {"n": n, "p": F(1, 3)})
     # bounce between the corners either side of A: the chain runs both ways
     ctrl = controller_from_names(prob.environment, 2, {
         (0, "A"): ("cw", 0), (0, "-"): ("cw", 0), (0, "C"): ("ccw", 1),
         (1, "-"): ("ccw", 1), (1, "C"): ("cw", 0), (1, "A"): ("stop", 0),
     })
-    chain = build_chain(prob, ctrl)
+    return build_chain(prob, ctrl)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_sparse_solve_with_fill_in_on_a_2d_hall(n, fill_in):
+    chain = _bouncing_2d_hall_chain(n)
     assert _solve_absorption(chain) == dense_absorption(chain)
     assert fill_in
+
+
+def _r300_cases():
+    """(problem, controller) for each controller in ``tests/data/r300.jsonl``,
+    the problem rebuilt with ``scripts/r300.py``'s draws from its seed."""
+    for line in (Path(__file__).parent / "data" / "r300.jsonl").read_text().splitlines():
+        row = json.loads(line)
+        if row["controller"] is None:
+            continue
+        rng = random.Random(row["seed"])
+        size = rng.randint(4, 6)
+        problem = random_env(rng, n_states=size, partial=rng.random() < 0.5)
+        transitions = {tuple(key): tuple(value) for key, value in row["controller"]}
+        num_states = 1 + max(max(q, q2) for (q, _), (_, q2) in transitions.items())
+        yield problem, Controller(num_states, transitions)
+
+
+def test_sparse_solve_equals_dense_reference_on_r300_controllers():
+    cases = list(_r300_cases())
+    assert len(cases) == 235
+    for problem, ctrl in cases:
+        chain = build_chain(problem, ctrl)
+        assert _solve_absorption(chain) == dense_absorption(chain)
+        assert exact_measures(problem, ctrl).lgt >= F(1, 2)
+
+
+def test_long_bridgewalk_with_a_large_coprime_denominator():
+    prob = build("bridgewalk", {"n": 120, "p_fall": F(37, 101)})
+    m = exact_measures(prob, _walk_to_the_end(prob))
+    assert m.lgt == m.lter == F(64, 101) ** 120
+    assert m.undefined_mass == 1 - m.lgt and m.nonterm == 0
+
+
+def test_long_noisy_corridor_with_a_large_coprime_denominator():
+    prob, ctrl = _noisy_corridor(200, F(91, 101))
+    assert len(build_chain(prob, ctrl).nodes) >= 400
+    m = exact_measures(prob, ctrl)
+    assert m.lgt == m.lter == 1
+    assert m.undefined_mass == 0 and m.nonterm == 0
+
+
+_ARITHMETIC = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__neg__",
+)
+
+
+@pytest.fixture
+def fraction_arithmetic(monkeypatch):
+    """Names of the Fraction arithmetic operators called from now on."""
+    calls = []
+    for name in _ARITHMETIC:
+        def counting(*args, _op=getattr(F, name), _name=name):
+            calls.append(_name)
+            return _op(*args)
+
+        monkeypatch.setattr(F, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("chain", [
+    build_chain(*_noisy_corridor(12, F(91, 101))),
+    _bouncing_2d_hall_chain(4),
+], ids=["corridor", "2d-hall-fill-in"])
+def test_sparse_solve_makes_no_fraction_arithmetic(chain, fraction_arithmetic):
+    # the elimination and the back-substitution run on integers; a Fraction
+    # is only built for each result
+    solved = _solve_absorption(chain)
+    assert fraction_arithmetic == []
+    # the count sees the rational arithmetic of the dense reference
+    assert dense_absorption(chain) == solved
+    assert fraction_arithmetic
 
 
 def test_zero_pivot_raises_chain_error():
