@@ -106,6 +106,7 @@ def _hall_a_1d(n: int, p: Optional[Fraction]) -> PlanningProblem:
             name = _hall_cell(c, seen)
             omega[name] = "A" if c == 0 else ("B" if c == n - 1 else "-")
     delta = {}
+    stay = None if p is None else 1 - p
     for seen in (0, 1):
         for c in range(n):
             src = _hall_cell(c, seen)
@@ -115,7 +116,7 @@ def _hall_a_1d(n: int, p: Optional[Fraction]) -> PlanningProblem:
                     if p is None:
                         delta[(src, action)] = {tgt: Fraction(1)}
                     else:
-                        delta[(src, action)] = {src: 1 - p, tgt: p}
+                        delta[(src, action)] = {src: stay, tgt: p}
                 elif p is not None:
                     delta[(src, action)] = {src: Fraction(1)}
     env = Environment.from_tables(states, ("right", "left"), ("A", "B", "-"), omega, delta)
@@ -132,8 +133,9 @@ def _bridgewalk(n: int, p_fall: Fraction) -> PlanningProblem:
     for i in range(1, n):
         omega[f"b{i}"] = "mid"
     delta = {}
+    step = 1 - p_fall
     for i in range(n):
-        delta[(f"b{i}", "walk")] = {f"b{i + 1}": 1 - p_fall, "fallen": p_fall}
+        delta[(f"b{i}", "walk")] = {f"b{i + 1}": step, "fallen": p_fall}
     env = Environment.from_tables(
         states, ("walk",), ("start", "mid", "end", "fallen"), omega, delta
     )
@@ -159,6 +161,7 @@ def _hall_a_2d(n: int, p: Optional[Fraction]) -> PlanningProblem:
         for mask in range(16):
             omega[name(pos, mask)] = obs
     delta = {}
+    stay = None if p is None else 1 - p
     for pos in range(per):
         for mask in range(16):
             src = name(pos, mask)
@@ -169,7 +172,7 @@ def _hall_a_2d(n: int, p: Optional[Fraction]) -> PlanningProblem:
                 if p is None:
                     delta[(src, action)] = {tgt: Fraction(1)}
                 else:
-                    delta[(src, action)] = {src: 1 - p, tgt: p}
+                    delta[(src, action)] = {src: stay, tgt: p}
     env = Environment.from_tables(states, ("cw", "ccw"), ("A", "C", "-"), omega, delta)
     return PlanningProblem(env, env.state_index(name(0, 1)), frozenset({env.state_index(name(0, 15))}))
 

@@ -58,29 +58,85 @@ same escape at every dead one.  Writing the slot lists directly bypasses
 the cache; ``calc_lambda`` and ``cumulate_alpha`` read only the slots and
 stay exact on such ledgers, where ``calc_lambda`` saturates in place.
 
-All arithmetic is on ``Fraction``s and every comparison is exact.  An
-operation whose result is one of its operands (adding zero, multiplying
-by a one the code can see) is skipped and that operand stored, the same
-rational for no ``Fraction`` call.
+All arithmetic is exact.  The slots (``ps``, ``goal``, ``fail``,
+``noter``, ``loop``) hold ``Fraction``s, the values ``calc_lambda`` and
+``cumulate_alpha`` read and that tests and callers may write.  The cache
+holds each bound as a reduced pair ``(numerator, denominator)`` of
+``int``s with a positive denominator, zero as ``(0, 1)``, so that ``==``
+on pairs is ``==`` on values; ``_add``, ``_sub``, ``_mul``, ``_div`` and
+``_cmp`` do its arithmetic with ``math.gcd`` and no ``Fraction`` call,
+and a slot value enters it through ``as_integer_ratio``.  ``goal0``,
+``fail0`` and ``noter0`` hand the index-0 bounds out as ``Fraction``s.
+An operation whose result is one of its operands (adding zero,
+multiplying by a one the code can see) is skipped and that operand
+stored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+#: Zero and one as cache pairs.
+_P0 = (0, 1)
+_P1 = (1, 1)
 
-#: Flat per-index lists copied by ``snapshot`` (``loop`` is copied per row).
-_LISTS = (
-    "ps", "goal", "fail", "noter", "headroom", "through", "prefix", "acc_goal", "acc_fail", "acc_noter",
-)
+#: Flat per-index lists copied by ``snapshot`` (``loop`` is copied per
+#: row): the ``Fraction`` slots, then the pair cache.
+_SLOTS = ("ps", "goal", "fail", "noter")
+_CACHE = ("headroom", "through", "prefix", "acc_goal", "acc_fail", "acc_noter")
+_LISTS = _SLOTS + _CACHE
 
 
 def _plus(a, b):
-    """``a + b``; where one of them is zero, the other, with no ``Fraction`` call."""
+    """``a + b`` on slot values; where one of them is zero, the other, with
+    no ``Fraction`` call."""
     return a + b if a and b else a or b
+
+
+def _add(a, b):
+    """``a + b`` on reduced pairs; where one of them is zero, the other."""
+    an, ad = a
+    bn, bd = b
+    if not an:
+        return b
+    if not bn:
+        return a
+    n = an * bd + bn * ad
+    d = ad * bd
+    g = gcd(n, d)
+    return (n // g, d // g)
+
+
+def _sub(a, b):
+    """``a - b`` on reduced pairs."""
+    return _add(a, (-b[0], b[1]))
+
+
+def _mul(a, b):
+    """``a * b`` on reduced pairs: cancelling each numerator against the
+    other denominator leaves the product reduced, and zero ``(0, 1)``."""
+    an, ad = a
+    bn, bd = b
+    g1 = gcd(an, bd)
+    g2 = gcd(bn, ad)
+    return ((an // g1) * (bn // g2), (ad // g2) * (bd // g1))
+
+
+def _div(a, b):
+    """``a / b`` on reduced pairs."""
+    bn, bd = b
+    if not bn:
+        raise ZeroDivisionError("division of a cached bound by zero")
+    return _mul(a, (bd, bn) if bn > 0 else (-bd, -bn))
+
+
+def _cmp(a, b) -> int:
+    """An int with the sign of ``a - b`` (denominators are positive)."""
+    return a[0] * b[1] - b[0] * a[1]
 
 
 class LedgerError(AssertionError):
@@ -123,13 +179,13 @@ class SearchLedger:
         self.fail = [_ZERO]
         self.noter = [_ZERO]
         self.loop: list[dict[int, Fraction]] = []
-        self.headroom = [_ONE]
-        self.through: list[Fraction] = []
-        self.prefix = [_ONE]
-        self.acc_goal = [_ZERO]
-        self.acc_fail = [_ZERO]
-        self.acc_noter = [_ZERO]
-        self.total = _ZERO
+        self.headroom = [_P1]
+        self.through: list[tuple[int, int]] = []
+        self.prefix = [_P1]
+        self.acc_goal = [_P0]
+        self.acc_fail = [_P0]
+        self.acc_noter = [_P0]
+        self.total = _P0
 
     # -- shape ----------------------------------------------------------
 
@@ -147,25 +203,26 @@ class SearchLedger:
         self.noter.append(_ZERO)
         self.loop.append({})
         # the old frontier carries no cycle mass, so its headroom is 1
-        self.through.append(p)
-        self.prefix.append(self.prefix[-1] * p)
-        self.headroom.append(_ONE)
+        pair = p.as_integer_ratio()
+        self.through.append(pair)
+        self.prefix.append(_mul(self.prefix[-1], pair))
+        self.headroom.append(_P1)
         for acc in (self.acc_goal, self.acc_fail, self.acc_noter):
             acc.append(acc[-1])
 
     # -- cached bounds at index 0 ------------------------------------------
 
     @property
-    def goal0(self):
-        return self.acc_goal[-1]
+    def goal0(self) -> Fraction:
+        return Fraction(*self.acc_goal[-1])
 
     @property
-    def fail0(self):
-        return self.acc_fail[-1]
+    def fail0(self) -> Fraction:
+        return Fraction(*self.acc_fail[-1])
 
     @property
-    def noter0(self):
-        return self.acc_noter[-1]
+    def noter0(self) -> Fraction:
+        return Fraction(*self.acc_noter[-1])
 
     # -- mass records -----------------------------------------------------
 
@@ -181,13 +238,14 @@ class SearchLedger:
     def _record(self, slots: list, acc: list, p) -> None:
         """Terminal mass at the frontier slot; its weight in the index-0
         bounds is the prefix product at L."""
-        if not p > 0:
+        pair = p.as_integer_ratio()
+        if not pair[0] > 0:
             raise LedgerError(f"terminal record of non-positive mass {p}")
         L = len(self.ps)
         slots[L] = _plus(slots[L], p)
-        weighted = self.prefix[L] * p
-        acc[L] = _plus(acc[L], weighted)
-        self.total = _plus(self.total, weighted)
+        weighted = _mul(self.prefix[L], pair)
+        acc[L] = _add(acc[L], weighted)
+        self.total = _add(self.total, weighted)
         self._check_bounds()
 
     def record_loop(self, k: int, p_loop) -> None:
@@ -207,10 +265,10 @@ class SearchLedger:
                     continue
             # the new mass strictly raises the cycle mass of row k, and so of
             # every lower row that runs past a changed index: h always moves
-            h = 1 - self._row_lambda(j)
-            if h < 0:
+            h = _sub(_P1, self._row_lambda(j))
+            if h[0] < 0:
                 raise LedgerError(f"cycle mass above 1 at index {j}")
-            if not h:
+            if not h[0]:
                 # all mass from h_curr[j] cycles, so ps[j] / h cannot be
                 # formed: the one place the dead-index rule must rewrite
                 if self.acc_noter[L] != self.acc_noter[j]:
@@ -218,7 +276,7 @@ class SearchLedger:
                 self._saturate_at(j)
                 return
             self.headroom[j] = h
-            self.through[j] = self.ps[j] / h
+            self.through[j] = _div(self.ps[j].as_integer_ratio(), h)
             low = j
         if low is not None:
             self._rescale(low)
@@ -234,23 +292,24 @@ class SearchLedger:
     # -- cache maintenance --------------------------------------------------
 
     def _row_lambda(self, j: int):
-        """calc_lambda's cycle mass at index j from row j and the cached
-        headroom above it (Horner form: column m is divided by the
-        headroom of every index strictly between j and m).  Only rows with
-        mass past a changed index are recomputed, so row j is not empty.
-        Row j holds no column <= j: a cycle record lands in a column above
-        its row, and a fold moves column L of a lower row to n > j."""
+        """calc_lambda's cycle mass at index j, as a pair, from row j and
+        the cached headroom above it (Horner form: column m is divided by
+        the headroom of every index strictly between j and m).  Only rows
+        with mass past a changed index are recomputed, so row j is not
+        empty.  Row j holds no column <= j: a cycle record lands in a
+        column above its row, and a fold moves column L of a lower row to
+        n > j."""
         row = self.loop[j]
         top = max(row)
         headroom = self.headroom
-        acc = row[top]
+        acc = row[top].as_integer_ratio()
         for m in range(top - 1, j, -1):
             h = headroom[m]
-            if h != 1:
-                acc /= h
+            if h != _P1:
+                acc = _div(acc, h)
             v = row.get(m)
-            if v:
-                acc += v
+            if v is not None:
+                acc = _add(acc, v.as_integer_ratio())
         return acc
 
     def _rescale(self, low: int) -> None:
@@ -260,12 +319,12 @@ class SearchLedger:
         for t in range(low, len(self.ps)):
             # a retry corridor's through factor is p / (1 - (1 - p)) = 1
             through = self.through[t]
-            weight = prefix[t] if through == 1 else prefix[t] * through
+            weight = prefix[t] if through == _P1 else _mul(prefix[t], through)
             prefix[t + 1] = weight
             for values, acc in slots:
-                v = values[t + 1]
-                acc[t + 1] = _plus(acc[t], weight * v) if v else acc[t]
-        self.total = _plus(_plus(self.goal0, self.fail0), self.noter0)
+                v = values[t + 1].as_integer_ratio()
+                acc[t + 1] = _add(acc[t], _mul(weight, v)) if v[0] else acc[t]
+        self.total = _add(_add(self.acc_goal[-1], self.acc_fail[-1]), self.acc_noter[-1])
         self._check_bounds()
 
     def _check_bounds(self) -> None:
@@ -273,7 +332,7 @@ class SearchLedger:
         record adds positive mass with a positive weight, so each component
         is non-negative, and a total of at most 1 keeps each one in [0, 1]."""
         # goal, fail and noter continuations are disjoint trajectory sets
-        if self.total > 1:
+        if self.total[0] > self.total[1]:
             raise LedgerError("goal+fail+noter mass above 1 at index 0")
 
     def _saturate_at(self, k: int) -> None:
@@ -283,8 +342,8 @@ class SearchLedger:
         that leaves index k no headroom calls it."""
         _saturate(self, k)
         for j in range(k, len(self.ps) + 1):
-            self.headroom[j] = _ONE
-        self.through[k:] = self.ps[k:]
+            self.headroom[j] = _P1
+        self.through[k:] = [p.as_integer_ratio() for p in self.ps[k:]]
         self._rescale(k)
 
     # -- snapshots (copy-on-branch, restored on backtrack) ---------------
@@ -438,7 +497,7 @@ def cumulate_alpha(ledger: SearchLedger) -> SearchLedger:
     # index n becomes the frontier: no cycle mass, and the prefix sums up
     # to it already hold the folded mass (so ``total`` is unchanged)
     del ledger.headroom[L], ledger.through[n], ledger.prefix[L], ledger.ps[n]
-    ledger.headroom[n] = _ONE
+    ledger.headroom[n] = _P1
     for acc in (ledger.acc_goal, ledger.acc_fail, ledger.acc_noter):
         acc[n] = acc.pop()
 

@@ -10,6 +10,9 @@ keeps up to date as it is mutated: the controller is returned as soon as
 the guaranteed goal mass reaches the requested bound, and the branch is
 abandoned as soon as the remaining optimistic mass drops below it (both
 bounds also cover the optional termination-likelihood requirement).
+The ledger caches those bounds as reduced integer pairs; the search
+turns ``LGT*``, ``LTER*`` and the caps derived from them into pairs once
+and compares by cross-multiplying, with no ``Fraction`` call per verdict.
 ``calc_lambda`` is the reference for those cached bounds: the search
 compares it with the cache at each record or fold that leaves the branch
 empty (where it costs O(1)).  ``measure`` runs the same engine on a fixed
@@ -76,7 +79,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from fscsynth.ledger import LambdaVector, LedgerError, SearchLedger, _plus, calc_lambda, cumulate_alpha
+from fscsynth.ledger import (
+    _P1, LambdaVector, LedgerError, SearchLedger, _add, _cmp, _sub, calc_lambda, cumulate_alpha,
+)
 from fscsynth.model import (
     Controller,
     PlanningProblem,
@@ -216,11 +221,12 @@ class _Search(_Backtracker):
 
     def __init__(self, problem: PlanningProblem, max_states: int, lgt_star, lter_star, budget: Optional[int]):
         super().__init__(problem, max_states, budget)
-        self.lgt_star = lgt_star
-        self.lter_star = lter_star
-        # the prune test compares explored non-goal mass with these caps
-        self.lgt_cap = 1 - lgt_star
-        self.lter_cap = None if lter_star is None else 1 - lter_star
+        # the bounds, and the caps the prune test compares explored
+        # non-goal mass with, as pairs like the ledger's cached bounds
+        self.lgt_star = lgt_star.as_integer_ratio()
+        self.lter_star = None if lter_star is None else lter_star.as_integer_ratio()
+        self.lgt_cap = _sub(_P1, self.lgt_star)
+        self.lter_cap = None if lter_star is None else _sub(_P1, self.lter_star)
         self.ledger = SearchLedger()
         # the goal-unreachable cut serves LGT* alone (module docstring)
         self.lost = problem.lost_states if lter_star is None else frozenset()
@@ -311,15 +317,15 @@ class _Search(_Backtracker):
 
     def _evaluate(self) -> Optional[str]:
         ledger = self.ledger
-        goal0, fail0, noter0 = ledger.goal0, ledger.fail0, ledger.noter0
+        goal0, fail0, noter0 = ledger.acc_goal[-1], ledger.acc_fail[-1], ledger.acc_noter[-1]
         if not len(ledger):
             _check_cache(ledger, calc_lambda(ledger))
-        if goal0 >= self.lgt_star and (
-            self.lter_star is None or _plus(goal0, fail0) >= self.lter_star
+        if _cmp(goal0, self.lgt_star) >= 0 and (
+            self.lter_star is None or _cmp(_add(goal0, fail0), self.lter_star) >= 0
         ):
             return "controller"
-        if _plus(fail0, noter0) > self.lgt_cap or (
-            self.lter_cap is not None and noter0 > self.lter_cap
+        if _cmp(_add(fail0, noter0), self.lgt_cap) > 0 or (
+            self.lter_cap is not None and _cmp(noter0, self.lter_cap) > 0
         ):
             return "fail"
         return None
@@ -348,7 +354,8 @@ class _Measure(_Search):
 
 
 def _check_cache(ledger: SearchLedger, lam: LambdaVector) -> None:
-    if (lam.goal0, lam.fail0, lam.noter0) != (ledger.goal0, ledger.fail0, ledger.noter0):
+    exact = tuple(v.as_integer_ratio() for v in (lam.goal0, lam.fail0, lam.noter0))
+    if exact != (ledger.acc_goal[-1], ledger.acc_fail[-1], ledger.acc_noter[-1]):
         raise LedgerError("cached bounds differ from calc_lambda")
 
 

@@ -72,15 +72,15 @@ def cascade_settle(ledger: SearchLedger, k: int) -> None:
     never-terminating mass fill its unit is saturated, from the top down,
     each saturation rescaling the prefix sums above it (O(L) per index)."""
     L = len(ledger)
-    if not ledger.acc_noter[L]:
+    if not ledger.acc_noter[L][0]:
         return
     last_terminal = next((j for j in range(L, 0, -1) if ledger.goal[j] or ledger.fail[j]), 0)
     for j in range(k, last_terminal - 1, -1):
-        lam = 1 - ledger.headroom[j]
-        noter_after = ledger.acc_noter[L] - ledger.acc_noter[j]
+        lam = 1 - Fraction(*ledger.headroom[j])
+        noter_after = Fraction(*ledger.acc_noter[L]) - Fraction(*ledger.acc_noter[j])
         if not lam or not noter_after:
             continue
-        total = lam + noter_after / ledger.prefix[j + 1]
+        total = lam + noter_after / Fraction(*ledger.prefix[j + 1])
         if total > 1:
             raise LedgerError(f"cycle+noter mass above 1 at index {j}")
         if total == 1:

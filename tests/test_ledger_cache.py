@@ -6,15 +6,19 @@ the cached index-0 bounds and cycle masses must equal a from-scratch
 to apply.  A ledger that applies the dead-index rule eagerly
 (``helpers.CascadeLedger``) runs alongside: its index-0 bounds must stay
 equal to the lazy ledger's, and so must both ledgers once folded down to
-the empty branch.
+the empty branch.  The integer-pair arithmetic the cache runs on is
+checked against ``Fraction``'s.
 """
 
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fscsynth.ledger import _LISTS, LedgerError, SearchLedger, calc_lambda, cumulate_alpha
+from fscsynth.ledger import (
+    _CACHE, _P1, _SLOTS, LedgerError, SearchLedger, _add, _cmp, _div, _mul, _sub, calc_lambda, cumulate_alpha,
+)
 
 from helpers import CascadeLedger, clone_ledger
 
@@ -105,8 +109,8 @@ def _assert_cache_matches_reference(led):
     ref_ledger = clone_ledger(led)
     lam = calc_lambda(ref_ledger)
     assert (led.goal0, led.fail0, led.noter0) == (lam.goal0, lam.fail0, lam.noter0)
-    assert led.total == lam.goal0 + lam.fail0 + lam.noter0
-    assert tuple(1 - h for h in led.headroom) == lam.loop
+    assert led.total == (lam.goal0 + lam.fail0 + lam.noter0).as_integer_ratio()
+    assert led.headroom == [(1 - v).as_integer_ratio() for v in lam.loop]
     # nothing was left for the reference to saturate
     assert ref_ledger.loop == led.loop and ref_ledger.noter == led.noter
     # one sparse cycle row per branch entry, holding only positive masses
@@ -118,12 +122,24 @@ def _assert_cache_matches_reference(led):
     assert list(led.pos.values()) == list(range(len(led)))
 
 
-def _assert_all_fractions(led):
+def _is_pair(v):
+    """A reduced pair of ints (not bools) with a positive denominator: zero
+    is (0, 1), so == on pairs is == on values."""
+    return (
+        type(v) is tuple and len(v) == 2 and type(v[0]) is int and type(v[1]) is int
+        and v[1] > 0 and gcd(*v) == 1
+    )
+
+
+def _assert_slot_fractions_and_cache_pairs(led):
     """Skipping an addition of zero or a product with one stores the other
-    operand: every stored value must still be a Fraction, never an int."""
-    values = [v for name in _LISTS for v in getattr(led, name)]
-    values += [v for row in led.loop for v in row.values()] + [led.total]
-    assert all(type(v) is F for v in values), values
+    operand: every slot value must still be a Fraction, never an int, and
+    every cache entry a reduced pair."""
+    slots = [v for name in _SLOTS for v in getattr(led, name)]
+    slots += [v for row in led.loop for v in row.values()]
+    assert all(type(v) is F for v in slots), slots
+    cache = [v for name in _CACHE for v in getattr(led, name)] + [led.total]
+    assert all(_is_pair(v) for v in cache), cache
 
 
 def _assert_cycle_columns_above_rows(led):
@@ -182,8 +198,8 @@ def _run(ops):
         assert _drained(led).snapshot() == _drained(ref).snapshot()
         _assert_cache_matches_reference(led)
         _assert_cache_matches_reference(ref)
-        _assert_all_fractions(led)
-        _assert_all_fractions(ref)
+        _assert_slot_fractions_and_cache_pairs(led)
+        _assert_slot_fractions_and_cache_pairs(ref)
         _assert_cycle_columns_above_rows(led)
         _assert_cycle_columns_above_rows(ref)
     return lazy[0]
@@ -244,7 +260,7 @@ def test_never_terminating_mass_completing_a_cycle_is_charged_at_the_fold(monkey
     led = _run(_CYCLE_PLUS_NOTER[:-1])
     assert _saturations(calls, SearchLedger) == [] and _saturations(calls, CascadeLedger) == [0]
     # index 0 is dead but keeps its cycle: 1 / (1 - 1/2) * 1/2 = 1
-    assert led.noter[1] == F(1, 2) and led.headroom == [F(1, 2), 1]
+    assert led.noter[1] == F(1, 2) and led.headroom == [(1, 2), (1, 1)]
     _assert_all_lost(led)
 
 
@@ -253,7 +269,7 @@ def test_a_cycle_completing_never_terminating_mass_is_charged_at_the_fold(monkey
     led = _run(_NOTER_PLUS_CYCLE)
     assert _saturations(calls, SearchLedger) == [] and _saturations(calls, CascadeLedger) == [0]
     assert len(led) == 2
-    assert led.noter[1] == F(1, 2) and led.headroom == [F(1, 2), 1, 1]
+    assert led.noter[1] == F(1, 2) and led.headroom == [(1, 2), (1, 1), (1, 1)]
     _assert_all_lost(led)
 
 
@@ -277,3 +293,42 @@ def test_dead_indices_around_a_live_one_are_not_saturated(monkeypatch):
     assert _saturations(calls, SearchLedger) == []
     assert len(led) == 4
     _assert_all_lost(led)
+
+
+# zero, one, the laws of the tests and the benchmark, and large coprime
+# denominators; signed, since ``1 - x`` with x > 1 is how ``record_loop``
+# finds a cycle mass above 1
+_RATIONALS = st.one_of(
+    st.sampled_from([
+        F(0), F(1), F(-1), F(1, 2), F(9, 10), F(99, 100), F(7, 73), F(66, 73), F(37, 101), F(91, 101),
+        F(10**9 - 1, 10**9), F(1, 2**61 - 1), F(2**61 - 2, 2**61 - 1), F(1001, 1000) * F(66, 73) ** 5,
+    ]),
+    st.fractions(min_value=-3, max_value=3, max_denominator=10**12),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_RATIONALS, _RATIONALS)
+@example(F(0), F(0))
+@example(F(1), F(3, 2))
+@example(F(5, 7), F(5, 7))
+@example(F(7, 73), F(-7, 73))
+def test_pair_arithmetic_equals_fraction_arithmetic(x, y):
+    a, b = x.as_integer_ratio(), y.as_integer_ratio()
+    results = {
+        "add": (_add(a, b), x + y),
+        "sub": (_sub(a, b), x - y),
+        "one minus": (_sub(_P1, b), 1 - y),
+        "mul": (_mul(a, b), x * y),
+    }
+    if y:
+        results["div"] = (_div(a, b), x / y)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            _div(a, b)
+    for name, (pair, exact) in results.items():
+        assert _is_pair(pair), (name, pair)
+        assert pair == exact.as_integer_ratio(), name
+    sign = _cmp(a, b)
+    assert (sign < 0, sign == 0, sign > 0) == (x < y, x == y, x > y)
+    assert (a == b) == (x == y)

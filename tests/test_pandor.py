@@ -198,6 +198,65 @@ def test_synthesis_hook_sees_monotone_sound_bounds():
     assert seen[-1][1] >= F(9, 10)
 
 
+def test_bounds_that_a_bounded_controller_meets_exactly_are_met():
+    # a verdict compares the cached bounds with LGT* and LTER* exactly: a
+    # goal bound equal to LGT* meets it, and non-goal mass equal to a cap
+    # prunes nothing
+    rng = random.Random(1)
+    lgt_cases = lter_cases = 0
+    while lgt_cases < 12:
+        prob = random_env(rng, n_states=rng.randint(2, 4), partial=rng.random() < 0.5)
+        n = rng.randint(1, 2)
+        controllers = list(itertools.islice(enumerate_controllers(prob, n), 501))
+        if len(controllers) > 500:
+            continue
+        vectors = sorted({(m.lgt, m.lter) for m in (exact_measures(prob, c) for c in controllers)})
+        best = max(lgt for lgt, _ in vectors)
+        if not 0 < best < 1:
+            continue
+        lgt_cases += 1
+        assert pandor_synth(SynthesisRequest(prob, n, best)).outcome == "controller", (lgt_cases, best)
+        inside = [(lgt, lter) for lgt, lter in vectors if 0 < lgt <= lter < 1]
+        if inside:
+            lter_cases += 1
+            lgt, lter = rng.choice(inside)
+            assert pandor_synth(SynthesisRequest(prob, n, lgt, lter)).outcome == "controller", (lgt, lter)
+    assert lter_cases >= 3
+
+
+_P_FALL = F(7, 73)
+
+
+@pytest.mark.parametrize("name, params, max_states, lgt_star, lter_star, outcome", [
+    ("noisy-hall-a-2d", {"n": 3, "p": F(91, 101)}, 2, F(99, 100), None, "controller"),
+    # retry cycles on a branch up to 23 entries long
+    ("noisy-hall-a-1d", {"n": 12, "p": F(66, 73)}, 2, F(9, 10), None, "controller"),
+    ("bridgewalk", {"n": 5, "p_fall": _P_FALL}, 3, F(1001, 1000) * (1 - _P_FALL) ** 5, None, "failure-proved"),
+    # no goal-unreachable cut: fail mass counts as terminating
+    ("noisy-hall-a-2d", {"n": 3, "p": F(37, 101)}, 2, F(1, 2), F(99, 100), "controller"),
+], ids=["2d-hall", "1d-hall-n12", "bridgewalk", "2d-hall-lter"])
+def test_cached_bounds_equal_calc_lambda_at_every_evaluation_with_large_denominators(
+    name, params, max_states, lgt_star, lter_star, outcome
+):
+    # ``hooked_synth`` compares the ledger's integer-pair cache with
+    # ``calc_lambda`` before every judgement, on laws like the benchmark's
+    prob = build(name, params)
+    request = SynthesisRequest(prob, max_states, lgt_star, lter_star)
+    evaluations = []
+
+    def hook(fingerprint, lam):
+        assert lam.goal0 + lam.fail0 + lam.noter0 <= 1
+        evaluations.append(lam)
+
+    result = hooked_synth(request, hook)
+    assert result == pandor_synth(request)
+    assert result.outcome == outcome
+    assert len(evaluations) > 20
+    if outcome == "controller":
+        m = exact_measures(prob, result.controller)
+        assert m.lgt >= lgt_star and (lter_star is None or m.lter >= lter_star)
+
+
 def test_differential_against_enumeration_on_random_problems():
     # both directions: a controller is returned iff some canonical bounded
     # controller meets the bounds exactly (completeness and soundness)
