@@ -58,18 +58,17 @@ same escape at every dead one.  Writing the slot lists directly bypasses
 the cache; ``calc_lambda`` and ``cumulate_alpha`` read only the slots and
 stay exact on such ledgers, where ``calc_lambda`` saturates in place.
 
-All arithmetic is exact.  The slots (``ps``, ``goal``, ``fail``,
-``noter``, ``loop``) hold ``Fraction``s, the values ``calc_lambda`` and
-``cumulate_alpha`` read and that tests and callers may write.  The cache
-holds each bound as a reduced pair ``(numerator, denominator)`` of
-``int``s with a positive denominator, zero as ``(0, 1)``, so that ``==``
-on pairs is ``==`` on values; ``_add``, ``_sub``, ``_mul``, ``_div`` and
-``_cmp`` do its arithmetic with ``math.gcd`` and no ``Fraction`` call,
-and a slot value enters it through ``as_integer_ratio``.  ``goal0``,
-``fail0`` and ``noter0`` hand the index-0 bounds out as ``Fraction``s.
-An operation whose result is one of its operands (adding zero,
-multiplying by a one the code can see) is skipped and that operand
-stored.
+All arithmetic is exact, on one number type: every slot and cached
+bound is a reduced pair ``(numerator, denominator)`` of ``int``s with a
+positive denominator, zero as ``(0, 1)``, so that ``==`` on pairs is
+``==`` on values.  A step probability enters as such a pair, and
+``_add``, ``_sub``, ``_mul``, ``_div`` and ``_cmp`` do the arithmetic
+with ``math.gcd`` and no ``Fraction`` call.  A pair is a truthy tuple
+even when it is zero, so a zero test reads its numerator.  An operation
+whose result is one of its operands (adding zero, multiplying by a one
+the code can see) is skipped and that operand stored.  ``calc_lambda``
+alone reads the slots as ``Fraction``s and does its own ``Fraction``
+arithmetic, so that it stays an independent reference for the cache.
 """
 
 from __future__ import annotations
@@ -78,23 +77,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-#: Zero and one as cache pairs.
+#: Zero and one as pairs.
 _P0 = (0, 1)
 _P1 = (1, 1)
 
 #: Flat per-index lists copied by ``snapshot`` (``loop`` is copied per
-#: row): the ``Fraction`` slots, then the pair cache.
-_SLOTS = ("ps", "goal", "fail", "noter")
-_CACHE = ("headroom", "through", "prefix", "acc_goal", "acc_fail", "acc_noter")
-_LISTS = _SLOTS + _CACHE
-
-
-def _plus(a, b):
-    """``a + b`` on slot values; where one of them is zero, the other, with
-    no ``Fraction`` call."""
-    return a + b if a and b else a or b
+#: row): the slots, then the cache.
+_LISTS = ("ps", "goal", "fail", "noter", "headroom", "through", "prefix", "acc_goal", "acc_fail", "acc_noter")
 
 
 def _add(a, b):
@@ -172,13 +161,13 @@ class SearchLedger:
     __slots__ = _LISTS + ("pos", "loop", "total")
 
     def __init__(self):
-        self.ps: list[Fraction] = []
+        self.ps: list[tuple[int, int]] = []
         # h_curr: combined state -> index, in insertion (branch) order
         self.pos: dict[tuple[int, int], int] = {}
-        self.goal = [_ZERO]
-        self.fail = [_ZERO]
-        self.noter = [_ZERO]
-        self.loop: list[dict[int, Fraction]] = []
+        self.goal = [_P0]
+        self.fail = [_P0]
+        self.noter = [_P0]
+        self.loop: list[dict[int, tuple[int, int]]] = []
         self.headroom = [_P1]
         self.through: list[tuple[int, int]] = []
         self.prefix = [_P1]
@@ -198,31 +187,16 @@ class SearchLedger:
             raise LedgerError("h_curr must not contain a combined state twice")
         self.pos[(q, s)] = len(self.ps)
         self.ps.append(p)
-        self.goal.append(_ZERO)
-        self.fail.append(_ZERO)
-        self.noter.append(_ZERO)
+        self.goal.append(_P0)
+        self.fail.append(_P0)
+        self.noter.append(_P0)
         self.loop.append({})
         # the old frontier carries no cycle mass, so its headroom is 1
-        pair = p.as_integer_ratio()
-        self.through.append(pair)
-        self.prefix.append(_mul(self.prefix[-1], pair))
+        self.through.append(p)
+        self.prefix.append(_mul(self.prefix[-1], p))
         self.headroom.append(_P1)
         for acc in (self.acc_goal, self.acc_fail, self.acc_noter):
             acc.append(acc[-1])
-
-    # -- cached bounds at index 0 ------------------------------------------
-
-    @property
-    def goal0(self) -> Fraction:
-        return Fraction(*self.acc_goal[-1])
-
-    @property
-    def fail0(self) -> Fraction:
-        return Fraction(*self.acc_fail[-1])
-
-    @property
-    def noter0(self) -> Fraction:
-        return Fraction(*self.acc_noter[-1])
 
     # -- mass records -----------------------------------------------------
 
@@ -238,12 +212,11 @@ class SearchLedger:
     def _record(self, slots: list, acc: list, p) -> None:
         """Terminal mass at the frontier slot; its weight in the index-0
         bounds is the prefix product at L."""
-        pair = p.as_integer_ratio()
-        if not pair[0] > 0:
-            raise LedgerError(f"terminal record of non-positive mass {p}")
+        if not p[0] > 0:
+            raise LedgerError(f"terminal record of non-positive mass {p[0]}/{p[1]}")
         L = len(self.ps)
-        slots[L] = _plus(slots[L], p)
-        weighted = _mul(self.prefix[L], pair)
+        slots[L] = _add(slots[L], p)
+        weighted = _mul(self.prefix[L], p)
         acc[L] = _add(acc[L], weighted)
         self.total = _add(self.total, weighted)
         self._check_bounds()
@@ -254,7 +227,7 @@ class SearchLedger:
         if not 0 <= k < L:
             raise LedgerError("loop record outside h_curr")
         row = self.loop[k]
-        row[L] = _plus(row.get(L, _ZERO), p_loop)
+        row[L] = _add(row.get(L, _P0), p_loop)
         # a new cycle mass at index j changes the amplification of every
         # lower row that has a column past j; walk down and recompute those
         low = None
@@ -276,7 +249,7 @@ class SearchLedger:
                 self._saturate_at(j)
                 return
             self.headroom[j] = h
-            self.through[j] = _div(self.ps[j].as_integer_ratio(), h)
+            self.through[j] = _div(self.ps[j], h)
             low = j
         if low is not None:
             self._rescale(low)
@@ -286,13 +259,13 @@ class SearchLedger:
         step of probability ``p``: ``p`` times the on-branch suffix
         h_curr[k:]."""
         for t in range(k + 1, len(self.ps)):
-            p *= self.ps[t]
+            p = _mul(p, self.ps[t])
         return p
 
     # -- cache maintenance --------------------------------------------------
 
     def _row_lambda(self, j: int):
-        """calc_lambda's cycle mass at index j, as a pair, from row j and
+        """calc_lambda's cycle mass at index j from row j and
         the cached headroom above it (Horner form: column m is divided by
         the headroom of every index strictly between j and m).  Only rows
         with mass past a changed index are recomputed, so row j is not
@@ -302,14 +275,14 @@ class SearchLedger:
         row = self.loop[j]
         top = max(row)
         headroom = self.headroom
-        acc = row[top].as_integer_ratio()
+        acc = row[top]
         for m in range(top - 1, j, -1):
             h = headroom[m]
             if h != _P1:
                 acc = _div(acc, h)
             v = row.get(m)
             if v is not None:
-                acc = _add(acc, v.as_integer_ratio())
+                acc = _add(acc, v)
         return acc
 
     def _rescale(self, low: int) -> None:
@@ -322,7 +295,7 @@ class SearchLedger:
             weight = prefix[t] if through == _P1 else _mul(prefix[t], through)
             prefix[t + 1] = weight
             for values, acc in slots:
-                v = values[t + 1].as_integer_ratio()
+                v = values[t + 1]
                 acc[t + 1] = _add(acc[t], _mul(weight, v)) if v[0] else acc[t]
         self.total = _add(_add(self.acc_goal[-1], self.acc_fail[-1]), self.acc_noter[-1])
         self._check_bounds()
@@ -343,7 +316,7 @@ class SearchLedger:
         _saturate(self, k)
         for j in range(k, len(self.ps) + 1):
             self.headroom[j] = _P1
-        self.through[k:] = [p.as_integer_ratio() for p in self.ps[k:]]
+        self.through[k:] = self.ps[k:]
         self._rescale(k)
 
     # -- snapshots (copy-on-branch, restored on backtrack) ---------------
@@ -374,12 +347,16 @@ def calc_lambda(ledger: SearchLedger) -> LambdaVector:
     the module docstring).  At every index the cycle mass plus the goal,
     fail and never-terminating mass that leaves without returning must
     fit in the unit, each component must lie in [0, 1], and no row below
-    a dead index may run past it.
+    a dead index may run past it.  The slots are read as ``Fraction``s and
+    the bounds computed with ``Fraction`` arithmetic, independently of the
+    pair arithmetic that maintains the cache.
     """
     L = len(ledger)
     # the frontier slot L carries no cycle mass: its bounds are its slots
-    lam_goal, lam_fail, lam_noter = ([None] * L + [slots[L]] for slots in (ledger.goal, ledger.fail, ledger.noter))
-    lam_loop = [None] * L + [_ZERO]
+    lam_goal, lam_fail, lam_noter = (
+        [None] * L + [Fraction(*slots[L])] for slots in (ledger.goal, ledger.fail, ledger.noter)
+    )
+    lam_loop = [None] * L + [Fraction(0)]
     loop = ledger.loop
 
     for k in range(L, -1, -1):
@@ -387,13 +364,13 @@ def calc_lambda(ledger: SearchLedger) -> LambdaVector:
             # cycle mass at index k: row k amplified by cycles at intermediate
             # indices strictly between the target k and each sealing column
             row = loop[k]
-            acc = _ZERO
+            acc = Fraction(0)
             if row:
                 amp = 1
                 for m in range(k, L + 1):
                     v = row.get(m)
-                    if v:
-                        acc += amp * v
+                    if v is not None:
+                        acc += amp * Fraction(*v)
                     if m > k:
                         denom = 1 - lam_loop[m]
                         if not denom:
@@ -406,15 +383,15 @@ def calc_lambda(ledger: SearchLedger) -> LambdaVector:
                 raise LedgerError(f"cycle+goal+fail+noter mass above 1 at index {k}")
             if acc == 1:
                 _saturate(ledger, k)
-                lam_loop[k] = _ZERO
-                lam_noter[k + 1] = _ONE
+                lam_loop[k] = Fraction(0)
+                lam_noter[k + 1] = Fraction(1)
             elif acc + lam_noter[k + 1] == 1:
                 _check_none_past(ledger, k)
             # below 1 here: a cycle mass of 1 was saturated just above
-            through = ledger.ps[k] / (1 - lam_loop[k])
-            lam_goal[k] = through * lam_goal[k + 1] + ledger.goal[k]
-            lam_fail[k] = through * lam_fail[k + 1] + ledger.fail[k]
-            lam_noter[k] = through * lam_noter[k + 1] + ledger.noter[k]
+            through = Fraction(*ledger.ps[k]) / (1 - lam_loop[k])
+            lam_goal[k] = through * lam_goal[k + 1] + Fraction(*ledger.goal[k])
+            lam_fail[k] = through * lam_fail[k + 1] + Fraction(*ledger.fail[k])
+            lam_noter[k] = through * lam_noter[k + 1] + Fraction(*ledger.noter[k])
         for vec in (lam_goal, lam_fail, lam_noter):
             v = vec[k]
             if v < 0 or v > 1:
@@ -435,21 +412,21 @@ def _saturate(ledger: SearchLedger, k: int) -> None:
     """
     L = len(ledger)
     for j in range(k + 1, L + 1):
-        if ledger.goal[j] or ledger.fail[j]:
+        if ledger.goal[j][0] or ledger.fail[j][0]:
             raise LedgerError("goal/fail mass recorded beyond a saturated index")
     _check_none_past(ledger, k)
     for row in ledger.loop[k:]:
         row.clear()
     for j in range(k + 2, L + 1):
-        ledger.noter[j] = _ZERO
-    ledger.noter[k + 1] = _ONE
+        ledger.noter[j] = _P0
+    ledger.noter[k + 1] = _P1
 
 
 def _check_none_past(ledger: SearchLedger, k: int) -> None:
     """No row below the dead index k may hold a cycle sealed past k: that
     escape from h_curr[k] would push its explored mass above 1."""
     for row in ledger.loop[:k]:
-        if any(v for m, v in row.items() if m > k):
+        if any(v[0] for m, v in row.items() if m > k):
             raise LedgerError(f"cycle mass through dead index {k}")
 
 
@@ -471,28 +448,29 @@ def cumulate_alpha(ledger: SearchLedger) -> SearchLedger:
     n = L - 1
     loop = ledger.loop
     row = loop.pop()
-    lam_n = _plus(row.get(n, _ZERO), row.get(L, _ZERO))
-    denom = 1 - lam_n if lam_n else _ONE
-    if not denom:
+    lam_n = _add(row.get(n, _P0), row.get(L, _P0))
+    denom = _sub(_P1, lam_n) if lam_n[0] else _P1
+    if not denom[0]:
         raise LedgerError("fold hit cycle mass 1: saturation rule missed")
     # index n's cycle + noter law, checked once, as n is folded; a dead n
     # (noter filling the headroom) admits no cycle from below sealed past it
-    if ledger.noter[L] > denom:
+    excess = _cmp(ledger.noter[L], denom)
+    if excess > 0:
         raise LedgerError(f"cycle+noter mass above 1 at index {n}")
-    dead = ledger.noter[L] == denom
+    dead = not excess
     # with no cycle mass at n, through is ps[n] and v / denom is v
-    through = ledger.ps[n] / denom if lam_n else ledger.ps[n]
+    through = _div(ledger.ps[n], denom) if lam_n[0] else ledger.ps[n]
     for slots in (ledger.goal, ledger.fail, ledger.noter):
         v = slots.pop()
-        if v:
-            slots[n] = _plus(slots[n], through * v)
+        if v[0]:
+            slots[n] = _add(slots[n], _mul(through, v))
 
     for row in loop:
-        v = row.pop(L, None)
-        if v:
+        v = row.pop(L, _P0)
+        if v[0]:
             if dead:
                 raise LedgerError(f"cycle mass through dead index {n}")
-            row[n] = _plus(row.get(n, _ZERO), v / denom if lam_n else v)
+            row[n] = _add(row.get(n, _P0), _div(v, denom) if lam_n[0] else v)
 
     # index n becomes the frontier: no cycle mass, and the prefix sums up
     # to it already hold the folded mass (so ``total`` is unchanged)

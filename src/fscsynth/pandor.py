@@ -10,9 +10,11 @@ keeps up to date as it is mutated: the controller is returned as soon as
 the guaranteed goal mass reaches the requested bound, and the branch is
 abandoned as soon as the remaining optimistic mass drops below it (both
 bounds also cover the optional termination-likelihood requirement).
-The ledger caches those bounds as reduced integer pairs; the search
-turns ``LGT*``, ``LTER*`` and the caps derived from them into pairs once
-and compares by cross-multiplying, with no ``Fraction`` call per verdict.
+The search runs on one number type, the ledger's reduced integer pairs:
+a step probability becomes a pair where it leaves the environment (the
+root enters with ``(1, 1)``), ``LGT*``, ``LTER*`` and the caps derived
+from them become pairs once, and bounds are compared by cross-multiplying,
+with no ``Fraction`` call outside ``calc_lambda``.
 ``calc_lambda`` is the reference for those cached bounds: the search
 compares it with the cache at each record or fold that leaves the branch
 empty (where it costs O(1)).  ``measure`` runs the same engine on a fixed
@@ -76,7 +78,6 @@ slot holds it.  ``measure`` never cuts, so its vectors stay exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from fscsynth.ledger import (
@@ -150,7 +151,7 @@ class _Backtracker:
         self.controller: dict[tuple[int, int], tuple[int, int]] = {}
         self.max_used = 0
         self.choices: list[_Choice] = []
-        self.agenda: list = [("or", 0, problem.initial_state, Fraction(1))]
+        self.agenda: list = [("or", 0, problem.initial_state, _P1)]
         self.or_steps = 0
         self.peak_depth = 0
 
@@ -197,7 +198,7 @@ class _Backtracker:
         if depth > self.peak_depth:
             self.peak_depth = depth
         self.agenda.append(("retreat", q, s))
-        self.agenda.extend([("or", q2, s2, p2) for s2, p2 in reversed(dist)])
+        self.agenda.extend([("or", q2, s2, p2.as_integer_ratio()) for s2, p2 in reversed(dist)])
 
     def _backtrack(self) -> Optional[str]:
         # exhausted choice points are dropped unrestored but for their controller
@@ -268,9 +269,9 @@ class _Search(_Backtracker):
         if k is not None:
             # revisit of the current branch: seal the cycle
             p_loop = ledger.loop_mass_to(k, p)
-            if p_loop > 1:
+            if _cmp(p_loop, _P1) > 0:
                 raise LedgerError("cycle traversal mass above 1")
-            if p_loop == 1:
+            if p_loop == _P1:
                 ledger.record_noter(p)  # non-decaying cycle never terminates
             else:
                 ledger.record_loop(k, p_loop)

@@ -74,7 +74,7 @@ def cascade_settle(ledger: SearchLedger, k: int) -> None:
     L = len(ledger)
     if not ledger.acc_noter[L][0]:
         return
-    last_terminal = next((j for j in range(L, 0, -1) if ledger.goal[j] or ledger.fail[j]), 0)
+    last_terminal = next((j for j in range(L, 0, -1) if ledger.goal[j][0] or ledger.fail[j][0]), 0)
     for j in range(k, last_terminal - 1, -1):
         lam = 1 - Fraction(*ledger.headroom[j])
         noter_after = Fraction(*ledger.acc_noter[L]) - Fraction(*ledger.acc_noter[j])

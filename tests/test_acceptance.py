@@ -149,13 +149,13 @@ def check_deterministic_equivalence():
 
 
 def _random_feasible_ledger(rng):
-    probs = [F(1), F(1, 2), F(1, 3), F(2, 3), F(1, 4), F(3, 4)]
-    masses = [F(0)] * 4 + [F(1, 16), F(1, 8), F(3, 16), F(1, 4), F(1, 2)]
+    probs = [(1, 1), (1, 2), (1, 3), (2, 3), (1, 4), (3, 4)]
+    masses = [(0, 1)] * 4 + [(1, 16), (1, 8), (3, 16), (1, 4), (1, 2)]
     while True:
         length = rng.randint(1, 4)
         led = SearchLedger()
         for k in range(length):
-            led.extend(0, k, F(1) if k == 0 else rng.choice(probs))
+            led.extend(0, k, (1, 1) if k == 0 else rng.choice(probs))
         for k in range(length + 1):
             led.goal[k] = rng.choice(masses)
             led.fail[k] = rng.choice(masses)

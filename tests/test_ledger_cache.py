@@ -6,7 +6,7 @@ the cached index-0 bounds and cycle masses must equal a from-scratch
 to apply.  A ledger that applies the dead-index rule eagerly
 (``helpers.CascadeLedger``) runs alongside: its index-0 bounds must stay
 equal to the lazy ledger's, and so must both ledgers once folded down to
-the empty branch.  The integer-pair arithmetic the cache runs on is
+the empty branch.  The integer-pair arithmetic the ledger runs on is
 checked against ``Fraction``'s.
 """
 
@@ -17,8 +17,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fscsynth.ledger import (
-    _CACHE, _P1, _SLOTS, LedgerError, SearchLedger, _add, _cmp, _div, _mul, _sub, calc_lambda, cumulate_alpha,
+    _LISTS, _P1, LedgerError, SearchLedger, _add, _cmp, _div, _mul, _sub, calc_lambda, cumulate_alpha,
 )
+from fscsynth.pandor import _check_cache
 
 from helpers import CascadeLedger, clone_ledger
 
@@ -88,15 +89,15 @@ _DEAD_LIVE_DEAD = [
 def _apply(led, op, snaps, fresh):
     kind = op[0]
     if kind == "extend":
-        led.extend(0, fresh, op[1])
+        led.extend(0, fresh, op[1].as_integer_ratio())
     elif kind == "goal":
-        led.record_goal(op[1])
+        led.record_goal(op[1].as_integer_ratio())
     elif kind == "fail":
-        led.record_fail(op[1])
+        led.record_fail(op[1].as_integer_ratio())
     elif kind == "noter":
-        led.record_noter(op[1])
+        led.record_noter(op[1].as_integer_ratio())
     elif kind == "loop" and len(led):
-        led.record_loop(op[1] % len(led), op[2])
+        led.record_loop(op[1] % len(led), op[2].as_integer_ratio())
     elif kind == "fold" and len(led):
         cumulate_alpha(led)
     elif kind == "snapshot":
@@ -105,10 +106,15 @@ def _apply(led, op, snaps, fresh):
         led.restore(snaps[op[1] % len(snaps)])
 
 
+def _bounds0(led):
+    """The cached index-0 bounds and their sum."""
+    return led.acc_goal[-1], led.acc_fail[-1], led.acc_noter[-1], led.total
+
+
 def _assert_cache_matches_reference(led):
     ref_ledger = clone_ledger(led)
     lam = calc_lambda(ref_ledger)
-    assert (led.goal0, led.fail0, led.noter0) == (lam.goal0, lam.fail0, lam.noter0)
+    _check_cache(led, lam)
     assert led.total == (lam.goal0 + lam.fail0 + lam.noter0).as_integer_ratio()
     assert led.headroom == [(1 - v).as_integer_ratio() for v in lam.loop]
     # nothing was left for the reference to saturate
@@ -117,7 +123,7 @@ def _assert_cache_matches_reference(led):
     # sealed at or above the row's own index and at most at the frontier
     L = len(led)
     assert len(led.loop) == L
-    assert all(j <= m <= L and v > 0 for j, row in enumerate(led.loop) for m, v in row.items())
+    assert all(j <= m <= L and v[0] > 0 for j, row in enumerate(led.loop) for m, v in row.items())
     # h_curr in branch order, also after folds and restores
     assert list(led.pos.values()) == list(range(len(led)))
 
@@ -131,15 +137,13 @@ def _is_pair(v):
     )
 
 
-def _assert_slot_fractions_and_cache_pairs(led):
+def _assert_all_pairs(led):
     """Skipping an addition of zero or a product with one stores the other
-    operand: every slot value must still be a Fraction, never an int, and
-    every cache entry a reduced pair."""
-    slots = [v for name in _SLOTS for v in getattr(led, name)]
-    slots += [v for row in led.loop for v in row.values()]
-    assert all(type(v) is F for v in slots), slots
-    cache = [v for name in _CACHE for v in getattr(led, name)] + [led.total]
-    assert all(_is_pair(v) for v in cache), cache
+    operand: every slot, cycle entry, cache entry and ``total`` must still
+    be a reduced pair."""
+    values = [v for name in _LISTS for v in getattr(led, name)]
+    values += [v for row in led.loop for v in row.values()] + [led.total]
+    assert all(_is_pair(v) for v in values), values
 
 
 def _assert_cycle_columns_above_rows(led):
@@ -194,12 +198,12 @@ def _run(ops):
             continue
         lazy, eager = trials
         led, ref = lazy[0], eager[0]
-        assert (led.goal0, led.fail0, led.noter0, led.total) == (ref.goal0, ref.fail0, ref.noter0, ref.total)
+        assert _bounds0(led) == _bounds0(ref)
         assert _drained(led).snapshot() == _drained(ref).snapshot()
         _assert_cache_matches_reference(led)
         _assert_cache_matches_reference(ref)
-        _assert_slot_fractions_and_cache_pairs(led)
-        _assert_slot_fractions_and_cache_pairs(ref)
+        _assert_all_pairs(led)
+        _assert_all_pairs(ref)
         _assert_cycle_columns_above_rows(led)
         _assert_cycle_columns_above_rows(ref)
     return lazy[0]
@@ -240,9 +244,9 @@ def _saturations(calls, ledger_class):
 def _assert_all_lost(led):
     """Everything entering h_curr[0] never terminates, and folding the
     branch away charges it all to the root's noter slot."""
-    assert led.noter0 == 1
+    assert led.acc_noter[-1] == (1, 1)
     drained = _drained(led)
-    assert (drained.goal, drained.fail, drained.noter) == ([0], [0], [1])
+    assert (drained.goal, drained.fail, drained.noter) == ([(0, 1)], [(0, 1)], [(1, 1)])
 
 
 def test_cycles_that_fill_the_unit_saturate_at_once(monkeypatch):
@@ -250,8 +254,8 @@ def test_cycles_that_fill_the_unit_saturate_at_once(monkeypatch):
     led = _run(_CONSPIRING_CYCLES)
     assert _saturations(calls, SearchLedger) == _saturations(calls, CascadeLedger) == [0]
     assert len(led) == 3
-    assert led.noter[1] == 1
-    assert all(not any(row.values()) for row in led.loop)
+    assert led.noter[1] == (1, 1)
+    assert all(not any(v[0] for v in row.values()) for row in led.loop)
     _assert_all_lost(led)
 
 
@@ -260,7 +264,7 @@ def test_never_terminating_mass_completing_a_cycle_is_charged_at_the_fold(monkey
     led = _run(_CYCLE_PLUS_NOTER[:-1])
     assert _saturations(calls, SearchLedger) == [] and _saturations(calls, CascadeLedger) == [0]
     # index 0 is dead but keeps its cycle: 1 / (1 - 1/2) * 1/2 = 1
-    assert led.noter[1] == F(1, 2) and led.headroom == [(1, 2), (1, 1)]
+    assert led.noter[1] == (1, 2) and led.headroom == [(1, 2), (1, 1)]
     _assert_all_lost(led)
 
 
@@ -269,7 +273,7 @@ def test_a_cycle_completing_never_terminating_mass_is_charged_at_the_fold(monkey
     led = _run(_NOTER_PLUS_CYCLE)
     assert _saturations(calls, SearchLedger) == [] and _saturations(calls, CascadeLedger) == [0]
     assert len(led) == 2
-    assert led.noter[1] == F(1, 2) and led.headroom == [(1, 2), (1, 1), (1, 1)]
+    assert led.noter[1] == (1, 2) and led.headroom == [(1, 2), (1, 1), (1, 1)]
     _assert_all_lost(led)
 
 
@@ -293,6 +297,34 @@ def test_dead_indices_around_a_live_one_are_not_saturated(monkeypatch):
     assert _saturations(calls, SearchLedger) == []
     assert len(led) == 4
     _assert_all_lost(led)
+
+
+def _dead_index_ledger(zero_past):
+    """A hand-written ledger whose index 1 is dead (cycle 1/2 plus noter
+    1/2) while row 0 holds a cycle of 1/8 sealed at index 1; with
+    ``zero_past``, row 0 also holds a zero pair in column 2, past the dead
+    index."""
+    led = SearchLedger()
+    led.extend(0, 0, (1, 1))
+    led.extend(0, 1, (1, 2))
+    led.goal[1] = (1, 4)
+    led.loop[0][1] = (1, 8)
+    led.loop[1][2] = (1, 2)
+    led.noter[2] = (1, 2)
+    if zero_past:
+        led.loop[0][2] = (0, 1)
+    return led
+
+
+def test_a_stored_zero_pair_is_no_mass():
+    # a zero pair is a truthy tuple: a check that tests the pair and not
+    # its numerator takes it for a cycle through the dead index
+    with_zero, without = _dead_index_ledger(True), _dead_index_ledger(False)
+    assert calc_lambda(clone_ledger(with_zero)) == calc_lambda(clone_ledger(without))
+    cumulate_alpha(with_zero)
+    cumulate_alpha(without)
+    assert with_zero.snapshot() == without.snapshot()
+    assert calc_lambda(with_zero) == calc_lambda(without)
 
 
 # zero, one, the laws of the tests and the benchmark, and large coprime

@@ -579,22 +579,19 @@ def test_lazy_dead_index_rule_searches_as_the_cascade(monkeypatch, n, cascade_sa
 
 
 def test_the_search_adds_and_subtracts_no_zero_outside_calc_lambda(monkeypatch):
-    # adding or subtracting zero gives back the other operand, which the
-    # ledger and the bound test keep with no Fraction call; calc_lambda,
-    # the plain reference the cache is checked against, still makes them
+    # the search runs on integer pairs: outside calc_lambda, the plain
+    # reference the cache is checked against, it constructs no Fraction
+    # and applies no Fraction operator (so it adds no Fraction zero either)
     requests = [
         SynthesisRequest(build("bridgewalk", {"n": 5}), 3, F(9, 10) ** 5 * F(1001, 1000)),
         SynthesisRequest(build("noisy-hall-a-1d", {"n": 12}), 2, F(99, 100)),
     ]
-    in_reference, calls, zero_operand = [False], [], []
+    in_reference, calls, reference_calls = [False], [], []
 
     def counted(name, op):
-        def wrapped(a, b):
-            if not in_reference[0]:
-                calls.append(name)
-                if not a or not b:
-                    zero_operand.append((name, a, b))
-            return op(a, b)
+        def wrapped(*args, **kwargs):
+            (reference_calls if in_reference[0] else calls).append(name)
+            return op(*args, **kwargs)
         return wrapped
 
     def reference(ledger, calc_lambda=pandor.calc_lambda):
@@ -604,11 +601,18 @@ def test_the_search_adds_and_subtracts_no_zero_outside_calc_lambda(monkeypatch):
         finally:
             in_reference[0] = False
 
-    for name in ("__add__", "__radd__", "__sub__", "__rsub__"):
+    operators = [
+        "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+        "__floordiv__", "__rfloordiv__", "__mod__", "__rmod__", "__divmod__", "__rdivmod__", "__pow__",
+        "__rpow__", "__pos__", "__neg__", "__abs__", "__bool__", "__eq__", "__lt__", "__le__", "__gt__", "__ge__",
+    ]
+    for name in operators:
         monkeypatch.setattr(F, name, counted(name, getattr(F, name)))
+    monkeypatch.setattr(F, "__new__", staticmethod(counted("__new__", F.__new__)))
     monkeypatch.setattr(pandor, "calc_lambda", reference)
     outcomes = [pandor_synth(request).outcome for request in requests]
     monkeypatch.undo()
     assert outcomes == ["failure-proved", "controller"]
-    assert calls  # the patched operators see the search's arithmetic
-    assert zero_operand == []
+    # the patched constructor and operators see calc_lambda's arithmetic
+    assert {"__new__", "__add__"} <= set(reference_calls)
+    assert calls == []
