@@ -6,8 +6,10 @@ package's shortcuts are tested against."""
 from __future__ import annotations
 
 import random
+import runpy
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 from fscsynth.ledger import LambdaVector, LedgerError, SearchLedger, calc_lambda
 from fscsynth.model import (
@@ -15,6 +17,12 @@ from fscsynth.model import (
 )
 from fscsynth.pandor import DEFAULT_BUDGET, _check_cache, _Measure, _Search
 from fscsynth.verifier import FAIL_SINK, GOAL_SINK, UNDEF_SINK, ChainError, CombinedChain
+
+
+def r300_script() -> dict:
+    """The globals of ``scripts/r300.py``, without running its ``main``:
+    ``problem(rng)`` and ``row(seed)`` draw and run one seed of the table."""
+    return runpy.run_path(str(Path(__file__).parents[1] / "scripts" / "r300.py"))
 
 
 def controller_from_names(env: Environment, num_states: int, edges: dict) -> Controller:

@@ -29,6 +29,7 @@ from helpers import (
     dense_absorption,
     enumerate_controllers,
     flip_stop_controller,
+    r300_script,
     random_env,
     random_total_controller,
 )
@@ -240,16 +241,13 @@ def test_sparse_solve_with_fill_in_on_a_2d_hall(n, fill_in):
 def _r300_cases():
     """(problem, controller) for each controller in ``tests/data/r300.jsonl``,
     the problem rebuilt with ``scripts/r300.py``'s draws from its seed."""
+    draw = r300_script()["problem"]
     for line in (Path(__file__).parent / "data" / "r300.jsonl").read_text().splitlines():
         row = json.loads(line)
         if row["controller"] is None:
             continue
-        rng = random.Random(row["seed"])
-        size = rng.randint(4, 6)
-        problem = random_env(rng, n_states=size, partial=rng.random() < 0.5)
         transitions = {tuple(key): tuple(value) for key, value in row["controller"]}
-        num_states = 1 + max(max(q, q2) for (q, _), (_, q2) in transitions.items())
-        yield problem, Controller(num_states, transitions)
+        yield draw(random.Random(row["seed"])), Controller(row["num_states"], transitions)
 
 
 def test_sparse_solve_equals_dense_reference_on_r300_controllers():

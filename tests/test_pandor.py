@@ -1,6 +1,8 @@
 import itertools
+import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,7 @@ from helpers import (
     goal_unreachable,
     hooked_measure,
     hooked_synth,
+    r300_script,
     random_env,
     random_total_controller,
     stuck_pairs,
@@ -96,6 +99,16 @@ def test_deterministic_runs_are_identical():
     r2 = pandor_synth(SynthesisRequest(prob, 2, F(9, 10)))
     assert r1.controller.transitions == r2.controller.transitions
     assert r1.or_steps == r2.or_steps
+
+
+def test_r300_replays_its_fast_seeds_line_for_line():
+    # the other 15 seeds (up to the 60 000-step budget) are diffed by CI
+    row = r300_script()["row"]
+    lines = (Path(__file__).parent / "data" / "r300.jsonl").read_text().splitlines()
+    fast = [line for line in lines if json.loads(line)["or_steps"] <= 2000]
+    assert len(fast) == 285
+    for line in fast:
+        assert json.dumps(row(json.loads(line)["seed"])) == line
 
 
 def test_lower_bounds_never_exceed_truth_during_exploration():
