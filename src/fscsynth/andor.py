@@ -56,11 +56,12 @@ class _Search(_Backtracker):
         return self._open(q, s, p, candidates)
 
     def _action_candidates(self, s: int) -> list[tuple[int, int]]:
+        successors = self._successors()
         return [
             (a, q2)
             for a in range(len(self.env.actions))
             if self.env.dist(s, a) is not None
-            for q2 in self._successors()
+            for q2 in successors
         ]
 
     def _execute(self, q: int, s: int, p, tr) -> Optional[str]:

@@ -27,9 +27,9 @@ The search never calls ``calc_lambda`` on its hot path.  Every mutating
 method keeps a cache of the same bounds up to date instead:
 
 * ``headroom[k]``: one minus calc_lambda's cycle mass at index k (one
-  at L), and ``through[k] = ps[k] / headroom[k]``;
-* ``prefix[k]``: the product of ``through[:k]``, the weight of slot k in
-  the index-0 bounds;
+  at L), off which the through factor ``ps[k] / headroom[k]`` is read;
+* ``prefix[k]``: the product of the through factors below k, the weight
+  of slot k in the index-0 bounds;
 * ``acc_goal[k]`` (and ``acc_fail``, ``acc_noter``): the prefix sums of
   ``prefix[j] * goal[j]``, so that ``goal0 = acc_goal[L]``;
 * ``total``: ``goal0 + fail0 + noter0``, the explored mass at index 0.
@@ -83,7 +83,7 @@ _P1 = (1, 1)
 
 #: Flat per-index lists copied by ``snapshot`` (``loop`` is copied per
 #: row): the slots, then the cache.
-_LISTS = ("ps", "goal", "fail", "noter", "headroom", "through", "prefix", "acc_goal", "acc_fail", "acc_noter")
+_LISTS = ("ps", "goal", "fail", "noter", "headroom", "prefix", "acc_goal", "acc_fail", "acc_noter")
 
 
 def _add(a, b):
@@ -169,7 +169,6 @@ class SearchLedger:
         self.noter = [_P0]
         self.loop: list[dict[int, tuple[int, int]]] = []
         self.headroom = [_P1]
-        self.through: list[tuple[int, int]] = []
         self.prefix = [_P1]
         self.acc_goal = [_P0]
         self.acc_fail = [_P0]
@@ -192,7 +191,6 @@ class SearchLedger:
         self.noter.append(_P0)
         self.loop.append({})
         # the old frontier carries no cycle mass, so its headroom is 1
-        self.through.append(p)
         self.prefix.append(_mul(self.prefix[-1], p))
         self.headroom.append(_P1)
         for acc in (self.acc_goal, self.acc_fail, self.acc_noter):
@@ -230,12 +228,11 @@ class SearchLedger:
         row[L] = _add(row.get(L, _P0), p_loop)
         # a new cycle mass at index j changes the amplification of every
         # lower row that has a column past j; walk down and recompute those
-        low = None
+        low = k
         for j in range(k, -1, -1):
-            if j < k:
-                row = self.loop[j]
-                if low is None or not row or max(row) <= low:
-                    continue
+            row = self.loop[j]
+            if j < k and (not row or max(row) <= low):
+                continue
             # the new mass strictly raises the cycle mass of row k, and so of
             # every lower row that runs past a changed index: h always moves
             h = _sub(_P1, self._row_lambda(j))
@@ -249,10 +246,8 @@ class SearchLedger:
                 self._saturate_at(j)
                 return
             self.headroom[j] = h
-            self.through[j] = _div(self.ps[j], h)
             low = j
-        if low is not None:
-            self._rescale(low)
+        self._rescale(low)
 
     def loop_mass_to(self, k: int, p):
         """Traversal probability of a cycle back to h_curr[k] closed by a
@@ -287,12 +282,12 @@ class SearchLedger:
 
     def _rescale(self, low: int) -> None:
         """Recompute ``prefix`` and the prefix sums above index ``low``."""
-        prefix = self.prefix
+        ps, headroom, prefix = self.ps, self.headroom, self.prefix
         slots = ((self.goal, self.acc_goal), (self.fail, self.acc_fail), (self.noter, self.acc_noter))
-        for t in range(low, len(self.ps)):
-            # a retry corridor's through factor is p / (1 - (1 - p)) = 1
-            through = self.through[t]
-            weight = prefix[t] if through == _P1 else _mul(prefix[t], through)
+        for t in range(low, len(ps)):
+            # the through factor is p / h; a retry corridor's is p / (1 - (1 - p)) = 1
+            p, h = ps[t], headroom[t]
+            weight = prefix[t] if p == h else _mul(prefix[t], p if h == _P1 else _div(p, h))
             prefix[t + 1] = weight
             for values, acc in slots:
                 v = values[t + 1]
@@ -316,7 +311,6 @@ class SearchLedger:
         _saturate(self, k)
         for j in range(k, len(self.ps) + 1):
             self.headroom[j] = _P1
-        self.through[k:] = self.ps[k:]
         self._rescale(k)
 
     # -- snapshots (copy-on-branch, restored on backtrack) ---------------
@@ -474,7 +468,7 @@ def cumulate_alpha(ledger: SearchLedger) -> SearchLedger:
 
     # index n becomes the frontier: no cycle mass, and the prefix sums up
     # to it already hold the folded mass (so ``total`` is unchanged)
-    del ledger.headroom[L], ledger.through[n], ledger.prefix[L], ledger.ps[n]
+    del ledger.headroom[L], ledger.prefix[L], ledger.ps[n]
     ledger.headroom[n] = _P1
     for acc in (ledger.acc_goal, ledger.acc_fail, ledger.acc_noter):
         acc[n] = acc.pop()

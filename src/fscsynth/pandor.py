@@ -16,9 +16,10 @@ root enters with ``(1, 1)``), ``LGT*``, ``LTER*`` and the caps derived
 from them become pairs once, and bounds are compared by cross-multiplying,
 with no ``Fraction`` call outside ``calc_lambda``.
 ``calc_lambda`` is the reference for those cached bounds: the search
-compares it with the cache at each record or fold that leaves the branch
-empty (where it costs O(1)).  ``measure`` runs the same engine on a fixed
-controller (``_Measure``) and returns ``calc_lambda``'s final vector.
+compares it with the cache at each record on the empty branch (where it
+costs O(1)); no fold empties it (see ``_exhausted``).  ``measure`` runs
+the same engine on a fixed controller (``_Measure``) and returns
+``calc_lambda``'s final vector.
 
 The agenda loop, the choice points and chronological backtracking live
 in ``_Backtracker``, which the deterministic baseline in ``andor`` shares;
@@ -33,10 +34,10 @@ with successor 0.  No answer changes:
 * every stuck transition (q, o) -> (a, q2) records its step mass as
   never-terminating, here and at every later state with observation o,
   whatever a and q2 are;
-* q2 is never entered through it, so it only raises ``max_used``: a
-  controller below a dropped sibling, with that transition replaced by
-  (a, 0) and its states renumbered canonically, is a controller below
-  (a, 0) with the same ledger records and measures;
+* q2 is never entered through it, so it only raises the highest state
+  in use: a controller below a dropped sibling, with that transition
+  replaced by (a, 0) and its states renumbered canonically, is a
+  controller below (a, 0) with the same ledger records and measures;
 * so if the (a, 0) subtree fails, every dropped sibling fails too, and if
   it succeeds, the same controller is found first, since the remaining
   candidates keep their order.
@@ -101,7 +102,6 @@ DEFAULT_BUDGET = 10_000_000
 class _Choice:
     # agenda contents are copied: the branch pops pending items below any length mark
     agenda_copy: list
-    max_used: int
     snap: object
     q: int
     s: int
@@ -128,9 +128,9 @@ class _Backtracker:
     (a point opens on an undefined pair and its commits write only that
     entry), and the snapshot (``_restore``).  Fresh controller states are
     numbered canonically: a choice point offers only successors up to one
-    above the highest state in use.  A commit's verdict is handled like an
-    OR step's: ``_backtrack`` returns it, or ``"failure-proved"`` once no
-    choice point is left.
+    above the highest state the controller uses.  A commit's verdict is
+    handled like an OR step's: ``_backtrack`` returns it, or
+    ``"failure-proved"`` once no choice point is left.
 
     ``_Search`` judges right after each ledger record, never after an extend
     or a fold, and judging there too would change no answer: an extend
@@ -149,7 +149,6 @@ class _Backtracker:
         self.max_states = max_states
         self.budget = budget
         self.controller: dict[tuple[int, int], tuple[int, int]] = {}
-        self.max_used = 0
         self.choices: list[_Choice] = []
         self.agenda: list = [("or", 0, problem.initial_state, _P1)]
         self.or_steps = 0
@@ -174,23 +173,29 @@ class _Backtracker:
         else:
             verdict = self._exhausted()
         found = verdict == "controller"
-        controller = Controller(self.max_used + 1, dict(self.controller)) if found else None
+        controller = Controller(self._highest_used() + 1, dict(self.controller)) if found else None
         return SynthResult(verdict, controller, self.or_steps, self.peak_depth)
+
+    def _highest_used(self) -> int:
+        """The highest state a live choice point's non-stop transition enters, or 0."""
+        highest = 0
+        for a, q2 in self.controller.values():
+            if q2 > highest and a != STOP:
+                highest = q2
+        return highest
 
     def _successors(self) -> range:
         """Canonically numbered successor states for a fresh transition."""
-        return range(min(self.max_used + 1, self.max_states - 1) + 1)
+        return range(min(self._highest_used() + 1, self.max_states - 1) + 1)
 
     def _open(self, q: int, s: int, p, candidates: list) -> Optional[str]:
-        cp = _Choice(list(self.agenda), self.max_used, self._snapshot(), q, s, p, candidates)
+        cp = _Choice(list(self.agenda), self._snapshot(), q, s, p, candidates)
         self.choices.append(cp)
         return self._commit(cp)
 
     def _commit(self, cp: _Choice) -> Optional[str]:
         cand = cp.candidates[cp.idx]
         self.controller[(cp.q, self.env.obs(cp.s))] = cand
-        if cand[0] != STOP and cand[1] > self.max_used:
-            self.max_used = cand[1]
         return self._execute(cp.q, cp.s, cp.p, cand)
 
     def _descend(self, q: int, s: int, q2: int, dist, depth: int) -> None:
@@ -211,7 +216,6 @@ class _Backtracker:
             return "failure-proved"
         cp = choices[-1]
         self.agenda[:] = cp.agenda_copy
-        self.max_used = cp.max_used
         self._restore(cp.snap)
         cp.idx += 1
         return self._commit(cp)
@@ -249,8 +253,7 @@ class _Search(_Backtracker):
         self.ledger.restore(snap)
 
     def _retreat(self, q: int, s: int) -> None:
-        if not len(cumulate_alpha(self.ledger)):
-            _check_cache(self.ledger, calc_lambda(self.ledger))
+        cumulate_alpha(self.ledger)
 
     def _exhausted(self) -> str:
         # the last record was judged on the final bounds, which sum to one and so give a verdict
@@ -286,10 +289,11 @@ class _Search(_Backtracker):
         canonically numbered successor states, the first stuck action once
         with successor 0, plus stop.  Stop is tried first in goal states
         and last elsewhere."""
+        successors = self._successors()
         acts = [
             (a, q2)
             for a, live in self.offers[self.env.obs(s)]
-            for q2 in (self._successors() if live else (0,))
+            for q2 in (successors if live else (0,))
         ]
         if self.problem.is_goal(s):
             return [(STOP, 0)] + acts
