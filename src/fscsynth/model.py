@@ -13,6 +13,7 @@ whichever thread computes it.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,19 +30,25 @@ STOP_NAME = "stop"
 
 ProbLike = Union[Fraction, int, float, str]
 
+#: Python 3.10's ``Fraction`` string grammar on ASCII digits, so that every
+#: supported Python reads a number alike (3.11+ also read ``1_0``, 3.12+ ``1 / 2``).
+_RATIONAL = re.compile(r"\s*[-+]?(?=[0-9]|\.[0-9])[0-9]*(?:/[0-9]+|(?:\.[0-9]*)?(?:[eE][-+]?[0-9]+)?)\s*")
+
 
 class ModelError(ValueError):
     """A model object violates one of its construction invariants."""
 
 
 def as_prob(value: ProbLike) -> Fraction:
-    """Coerce ints, strings like ``1/2`` or ``0.5``, and floats whose binary
-    value is exactly their printed decimal (``0.5``, not ``0.1``) to a
-    Fraction; anything else raises ModelError.  The package reads every
-    number from outside through here."""
+    """Coerce ints, strings like ``1/2``, ``0.5`` or ``1e-3``, and floats
+    whose binary value is exactly their printed decimal (``0.5``, not
+    ``0.1``) to a Fraction; anything else, a bool included, raises
+    ModelError.  The package reads every number from outside through here."""
     if isinstance(value, Fraction):
         return value
     try:
+        if isinstance(value, bool) or isinstance(value, str) and not _RATIONAL.fullmatch(value):
+            raise ValueError(value)
         exact = Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise ModelError(f"expected a rational like 9/10 or 0.9, got {value!r}") from None
@@ -54,9 +61,9 @@ def as_prob(value: ProbLike) -> Fraction:
 
 def check_count(name: str, value, low: int) -> None:
     """Raise ModelError unless ``value`` is an int of at least ``low``:
-    ``2.5``, ``Fraction(3, 2)`` or ``"2"`` would pass a bare comparison
-    and fail later inside a search."""
-    if not isinstance(value, int) or value < low:
+    ``2.5``, ``Fraction(3, 2)``, ``"2"`` or ``True`` would pass a bare
+    comparison and fail later inside a search, or run as 1."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < low:
         raise ModelError(f"{name} must be an integer of at least {low}, got {value!r}")
 
 

@@ -52,7 +52,7 @@ def test_returned_controllers_are_strong(name, params, n):
     assert m.lgt == 1 and m.nonterm == 0
 
 
-@pytest.mark.parametrize("n", [0, 2.5, F(3, 2), "2"])
+@pytest.mark.parametrize("n", [0, 2.5, F(3, 2), "2", True])
 def test_a_state_bound_that_is_not_a_positive_integer_is_rejected(n):
     with pytest.raises(ModelError, match="state bound"):
         andor_synth(build("hall-a-1d", {"n": 4}), n)
@@ -78,7 +78,7 @@ def test_budget_exhausted_run_reports_exactly_the_budget():
     assert (result.outcome, result.or_steps) == ("budget-exhausted", 5)
 
 
-@pytest.mark.parametrize("budget", [-1, 0, 2.5])
+@pytest.mark.parametrize("budget", [-1, 0, 2.5, True])
 def test_a_budget_that_is_not_a_positive_integer_is_rejected(budget):
     # a budget the OR-step count can never equal would run to completion
     with pytest.raises(ModelError, match="budget"):

@@ -238,6 +238,9 @@ def test_usage_errors_exit_64(capsys):
     assert code == 64 and "rational" in err
     code, _, err = run(capsys, "synth", "--domain", "coin-flip", "--max-states", "2", "--lgt-star", "1/0")
     assert code == 64 and "rational" in err
+    # Python 3.12+ reads it as 1/2
+    code, _, err = run(capsys, "synth", "--domain", "coin-flip", "--max-states", "2", "--lgt-star", "1 / 2")
+    assert code == 64 and "rational" in err
     code, _, err = run(capsys, "synth", "--domain", "coin-flip", "--max-states", "2", "--lgt-star", "0.4", "--lter-star", "")
     assert code == 64 and "rational" in err
     code, _, _ = run(capsys, "synth", "--domain", "nope", "--max-states", "2", "--lgt-star", "0.4")

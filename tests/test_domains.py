@@ -126,6 +126,8 @@ def test_parameter_validation_errors():
         build("noisy-hall-a-1d", {"p": 0.1})  # not exactly 1/10 in binary
     with pytest.raises(DomainError):
         build("noisy-hall-a-1d", {"p": "abc"})
+    with pytest.raises(DomainError, match="rational"):
+        build("bridgewalk", {"n": True})  # a bool is no number: it would build n = 1
 
 
 @pytest.mark.parametrize("name, key", [
@@ -209,6 +211,8 @@ trans s1 flip 1/2 s0 1/2 gaol
 
 @pytest.mark.parametrize("text,line,col,message", [
     (COIN_FLIP_TEXT.replace("1/2 nogoal", "1/x nogoal"), 10, 24, "invalid probability '1/x'"),
+    # Python 3.11+ would read it as 10/10
+    (COIN_FLIP_TEXT.replace("1/2 nogoal", "1_0/1_0 nogoal"), 10, 24, "invalid probability '1_0/1_0'"),
     (COIN_FLIP_TEXT.replace("1/2 goal 1/2", "0 goal 1"), 10, 15, "probability must be positive, got 0"),
     (COIN_FLIP_TEXT.replace("1/2 goal 1/2", "-1/2 goal 3/2"), 10, 15, "probability must be positive, got -1/2"),
     (COIN_FLIP_TEXT.replace("1/2 nogoal", "2/5 nogoal"), 10, 1, "probabilities sum to 9/10, not 1"),

@@ -170,6 +170,8 @@ def test_controller_validation():
         Controller(1, {(0, 0): (-5, 0)})  # negative action other than STOP
     with pytest.raises(ModelError, match="integer"):
         Controller(1.5, {})
+    with pytest.raises(ModelError, match="integer"):
+        Controller(True, {})  # a bool is an int, but no count
 
 
 @pytest.mark.parametrize("transitions", [
@@ -251,7 +253,8 @@ def test_as_prob_rejects_inexact_floats():
         _one_step_env({"s1": 0.1, "s2": "9/10"})
 
 
-@pytest.mark.parametrize("value", ["bogus", "1/0", None, float("inf")])
+# Python 3.11+ reads "1_0" and 3.12+ reads "1 / 2"; "\u0661/\u0662" has no ASCII digit
+@pytest.mark.parametrize("value", ["bogus", "1/0", None, float("inf"), True, "1_0/1_0", "1 / 2", "\u0661/\u0662"])
 def test_unreadable_numbers_raise_model_error(coin, value):
     with pytest.raises(ModelError, match="rational"):
         as_prob(value)
@@ -261,11 +264,14 @@ def test_unreadable_numbers_raise_model_error(coin, value):
         _one_step_env({"s1": value})
 
 
-def test_as_prob_accepts_exact_inputs():
-    assert as_prob("0.1") == F(1, 10)
-    assert as_prob(0.5) == F(1, 2)
-    assert as_prob(F(1, 10)) == F(1, 10)
-    assert as_prob(1) == 1
+@pytest.mark.parametrize("value,exact", [
+    ("0.1", F(1, 10)), (0.5, F(1, 2)), (F(1, 10), F(1, 10)), (1, 1),
+    # strings every supported Python reads alike
+    ("0.9", F(9, 10)), ("9/10", F(9, 10)), ("1e-3", F(1, 1000)), (" 1/2 ", F(1, 2)), ("+1/2", F(1, 2)),
+    (".5", F(1, 2)), ("1.", 1),
+])
+def test_as_prob_accepts_exact_inputs(value, exact):
+    assert as_prob(value) == exact
     env = _one_step_env({"s1": 0.5, "s2": "0.5"})
     assert env.dist(0, 0) == ((1, F(1, 2)), (2, F(1, 2)))
 

@@ -85,7 +85,7 @@ def test_budget_exhausted_run_reports_exactly_the_budget():
     assert (result.outcome, result.or_steps) == ("budget-exhausted", 5)
 
 
-@pytest.mark.parametrize("budget", [-1, 0, 2.5])
+@pytest.mark.parametrize("budget", [-1, 0, 2.5, True])
 def test_a_budget_that_is_not_a_positive_integer_is_rejected(budget):
     # a budget the OR-step count can never equal would run to completion
     prob = build("bridgewalk", {"n": 4})
@@ -400,19 +400,46 @@ def _assert_judging_everywhere_changes_nothing(request, budget=DEFAULT_BUDGET):
     return search.judged
 
 
-def test_folds_and_extends_never_move_a_verdict():
-    judged = 0
+def _verdict_grid():
+    """(request, budget): the catalogue domains for N 1-3 and three LGT*
+    values, then 200 random problems, every other one with an LTER*."""
     for name in domain_names():
         prob = build(name)
         for N, lgt_star in itertools.product((1, 2, 3), (F(1, 10), F(1, 2), F(9, 10))):
-            judged += _assert_judging_everywhere_changes_nothing(SynthesisRequest(prob, N, lgt_star))
+            yield SynthesisRequest(prob, N, lgt_star), DEFAULT_BUDGET
     rng = random.Random(7070)
     for trial in range(200):
         prob = random_env(rng, n_states=rng.randint(2, 4), partial=rng.random() < 0.5)
         lter_star = F(rng.randint(1, 19), 20) if trial % 2 else None
-        request = SynthesisRequest(prob, rng.randint(1, 2), F(rng.randint(1, 19), 20), lter_star)
-        judged += _assert_judging_everywhere_changes_nothing(request, budget=3000)
+        yield SynthesisRequest(prob, rng.randint(1, 2), F(rng.randint(1, 19), 20), lter_star), 3000
+
+
+def test_folds_and_extends_never_move_a_verdict():
+    judged = sum(_assert_judging_everywhere_changes_nothing(request, budget) for request, budget in _verdict_grid())
     assert judged > 1000
+
+
+class _CountingFolds(pandor._Search):
+    """The search, counting its folds and checking that none leaves the
+    branch empty."""
+
+    folds = 0
+
+    def _retreat(self, q, s):
+        super()._retreat(q, s)
+        assert len(self.ledger), "a fold emptied the branch"
+        self.folds += 1
+
+
+def test_no_synthesis_folds_its_branch_to_empty():
+    # the record before such a fold judged the final bounds, which sum to
+    # one and so give a verdict: the search has ended or backtracked
+    folds = 0
+    for request, budget in _verdict_grid():
+        search = _CountingFolds(request.problem, request.max_states, request.lgt_star, request.lter_star, budget)
+        assert search.run() == pandor_synth(request, budget)
+        folds += search.folds
+    assert folds > 1000
 
 
 def _checking_choice_stack(engine):
