@@ -233,10 +233,6 @@ def build(name: str, params: Optional[Mapping[str, object]] = None) -> PlanningP
 # environment text format
 
 
-def _tokens(line: str) -> list[str]:
-    return line.split("#", 1)[0].split()
-
-
 def _error(lineno: int, line: str, index: int, message: str) -> ParseError:
     """A ParseError located at the index-th token of a line.
 
@@ -270,8 +266,9 @@ def parse_env(text: str) -> PlanningProblem:
         goal <state>*
         trans <state> <action> (<prob> <state>)+   # probs sum to 1
 
-    Each distinct probability token is converted and checked once, and
-    each distinct tuple of probability tokens is summed once, per call.
+    A line costs a dict lookup per token, and ``lookup`` and ``_error`` run
+    only to report its first fault.  Each distinct probability token is
+    converted and checked once, and each distinct tuple of them summed once.
     """
     states: dict[str, int] = {}
     actions: dict[str, int] = {}
@@ -282,6 +279,7 @@ def parse_env(text: str) -> PlanningProblem:
     goals: set[int] = set()
     probs: dict[str, Fraction] = {}
     summed: set[tuple[str, ...]] = set()
+    listed_on: dict[int, int] = {}  # state -> the last line that listed it as a successor
 
     def declare(table, toks, lineno, line, kind):
         for index in range(1, len(toks)):
@@ -296,28 +294,35 @@ def parse_env(text: str) -> PlanningProblem:
             raise _error(lineno, line, index, f"dangling identifier: unknown {kind} {toks[index]!r}")
         return found
 
+    probs_get, states_get, listed_on_get = probs.get, states.get, listed_on.get  # the per-token lookups
     for lineno, line in enumerate(text.splitlines(), start=1):
-        toks = _tokens(line)
+        toks = line.split("#", 1)[0].split() if "#" in line else line.split()
         if not toks:
             continue
         head = toks[0]
         if head == "trans":
-            if len(toks) < 5 or len(toks) % 2 == 0:
+            n = len(toks)
+            if n < 5 or n % 2 == 0:
                 raise _error(lineno, line, 0, "trans takes <state> <action> (<prob> <state>)+")
-            s = lookup(states, toks, 1, lineno, line, "state")
-            a = lookup(actions, toks, 2, lineno, line, "action")
-            if (s, a) in delta:
+            s = states_get(toks[1])
+            a = actions.get(toks[2])
+            if s is None or a is None:
+                lookup(states, toks, 1, lineno, line, "state")
+                lookup(actions, toks, 2, lineno, line, "action")
+            sa = (s, a)
+            if sa in delta:
                 raise _error(lineno, line, 1, f"transition ({toks[1]}, {toks[2]}) declared twice")
             entries = []
-            seen_targets = set()
-            for i in range(3, len(toks), 2):
-                p = probs.get(toks[i])
+            for i in range(3, n, 2):
+                p = probs_get(toks[i])
                 if p is None:
                     p = probs[toks[i]] = _probability(toks[i], lineno, line, i)
-                s2 = lookup(states, toks, i + 1, lineno, line, "state")
-                if s2 in seen_targets:
+                s2 = states_get(toks[i + 1])
+                if s2 is None:
+                    lookup(states, toks, i + 1, lineno, line, "state")
+                if listed_on_get(s2) == lineno:
                     raise _error(lineno, line, i + 1, f"successor {toks[i + 1]!r} listed twice")
-                seen_targets.add(s2)
+                listed_on[s2] = lineno
                 entries.append((s2, p))
             key = tuple(toks[3::2])
             if key not in summed:
@@ -325,7 +330,18 @@ def parse_env(text: str) -> PlanningProblem:
                 if total != 1:
                     raise _error(lineno, line, 0, f"probabilities sum to {total}, not 1")
                 summed.add(key)
-            delta[(s, a)] = tuple(entries)
+            delta[sa] = tuple(entries)
+        elif head == "observe":
+            if len(toks) != 3:
+                raise _error(lineno, line, 0, "observe takes exactly <state> <obs>")
+            s = states_get(toks[1])
+            o = observations.get(toks[2])
+            if s is None or o is None:
+                lookup(states, toks, 1, lineno, line, "state")
+                lookup(observations, toks, 2, lineno, line, "observation")
+            if s in omega:
+                raise _error(lineno, line, 1, f"state {toks[1]!r} observed twice")
+            omega[s] = o
         elif head == "states":
             declare(states, toks, lineno, line, "state")
         elif head == "actions":
@@ -334,14 +350,6 @@ def parse_env(text: str) -> PlanningProblem:
             declare(actions, toks, lineno, line, "action")
         elif head == "observations":
             declare(observations, toks, lineno, line, "observation")
-        elif head == "observe":
-            if len(toks) != 3:
-                raise _error(lineno, line, 0, "observe takes exactly <state> <obs>")
-            s = lookup(states, toks, 1, lineno, line, "state")
-            o = lookup(observations, toks, 2, lineno, line, "observation")
-            if s in omega:
-                raise _error(lineno, line, 1, f"state {toks[1]!r} observed twice")
-            omega[s] = o
         elif head == "init":
             if len(toks) != 2:
                 raise _error(lineno, line, 0, "init takes exactly one state")
@@ -354,9 +362,9 @@ def parse_env(text: str) -> PlanningProblem:
         else:
             raise _error(lineno, line, 0, f"unknown declaration {head!r}")
 
-    for s, i in states.items():
-        if i not in omega:
-            raise ParseError(0, 0, f"state {s!r} has no observation")
+    if len(omega) < len(states):
+        s = next(s for s, i in states.items() if i not in omega)
+        raise ParseError(0, 0, f"state {s!r} has no observation")
     if init is None:
         raise ParseError(0, 0, "missing init declaration")
     env = Environment(
@@ -364,7 +372,7 @@ def parse_env(text: str) -> PlanningProblem:
         tuple(actions),
         tuple(observations),
         delta,
-        tuple(omega[i] for i in range(len(states))),
+        tuple([omega[i] for i in range(len(states))]),
     )
     return PlanningProblem(env, init, frozenset(goals))
 
@@ -405,7 +413,7 @@ def parse_controller(text: str, env: Environment) -> Controller:
     num_states: Optional[int] = None
     transitions: dict[tuple[int, int], tuple[int, int]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        toks = _tokens(line)
+        toks = line.split("#", 1)[0].split() if "#" in line else line.split()
         if not toks:
             continue
         head = toks[0]

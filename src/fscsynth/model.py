@@ -32,7 +32,12 @@ ProbLike = Union[Fraction, int, float, str]
 
 #: Python 3.10's ``Fraction`` string grammar on ASCII digits, so that every
 #: supported Python reads a number alike (3.11+ also read ``1_0``, 3.12+ ``1 / 2``).
-_RATIONAL = re.compile(r"\s*[-+]?(?=[0-9]|\.[0-9])[0-9]*(?:/[0-9]+|(?:\.[0-9]*)?(?:[eE][-+]?[0-9]+)?)\s*")
+#: Group 1 is the decimal exponent's magnitude without leading zeros.
+_RATIONAL = re.compile(r"\s*[-+]?(?=[0-9]|\.[0-9])[0-9]*(?:/[0-9]+|(?:\.[0-9]*)?(?:[eE][-+]?0*([0-9]+))?)\s*")
+
+#: The largest decimal exponent ``as_prob`` reads: ``1e-1000`` has a 3 322-bit
+#: denominator, while ``1e-1000000`` would take 0.3 s to build 3.3 M bits.
+MAX_EXPONENT = 1000
 
 
 class ModelError(ValueError):
@@ -46,8 +51,11 @@ def as_prob(value: ProbLike) -> Fraction:
     ModelError.  The package reads every number from outside through here."""
     if isinstance(value, Fraction):
         return value
+    match = isinstance(value, str) and _RATIONAL.fullmatch(value)
+    if match and match[1] and (len(match[1]) > len(str(MAX_EXPONENT)) or int(match[1]) > MAX_EXPONENT):
+        raise ModelError(f"expected a rational with a decimal exponent of at most {MAX_EXPONENT}, got {value!r}")
     try:
-        if isinstance(value, bool) or isinstance(value, str) and not _RATIONAL.fullmatch(value):
+        if isinstance(value, bool) or isinstance(value, str) and not match:
             raise ValueError(value)
         exact = Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
@@ -102,12 +110,14 @@ class Environment:
         for o in self.omega:
             if not isinstance(o, int) or not 0 <= o < n_o:
                 raise ModelError(f"omega references unknown observation index {o!r}")
-        # many (state, action) pairs share one law: check and sum each
-        # distinct one once
-        summed = set()
         if not isinstance(self.delta, Mapping):
             raise ModelError(f"delta {self.delta!r} is not a mapping from (state, action) pairs to laws")
-        for key, dist in self.delta.items():
+        # many (state, action) pairs share one law, and its Fraction objects
+        # with it: check and sum each distinct tuple of them once, keyed by
+        # their ids.  Each keyed tuple is kept, so no id is reused meanwhile.
+        summed = {}
+        last_law = [-1] * n_s  # state -> the last law that listed it as a successor
+        for law, (key, dist) in enumerate(self.delta.items()):
             try:
                 s, a = key
             except (TypeError, ValueError):
@@ -117,7 +127,7 @@ class Environment:
             # the law is read three times below, so a one-shot iterator is no law
             if not isinstance(dist, (tuple, list)):
                 raise ModelError(f"delta({s},{a}) law {dist!r} is not a tuple or list of (successor, probability) pairs")
-            seen = set()
+            ids = []
             for entry in dist:
                 try:
                     s2, p = entry
@@ -125,21 +135,22 @@ class Environment:
                     raise ModelError(f"delta({s},{a}) entry {entry!r} is not a (successor, probability) pair") from None
                 if not isinstance(s2, int) or not 0 <= s2 < n_s:
                     raise ModelError(f"delta({s},{a}) references unknown successor {s2!r}")
-                if s2 in seen:
+                if last_law[s2] == law:
                     raise ModelError(f"delta({s},{a}) lists successor {s2} twice")
-                seen.add(s2)
+                last_law[s2] = law
                 # an int or bool would pass every check below and reach the search as is
                 if not isinstance(p, Fraction):
                     raise ModelError(f"delta({s},{a}) has a probability that is not rational as a Fraction: {p!r}")
-            key = tuple([(p.numerator, p.denominator) for _, p in dist])
-            if key not in summed:
+                ids.append(id(p))
+            ids = tuple(ids)
+            if ids not in summed:
                 for _, p in dist:
                     if p <= 0:
                         raise ModelError(f"delta({s},{a}) has non-positive probability {p}")
                 total = sum((p for _, p in dist), Fraction(0))
                 if total != 1:
                     raise ModelError(f"delta({s},{a}) sums to {total}, not 1")
-                summed.add(key)
+                summed[ids] = tuple([p for _, p in dist])
 
     # -- index helpers -------------------------------------------------
 

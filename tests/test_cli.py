@@ -287,6 +287,24 @@ def test_parse_errors_exit_65(tmp_path, capsys):
     assert code == 65 and not out
 
 
+def test_decimal_exponents_above_the_cap_exit_64_or_65(tmp_path, capsys):
+    # 1e-1000000 used to build a 3.3 M-bit denominator that every bound comparison then multiplied
+    env_file = tmp_path / "tiny.env"
+    text = "states s0 g\nactions a\nobservations o won\nobserve s0 o\nobserve g won\ninit s0\ngoal g\ntrans s0 a {} g 1 s0\n"
+    env_file.write_text(text.format("1e-1001"))
+    code, out, err = run(capsys, "synth", "--env", str(env_file), "--max-states", "1", "--lgt-star", "0.4")
+    assert code == 65 and not out and "line 8, col 12: invalid probability '1e-1001'" in err
+    code, out, err = run(capsys, "synth", "--domain", "coin-flip", "--max-states", "1", "--lgt-star", "1e-1000000")
+    assert code == 64 and not out and "decimal exponent of at most 1000" in err
+    code, out, err = run(capsys, "synth", "--domain", "bridgewalk", "--param", "p_fall=1e-1001",
+                         "--max-states", "1", "--lgt-star", "0.4")
+    assert code == 64 and not out and "decimal exponent of at most 1000" in err
+    # small exponents still read exactly; retrying a 1e-3 chance reaches the goal surely
+    env_file.write_text(text.replace("1 s0", "999/1000 s0").format("1e-3"))
+    code, _, _ = run(capsys, "synth", "--env", str(env_file), "--max-states", "1", "--lgt-star", "1e-3")
+    assert code == 0
+
+
 @pytest.mark.parametrize("text", ["states \u00b2\nstart 0\n", "states 1\nstart 0\nedge \u00b2 start flip 0\n"])
 def test_non_ascii_controller_state_exits_65(tmp_path, capsys, text):
     # "\u00b2".isdigit() holds but int() rejects it; this used to be a traceback

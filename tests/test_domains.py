@@ -170,9 +170,14 @@ def test_decimal_probabilities_are_exact():
     assert parse_env(text) == build("coin-flip")
 
 
-@pytest.mark.parametrize("name", sorted(domain_names()))
-def test_serialize_round_trip(name):
-    prob = build(name, {})
+@pytest.mark.parametrize("name, params", [pytest.param(name, {}, id=name) for name in sorted(domain_names())] + [
+    # benchmark-sized texts: thousands of trans and observe lines
+    pytest.param("noisy-hall-a-2d", {"n": 12, "p": F(37, 101)}, id="noisy-hall-a-2d-n12"),
+    pytest.param("noisy-hall-a-1d", {"n": 120, "p": F(2, 5)}, id="noisy-hall-a-1d-n120"),
+    pytest.param("bridgewalk", {"n": 60, "p_fall": F(23, 71)}, id="bridgewalk-n60"),
+])
+def test_serialize_round_trip(name, params):
+    prob = build(name, params)
     text = serialize_env(prob)
     again = parse_env(text)
     assert again == prob
@@ -229,6 +234,17 @@ trans s1 flip 1/2 s0 1/2 gaol
     (COIN_FLIP_TEXT + "trans s0 flip 1 goal 1\n", 11, 1, "trans takes <state> <action> (<prob> <state>)+"),
     (COIN_FLIP_TEXT + "trans s0 flip 1 goal\n", 11, 7, "transition (s0, flip) declared twice"),
     (COIN_FLIP_TEXT.replace("1/2 nogoal", "1/2 goal"), 10, 28, "successor 'goal' listed twice"),
+    # the first fault of a line wins: a repeated successor before a bad probability ...
+    (COIN_FLIP_TEXT.replace("1/2 goal 1/2 nogoal", "1/4 goal 1/4 goal 1/x nogoal"), 10, 28, "successor 'goal' listed twice"),
+    # ... and a dangling successor before a repeated one
+    (COIN_FLIP_TEXT.replace("1/2 goal 1/2 nogoal", "1/2 gaol 1/4 goal 1/4 goal"), 10, 19, "dangling identifier: unknown state 'gaol'"),
+    (COIN_FLIP_TEXT.replace("1/2 goal 1/2 nogoal", "1/2 gaol 1/2 gaol"), 10, 19, "dangling identifier: unknown state 'gaol'"),
+    (COIN_FLIP_TEXT.replace("observe s0 start", "observe s0 strat"), 5, 12, "dangling identifier: unknown observation 'strat'"),
+    (COIN_FLIP_TEXT.replace("observe s0 start", "observe s9 strat"), 5, 9, "dangling identifier: unknown state 's9'"),
+    (COIN_FLIP_TEXT.replace("trans s0 flip", "trans s0 flop"), 10, 10, "dangling identifier: unknown action 'flop'"),
+    (COIN_FLIP_TEXT.replace("trans s0 flip", "trans s9 flop"), 10, 7, "dangling identifier: unknown state 's9'"),
+    # above the cap, 1e-1000000 took 0.3 s to read
+    (COIN_FLIP_TEXT.replace("1/2 nogoal", "1e-1001 nogoal"), 10, 24, "invalid probability '1e-1001'"),
     (COIN_FLIP_TEXT.replace("observe goal won", "observe goal"), 6, 1, "observe takes exactly <state> <obs>"),
     (COIN_FLIP_TEXT.replace("init s0", "init s0 goal"), 8, 1, "init takes exactly one state"),
     (COIN_FLIP_TEXT + "init goal\n", 11, 1, "init declared twice"),

@@ -1,4 +1,5 @@
 import random
+from collections.abc import Mapping
 from fractions import Fraction as F
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from fscsynth.model import (
     Controller,
     Environment,
+    MAX_EXPONENT,
     ModelError,
     PlanningProblem,
     SynthesisRequest,
@@ -234,7 +236,7 @@ def test_environment_rejects_a_sum_just_below_one():
 
 
 def test_environment_rejects_float_probabilities():
-    # the exact sum check is shared between equal laws, keyed by numerator and denominator
+    # the exact sum check is shared between laws, keyed by the ids of their Fractions
     with pytest.raises(ModelError, match="not rational"):
         Environment(("s0", "s1"), ("a",), ("o",), {(0, 0): ((0, 0.5), (1, 0.5))}, (0, 0))
 
@@ -253,8 +255,12 @@ def test_as_prob_rejects_inexact_floats():
         _one_step_env({"s1": 0.1, "s2": "9/10"})
 
 
-# Python 3.11+ reads "1_0" and 3.12+ reads "1 / 2"; "\u0661/\u0662" has no ASCII digit
-@pytest.mark.parametrize("value", ["bogus", "1/0", None, float("inf"), True, "1_0/1_0", "1 / 2", "\u0661/\u0662"])
+# Python 3.11+ reads "1_0" and 3.12+ reads "1 / 2"; "\u0661/\u0662" has no ASCII digit;
+# a decimal exponent above MAX_EXPONENT would build a huge number (1e-1000000: 0.3 s, 3.3 M bits)
+@pytest.mark.parametrize("value", [
+    "bogus", "1/0", None, float("inf"), True, "1_0/1_0", "1 / 2", "\u0661/\u0662",
+    "1e-1001", "1E+1001", "1e-0001001", "0.5e-99999999", pytest.param("1e-" + "9" * 5000, id="1e-(5000 nines)"),
+])
 def test_unreadable_numbers_raise_model_error(coin, value):
     with pytest.raises(ModelError, match="rational"):
         as_prob(value)
@@ -269,6 +275,8 @@ def test_unreadable_numbers_raise_model_error(coin, value):
     # strings every supported Python reads alike
     ("0.9", F(9, 10)), ("9/10", F(9, 10)), ("1e-3", F(1, 1000)), (" 1/2 ", F(1, 2)), ("+1/2", F(1, 2)),
     (".5", F(1, 2)), ("1.", 1),
+    # exponents up to MAX_EXPONENT, leading zeros not counted
+    ("1e-1000", F(1, 10**MAX_EXPONENT)), ("1e-0001000", F(1, 10**1000)), ("1E+0", 1),
 ])
 def test_as_prob_accepts_exact_inputs(value, exact):
     assert as_prob(value) == exact
@@ -284,3 +292,49 @@ def test_environment_rejects_non_positive_probabilities_given_directly(law):
     # positivity is checked once per distinct law, next to its sum
     with pytest.raises(ModelError, match="non-positive probability"):
         Environment(("s0", "s1"), ("a",), ("o",), {(0, 0): law, (1, 0): law}, (0, 0))
+
+
+# The law check is keyed by the ids of a law's Fractions, so these pin what
+# an id key must not let through.
+
+def test_a_law_extending_a_checked_law_is_still_checked():
+    half = F(1, 2)
+    law = ((1, half), (2, half))
+    longer = law + ((0, F(1, 4)),)  # the same Fraction objects, plus one
+    with pytest.raises(ModelError, match=r"delta\(1,0\) sums to 5/4, not 1"):
+        Environment(("s0", "s1", "s2"), ("a",), ("o",), {(0, 0): law, (1, 0): longer}, (0, 0, 0))
+
+
+class _FreshLaws(Mapping):
+    """A lazy delta that builds a new law, with new Fractions, on every lookup."""
+
+    def __init__(self, laws):
+        self.laws = laws
+
+    def __getitem__(self, key):
+        return tuple([(s2, F(*p)) for s2, p in self.laws[key]])
+
+    def __iter__(self):
+        return iter(self.laws)
+
+    def __len__(self):
+        return len(self.laws)
+
+
+@pytest.mark.parametrize("position", range(1, 25))
+def test_a_fresh_law_cannot_inherit_a_checked_id(position):
+    # The law at `position` sums to 9/10.  Without a reference kept to every
+    # checked law, its Fractions may reuse the ids of a freed one that summed
+    # to 1; at which position that happens depends on the Python version.
+    good, bad = ((1, (1, 2)), (2, (1, 2))), ((1, (1, 2)), (2, (2, 5)))
+    laws = {(k % 8, k // 8): good for k in range(position)}
+    laws[(position % 8, position // 8)] = bad
+    with pytest.raises(ModelError, match="sums to 9/10"):
+        Environment(tuple("abcdefgh"), ("w", "x", "y", "z"), ("o",), _FreshLaws(laws), (0,) * 8)
+
+
+def test_equal_but_distinct_fractions_pass():
+    first, second = ((0, F(1, 3)), (1, F(2, 3))), ((0, F(1, 3)), (1, F(2, 3)))
+    assert first[0][1] is not second[0][1] and first == second
+    env = Environment(("s0", "s1"), ("a", "b"), ("o",), {(0, 0): first, (0, 1): second, (1, 0): first}, (0, 0))
+    assert env.dist(0, 1) is second and env.dist(0, 0) == env.dist(0, 1)
