@@ -60,7 +60,7 @@ class _Search(_Backtracker):
         return [
             (a, q2)
             for a in range(len(self.env.actions))
-            if self.env.dist(s, a) is not None
+            if (s, a) in self.laws
             for q2 in successors
         ]
 
@@ -68,11 +68,11 @@ class _Search(_Backtracker):
         a, q2 = tr
         if a == STOP:
             return None if s in self.goals else "fail"  # stop outside the goal set fails
-        dist = self.env.dist(s, a)
-        if dist is None:
+        law = self.laws.get((s, a))
+        if law is None:
             return "fail"  # inapplicable action: the run is stuck, not a goal run
         self.h.add((q, s))
-        self._descend(q, s, q2, dist, len(self.h))
+        self._descend(q, s, q2, law, len(self.h))
         return None
 
     def _retreat(self, q: int, s: int) -> None:

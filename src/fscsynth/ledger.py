@@ -15,7 +15,8 @@ the step that entered it), one accounting slot per index 0..L:
   that return to ``h_curr[k]``, measured from ``h_curr[k]`` (the full
   cycle traversal probability), keyed by the index m (k <= m <= L) at
   which the cycle was sealed; only positive masses are stored.  Fresh
-  records always land in column L; folds migrate them to lower columns.
+  records always land in column L; folds migrate them to lower columns;
+  ``top[k]`` is row k's highest column, 0 for an empty row.
 
 ``calc_lambda`` turns the slots into sound lower bounds
 (lambda vectors) by amplifying through-branch mass with the geometric
@@ -34,10 +35,11 @@ method keeps a cache of the same bounds up to date instead:
   ``prefix[j] * goal[j]``, so that ``goal0 = acc_goal[L]``;
 * ``total``: ``goal0 + fail0 + noter0``, the explored mass at index 0.
 
-``extend``, a terminal record and a fold cost O(1) arithmetic; a cycle
-record to index k recomputes the cycle mass of k and of the lower rows
-that run past a changed index, then rescales the prefix from the lowest
-changed index.  No record walks the rest of the branch.
+``extend`` and a terminal record cost O(1) arithmetic.  A cycle record
+to index k recomputes the cycle mass of k and, highest first, of each
+lower row whose ``top`` runs past a changed index, then rescales the
+prefix; the rows it leaves alone cost one scan of ``top`` per changed
+row.  A fold costs O(1) arithmetic and one dict lookup per lower row.
 
 Index j is dead when nothing entering h_curr[j] can terminate: its
 never-terminating mass ``nu`` (calc_lambda's ``noter[j + 1]``) fills
@@ -81,9 +83,10 @@ from math import gcd
 _P0 = (0, 1)
 _P1 = (1, 1)
 
-#: Flat per-index lists copied by ``snapshot`` (``loop`` is copied per
-#: row): the slots, then the cache.
+#: Flat per-index lists of pairs: the slots, then the cache.  ``snapshot``
+#: copies them and ``top``, of ints (``loop`` is copied per row).
 _LISTS = ("ps", "goal", "fail", "noter", "headroom", "prefix", "acc_goal", "acc_fail", "acc_noter")
+_COPIED = _LISTS + ("top",)
 
 
 def _add(a, b):
@@ -158,7 +161,7 @@ class SearchLedger:
     """Mutable search-branch state: ``h_curr``, the alpha slots and the
     cached bounds derived from them."""
 
-    __slots__ = _LISTS + ("pos", "loop", "total")
+    __slots__ = _COPIED + ("pos", "loop", "total")
 
     def __init__(self):
         self.ps: list[tuple[int, int]] = []
@@ -168,6 +171,7 @@ class SearchLedger:
         self.fail = [_P0]
         self.noter = [_P0]
         self.loop: list[dict[int, tuple[int, int]]] = []
+        self.top: list[int] = []
         self.headroom = [_P1]
         self.prefix = [_P1]
         self.acc_goal = [_P0]
@@ -190,6 +194,7 @@ class SearchLedger:
         self.fail.append(_P0)
         self.noter.append(_P0)
         self.loop.append({})
+        self.top.append(0)
         # the old frontier carries no cycle mass, so its headroom is 1
         self.prefix.append(_mul(self.prefix[-1], p))
         self.headroom.append(_P1)
@@ -226,13 +231,9 @@ class SearchLedger:
             raise LedgerError("loop record outside h_curr")
         row = self.loop[k]
         row[L] = _add(row.get(L, _P0), p_loop)
-        # a new cycle mass at index j changes the amplification of every
-        # lower row that has a column past j; walk down and recompute those
-        low = k
-        for j in range(k, -1, -1):
-            row = self.loop[j]
-            if j < k and (not row or max(row) <= low):
-                continue
+        j, top = k, self.top
+        top[k] = L
+        while True:
             # the new mass strictly raises the cycle mass of row k, and so of
             # every lower row that runs past a changed index: h always moves
             h = _sub(_P1, self._row_lambda(j))
@@ -246,8 +247,12 @@ class SearchLedger:
                 self._saturate_at(j)
                 return
             self.headroom[j] = h
-            low = j
-        self._rescale(low)
+            # a lower row whose top is past j divides by the new headroom:
+            # recompute the highest such row next, and stop when there is none
+            if max(top[:j], default=0) <= j:
+                break
+            j = next(i for i in range(j - 1, -1, -1) if top[i] > j)
+        self._rescale(j)
 
     def loop_mass_to(self, k: int, p):
         """Traversal probability of a cycle back to h_curr[k] closed by a
@@ -268,7 +273,7 @@ class SearchLedger:
         column above its row, and a fold moves column L of a lower row to
         n > j."""
         row = self.loop[j]
-        top = max(row)
+        top = self.top[j]
         headroom = self.headroom
         acc = row[top]
         for m in range(top - 1, j, -1):
@@ -321,12 +326,13 @@ class SearchLedger:
         Folds running between snapshot and restore legitimately shorten
         h_curr below its snapshot length, so the branch contents are
         stored, not just a length."""
-        return [list(getattr(self, name)) for name in _LISTS], [dict(row) for row in self.loop], dict(self.pos), self.total
+        return [list(getattr(self, name)) for name in _COPIED], [dict(row) for row in self.loop], dict(self.pos), self.total
 
     def restore(self, snap) -> None:
         lists, loop, pos, self.total = snap
-        for name, values in zip(_LISTS, lists):
-            setattr(self, name, list(values))
+        # in ``_COPIED`` order: one unpacking, not a ``setattr`` call per list
+        (self.ps, self.goal, self.fail, self.noter, self.headroom, self.prefix,
+         self.acc_goal, self.acc_fail, self.acc_noter, self.top) = map(list, lists)
         self.loop = [dict(row) for row in loop]
         self.pos = dict(pos)
 
@@ -411,6 +417,7 @@ def _saturate(ledger: SearchLedger, k: int) -> None:
     _check_none_past(ledger, k)
     for row in ledger.loop[k:]:
         row.clear()
+    ledger.top[k:] = [0] * (L - k)
     for j in range(k + 2, L + 1):
         ledger.noter[j] = _P0
     ledger.noter[k + 1] = _P1
@@ -459,16 +466,21 @@ def cumulate_alpha(ledger: SearchLedger) -> SearchLedger:
         if v[0]:
             slots[n] = _add(slots[n], _mul(through, v))
 
+    moved = False
     for row in loop:
         v = row.pop(L, _P0)
         if v[0]:
             if dead:
                 raise LedgerError(f"cycle mass through dead index {n}")
             row[n] = _add(row.get(n, _P0), _div(v, denom) if lam_n[0] else v)
+            moved = True
 
     # index n becomes the frontier: no cycle mass, and the prefix sums up
-    # to it already hold the folded mass (so ``total`` is unchanged)
-    del ledger.headroom[L], ledger.prefix[L], ledger.ps[n]
+    # to it already hold the folded mass (so ``total`` is unchanged); the
+    # rows that held column L now top out at n
+    del ledger.headroom[L], ledger.prefix[L], ledger.ps[n], ledger.top[n]
+    if moved:
+        ledger.top = [n if t == L else t for t in ledger.top]
     ledger.headroom[n] = _P1
     for acc in (ledger.acc_goal, ledger.acc_fail, ledger.acc_noter):
         acc[n] = acc.pop()

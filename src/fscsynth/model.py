@@ -7,8 +7,9 @@ correctness statement in the test suite can be checked with ``==``.
 
 All types here are immutable after construction (the dicts they carry are
 never mutated) and safe to share across threads.  A derived fact cached
-on first use, such as ``PlanningProblem.lost_states``, is the same value
-whichever thread computes it.
+on first use, such as ``PlanningProblem.lost_states`` or its step laws as
+integer pairs, is the same value whichever thread computes it.  An index
+must be an ``int`` proper: ``True`` would pass as state or action 1.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ class Environment:
         if len(self.omega) != n_s:
             raise ModelError("omega must be defined for every state")
         for o in self.omega:
-            if not isinstance(o, int) or not 0 <= o < n_o:
+            if type(o) is not int or not 0 <= o < n_o:
                 raise ModelError(f"omega references unknown observation index {o!r}")
         if not isinstance(self.delta, Mapping):
             raise ModelError(f"delta {self.delta!r} is not a mapping from (state, action) pairs to laws")
@@ -122,7 +123,7 @@ class Environment:
                 s, a = key
             except (TypeError, ValueError):
                 raise ModelError(f"delta key {key!r} is not a (state, action) pair") from None
-            if not (isinstance(s, int) and isinstance(a, int)) or not 0 <= s < n_s or not 0 <= a < n_a:
+            if not (type(s) is int and type(a) is int) or not 0 <= s < n_s or not 0 <= a < n_a:
                 raise ModelError(f"delta references unknown state/action ({s!r}, {a!r})")
             # the law is read three times below, so a one-shot iterator is no law
             if not isinstance(dist, (tuple, list)):
@@ -133,7 +134,7 @@ class Environment:
                     s2, p = entry
                 except (TypeError, ValueError):
                     raise ModelError(f"delta({s},{a}) entry {entry!r} is not a (successor, probability) pair") from None
-                if not isinstance(s2, int) or not 0 <= s2 < n_s:
+                if type(s2) is not int or not 0 <= s2 < n_s:
                     raise ModelError(f"delta({s},{a}) references unknown successor {s2!r}")
                 if last_law[s2] == law:
                     raise ModelError(f"delta({s},{a}) lists successor {s2} twice")
@@ -216,9 +217,9 @@ class PlanningProblem:
 
     def __post_init__(self):
         n = len(self.environment.states)
-        if not isinstance(self.initial_state, int) or not 0 <= self.initial_state < n:
+        if type(self.initial_state) is not int or not 0 <= self.initial_state < n:
             raise ModelError("initial state outside the state set")
-        if any(not isinstance(g, int) or not 0 <= g < n for g in self.goal_states):
+        if any(type(g) is not int or not 0 <= g < n for g in self.goal_states):
             raise ModelError("goal set references unknown state")
 
     def is_goal(self, s: int) -> bool:
@@ -245,6 +246,26 @@ class PlanningProblem:
                     stack.append(s)
         return frozenset(s for s, r in enumerate(reaches) if not r)
 
+    @cached_property
+    def pair_laws(self) -> dict:
+        """Each step law as ``(s2, (numerator, denominator))`` pairs, last
+        successor first, as the search pushes them onto its agenda."""
+        delta = self.environment.delta
+        return {key: tuple([(s2, p.as_integer_ratio()) for s2, p in reversed(law)]) for key, law in delta.items()}
+
+    @cached_property
+    def offers(self) -> tuple:
+        """Per observation, ``(action, applicable at some state)`` for every
+        action a choice point offers: only the first stuck one stays."""
+        env = self.environment
+        actions = range(len(env.actions))
+        live = {(env.obs(s), a) for s, a in self.pair_laws}
+        offers = []
+        for o in range(len(env.observations)):
+            first_stuck = next((a for a in actions if (o, a) not in live), None)
+            offers.append(tuple([(a, (o, a) in live) for a in actions if (o, a) in live or a == first_stuck]))
+        return tuple(offers)
+
 
 @dataclass(frozen=True)
 class Controller:
@@ -269,7 +290,7 @@ class Controller:
                 (q, o), (a, q2) = key, value
             except (TypeError, ValueError):
                 raise ModelError(f"controller transition {key!r} -> {value!r} is not a (q, o) -> (a, q2) pair") from None
-            if not all(isinstance(i, int) for i in (q, o, a, q2)):
+            if not all(type(i) is int for i in (q, o, a, q2)):
                 raise ModelError(f"controller transition ({q!r},{o!r}) -> ({a!r},{q2!r}) has a non-integer index")
             if not 0 <= q < self.num_states or not 0 <= q2 < self.num_states:
                 raise ModelError(f"controller transition ({q},{o}) uses out-of-range state")

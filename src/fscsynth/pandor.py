@@ -11,8 +11,8 @@ the guaranteed goal mass reaches the requested bound, and the branch is
 abandoned as soon as the remaining optimistic mass drops below it (both
 bounds also cover the optional termination-likelihood requirement).
 The search runs on one number type, the ledger's reduced integer pairs:
-a step probability becomes a pair where it leaves the environment (the
-root enters with ``(1, 1)``), ``LGT*``, ``LTER*`` and the caps derived
+step laws become pairs once per problem (``PlanningProblem.pair_laws``;
+the root enters with ``(1, 1)``), ``LGT*``, ``LTER*`` and the caps derived
 from them become pairs once, and bounds are compared by cross-multiplying,
 with no ``Fraction`` call outside ``calc_lambda``.
 ``calc_lambda`` is the reference for those cached bounds: the search
@@ -146,6 +146,7 @@ class _Backtracker:
             check_count("budget", budget, 1)
         self.problem = problem
         self.env = problem.environment
+        self.laws = problem.pair_laws
         self.max_states = max_states
         self.budget = budget
         self.controller: dict[tuple[int, int], tuple[int, int]] = {}
@@ -198,12 +199,12 @@ class _Backtracker:
         self.controller[(cp.q, self.env.obs(cp.s))] = cand
         return self._execute(cp.q, cp.s, cp.p, cand)
 
-    def _descend(self, q: int, s: int, q2: int, dist, depth: int) -> None:
-        """Walk ``dist`` from (q, s), now at branch ``depth``."""
+    def _descend(self, q: int, s: int, q2: int, law, depth: int) -> None:
+        """Walk ``law``, a value of ``pair_laws``, from (q, s), now at branch ``depth``."""
         if depth > self.peak_depth:
             self.peak_depth = depth
         self.agenda.append(("retreat", q, s))
-        self.agenda.extend([("or", q2, s2, p2.as_integer_ratio()) for s2, p2 in reversed(dist)])
+        self.agenda.extend([("or", q2, s2, p2) for s2, p2 in law])
 
     def _backtrack(self) -> Optional[str]:
         # exhausted choice points are dropped unrestored but for their controller
@@ -235,16 +236,6 @@ class _Search(_Backtracker):
         self.ledger = SearchLedger()
         # the goal-unreachable cut serves LGT* alone (module docstring)
         self.lost = problem.lost_states if lter_star is None else frozenset()
-        # per observation: (action, applicable at some state) for every
-        # action offered at a choice point; only the first stuck one stays
-        actions = range(len(self.env.actions))
-        live = {(self.env.obs(s), a) for s, a in self.env.delta}
-        self.offers = []
-        for o in range(len(self.env.observations)):
-            first_stuck = next((a for a in actions if (o, a) not in live), None)
-            self.offers.append([
-                (a, (o, a) in live) for a in actions if (o, a) in live or a == first_stuck
-            ])
 
     def _snapshot(self):
         return self.ledger.snapshot()
@@ -292,7 +283,7 @@ class _Search(_Backtracker):
         successors = self._successors()
         acts = [
             (a, q2)
-            for a, live in self.offers[self.env.obs(s)]
+            for a, live in self.problem.offers[self.env.obs(s)]
             for q2 in (successors if live else (0,))
         ]
         if self.problem.is_goal(s):
@@ -309,13 +300,13 @@ class _Search(_Backtracker):
             else:
                 ledger.record_fail(p)
             return self._evaluate()
-        dist = self.env.dist(s, a)
-        if dist is None:
+        law = self.laws.get((s, a))
+        if law is None:
             # inapplicable action: execution is stuck and never terminates
             ledger.record_noter(p)
             return self._evaluate()
         ledger.extend(q, s, p)
-        self._descend(q, s, q2, dist, len(ledger))
+        self._descend(q, s, q2, law, len(ledger))
         return None
 
     # -- bound evaluation --------------------------------------------------

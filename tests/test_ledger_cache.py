@@ -2,8 +2,8 @@
 
 Every mutation goes through the ledger's own methods, so after each one
 the cached index-0 bounds and cycle masses must equal a from-scratch
-``calc_lambda`` exactly, and the reference must find no saturation left
-to apply.  A ledger that applies the dead-index rule eagerly
+``calc_lambda`` exactly, the reference must find no saturation left to
+apply, and each row's cached top column must be its highest.  A ledger that applies the dead-index rule eagerly
 (``helpers.CascadeLedger``) runs alongside: its index-0 bounds must stay
 equal to the lazy ledger's, and so must both ledgers once folded down to
 the empty branch.  The integer-pair arithmetic the ledger runs on is
@@ -61,6 +61,20 @@ _OVERFULL_CYCLE_PLUS_NOTER = [("extend", F(1, 3)), ("noter", F(3, 4)), ("loop", 
 # index 1, the lazy ledger accepts it and its fold of index 1 rejects it
 _CYCLE_THROUGH_DEAD_INDEX = [
     ("extend", F(1)), ("extend", F(1, 2)), ("loop", 0, F(1, 8)), ("loop", 1, F(1, 2)), ("noter", F(1, 2)),
+]
+# nested cycles: rows 0 and 1 hold cycles sealed past index 2, so the last
+# record, to index 2, changes the cycle mass of rows 2, 1 and 0
+_NESTED_THREE_ROWS = [
+    ("extend", F(1)), ("extend", F(1, 2)), ("extend", F(1, 2)), ("extend", F(1, 2)),
+    ("loop", 0, F(1, 16)), ("loop", 1, F(1, 8)), ("loop", 2, F(1, 4)),
+]
+# row 2 tops out at index 3 and row 0 at index 2: a record to index 3
+# changes row 1 (sealed at 5), skips row 2, and then changes row 0, which
+# runs past the new lowest changed index 1
+_NESTED_SKIPPING_A_ROW = [
+    ("extend", F(1)), ("extend", F(1, 2)), ("loop", 0, F(1, 8)),
+    ("extend", F(1, 2)), ("loop", 2, F(1, 4)),
+    ("extend", F(1, 2)), ("extend", F(1, 2)), ("loop", 1, F(1, 16)), ("loop", 3, F(1, 4)),
 ]
 
 
@@ -126,6 +140,11 @@ def _assert_cache_matches_reference(led):
     assert all(j <= m <= L and v[0] > 0 for j, row in enumerate(led.loop) for m, v in row.items())
     # h_curr in branch order, also after folds and restores
     assert list(led.pos.values()) == list(range(len(led)))
+
+
+def _assert_top_is_row_max(led):
+    """``top[j]`` is row j's highest column, 0 for an empty row."""
+    assert led.top == [max(row, default=0) for row in led.loop], (led.top, led.loop)
 
 
 def _is_pair(v):
@@ -206,6 +225,8 @@ def _run(ops):
         _assert_all_pairs(ref)
         _assert_cycle_columns_above_rows(led)
         _assert_cycle_columns_above_rows(ref)
+        _assert_top_is_row_max(led)
+        _assert_top_is_row_max(ref)
     return lazy[0]
 
 
@@ -220,8 +241,32 @@ def _run(ops):
 @example(_corridor(6))
 @example(_corridor(6, "loop"))
 @example(_DEAD_LIVE_DEAD)
+@example(_NESTED_THREE_ROWS)
+@example(_NESTED_SKIPPING_A_ROW)
 def test_cached_bounds_equal_calc_lambda(ops):
     _run(ops)
+
+
+@pytest.mark.parametrize("ops, top, rows", [
+    (_NESTED_THREE_ROWS, [4, 4, 4, 0], [2, 1, 0]),
+    (_NESTED_SKIPPING_A_ROW, [2, 5, 3, 5, 0], [3, 1, 0]),
+])
+def test_a_cycle_record_recomputes_exactly_the_rows_it_changes(monkeypatch, ops, top, rows):
+    led = _run(ops[:-1])
+    visited = []
+    row_lambda = SearchLedger._row_lambda
+
+    def counted(self, j):
+        visited.append(j)
+        return row_lambda(self, j)
+
+    monkeypatch.setattr(SearchLedger, "_row_lambda", counted)
+    before = list(led.headroom)
+    _apply(led, ops[-1], [], len(ops))
+    assert visited == rows
+    assert [j for j, h in enumerate(led.headroom) if h != before[j]] == sorted(rows)
+    assert led.top == top
+    _assert_cache_matches_reference(led)
 
 
 def _count_saturations(monkeypatch):

@@ -1,6 +1,7 @@
 import random
 from collections.abc import Mapping
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -13,10 +14,10 @@ from fscsynth.model import (
     SynthesisRequest,
     as_prob,
 )
-from fscsynth.domains import build
+from fscsynth.domains import build, domain_names
 from fscsynth.verifier import FAIL_SINK, GOAL_SINK, UNDEF_SINK, build_chain
 
-from helpers import controller_from_names, flip_stop_controller, random_env, random_total_controller
+from helpers import controller_from_names, flip_stop_controller, random_env, random_total_controller, stuck_pairs
 
 
 @pytest.fixture
@@ -130,6 +131,11 @@ def test_environment_rejects_bad_indices(states, observations, delta, omega):
     ({(0.5, 0): ((1, F(1)),)}, (0, 0)),  # a state that matches no index
     ({(0, 0.0): ((1, F(1)),)}, (0, 0)),  # an action equal to 0 but not an int
     ({(0, 0): ((1.0, F(1)),)}, (0, 0)),  # successor 1.0 would index a list later
+    # a bool is an int: True would pass as index 1 and False as 0
+    ({(True, 0): ((1, F(1)),)}, (0, 0)),
+    ({(0, False): ((1, F(1)),)}, (0, 0)),
+    ({(0, 0): ((True, F(1)),)}, (0, 0)),
+    ({(0, 0): ((1, F(1)),)}, (0, False)),
 ])
 def test_environment_rejects_non_integer_indices(delta, omega):
     with pytest.raises(ModelError):
@@ -181,6 +187,11 @@ def test_controller_validation():
     {(0, 0.0): (0, 1)},
     {(0, 0): (F(0), 1)},
     {(0, 0): (0, 1.0)},
+    {(True, 0): (0, 1)},  # a bool is an int, but no index
+    {(0, False): (0, 1)},
+    {(0, 0): (True, 1)},
+    {(0, 0): (0, True)},
+    {(0, False): (True, True)},
 ])
 def test_controller_rejects_non_integer_indices(transitions):
     with pytest.raises(ModelError, match="non-integer"):
@@ -202,7 +213,11 @@ def test_controller_rejects_malformed_transition_shapes(transitions):
 def test_planning_problem_validation(coin):
     env = coin.environment
     PlanningProblem(env, 0, frozenset({1}))
-    for initial, goals in ((0.0, frozenset()), (3, frozenset()), (-1, frozenset()), (0, frozenset({3})), (0, frozenset({1.0}))):
+    bad = (
+        (0.0, frozenset()), (3, frozenset()), (-1, frozenset()), (0, frozenset({3})), (0, frozenset({1.0})),
+        (True, frozenset()), (0, frozenset({False})),  # a bool is an int, but no state
+    )
+    for initial, goals in bad:
         with pytest.raises(ModelError):
             PlanningProblem(env, initial, goals)
 
@@ -338,3 +353,46 @@ def test_equal_but_distinct_fractions_pass():
     assert first[0][1] is not second[0][1] and first == second
     env = Environment(("s0", "s1"), ("a", "b"), ("o",), {(0, 0): first, (0, 1): second, (1, 0): first}, (0, 0))
     assert env.dist(0, 1) is second and env.dist(0, 0) == env.dist(0, 1)
+
+
+def _offers_per_search(env):
+    """The offer lists as each search built them before they moved onto
+    the problem: per observation, every applicable action and the first
+    stuck one."""
+    actions = range(len(env.actions))
+    live = {(env.obs(s), a) for s, a in env.delta}
+    offers = []
+    for o in range(len(env.observations)):
+        first_stuck = next((a for a in actions if (o, a) not in live), None)
+        offers.append([(a, (o, a) in live) for a in actions if (o, a) in live or a == first_stuck])
+    return offers
+
+
+def _table_problems():
+    """Every catalogue domain, larger instances of two, and random problems
+    with partial transition tables."""
+    problems = [build(name) for name in domain_names()]
+    problems += [build("noisy-hall-a-2d", {"n": 4}), build("bridgewalk", {"n": 8, "p_fall": "37/101"})]
+    rng = random.Random(4711)
+    problems += [random_env(rng, n_states=rng.randint(3, 6), partial=True) for _ in range(60)]
+    return problems
+
+
+def test_step_laws_and_offers_are_built_once_per_problem():
+    problems = _table_problems()
+    # the cases include partial tables, and observations with a stuck action
+    assert any(len(p.pair_laws) < len(p.environment.states) * len(p.environment.actions) for p in problems)
+    assert any(stuck_pairs(p.environment) for p in problems)
+    for problem in problems:
+        env = problem.environment
+        laws = problem.pair_laws
+        assert laws.keys() == env.delta.keys()
+        for key, law in env.delta.items():
+            # agenda order: the search pushes a law as it stands, so it pops in order
+            assert laws[key] == tuple((s2, p.as_integer_ratio()) for s2, p in reversed(law))
+            for _, (num, den) in laws[key]:
+                assert type(num) is int and type(den) is int and den > 0 and gcd(num, den) == 1
+        assert [list(offer) for offer in problem.offers] == _offers_per_search(env)
+        # cached: a second access, as by a repeat search, converts nothing
+        assert problem.pair_laws is laws
+        assert problem.offers is problem.offers
