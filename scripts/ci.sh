@@ -5,8 +5,9 @@
 #
 #   bash scripts/ci.sh
 #
-# About 40 s in all on a 2-vCPU Xeon VM (CPython 3.11.7): 13 s for tier-1,
-# 17 s for the six smoke runs and 6 s for R300.
+# About 45 s in all on a 2-vCPU Xeon VM (CPython 3.11.7): 14-16 s for
+# tier-1, 17 s for the six smoke runs, 6 s for R300 and 3 s for the -O
+# certify run; up to 60 s while other work shares the VM.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -46,6 +47,12 @@ done
 # package must behave the same without assert statements
 diff <(PYTHONPATH=src:tests python3 -O scripts/r300.py) tests/data/r300.jsonl
 echo "R300 table: identical"
+
+# the text path under -O: R300 builds its problems in Python, and a parsed
+# environment is checked by parse_env alone, so its checks must not rest on
+# assert statements either
+last=$(python3 -O perfbench/run.py --workload certify --seed 1 --seconds 1 | tail -n 1)
+python3 -c 'import json, sys; r = json.loads(sys.argv[1]); print("certify-O", r["correct"], r["failed"]); sys.exit(not (r["correct"] is True and r["failed"] == 0))' "$last"
 
 # nothing else runs the example script, and it imports the CLI's DOT export
 out=$(PYTHONPATH=src python3 scripts/show_noisy_corridor.py)

@@ -269,6 +269,8 @@ def parse_env(text: str) -> PlanningProblem:
     A line costs a dict lookup per token, and ``lookup`` and ``_error`` run
     only to report its first fault.  Each distinct probability token is
     converted and checked once, and each distinct tuple of them summed once.
+    A text is checked once, here: every invariant ``Environment`` checks is
+    checked above, so the environment is built by ``Environment._checked``.
     """
     states: dict[str, int] = {}
     actions: dict[str, int] = {}
@@ -367,7 +369,7 @@ def parse_env(text: str) -> PlanningProblem:
         raise ParseError(0, 0, f"state {s!r} has no observation")
     if init is None:
         raise ParseError(0, 0, "missing init declaration")
-    env = Environment(
+    env = Environment._checked(
         tuple(states),
         tuple(actions),
         tuple(observations),

@@ -84,6 +84,9 @@ class Environment:
     the action is inapplicable in that state.  ``omega`` is total: every
     state has exactly one observation, and distinct states may share one
     (that is the reason finite-state controllers are needed at all).
+
+    The constructor checks every invariant.  A text is checked once, by
+    ``domains.parse_env``, which then builds through ``_checked``.
     """
 
     states: tuple[str, ...]
@@ -152,6 +155,19 @@ class Environment:
                 if total != 1:
                     raise ModelError(f"delta({s},{a}) sums to {total}, not 1")
                 summed[ids] = tuple([p for _, p in dist])
+
+    @classmethod
+    def _checked(cls, states, actions, observations, delta, omega) -> "Environment":
+        """Build without ``__post_init__``.  The caller must have checked:
+        there is a state; identifiers are whitespace-split tokens without
+        ``#``, distinct within each kind, and no action is named ``stop``;
+        ``omega`` is total and in range; ``delta`` keys and successors are in
+        range, and no law lists a successor twice; every probability is a
+        positive ``Fraction``, and each law sums to exactly 1."""
+        env = object.__new__(cls)
+        for name, value in zip(cls.__dataclass_fields__, (states, actions, observations, delta, omega)):
+            object.__setattr__(env, name, value)
+        return env
 
     # -- index helpers -------------------------------------------------
 

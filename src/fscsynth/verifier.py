@@ -73,21 +73,22 @@ class Measures:
 def build_chain(problem: PlanningProblem, controller: Controller) -> CombinedChain:
     """Explore the combined state space reachable from (0, s0)."""
     env = problem.environment
+    omega, law, goals, edge = env.omega, env.delta.get, problem.goal_states, controller.transitions.get
     root = (0, problem.initial_state)
     index = {root: 0}
     nodes = [root]
     transitions = []
     for q, s in nodes:  # breadth-first: nodes grows while it is walked
-        tr = controller.transitions.get((q, env.obs(s)))
+        tr = edge((q, omega[s]))
         if tr is None:
             transitions.append(((UNDEF_SINK, _ONE),))
             continue
         a, q2 = tr
         if a == STOP:
-            transitions.append(((GOAL_SINK if problem.is_goal(s) else FAIL_SINK, _ONE),))
+            transitions.append(((GOAL_SINK if s in goals else FAIL_SINK, _ONE),))
             continue
         out = []
-        for s2, p in env.dist(s, a) or ():
+        for s2, p in law((s, a)) or ():
             node = (q2, s2)
             j = index.get(node)
             if j is None:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -12,10 +13,10 @@ from fscsynth.domains import (
     serialize_controller,
     serialize_env,
 )
-from fscsynth.model import Controller, STOP
+from fscsynth.model import Controller, Environment, STOP
 from fscsynth.verifier import exact_measures
 
-from helpers import controller_from_names, corridor_controller, enumerate_controllers
+from helpers import controller_from_names, corridor_controller, enumerate_controllers, random_env
 
 
 def test_coin_flip_shape():
@@ -256,6 +257,50 @@ def test_parse_error_position(text, line, col, message):
     with pytest.raises(ParseError) as err:
         parse_env(text)
     assert (err.value.line, err.value.col, err.value.message) == (line, col, message)
+
+
+# tokens a mutation may put into a text besides the text's own: faults the
+# parser must catch, and declarations that start a new line's meaning
+_MUTANT_TOKENS = (
+    "stop", "0", "-1/2", "1/0", "2", "1e-1001", "0.5", "1_0", "1/3", "#",
+    "states", "actions", "observations", "observe", "init", "goal", "trans",
+)
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    """Replace, insert or delete one token, or repeat one line."""
+    lines = [line.split() for line in text.splitlines()]
+    vocabulary = sorted({tok for toks in lines for tok in toks}) + list(_MUTANT_TOKENS)
+    toks = lines[rng.randrange(len(lines))]
+    kind = rng.randrange(4)
+    if kind == 0 and toks:
+        toks[rng.randrange(len(toks))] = rng.choice(vocabulary)
+    elif kind == 1:
+        toks.insert(rng.randrange(len(toks) + 1), rng.choice(vocabulary))
+    elif kind == 2 and toks:
+        del toks[rng.randrange(len(toks))]
+    else:
+        lines.insert(rng.randrange(len(lines) + 1), list(toks))
+    return "\n".join(" ".join(toks) for toks in lines) + "\n"
+
+
+def test_parse_env_accepts_only_what_the_environment_constructor_accepts():
+    # parse_env builds its Environment without the constructor's checks, so
+    # every text it accepts must pass them when rebuilt through the public
+    # constructor; anything else must raise ParseError and nothing but it
+    rng = random.Random(23)
+    texts = [serialize_env(build(name)) for name in domain_names()]
+    texts += [serialize_env(random_env(rng, rng.randint(1, 6), partial=True)) for _ in range(200)]
+    inputs = texts + [_mutate(rng, rng.choice(texts)) for _ in range(20_000)]
+    accepted = 0
+    for text in inputs:
+        try:
+            env = parse_env(text).environment
+        except ParseError:
+            continue
+        accepted += 1
+        assert Environment(env.states, env.actions, env.observations, env.delta, env.omega) == env
+    assert len(texts) <= accepted < len(inputs)
 
 
 def test_unknown_directive_and_bad_probability():

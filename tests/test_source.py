@@ -55,3 +55,16 @@ def test_no_unused_imports():
                     if name not in used:
                         unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_the_unchecked_environment_constructor_has_one_caller():
+    # Environment._checked skips the constructor's checks; parse_env checks
+    # what it builds, and the differential parse test holds it to that
+    refs = []
+    for path in sorted(Path(fscsynth.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owners = [(f"{top.name}.", node) for node in top.body] if isinstance(top, ast.ClassDef) else [("", top)]
+            for prefix, owner in owners:
+                name = f"{path.stem}.{prefix}{getattr(owner, 'name', owner.lineno)}"
+                refs += [name for node in ast.walk(owner) if isinstance(node, ast.Attribute) and node.attr == "_checked"]
+    assert refs == ["domains.parse_env"]
