@@ -29,7 +29,6 @@ from fscsynth.pandor import DEFAULT_BUDGET, _Backtracker
 class _Search(_Backtracker):
     def __init__(self, problem: PlanningProblem, n: int, budget: Optional[int]):
         super().__init__(problem, n, budget)
-        self.goals = problem.goal_states
         # the branch, never holding a state twice: ``_or_step`` fails on a repeat, and a
         # goal-entry choice point opens only on an undefined (q, o), which no branch state has
         self.h: set[tuple[int, int]] = set()
@@ -37,7 +36,7 @@ class _Search(_Backtracker):
         self.memo: dict[tuple[int, int], None] = {}
 
     def _or_step(self, q: int, s: int, p) -> Optional[str]:
-        key = (q, self.env.obs(s))
+        key = (q, self.omega[s])
         tr = self.controller.get(key)
         if s in self.goals and (tr is None or tr[0] == STOP):
             if tr is None:

@@ -30,7 +30,7 @@ from fscsynth.domains import (
     parse_env,
     serialize_controller,
 )
-from fscsynth.model import Controller, ModelError, PlanningProblem, STOP, STOP_NAME, SynthesisRequest, SynthResult, check_count
+from fscsynth.model import Controller, ModelError, PlanningProblem, STOP, STOP_NAME, SynthesisRequest, SynthResult, as_prob
 from fscsynth.pandor import DEFAULT_BUDGET, pandor_synth
 from fscsynth.verifier import Measures, exact_measures
 
@@ -83,14 +83,27 @@ def _read_text(path: str) -> str:
         raise ParseError(len(lines), len(lines[-1]), f"byte 0x{data[exc.start]:02x} is not UTF-8")
 
 
+def _count(flag: str, text) -> int:
+    """A count flag, read as an integer ``--param`` is: ``as_prob``, then an integer of at least 1."""
+    try:
+        n = as_prob(text)
+    except ModelError:
+        n = Fraction(0)
+    if n.denominator != 1 or n < 1:
+        raise _UsageError(f"{flag} must be an integer of at least 1, got {text!r}")
+    return int(n)
+
+
 def _load_problem(args) -> PlanningProblem:
-    if getattr(args, "env", None):
-        if getattr(args, "domain", None):
+    if args.env:
+        if args.domain:
             raise _UsageError("give either --env or --domain, not both")
+        if args.param:
+            raise _UsageError("--param needs --domain: an environment file takes no parameters")
         return parse_env(_read_text(args.env))
-    if not getattr(args, "domain", None):
+    if not args.domain:
         raise _UsageError("one of --env or --domain is required")
-    return build(args.domain, _parse_params(getattr(args, "param", None)))
+    return build(args.domain, _parse_params(args.param))
 
 
 def _load_controller(args, problem: PlanningProblem) -> Controller:
@@ -105,18 +118,19 @@ def cmd_synth(args) -> int:
     if args.algo == "andor" and args.lter_star is not None:
         raise _UsageError("--lter-star needs --algo pandor: andor ignores likelihood bounds")
     problem = _load_problem(args)
+    budget = _count("--budget", args.budget)
+    max_states = _count("--max-states", args.max_states)
     try:
-        check_count("--budget", args.budget, 1)
-        request = SynthesisRequest(problem, args.max_states, args.lgt_star, args.lter_star)
+        request = SynthesisRequest(problem, max_states, args.lgt_star, args.lter_star)
     except ModelError as exc:
         raise _UsageError(str(exc))
 
     start = time.perf_counter()
     if args.algo == "andor":
         # the baseline solves the strong problem; likelihood bounds are ignored
-        result = andor_synth(problem, args.max_states, budget=args.budget)
+        result = andor_synth(problem, max_states, budget=budget)
     else:
-        result = pandor_synth(request, budget=args.budget)
+        result = pandor_synth(request, budget=budget)
     wall = time.perf_counter() - start
 
     text = measures = None
@@ -253,11 +267,11 @@ def build_parser() -> _Parser:
 
     synth = subs.add_parser("synth", help="synthesize a controller")
     _add_problem_flags(synth)
-    synth.add_argument("--max-states", type=int, required=True, metavar="N")
+    synth.add_argument("--max-states", required=True, metavar="N")
     synth.add_argument("--lgt-star", required=True, metavar="Q", help="minimum goal-termination likelihood")
     synth.add_argument("--lter-star", metavar="Q", help="minimum termination likelihood (pandor only)")
     synth.add_argument("--algo", choices=["pandor", "andor"], default="pandor")
-    synth.add_argument("--budget", type=int, default=DEFAULT_BUDGET, metavar="STEPS")
+    synth.add_argument("--budget", default=DEFAULT_BUDGET, metavar="STEPS")
     synth.add_argument("--out", metavar="FILE", help="write the controller here")
     synth.add_argument("--dot", metavar="FILE", help="write a DOT rendering here")
     synth.add_argument("--json", action="store_true", help="machine-readable report")

@@ -411,9 +411,13 @@ def _is_index(tok: str) -> bool:
 
 
 def parse_controller(text: str, env: Environment) -> Controller:
-    """Parse ``states N / start 0 / edge <q> <obs> <action|stop> <q'>``."""
+    """Parse ``states N / start 0 / edge <q> <obs> <action|stop> <q'>``.
+
+    An edge may come before ``states``, so its states are checked against
+    the count once the whole text is read."""
     num_states: Optional[int] = None
     transitions: dict[tuple[int, int], tuple[int, int]] = {}
+    edges = []  # (lineno, line, q, q2) of each edge, in text order
     for lineno, line in enumerate(text.splitlines(), start=1):
         toks = line.split("#", 1)[0].split() if "#" in line else line.split()
         if not toks:
@@ -425,6 +429,8 @@ def parse_controller(text: str, env: Environment) -> Controller:
             if num_states is not None:
                 raise _error(lineno, line, 0, "states declared twice")
             num_states = int(toks[1])
+            if num_states < 1:
+                raise _error(lineno, line, 1, "a controller needs at least one state")
         elif head == "start":
             if len(toks) != 2 or toks[1] != "0":
                 raise _error(lineno, line, 0, "start state must be 0")
@@ -447,14 +453,16 @@ def parse_controller(text: str, env: Environment) -> Controller:
             if (q, o) in transitions:
                 raise _error(lineno, line, 1, f"edge ({q}, {otok}) declared twice")
             transitions[(q, o)] = (a, q2)
+            edges.append((lineno, line, q, q2))
         else:
             raise _error(lineno, line, 0, f"unknown declaration {head!r}")
     if num_states is None:
         raise ParseError(0, 0, "missing states declaration")
-    try:
-        return Controller(num_states, transitions)
-    except ModelError as exc:
-        raise ParseError(0, 0, str(exc))
+    for lineno, line, q, q2 in edges:
+        for index, state in ((1, q), (4, q2)):
+            if state >= num_states:
+                raise _error(lineno, line, index, f"controller state {state} is not below the state count {num_states}")
+    return Controller(num_states, transitions)
 
 
 def serialize_controller(controller: Controller, env: Environment) -> str:

@@ -39,7 +39,8 @@ method keeps a cache of the same bounds up to date instead:
 to index k recomputes the cycle mass of k and, highest first, of each
 lower row whose ``top`` runs past a changed index, then rescales the
 prefix; the rows it leaves alone cost one scan of ``top`` per changed
-row.  A fold costs O(1) arithmetic and one dict lookup per lower row.
+row.  A fold costs O(1) arithmetic and one dict lookup per lower row,
+and lowers the ``top`` of each row whose column L it moves in that pass.
 
 Index j is dead when nothing entering h_curr[j] can terminate: its
 never-terminating mass ``nu`` (calc_lambda's ``noter[j + 1]``) fills
@@ -440,7 +441,9 @@ def cumulate_alpha(ledger: SearchLedger) -> SearchLedger:
     cycles and charged to the parent slot.  The folded entry's row is
     popped: it can only hold columns n and L, so the cycle mass at n is
     just their sum, read from the slots; every cached bound below n stays
-    as it was.
+    as it was.  One pass moves column L of every lower row, and its
+    ``top``, to n; it reads the slots, not ``top``, so it stays exact on
+    slots written directly, as ``calc_lambda`` does.
     Mutates and returns the ledger.
     """
     L = len(ledger)
@@ -466,21 +469,18 @@ def cumulate_alpha(ledger: SearchLedger) -> SearchLedger:
         if v[0]:
             slots[n] = _add(slots[n], _mul(through, v))
 
-    moved = False
-    for row in loop:
+    top = ledger.top
+    for j, row in enumerate(loop):
         v = row.pop(L, _P0)
         if v[0]:
             if dead:
                 raise LedgerError(f"cycle mass through dead index {n}")
             row[n] = _add(row.get(n, _P0), _div(v, denom) if lam_n[0] else v)
-            moved = True
+            top[j] = n  # the row's column L was its top
 
     # index n becomes the frontier: no cycle mass, and the prefix sums up
-    # to it already hold the folded mass (so ``total`` is unchanged); the
-    # rows that held column L now top out at n
-    del ledger.headroom[L], ledger.prefix[L], ledger.ps[n], ledger.top[n]
-    if moved:
-        ledger.top = [n if t == L else t for t in ledger.top]
+    # to it already hold the folded mass (so ``total`` is unchanged)
+    del ledger.headroom[L], ledger.prefix[L], ledger.ps[n], top[n]
     ledger.headroom[n] = _P1
     for acc in (ledger.acc_goal, ledger.acc_fail, ledger.acc_noter):
         acc[n] = acc.pop()

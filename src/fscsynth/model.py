@@ -6,10 +6,12 @@ Probabilities are exact ``fractions.Fraction`` values so that every
 correctness statement in the test suite can be checked with ``==``.
 
 All types here are immutable after construction (the dicts they carry are
-never mutated) and safe to share across threads.  A derived fact cached
-on first use, such as ``PlanningProblem.lost_states`` or its step laws as
-integer pairs, is the same value whichever thread computes it.  An index
-must be an ``int`` proper: ``True`` would pass as state or action 1.
+never mutated) and safe to share across threads.  Readers index the
+tables as they stand (``omega[s]``, ``delta.get((s, a))``, ``s in
+goal_states``).  A derived fact cached on first use, such as
+``PlanningProblem.lost_states`` or its step laws as integer pairs, is the
+same value whichever thread computes it.  An index must be an ``int``
+proper: ``True`` would pass as state or action 1.
 """
 
 from __future__ import annotations
@@ -49,7 +51,8 @@ def as_prob(value: ProbLike) -> Fraction:
     """Coerce ints, strings like ``1/2``, ``0.5`` or ``1e-3``, and floats
     whose binary value is exactly their printed decimal (``0.5``, not
     ``0.1``) to a Fraction; anything else, a bool included, raises
-    ModelError.  The package reads every number from outside through here."""
+    ModelError.  The package reads every number from outside through here,
+    but for a controller file's state count and indices: ASCII digits only."""
     if isinstance(value, Fraction):
         return value
     match = isinstance(value, str) and _RATIONAL.fullmatch(value)
@@ -180,14 +183,6 @@ class Environment:
     def observation_index(self, name: str) -> int:
         return self.observations.index(name)
 
-    def obs(self, s: int) -> int:
-        """Observation index of state ``s``."""
-        return self.omega[s]
-
-    def dist(self, s: int, a: int):
-        """Successor distribution of applicable ``(s, a)``, else None."""
-        return self.delta.get((s, a))
-
     @classmethod
     def from_tables(
         cls,
@@ -238,9 +233,6 @@ class PlanningProblem:
         if any(type(g) is not int or not 0 <= g < n for g in self.goal_states):
             raise ModelError("goal set references unknown state")
 
-    def is_goal(self, s: int) -> bool:
-        return s in self.goal_states
-
     @cached_property
     def lost_states(self) -> frozenset[int]:
         """States with no path to a goal in the support graph under any
@@ -264,10 +256,9 @@ class PlanningProblem:
 
     @cached_property
     def pair_laws(self) -> dict:
-        """Each step law as ``(s2, (numerator, denominator))`` pairs, last
-        successor first, as the search pushes them onto its agenda."""
+        """Each step law as ``(s2, (numerator, denominator))`` pairs, in ``delta`` order."""
         delta = self.environment.delta
-        return {key: tuple([(s2, p.as_integer_ratio()) for s2, p in reversed(law)]) for key, law in delta.items()}
+        return {key: tuple([(s2, p.as_integer_ratio()) for s2, p in law]) for key, law in delta.items()}
 
     @cached_property
     def offers(self) -> tuple:
@@ -275,7 +266,7 @@ class PlanningProblem:
         action a choice point offers: only the first stuck one stays."""
         env = self.environment
         actions = range(len(env.actions))
-        live = {(env.obs(s), a) for s, a in self.pair_laws}
+        live = {(env.omega[s], a) for s, a in self.pair_laws}
         offers = []
         for o in range(len(env.observations)):
             first_stuck = next((a for a in actions if (o, a) not in live), None)

@@ -116,10 +116,12 @@ class _Backtracker:
     The machine is an explicit agenda loop, not recursion, so branch
     length is bounded by memory rather than the interpreter stack.  It has
     two item kinds: ``or`` visits one combined state (``_or_step``), one
-    item per outcome of a distribution, pushed in reverse so they pop in
-    order; ``retreat`` closes the subtree below one (``_retreat``).  An OR
-    step returns None to go on, ``"fail"`` to abandon the branch, or an
-    outcome that ends the search; an empty agenda is judged by ``_exhausted``.
+    item per outcome of a step law, pushed in reverse so they pop in
+    ``delta`` order; ``retreat`` closes the subtree below one (``_retreat``).
+    An OR step returns None to go on, ``"fail"`` to abandon the branch, or
+    an outcome that ends the search; an empty agenda is judged by
+    ``_exhausted``.  Observations and goals are read off the model's
+    tables, bound once as ``omega`` and ``goals``.
 
     Backtracking is chronological: every choice point copies the agenda and
     takes an engine snapshot (``_snapshot``, copy-on-branch), each committed
@@ -146,6 +148,8 @@ class _Backtracker:
             check_count("budget", budget, 1)
         self.problem = problem
         self.env = problem.environment
+        self.omega = self.env.omega
+        self.goals = problem.goal_states
         self.laws = problem.pair_laws
         self.max_states = max_states
         self.budget = budget
@@ -196,7 +200,7 @@ class _Backtracker:
 
     def _commit(self, cp: _Choice) -> Optional[str]:
         cand = cp.candidates[cp.idx]
-        self.controller[(cp.q, self.env.obs(cp.s))] = cand
+        self.controller[(cp.q, self.omega[cp.s])] = cand
         return self._execute(cp.q, cp.s, cp.p, cand)
 
     def _descend(self, q: int, s: int, q2: int, law, depth: int) -> None:
@@ -204,7 +208,7 @@ class _Backtracker:
         if depth > self.peak_depth:
             self.peak_depth = depth
         self.agenda.append(("retreat", q, s))
-        self.agenda.extend([("or", q2, s2, p2) for s2, p2 in law])
+        self.agenda.extend([("or", q2, s2, p2) for s2, p2 in reversed(law)])
 
     def _backtrack(self) -> Optional[str]:
         # exhausted choice points are dropped unrestored but for their controller
@@ -212,7 +216,7 @@ class _Backtracker:
         choices = self.choices
         while choices and choices[-1].idx + 1 >= len(choices[-1].candidates):
             cp = choices.pop()
-            del self.controller[(cp.q, self.env.obs(cp.s))]
+            del self.controller[(cp.q, self.omega[cp.s])]
         if not choices:
             return "failure-proved"
         cp = choices[-1]
@@ -270,7 +274,7 @@ class _Search(_Backtracker):
             else:
                 ledger.record_loop(k, p_loop)
             return self._evaluate()
-        tr = self.controller.get((q, self.env.obs(s)))
+        tr = self.controller.get((q, self.omega[s]))
         if tr is not None:
             return self._execute(q, s, p, tr)
         return self._open(q, s, p, self._candidates(s))
@@ -283,10 +287,10 @@ class _Search(_Backtracker):
         successors = self._successors()
         acts = [
             (a, q2)
-            for a, live in self.problem.offers[self.env.obs(s)]
+            for a, live in self.problem.offers[self.omega[s]]
             for q2 in (successors if live else (0,))
         ]
-        if self.problem.is_goal(s):
+        if s in self.goals:
             return [(STOP, 0)] + acts
         return acts + [(STOP, 0)]
 
@@ -295,7 +299,7 @@ class _Search(_Backtracker):
         a, q2 = tr
         ledger = self.ledger
         if a == STOP:
-            if self.problem.is_goal(s):
+            if s in self.goals:
                 ledger.record_goal(p)
             else:
                 ledger.record_fail(p)

@@ -118,7 +118,7 @@ def stuck_pairs(env: Environment) -> set[tuple[int, int]]:
         (o, a)
         for o in range(len(env.observations))
         for a in range(len(env.actions))
-        if not any((s, a) in env.delta for s in range(len(env.states)) if env.obs(s) == o)
+        if not any((s, a) in env.delta for s in range(len(env.states)) if env.omega[s] == o)
     }
 
 
@@ -129,7 +129,7 @@ class _FullCandidatesSearch(_Search):
 
     def _candidates(self, s):
         acts = [(a, q2) for a in range(len(self.env.actions)) for q2 in self._successors()]
-        if self.problem.is_goal(s):
+        if s in self.goals:
             return [(STOP, 0)] + acts
         return acts + [(STOP, 0)]
 
@@ -268,7 +268,7 @@ class _ClassicAndorSearch:
         return ("controller", Controller(self.max_used + 1, dict(self.controller)))
 
     def _or_step(self, q: int, s: int) -> bool:
-        key = (q, self.env.obs(s))
+        key = (q, self.env.omega[s])
         tr = self.controller.get(key)
         if s in self.goals and (tr is None or tr[0] == STOP):
             if tr is not None:
@@ -318,7 +318,7 @@ class _ClassicAndorSearch:
         return False
 
     def _commit(self, q: int, s: int, cand) -> bool:
-        key = (q, self.env.obs(s))
+        key = (q, self.env.omega[s])
         self.controller[key] = cand
         self.trail.append(("t", key))
         if cand[0] != STOP and cand[1] > self.max_used:
@@ -423,7 +423,7 @@ def enumerate_controllers(problem: PlanningProblem, max_states: int):
             if (q, s) in seen:
                 continue
             seen.add((q, s))
-            key = (q, env.obs(s))
+            key = (q, env.omega[s])
             t = tr.get(key)
             if t is None:
                 if best_key is None or key < best_key:
@@ -432,7 +432,7 @@ def enumerate_controllers(problem: PlanningProblem, max_states: int):
             a, q2 = t
             if a == STOP:
                 continue
-            dist = env.dist(s, a)
+            dist = env.delta.get((s, a))
             if dist is None:
                 continue
             for s2, _ in dist:

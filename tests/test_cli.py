@@ -10,6 +10,8 @@ import pytest
 import fscsynth
 from fscsynth.cli import build_parser, main
 from fscsynth.domains import build, serialize_controller, serialize_env
+from fscsynth.model import SynthesisRequest
+from fscsynth.pandor import pandor_synth
 from fscsynth.verifier import exact_measures
 from fscsynth.domains import parse_controller
 
@@ -273,6 +275,38 @@ def test_non_integral_integer_param_exits_64(capsys, n):
                        "--max-states", "2", "--lgt-star", "0.4")
     assert code == 64 and "integer" in err
 
+
+
+@pytest.mark.parametrize("command", ["synth", "verify"])
+def test_param_without_domain_exits_64(tmp_path, capsys, command):
+    # an environment file takes no parameters: n=5 used to be dropped silently
+    prob = build("coin-flip")
+    env_file, ctrl_file = tmp_path / "cf.env", tmp_path / "cf.fsc"
+    env_file.write_text(serialize_env(prob))
+    ctrl_file.write_text(serialize_controller(flip_stop_controller(prob), prob.environment))
+    tail = {"synth": ["--max-states", "2", "--lgt-star", "0.4"], "verify": ["--controller", str(ctrl_file)]}[command]
+    code, out, err = run(capsys, command, "--env", str(env_file), "--param", "n=5", *tail)
+    assert code == 64 and not out and "--param needs --domain" in err
+    assert run(capsys, command, "--env", str(env_file), *tail)[0] == 0
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--max-states", "1_0"), ("--max-states", "\u0663"), ("--max-states", "5/2"), ("--budget", "1_000"), ("--budget", ""),
+])
+def test_count_flags_read_numbers_as_param_n_does(capsys, flag, value):
+    # argparse's int read 1_0 as 10 and the Arabic-Indic three as 3
+    flags = {"--max-states": "2", "--budget": "1000", flag: value}
+    argv = [tok for pair in flags.items() for tok in pair]
+    code, out, err = run(capsys, "synth", "--domain", "coin-flip", "--lgt-star", "0.4", *argv)
+    assert code == 64 and not out and f"{flag} must be an integer of at least 1, got {value!r}" in err
+
+
+@pytest.mark.parametrize("max_states", ["2", "5"])
+def test_count_flags_search_as_before(capsys, max_states):
+    code, out, _ = run(capsys, "synth", "--domain", "coin-flip", "--max-states", max_states,
+                       "--lgt-star", "0.4", "--budget", "1000", "--json")
+    expected = pandor_synth(SynthesisRequest(build("coin-flip"), int(max_states), F(2, 5)), 1000)
+    assert code == 0 and json.loads(out)["or_steps"] == expected.or_steps
 
 def test_parse_errors_exit_65(tmp_path, capsys):
     env_file = tmp_path / "bad.env"

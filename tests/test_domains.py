@@ -31,8 +31,8 @@ def test_coin_flip_shape():
 def test_decay_loop_has_both_loop_kinds():
     env = build("decay-loop").environment
     s0 = env.state_index("s0")
-    assert dict(env.dist(s0, env.action_index("no-op"))) == {s0: F(1)}
-    flip = dict(env.dist(s0, env.action_index("flip")))
+    assert dict(env.delta.get((s0, env.action_index("no-op")))) == {s0: F(1)}
+    flip = dict(env.delta.get((s0, env.action_index("flip"))))
     assert flip == {s0: F(1, 2), env.state_index("goal"): F(1, 2)}
 
 
@@ -45,36 +45,36 @@ def test_three_state_is_unobservable_with_empty_goal_set():
 def test_corridor_layout():
     prob = build("hall-a-1d", {"n": 5})
     env = prob.environment
-    fresh_obs = [env.observations[env.obs(env.state_index(f"c{i}"))] for i in range(5)]
+    fresh_obs = [env.observations[env.omega[env.state_index(f"c{i}")]] for i in range(5)]
     assert fresh_obs == ["A", "-", "-", "-", "B"]
     # three middle cells between the lettered ends
     assert fresh_obs.count("-") == 3
     # boundary moves are inapplicable in the deterministic corridor
-    assert env.dist(env.state_index("c0"), env.action_index("left")) is None
-    assert env.dist(env.state_index("c4v"), env.action_index("right")) is None
+    assert env.delta.get((env.state_index("c0"), env.action_index("left"))) is None
+    assert env.delta.get((env.state_index("c4v"), env.action_index("right"))) is None
 
 
 def test_noisy_corridor_moves_succeed_half_the_time():
     prob = build("noisy-hall-a-1d", {"n": 4})
     env = prob.environment
     c1 = env.state_index("c1")
-    dist = dict(env.dist(c1, env.action_index("right")))
+    dist = dict(env.delta.get((c1, env.action_index("right"))))
     assert dist == {c1: F(1, 2), env.state_index("c2"): F(1, 2)}
     # moving against the wall never changes the state
     c0 = env.state_index("c0")
-    assert dict(env.dist(c0, env.action_index("left"))) == {c0: F(1)}
+    assert dict(env.delta.get((c0, env.action_index("left")))) == {c0: F(1)}
 
 
 def test_bridgewalk_structure_and_optimum():
     prob = build("bridgewalk", {"n": 3, "p_fall": F(1, 10)})
     env = prob.environment
-    dist = dict(env.dist(env.state_index("b0"), env.action_index("walk")))
+    dist = dict(env.delta.get((env.state_index("b0"), env.action_index("walk"))))
     assert dist == {env.state_index("b1"): F(9, 10), env.state_index("fallen"): F(1, 10)}
     walker = controller_from_names(env, 1, {
         (0, "start"): ("walk", 0), (0, "mid"): ("walk", 0), (0, "end"): ("stop", 0),
     })
     assert exact_measures(prob, walker).lgt == F(9, 10) ** 3
-    assert env.dist(env.state_index("fallen"), env.action_index("walk")) is None
+    assert env.delta.get((env.state_index("fallen"), env.action_index("walk"))) is None
 
 
 def test_perimeter_hall_shape():
@@ -356,6 +356,22 @@ def test_controller_parse_errors():
 def test_controller_states_are_ascii_digits(text, line, col, message):
     # str.isdigit() holds for "²" (which int() rejects) and for "٣"
     env = build("hall-a-1d", {"n": 3}).environment
+    with pytest.raises(ParseError) as err:
+        parse_controller(text, env)
+    assert (err.value.line, err.value.col, err.value.message) == (line, col, message)
+
+
+@pytest.mark.parametrize("text,line,col,message", [
+    ("states 0\nstart 0\n", 1, 8, "a controller needs at least one state"),
+    ("start 0\n  states  0\n", 2, 11, "a controller needs at least one state"),
+    ("states 1\nstart 0\nedge 1 start flip 0\n", 3, 6, "controller state 1 is not below the state count 1"),
+    ("states 1\nstart 0\nedge 0 start flip 1\n", 3, 19, "controller state 1 is not below the state count 1"),
+    # an edge may come before the count it is checked against
+    ("start 0\nedge 0 start flip 0\nedge 0 won  stop 7\nstates 2\n", 3, 18, "controller state 7 is not below the state count 2"),
+])
+def test_controller_state_count_faults_report_their_own_position(text, line, col, message):
+    # these were reported at line 0, col 0, the position of the end of input
+    env = build("coin-flip").environment
     with pytest.raises(ParseError) as err:
         parse_controller(text, env)
     assert (err.value.line, err.value.col, err.value.message) == (line, col, message)

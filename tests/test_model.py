@@ -296,7 +296,7 @@ def test_unreadable_numbers_raise_model_error(coin, value):
 def test_as_prob_accepts_exact_inputs(value, exact):
     assert as_prob(value) == exact
     env = _one_step_env({"s1": 0.5, "s2": "0.5"})
-    assert env.dist(0, 0) == ((1, F(1, 2)), (2, F(1, 2)))
+    assert env.delta.get((0, 0)) == ((1, F(1, 2)), (2, F(1, 2)))
 
 
 @pytest.mark.parametrize("law", [
@@ -352,7 +352,7 @@ def test_equal_but_distinct_fractions_pass():
     first, second = ((0, F(1, 3)), (1, F(2, 3))), ((0, F(1, 3)), (1, F(2, 3)))
     assert first[0][1] is not second[0][1] and first == second
     env = Environment(("s0", "s1"), ("a", "b"), ("o",), {(0, 0): first, (0, 1): second, (1, 0): first}, (0, 0))
-    assert env.dist(0, 1) is second and env.dist(0, 0) == env.dist(0, 1)
+    assert env.delta.get((0, 1)) is second and env.delta.get((0, 0)) == env.delta.get((0, 1))
 
 
 def _offers_per_search(env):
@@ -360,7 +360,7 @@ def _offers_per_search(env):
     the problem: per observation, every applicable action and the first
     stuck one."""
     actions = range(len(env.actions))
-    live = {(env.obs(s), a) for s, a in env.delta}
+    live = {(env.omega[s], a) for s, a in env.delta}
     offers = []
     for o in range(len(env.observations)):
         first_stuck = next((a for a in actions if (o, a) not in live), None)
@@ -388,8 +388,7 @@ def test_step_laws_and_offers_are_built_once_per_problem():
         laws = problem.pair_laws
         assert laws.keys() == env.delta.keys()
         for key, law in env.delta.items():
-            # agenda order: the search pushes a law as it stands, so it pops in order
-            assert laws[key] == tuple((s2, p.as_integer_ratio()) for s2, p in reversed(law))
+            assert laws[key] == tuple((s2, p.as_integer_ratio()) for s2, p in law)
             for _, (num, den) in laws[key]:
                 assert type(num) is int and type(den) is int and den > 0 and gcd(num, den) == 1
         assert [list(offer) for offer in problem.offers] == _offers_per_search(env)

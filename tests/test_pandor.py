@@ -10,7 +10,7 @@ from fscsynth import andor, pandor
 from fscsynth.andor import andor_synth
 from fscsynth.domains import build, domain_names, parse_env
 from fscsynth.ledger import SearchLedger
-from fscsynth.model import ModelError, STOP, SynthesisRequest
+from fscsynth.model import Environment, ModelError, PlanningProblem, STOP, SynthesisRequest
 from fscsynth.pandor import DEFAULT_BUDGET, measure, pandor_synth
 from fscsynth.verifier import exact_measures
 
@@ -451,7 +451,7 @@ def _checking_choice_stack(engine):
         checked = 0
 
         def _or_step(self, q, s, p):
-            assert set(self.controller) == {(c.q, self.env.obs(c.s)) for c in self.choices}
+            assert set(self.controller) == {(c.q, self.omega[c.s]) for c in self.choices}
             self.checked += 1
             return super()._or_step(q, s, p)
 
@@ -473,6 +473,33 @@ def test_the_controller_holds_one_entry_per_live_choice_point():
         assert classic.run() == andor_synth(prob, n, 1000)
         checked += search.checked + classic.checked
     assert checked > 10_000
+
+
+
+def _recording_or_steps(engine):
+    class Recording(engine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.visits = []
+
+        def _or_step(self, q, s, p):
+            self.visits.append((q, s))
+            return super()._or_step(q, s, p)
+
+    return Recording
+
+
+def test_a_search_visits_a_law_in_delta_order():
+    # one step from s0 reaches three goal states sharing an observation,
+    # listed in neither index order nor its reverse
+    law = ((3, F(1, 2)), (1, F(1, 3)), (2, F(1, 6)))
+    env = Environment(("s0", "g1", "g2", "g3"), ("go",), ("start", "goal"), {(0, 0): law}, (0, 1, 1, 1))
+    prob = PlanningProblem(env, 0, frozenset({1, 2, 3}))
+    assert [s2 for s2, _ in env.delta.get((0, 0))] == [3, 1, 2]
+    search = _recording_or_steps(pandor._Search)(prob, 1, F(99, 100), None, 100)
+    classic = _recording_or_steps(andor._Search)(prob, 1, 100)
+    assert search.run().outcome == classic.run().outcome == "controller"
+    assert search.visits == classic.visits == [(0, 0), (0, 3), (0, 1), (0, 2)]
 
 
 def test_bridgewalk_proof_step_count():
