@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -416,3 +417,108 @@ def test_budget_below_one_exits_64(capsys, argv, budget):
     # --budget -1 used to run one OR step and report budget-exhausted
     code, out, err = run(capsys, *argv, "--budget", budget)
     assert code == 64 and not out and "--budget" in err
+
+
+_COIN_FLIP = ["--domain", "coin-flip", "--max-states", "2"]
+_COIN_FLIP_CONTROLLER = "states 1\nstart 0\nedge 0 start flip 0\nedge 0 won stop 0\n"
+_MEASURE_LINES = """\
+lgt: 1/2 ~ 0.500000000000
+lter: {lter} ~ {lter_decimal}
+nonterm: 0/1 ~ 0.000000000000
+undefined-mass: {undef} ~ {undef_decimal}
+"""
+_NULL_MEASURES = """\
+  "lgt": null,
+  "lgt_decimal": null,
+  "lter": null,
+  "lter_decimal": null,
+  "nonterm": null,
+  "nonterm_decimal": null,
+  "undefined_mass": null,
+  "undefined_mass_decimal": null
+}
+"""
+
+
+@pytest.mark.parametrize("argv, code, expected", [
+    (["synth", *_COIN_FLIP, "--lgt-star", "0.4"], 0,
+     "outcome: controller\nalgo: pandor\nor-steps: 2\npeak-depth: 1\nwall-time-s: *\n"
+     + _MEASURE_LINES.format(lter="1/2", lter_decimal="0.500000000000", undef="1/2", undef_decimal="0.500000000000")
+     + "controller:\n" + _COIN_FLIP_CONTROLLER),
+    (["synth", *_COIN_FLIP, "--lgt-star", "0.6"], 2,
+     "outcome: failure-proved\nalgo: pandor\nor-steps: 5\npeak-depth: 1\nwall-time-s: *\n"),
+    (["synth", "--domain", "noisy-hall-a-1d", "--param", "n=4", "--max-states", "2", "--lgt-star", "0.99",
+      "--budget", "5"], 3,
+     "outcome: budget-exhausted\nalgo: pandor\nor-steps: 5\npeak-depth: 3\nwall-time-s: *\n"),
+    (["synth", *_COIN_FLIP, "--lgt-star", "0.4", "--json"], 0, """\
+{
+  "outcome": "controller",
+  "algo": "pandor",
+  "or_steps": 2,
+  "peak_depth": 1,
+  "wall_time_s": *,
+  "controller": "states 1\\nstart 0\\nedge 0 start flip 0\\nedge 0 won stop 0\\n",
+  "lgt": "1/2",
+  "lgt_decimal": 0.5,
+  "lter": "1/2",
+  "lter_decimal": 0.5,
+  "nonterm": "0/1",
+  "nonterm_decimal": 0.0,
+  "undefined_mass": "1/2",
+  "undefined_mass_decimal": 0.5
+}
+"""),
+    (["synth", *_COIN_FLIP, "--lgt-star", "0.6", "--json"], 2, """\
+{
+  "outcome": "failure-proved",
+  "algo": "pandor",
+  "or_steps": 5,
+  "peak_depth": 1,
+  "wall_time_s": *,
+  "controller": null,
+""" + _NULL_MEASURES),
+    (["synth", "--domain", "hall-a-1d", "--param", "n=3", "--max-states", "2", "--lgt-star", "0.99",
+      "--algo", "andor", "--json"], 0, """\
+{
+  "outcome": "controller",
+  "algo": "andor",
+  "or_steps": 15,
+  "peak_depth": 6,
+  "wall_time_s": *,
+  "controller": "states 2\\nstart 0\\nedge 0 A right 0\\nedge 0 B left 1\\nedge 0 - right 0\\nedge 1 A stop 0\\nedge 1 - left 1\\n",
+  "lgt": "1/1",
+  "lgt_decimal": 1.0,
+  "lter": "1/1",
+  "lter_decimal": 1.0,
+  "nonterm": "0/1",
+  "nonterm_decimal": 0.0,
+  "undefined_mass": "0/1",
+  "undefined_mass_decimal": 0.0
+}
+"""),
+    (["verify", "--domain", "coin-flip", "--controller", "{coin}"], 0,
+     _MEASURE_LINES.format(lter="1/1", lter_decimal="1.000000000000", undef="0/1", undef_decimal="0.000000000000")),
+    (["export-dot", "--domain", "hall-a-1d", "--param", "n=5", "--controller", "{hall}"], 0, """\
+digraph controller {
+  rankdir=LR;
+  __start [shape=point];
+  q0 [shape=circle, label="q0"];
+  q1 [shape=circle, label="q1"];
+  __start -> q0;
+  q0 -> q0 [label="A : right\\n- : right"];
+  q0 -> q1 [label="B : left"];
+  q1 -> q0 [label="A : stop", style=dashed];
+  q1 -> q1 [label="- : left"];
+}
+"""),
+])
+def test_whole_stdout_is_pinned(tmp_path, capsys, argv, code, expected):
+    # every line of each report, in order; only the wall time varies between runs
+    coin, hall = build("coin-flip"), build("hall-a-1d", {"n": 5})
+    files = {"coin": tmp_path / "coin.fsc", "hall": tmp_path / "hall.fsc"}
+    files["coin"].write_text(serialize_controller(flip_stop_controller(coin), coin.environment))
+    files["hall"].write_text(serialize_controller(corridor_controller(hall.environment), hall.environment))
+    got_code, out, err = run(capsys, *(arg.format(**files) for arg in argv))
+    masked = re.sub(r"^wall-time-s: \d+\.\d{3}$", "wall-time-s: *", out, flags=re.M)
+    masked = re.sub(r'^  "wall_time_s": [0-9.e-]+,$', '  "wall_time_s": *,', masked, flags=re.M)
+    assert (got_code, masked, err) == (code, expected, "")
