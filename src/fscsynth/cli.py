@@ -17,7 +17,6 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 from typing import Optional
 
 from fscsynth.andor import andor_synth
@@ -28,9 +27,10 @@ from fscsynth.domains import (
     domain_names,
     parse_controller,
     parse_env,
+    read_int,
     serialize_controller,
 )
-from fscsynth.model import Controller, ModelError, PlanningProblem, STOP, STOP_NAME, SynthesisRequest, SynthResult, as_prob
+from fscsynth.model import Controller, ModelError, PlanningProblem, STOP, STOP_NAME, SynthesisRequest
 from fscsynth.pandor import DEFAULT_BUDGET, pandor_synth
 from fscsynth.verifier import Measures, exact_measures
 
@@ -56,10 +56,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _fmt(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator} ~ {float(x):.12f}"
-
-
 def _parse_params(entries) -> dict:
     params = {}
     for entry in entries or []:
@@ -83,15 +79,9 @@ def _read_text(path: str) -> str:
         raise ParseError(len(lines), len(lines[-1]), f"byte 0x{data[exc.start]:02x} is not UTF-8")
 
 
-def _count(flag: str, text) -> int:
-    """A count flag, read as an integer ``--param`` is: ``as_prob``, then an integer of at least 1."""
-    try:
-        n = as_prob(text)
-    except ModelError:
-        n = Fraction(0)
-    if n.denominator != 1 or n < 1:
-        raise _UsageError(f"{flag} must be an integer of at least 1, got {text!r}")
-    return int(n)
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _load_problem(args) -> PlanningProblem:
@@ -106,10 +96,6 @@ def _load_problem(args) -> PlanningProblem:
     return build(args.domain, _parse_params(args.param))
 
 
-def _load_controller(args, problem: PlanningProblem) -> Controller:
-    return parse_controller(_read_text(args.controller), problem.environment)
-
-
 # ---------------------------------------------------------------------------
 # synth
 
@@ -118,8 +104,8 @@ def cmd_synth(args) -> int:
     if args.algo == "andor" and args.lter_star is not None:
         raise _UsageError("--lter-star needs --algo pandor: andor ignores likelihood bounds")
     problem = _load_problem(args)
-    budget = _count("--budget", args.budget)
-    max_states = _count("--max-states", args.max_states)
+    budget = read_int("--budget", args.budget, 1)
+    max_states = read_int("--max-states", args.max_states, 1)
     try:
         request = SynthesisRequest(problem, max_states, args.lgt_star, args.lter_star)
     except ModelError as exc:
@@ -138,62 +124,55 @@ def cmd_synth(args) -> int:
         text = serialize_controller(result.controller, problem.environment)
         measures = exact_measures(problem, result.controller)
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            _write(args.out, text)
         if args.dot:
-            with open(args.dot, "w", encoding="utf-8") as fh:
-                fh.write(controller_to_dot(result.controller, problem.environment))
+            _write(args.dot, controller_to_dot(result.controller, problem.environment))
 
-    if args.json:
-        print(json.dumps(_report_json(result, args.algo, wall, text, measures), indent=2))
-    else:
-        _print_report(result, args.algo, wall, text, measures)
-    return _OUTCOME_EXIT[result.outcome]
-
-
-def _ratio(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
-def _report_json(
-    result: SynthResult, algo: str, wall: float, text: Optional[str], measures: Optional[Measures]
-) -> dict:
-    """The synthesis report as JSON; the controller text and the measure
-    fields (lgt/lter/nonterm/undefined_mass) are set exactly when the
-    outcome is ``controller``, and null otherwise."""
-    out = {
+    # the controller text and the measures are set exactly when the outcome is ``controller``
+    report = {
         "outcome": result.outcome,
-        "algo": algo,
+        "algo": args.algo,
         "or_steps": result.or_steps,
         "peak_depth": result.peak_depth,
         "wall_time_s": wall,
         "controller": text,
+        **_measure_fields(measures),
     }
-    for name in ("lgt", "lter", "nonterm", "undefined_mass"):
-        x = getattr(measures, name, None)
-        out[name] = None if x is None else _ratio(x)
-        out[f"{name}_decimal"] = None if x is None else float(x)
-    return out
+    if args.json:
+        print(json.dumps(report, indent=2))
+    else:
+        _print_report(report)
+    return _OUTCOME_EXIT[result.outcome]
 
 
-def _print_measures(m: Measures) -> None:
-    for label, x in (("lgt", m.lgt), ("lter", m.lter), ("nonterm", m.nonterm), ("undefined-mass", m.undefined_mass)):
-        print(f"{label}: {_fmt(x)}")
+_MEASURES = ("lgt", "lter", "nonterm", "undefined_mass")
 
 
-def _print_report(
-    result: SynthResult, algo: str, wall: float, text: Optional[str], measures: Optional[Measures]
-) -> None:
-    print(f"outcome: {result.outcome}")
-    print(f"algo: {algo}")
-    print(f"or-steps: {result.or_steps}")
-    print(f"peak-depth: {result.peak_depth}")
-    print(f"wall-time-s: {wall:.3f}")
-    if measures is not None:
-        _print_measures(measures)
-    if text is not None:
+def _measure_fields(m: Optional[Measures]) -> dict:
+    """Each exact measure as a ratio string and as a float; all null without a controller."""
+    fields = {}
+    for name in _MEASURES:
+        x = getattr(m, name, None)
+        fields[name] = None if x is None else f"{x.numerator}/{x.denominator}"
+        fields[f"{name}_decimal"] = None if x is None else float(x)
+    return fields
+
+
+def _print_report(report: dict) -> None:
+    """The text form of a report: a ``key: value`` line per field with
+    dashes for underscores, a measure as its ratio and 12 decimals, null
+    fields left out and the controller text last."""
+    for key, value in report.items():
+        if value is None or key == "controller" or key.endswith("_decimal"):
+            continue
+        if key == "wall_time_s":
+            value = f"{value:.3f}"
+        elif key in _MEASURES:
+            value = f"{value} ~ {report[key + '_decimal']:.12f}"
+        print(f"{key.replace('_', '-')}: {value}")
+    if report.get("controller") is not None:
         print("controller:")
-        print(text, end="")
+        print(report["controller"], end="")
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +181,8 @@ def _print_report(
 
 def cmd_verify(args) -> int:
     problem = _load_problem(args)
-    controller = _load_controller(args, problem)
-    _print_measures(exact_measures(problem, controller))
+    controller = parse_controller(_read_text(args.controller), problem.environment)
+    _print_report(_measure_fields(exact_measures(problem, controller)))
     return EXIT_OK
 
 
@@ -241,11 +220,10 @@ def controller_to_dot(controller: Controller, env) -> str:
 
 def cmd_export_dot(args) -> int:
     problem = _load_problem(args)
-    controller = _load_controller(args, problem)
+    controller = parse_controller(_read_text(args.controller), problem.environment)
     text = controller_to_dot(controller, problem.environment)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.out, text)
     else:
         print(text, end="")
     return EXIT_OK

@@ -177,22 +177,24 @@ def _hall_a_2d(n: int, p: Optional[Fraction]) -> PlanningProblem:
     return PlanningProblem(env, env.state_index(name(0, 1)), frozenset({env.state_index(name(0, 15))}))
 
 
-def _read_param(name: str, value) -> Fraction:
+def read_int(label: str, value, low: int) -> int:
+    """``value`` read by ``as_prob``, then checked to be an integer of at
+    least ``low``; the one reader of an integer parameter and of the
+    command line's count flags."""
     try:
-        return as_prob(value)
+        n = as_prob(value)
     except ModelError as exc:
-        raise DomainError(f"parameter {name}: {exc}") from None
-
-
-def _check_int(name: str, value, low: int) -> int:
-    n = _read_param(name, value)
+        raise DomainError(f"{label} must be an integer of at least {low}, got {value!r} ({exc})") from None
     if n.denominator != 1 or n < low:
-        raise DomainError(f"parameter {name} must be an integer >= {low}, got {value!r}")
+        raise DomainError(f"{label} must be an integer of at least {low}, got {value!r}")
     return int(n)
 
 
 def _check_prob(name: str, value) -> Fraction:
-    p = _read_param(name, value)
+    try:
+        p = as_prob(value)
+    except ModelError as exc:
+        raise DomainError(f"parameter {name}: {exc}") from None
     if not 0 < p < 1:
         raise DomainError(f"parameter {name} must lie strictly inside (0, 1), got {value!r}")
     return p
@@ -203,12 +205,12 @@ _BUILDERS: dict[str, Callable[..., PlanningProblem]] = {
     "coin-flip": _coin_flip,
     "decay-loop": _decay_loop,
     "three-state": _three_state,
-    "hall-a-1d": lambda n=5: _hall_a_1d(_check_int("n", n, 2), None),
-    "noisy-hall-a-1d": lambda n=4, p=Fraction(1, 2): _hall_a_1d(_check_int("n", n, 2), _check_prob("p", p)),
-    "hall-a-2d": lambda n=3: _hall_a_2d(_check_int("n", n, 2), None),
-    "noisy-hall-a-2d": lambda n=3, p=Fraction(1, 2): _hall_a_2d(_check_int("n", n, 2), _check_prob("p", p)),
+    "hall-a-1d": lambda n=5: _hall_a_1d(read_int("parameter n", n, 2), None),
+    "noisy-hall-a-1d": lambda n=4, p=Fraction(1, 2): _hall_a_1d(read_int("parameter n", n, 2), _check_prob("p", p)),
+    "hall-a-2d": lambda n=3: _hall_a_2d(read_int("parameter n", n, 2), None),
+    "noisy-hall-a-2d": lambda n=3, p=Fraction(1, 2): _hall_a_2d(read_int("parameter n", n, 2), _check_prob("p", p)),
     "bridgewalk": lambda n=5, p_fall=Fraction(1, 10): _bridgewalk(
-        _check_int("n", n, 1), _check_prob("p_fall", p_fall)
+        read_int("parameter n", n, 1), _check_prob("p_fall", p_fall)
     ),
 }
 
