@@ -5,9 +5,10 @@
 #
 #   bash scripts/ci.sh
 #
-# About 45 s in all on a 2-vCPU Xeon VM (CPython 3.11.7): 14-16 s for
-# tier-1, 17 s for the six smoke runs, 6 s for R300 and 3 s for the -O
-# certify run; up to 60 s while other work shares the VM.
+# About 47 s in all on a 2-vCPU Xeon VM (CPython 3.11.7): 14-16 s for
+# tier-1, 2 s for the standalone acceptance battery, 17 s for the six smoke
+# runs, 6 s for R300 and 3 s for the -O certify run; up to 60 s while other
+# work shares the VM.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -20,6 +21,10 @@ PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python3 -m pytest -q --continue-on-col
 
 # the package's size: fewer lines for the same behaviour is a design aim
 echo "src/fscsynth/*.py: $(cat src/fscsynth/*.py | wc -l) lines"
+
+# the acceptance battery as README runs it, through its own __main__ runner,
+# which exits 1 on a failed criterion. Not under -O: the criteria are asserts
+PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python3 tests/test_acceptance.py
 
 # perfbench smoke run: a short benchmark run per workload; --trace 1 wraps
 # every name the tracer patches, so a renamed one fails here rather than in a

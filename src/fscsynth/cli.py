@@ -8,7 +8,8 @@ Exit codes are a stable contract:
   a goal on every run (a controller meeting --lgt-star may still exist)
 * 3  -- node budget exhausted (inconclusive)
 * 64 -- flag/parameter validation error
-* 65 -- input file parse error
+* 65 -- file error: an input file does not parse or cannot be read, or
+  an output file cannot be written (synth finds that after its search)
 """
 
 from __future__ import annotations
@@ -67,16 +68,17 @@ def _parse_params(entries) -> dict:
 
 
 def _read_text(path: str) -> str:
-    """An input file's text; a byte that is not UTF-8 is a parse error.
-    The parsers split lines with ``str.splitlines``, so no newline
-    translation is needed."""
+    """An input file's text without a leading byte-order mark; a byte that
+    is not UTF-8 is a parse error.  The parsers split lines with
+    ``str.splitlines``, so no newline translation is needed."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        lines = (data[:exc.start].decode("utf-8") + "?").splitlines()
-        raise ParseError(len(lines), len(lines[-1]), f"byte 0x{data[exc.start]:02x} is not UTF-8")
+        # exc.start indexes exc.object, the bytes after the mark
+        lines = (exc.object[:exc.start].decode("utf-8") + "?").splitlines()
+        raise ParseError(len(lines), len(lines[-1]), f"byte 0x{exc.object[exc.start]:02x} is not UTF-8")
 
 
 def _write(path: str, text: str) -> None:

@@ -468,25 +468,17 @@ def dense_absorption(chain: CombinedChain) -> tuple[dict, dict, dict]:
     which keeps I - P nonsingular on the remaining transient block.
     """
     n = len(chain.nodes)
-    # Reverse reachability from the sinks.
-    preds = [[] for _ in range(n)]
-    seeds = []
-    for i, out in enumerate(chain.transitions):
-        for target, _ in out:
-            if target < 0:
-                seeds.append(i)
-            else:
-                preds[target].append(i)
+    # A node can terminate when one of its targets is a sink or a node that
+    # can terminate: sweep forward until a pass adds nothing.  The verifier
+    # walks predecessor lists back from the sinks instead, so a fault in
+    # either way of finding the set makes the two disagree.
     can_terminate = [False] * n
-    stack = list(set(seeds))
-    for i in stack:
-        can_terminate[i] = True
-    while stack:
-        i = stack.pop()
-        for j in preds[i]:
-            if not can_terminate[j]:
-                can_terminate[j] = True
-                stack.append(j)
+    changed = True
+    while changed:
+        changed = False
+        for i, out in enumerate(chain.transitions):
+            if not can_terminate[i] and any(t < 0 or can_terminate[t] for t, _ in out):
+                can_terminate[i] = changed = True
 
     transient = [i for i in range(n) if can_terminate[i]]
     pos = {i: k for k, i in enumerate(transient)}

@@ -322,6 +322,22 @@ def test_parse_errors_exit_65(tmp_path, capsys):
     assert code == 65 and not out
 
 
+def test_an_output_file_that_cannot_be_written_exits_65(tmp_path, capsys):
+    # synth finds this only after its search; export-dot after parsing
+    missing = tmp_path / "missing" / "c.out"
+    code, out, err = run(capsys, "synth", "--domain", "coin-flip", "--max-states", "1", "--lgt-star", "0.4",
+                         "--out", str(missing))
+    assert code == 65 and not out and "No such file or directory" in err
+    code, out, err = run(capsys, "synth", "--domain", "coin-flip", "--max-states", "1", "--lgt-star", "0.4",
+                         "--dot", str(missing))
+    assert code == 65 and not out and "No such file or directory" in err
+    ctrl_file = tmp_path / "c.fsc"
+    ctrl_file.write_text("states 1\nstart 0\n")
+    code, out, err = run(capsys, "export-dot", "--domain", "coin-flip", "--controller", str(ctrl_file),
+                         "--out", str(missing))
+    assert code == 65 and not out and "No such file or directory" in err
+
+
 def test_decimal_exponents_above_the_cap_exit_64_or_65(tmp_path, capsys):
     # 1e-1000000 used to build a 3.3 M-bit denominator that every bound comparison then multiplied
     env_file = tmp_path / "tiny.env"
@@ -396,6 +412,28 @@ def test_non_utf8_input_file_exits_65(tmp_path, capsys, flag):
     code, out, err = run(capsys, "verify", "--env", str(env_file), "--controller", str(ctrl_file))
     assert code == 65 and not out
     assert err.startswith(f"parse error: line {line}, col 6:") and "0xff" in err
+
+
+@pytest.mark.parametrize("flag", ["--env", "--controller"])
+def test_a_byte_order_mark_is_read_once(tmp_path, capsys, flag):
+    # a leading EF BB BF used to make the first declaration '\ufeffstates'
+    prob = build("coin-flip")
+    env_file, ctrl_file = tmp_path / "coin.env", tmp_path / "flip.fsc"
+    env_file.write_text(serialize_env(prob), encoding="utf-8")
+    ctrl_file.write_text(serialize_controller(flip_stop_controller(prob), prob.environment), encoding="utf-8")
+    argv = ("verify", "--env", str(env_file), "--controller", str(ctrl_file))
+    plain = run(capsys, *argv)
+    marked = env_file if flag == "--env" else ctrl_file
+    text = marked.read_bytes()
+    marked.write_bytes(b"\xef\xbb\xbf" + text)
+    assert run(capsys, *argv) == plain and plain[0] == 0
+    # the mark strips once: a second one is text, and the column of a bad byte skips the mark
+    marked.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbf" + text)
+    code, out, err = run(capsys, *argv)
+    assert code == 65 and not out and "line 1, col 1:" in err and r"\ufeff" in err
+    marked.write_bytes(b"\xef\xbb\xbf# caf\xff\n" + text)
+    code, out, err = run(capsys, *argv)
+    assert code == 65 and not out and err.startswith("parse error: line 1, col 6:") and "0xff" in err
 
 
 def test_input_files_keep_universal_newlines(tmp_path, capsys):
