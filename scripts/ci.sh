@@ -5,9 +5,9 @@
 #
 #   bash scripts/ci.sh
 #
-# About 47 s in all on a 2-vCPU Xeon VM (CPython 3.11.7): 14-16 s for
-# tier-1, 2 s for the standalone acceptance battery, 17 s for the six smoke
-# runs, 6 s for R300 and 3 s for the -O certify run; up to 60 s while other
+# About 53-57 s in all on a 2-vCPU Xeon VM (CPython 3.11.7): 17-21 s for
+# tier-1, 2 s for the standalone acceptance battery, 22 s for the six smoke
+# runs, 8 s for R300 and 3-4 s for the -O certify run; longer while other
 # work shares the VM.
 set -euo pipefail
 cd "$(dirname "$0")/.."

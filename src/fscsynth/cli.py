@@ -9,7 +9,7 @@ Exit codes are a stable contract:
 * 3  -- node budget exhausted (inconclusive)
 * 64 -- flag/parameter validation error
 * 65 -- file error: an input file does not parse or cannot be read, or
-  an output file cannot be written (synth finds that after its search)
+  an output file cannot be written (synth prints its report first)
 """
 
 from __future__ import annotations
@@ -125,10 +125,6 @@ def cmd_synth(args) -> int:
     if result.controller is not None:
         text = serialize_controller(result.controller, problem.environment)
         measures = exact_measures(problem, result.controller)
-        if args.out:
-            _write(args.out, text)
-        if args.dot:
-            _write(args.dot, controller_to_dot(result.controller, problem.environment))
 
     # the controller text and the measures are set exactly when the outcome is ``controller``
     report = {
@@ -144,6 +140,11 @@ def cmd_synth(args) -> int:
         print(json.dumps(report, indent=2))
     else:
         _print_report(report)
+    # after the report, so that a file that cannot be written loses no result
+    if text is not None and args.out:
+        _write(args.out, text)
+    if text is not None and args.dot:
+        _write(args.dot, controller_to_dot(result.controller, problem.environment))
     return _OUTCOME_EXIT[result.outcome]
 
 

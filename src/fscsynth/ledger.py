@@ -39,8 +39,8 @@ method keeps a cache of the same bounds up to date instead:
 to index k recomputes the cycle mass of k and, highest first, of each
 lower row whose ``top`` runs past a changed index, then rescales the
 prefix; the rows it leaves alone cost one scan of ``top`` per changed
-row.  A fold costs O(1) arithmetic and one dict lookup per lower row,
-and lowers the ``top`` of each row whose column L it moves in that pass.
+row.  A fold costs O(1) arithmetic and one ``top`` read per lower row;
+it moves column L and lowers ``top`` only in rows whose ``top`` is L.
 
 Index j is dead when nothing entering h_curr[j] can terminate: its
 never-terminating mass ``nu`` (calc_lambda's ``noter[j + 1]``) fills
@@ -58,8 +58,8 @@ reference the cache is tested against.  The fold checks each index's
 cycle plus noter mass once and, at a dead index, that no row below runs
 past it; ``calc_lambda`` checks the complete law at every index and the
 same escape at every dead one.  Writing the slot lists directly bypasses
-the cache; ``calc_lambda`` and ``cumulate_alpha`` read only the slots and
-stay exact on such ledgers, where ``calc_lambda`` saturates in place.
+the cache; ``calc_lambda`` reads only the slots and stays exact on such
+ledgers, where it saturates in place.
 
 All arithmetic is exact, on one number type: every slot and cached
 bound is a reduced pair ``(numerator, denominator)`` of ``int``s with a
@@ -432,7 +432,7 @@ def _check_none_past(ledger: SearchLedger, k: int) -> None:
             raise LedgerError(f"cycle mass through dead index {k}")
 
 
-def cumulate_alpha(ledger: SearchLedger) -> SearchLedger:
+def cumulate_alpha(ledger: SearchLedger) -> None:
     """Fold the frontier slot into its parent and shorten h_curr by one.
 
     The new slot values are chosen so that ``calc_lambda`` returns the
@@ -441,17 +441,16 @@ def cumulate_alpha(ledger: SearchLedger) -> SearchLedger:
     cycles and charged to the parent slot.  The folded entry's row is
     popped: it can only hold columns n and L, so the cycle mass at n is
     just their sum, read from the slots; every cached bound below n stays
-    as it was.  One pass moves column L of every lower row, and its
-    ``top``, to n; it reads the slots, not ``top``, so it stays exact on
-    slots written directly, as ``calc_lambda`` does.
-    Mutates and returns the ledger.
+    as it was.  Column L of each lower row whose ``top`` is L moves to n,
+    and that ``top`` with it; no other row is read.
     """
     L = len(ledger)
     if L == 0:
         raise LedgerError("cannot fold a ledger with an empty branch")
     n = L - 1
-    loop = ledger.loop
+    loop, top = ledger.loop, ledger.top
     row = loop.pop()
+    top.pop()
     lam_n = _add(row.get(n, _P0), row.get(L, _P0))
     denom = _sub(_P1, lam_n) if lam_n[0] else _P1
     if not denom[0]:
@@ -469,18 +468,18 @@ def cumulate_alpha(ledger: SearchLedger) -> SearchLedger:
         if v[0]:
             slots[n] = _add(slots[n], _mul(through, v))
 
-    top = ledger.top
-    for j, row in enumerate(loop):
-        v = row.pop(L, _P0)
-        if v[0]:
+    for j, t in enumerate(top):
+        if t == L:
             if dead:
                 raise LedgerError(f"cycle mass through dead index {n}")
+            row = loop[j]
+            v = row.pop(L)
             row[n] = _add(row.get(n, _P0), _div(v, denom) if lam_n[0] else v)
-            top[j] = n  # the row's column L was its top
+            top[j] = n
 
     # index n becomes the frontier: no cycle mass, and the prefix sums up
     # to it already hold the folded mass (so ``total`` is unchanged)
-    del ledger.headroom[L], ledger.prefix[L], ledger.ps[n], top[n]
+    del ledger.headroom[L], ledger.prefix[L], ledger.ps[n]
     ledger.headroom[n] = _P1
     for acc in (ledger.acc_goal, ledger.acc_fail, ledger.acc_noter):
         acc[n] = acc.pop()
@@ -488,4 +487,3 @@ def cumulate_alpha(ledger: SearchLedger) -> SearchLedger:
     # h_curr[n] is the newest entry of ``pos``: ``extend`` only appends and
     # a fold only removes the last entry, so insertion order is branch order
     ledger.pos.popitem()
-    return ledger

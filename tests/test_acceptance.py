@@ -33,6 +33,7 @@ from helpers import (
     flip_stop_controller,
     random_env,
     random_total_controller,
+    write_cycle,
 )
 
 GRID_DOMAINS = [
@@ -162,7 +163,7 @@ def _random_feasible_ledger(rng):
             led.noter[k] = rng.choice(masses)
         for k in range(length):
             for m in range(k, length + 1):
-                led.loop[k][m] = rng.choice(masses)
+                write_cycle(led, k, m, rng.choice(masses))
         try:
             calc_lambda(clone_ledger(led))
         except LedgerError:

@@ -323,19 +323,40 @@ def test_parse_errors_exit_65(tmp_path, capsys):
 
 
 def test_an_output_file_that_cannot_be_written_exits_65(tmp_path, capsys):
-    # synth finds this only after its search; export-dot after parsing
+    # export-dot finds this after parsing, and has printed nothing
     missing = tmp_path / "missing" / "c.out"
-    code, out, err = run(capsys, "synth", "--domain", "coin-flip", "--max-states", "1", "--lgt-star", "0.4",
-                         "--out", str(missing))
-    assert code == 65 and not out and "No such file or directory" in err
-    code, out, err = run(capsys, "synth", "--domain", "coin-flip", "--max-states", "1", "--lgt-star", "0.4",
-                         "--dot", str(missing))
-    assert code == 65 and not out and "No such file or directory" in err
     ctrl_file = tmp_path / "c.fsc"
     ctrl_file.write_text("states 1\nstart 0\n")
     code, out, err = run(capsys, "export-dot", "--domain", "coin-flip", "--controller", str(ctrl_file),
                          "--out", str(missing))
     assert code == 65 and not out and "No such file or directory" in err
+
+
+_COIN_FLIP_SYNTH = ("synth", "--domain", "coin-flip", "--max-states", "1", "--lgt-star", "0.4")
+
+
+def _masked(out: str) -> str:
+    """A report's stdout with its wall time, the one field that varies between runs, masked."""
+    masked = re.sub(r"^wall-time-s: \d+\.\d{3}$", "wall-time-s: *", out, flags=re.M)
+    return re.sub(r'^  "wall_time_s": [0-9.e-]+,$', '  "wall_time_s": *,', masked, flags=re.M)
+
+
+@pytest.mark.parametrize("fmt", [(), ("--json",)])
+def test_synth_prints_its_report_before_a_bad_out_fails(tmp_path, capsys, fmt):
+    # the search finishes before the file is opened: its result is not lost
+    _, expected, _ = run(capsys, *_COIN_FLIP_SYNTH, *fmt)
+    code, out, err = run(capsys, *_COIN_FLIP_SYNTH, *fmt, "--out", str(tmp_path / "missing" / "c.fsc"))
+    assert code == 65 and "No such file or directory" in err
+    assert "controller" in out and _masked(out) == _masked(expected)
+
+
+def test_synth_writes_a_good_out_before_a_bad_dot_fails(tmp_path, capsys):
+    out_file = tmp_path / "c.fsc"
+    code, out, err = run(capsys, *_COIN_FLIP_SYNTH, "--out", str(out_file),
+                         "--dot", str(tmp_path / "missing" / "c.dot"))
+    assert code == 65 and "No such file or directory" in err
+    assert out.startswith("outcome: controller\n")
+    assert out.endswith("controller:\n" + out_file.read_text(encoding="utf-8"))
 
 
 def test_decimal_exponents_above_the_cap_exit_64_or_65(tmp_path, capsys):
@@ -557,6 +578,4 @@ def test_whole_stdout_is_pinned(tmp_path, capsys, argv, code, expected):
     files["coin"].write_text(serialize_controller(flip_stop_controller(coin), coin.environment))
     files["hall"].write_text(serialize_controller(corridor_controller(hall.environment), hall.environment))
     got_code, out, err = run(capsys, *(arg.format(**files) for arg in argv))
-    masked = re.sub(r"^wall-time-s: \d+\.\d{3}$", "wall-time-s: *", out, flags=re.M)
-    masked = re.sub(r'^  "wall_time_s": [0-9.e-]+,$', '  "wall_time_s": *,', masked, flags=re.M)
-    assert (got_code, masked, err) == (code, expected, "")
+    assert (got_code, _masked(out), err) == (code, expected, "")

@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from fscsynth.ledger import LambdaVector, LedgerError, SearchLedger, calc_lambda, cumulate_alpha
 
-from helpers import clone_ledger
+from helpers import clone_ledger, write_cycle
 
 
 def test_base_case_empty_branch():
@@ -22,7 +22,7 @@ def test_goal_mass_amplified_by_colocated_cycle():
     led.extend(0, 0, (1, 1))
     led.extend(0, 1, (1, 1))
     led.goal[2] = (1, 2)
-    led.loop[1][2] = (1, 2)
+    write_cycle(led, 1, 2, (1, 2))
     lam = calc_lambda(led)
     assert lam.goal[1] == 1
     assert lam.goal0 == 1
@@ -48,9 +48,9 @@ def _branch_tree_ledger(pa1, pb1, pa2, pb2, pc2, pa3, pb3, pc3):
     led.extend(0, 102, pa2.as_integer_ratio())
     led.goal[1] = (pb1 * pb2).as_integer_ratio()
     led.goal[3] = pb3.as_integer_ratio()
-    led.loop[0][0] = (pb1 * pc2).as_integer_ratio()
-    led.loop[1][3] = (pa2 * pa3).as_integer_ratio()
-    led.loop[2][3] = pc3.as_integer_ratio()
+    write_cycle(led, 0, 0, (pb1 * pc2).as_integer_ratio())
+    write_cycle(led, 1, 3, (pa2 * pa3).as_integer_ratio())
+    write_cycle(led, 2, 3, pc3.as_integer_ratio())
     return led
 
 
@@ -135,7 +135,7 @@ def test_fold_rejects_cycle_and_noter_mass_above_the_unit():
     # would be charged as 3/2
     led = SearchLedger()
     led.extend(0, 0, (1, 1))
-    led.loop[0][1] = (1, 2)
+    write_cycle(led, 0, 1, (1, 2))
     led.noter[1] = (3, 4)
     with pytest.raises(LedgerError, match="cycle\\+noter mass above 1 at index 0"):
         cumulate_alpha(led)
@@ -191,7 +191,7 @@ def test_lambda_checks_cycle_goal_fail_and_noter_mass_together():
     # the step of mass 1/2 into it keeps every amplified bound in [0, 1]
     led = SearchLedger()
     led.extend(0, 0, (1, 2))
-    led.loop[0][1] = (1, 2)
+    write_cycle(led, 0, 1, (1, 2))
     led.goal[1] = (3, 4)
     with pytest.raises(LedgerError, match="cycle\\+goal\\+fail\\+noter mass above 1 at index 0"):
         calc_lambda(led)
@@ -226,7 +226,7 @@ def feasible_ledgers(draw, min_len=0):
         led.noter[k] = draw(_MASS).as_integer_ratio()
     for k in range(length):
         for m in range(k, length + 1):
-            led.loop[k][m] = draw(_MASS).as_integer_ratio()
+            write_cycle(led, k, m, draw(_MASS).as_integer_ratio())
     try:
         calc_lambda(clone_ledger(led))
     except LedgerError:

@@ -21,7 +21,7 @@ from fscsynth.ledger import (
 )
 from fscsynth.pandor import _check_cache
 
-from helpers import CascadeLedger, clone_ledger
+from helpers import CascadeLedger, clone_ledger, write_cycle
 
 _PROBS = st.sampled_from([F(1), F(1, 2), F(1, 3), F(2, 3), F(1, 4), F(3, 4)])
 _MASS = st.sampled_from([F(1, 16), F(1, 8), F(1, 4), F(1, 3), F(1, 2), F(3, 4)])
@@ -269,6 +269,31 @@ def test_a_cycle_record_recomputes_exactly_the_rows_it_changes(monkeypatch, ops,
     _assert_cache_matches_reference(led)
 
 
+class _UnreadRow(dict):
+    """A cycle row that fails the test as soon as it is read or written."""
+
+    def _touch(self, *args):
+        raise AssertionError("the fold read a row whose top is below L")
+
+    __getitem__ = __setitem__ = __contains__ = __iter__ = __len__ = get = pop = items = _touch
+
+
+def test_the_fold_reads_only_the_rows_that_reach_the_frontier():
+    # rows 1 and 3 top out at L = 5 and row 4 is folded; rows 0 and 2 stop below
+    led = _run(_NESTED_SKIPPING_A_ROW)
+    assert led.top == [2, 5, 3, 5, 0]
+    ref = clone_ledger(led)
+    cumulate_alpha(ref)
+    rows = {j: led.loop[j] for j in (0, 2)}
+    for j in rows:
+        led.loop[j] = _UnreadRow()
+    cumulate_alpha(led)
+    for j, row in rows.items():
+        led.loop[j] = row
+    assert led.snapshot() == ref.snapshot()
+    assert led.top == [2, 4, 3, 4]
+
+
 def _count_saturations(monkeypatch):
     """(ledger class, index) of every ``_saturate_at`` call from now on."""
     calls = []
@@ -348,13 +373,14 @@ def _dead_index_ledger(zero_past):
     """A hand-written ledger whose index 1 is dead (cycle 1/2 plus noter
     1/2) while row 0 holds a cycle of 1/8 sealed at index 1; with
     ``zero_past``, row 0 also holds a zero pair in column 2, past the dead
-    index."""
+    index, which only ``calc_lambda`` may read: the ledger stores no zero
+    mass."""
     led = SearchLedger()
     led.extend(0, 0, (1, 1))
     led.extend(0, 1, (1, 2))
     led.goal[1] = (1, 4)
-    led.loop[0][1] = (1, 8)
-    led.loop[1][2] = (1, 2)
+    write_cycle(led, 0, 1, (1, 8))
+    write_cycle(led, 1, 2, (1, 2))
     led.noter[2] = (1, 2)
     if zero_past:
         led.loop[0][2] = (0, 1)
@@ -364,12 +390,7 @@ def _dead_index_ledger(zero_past):
 def test_a_stored_zero_pair_is_no_mass():
     # a zero pair is a truthy tuple: a check that tests the pair and not
     # its numerator takes it for a cycle through the dead index
-    with_zero, without = _dead_index_ledger(True), _dead_index_ledger(False)
-    assert calc_lambda(clone_ledger(with_zero)) == calc_lambda(clone_ledger(without))
-    cumulate_alpha(with_zero)
-    cumulate_alpha(without)
-    assert with_zero.snapshot() == without.snapshot()
-    assert calc_lambda(with_zero) == calc_lambda(without)
+    assert calc_lambda(_dead_index_ledger(True)) == calc_lambda(_dead_index_ledger(False))
 
 
 # zero, one, the laws of the tests and the benchmark, and large coprime

@@ -68,3 +68,35 @@ def test_the_unchecked_environment_constructor_has_one_caller():
                 name = f"{path.stem}.{prefix}{getattr(owner, 'name', owner.lineno)}"
                 refs += [name for node in ast.walk(owner) if isinstance(node, ast.Attribute) and node.attr == "_checked"]
     assert refs == ["domains.parse_env"]
+
+
+def test_only_the_ledger_writes_its_slots():
+    # the fold trusts ``top`` to name the cycle rows that reach the frontier
+    # and every row to hold positive masses only; the ledger's own methods
+    # keep that, so no other module may write a slot or a cached bound
+    names = {"ps", "goal", "fail", "noter", "loop", "top", "headroom", "prefix", "total", "pos"}
+
+    def written(target):
+        if isinstance(target, (ast.Tuple, ast.List)):
+            return [name for t in target.elts for name in written(t)]
+        if isinstance(target, ast.Starred):
+            return written(target.value)
+        while isinstance(target, ast.Subscript):  # by item: ``x.loop[k][m] = ...``
+            target = target.value
+        if isinstance(target, ast.Attribute) and (target.attr in names or target.attr.startswith("acc_")):
+            return [target.attr]
+        return []
+
+    found = []
+    for path in sorted(Path(fscsynth.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Assign, ast.Delete)):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                targets = []
+            found += [(path.name, node.lineno, name) for t in targets for name in written(t)]
+    # the walk sees the ledger's own writes, so it is not blind to the form
+    assert {"loop", "top", "total", "acc_goal"} <= {name for module, _, name in found if module == "ledger.py"}
+    assert [write for write in found if write[0] != "ledger.py"] == []
