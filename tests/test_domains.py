@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -183,6 +184,33 @@ def test_serialize_round_trip(name, params):
     again = parse_env(text)
     assert again == prob
     assert serialize_env(again) == text
+
+
+@pytest.mark.parametrize("name, params, digest", [
+    ("bridgewalk", {}, "3d9cad5c32429d4f31da4f37ce8742897b73ab38a37456256a79a10888c7e8dc"),
+    ("coin-flip", {}, "0eff4251074c6717232d8e3e993dcd6b0e3e0292f244c09d93d172394b458f5d"),
+    ("decay-loop", {}, "a7af5975da15e26d05717c3744473f0414e3a18c6bb0e68738dd943f8d31a5a9"),
+    ("hall-a-1d", {}, "fe6fc1b0e45686332f8302d2e28203231841c6833093316718d1d0eb01124966"),
+    ("hall-a-2d", {}, "7bf39993939b8fb85c84c82d6cd13f39b5556c1373bc99092719d47da0121636"),
+    ("noisy-hall-a-1d", {}, "9cf2b40be3022ecfaa8c41e46988c1d74724584ee1a3469351234964a4f312b4"),
+    ("noisy-hall-a-2d", {}, "4bdb508d7047fd50d8e8e2c060749c376cc339baeb90886b20d0afb7c0e2fcde"),
+    ("three-state", {}, "78326a8aaa38c47ba49ac530a3e513daca9c69eaf4a83f280d9f8eed2f40b13a"),
+    ("bridgewalk", {"n": 7}, "3fd1cd16d7187db971d7a65053856343bd53a7170783f6b45ade35656643244a"),
+    ("hall-a-1d", {"n": 7}, "8f32c481cdd0d0986efefce4e3250c58175b7461fa46898c7853c5f62f241118"),
+    ("hall-a-2d", {"n": 7}, "cdb8a1e2e688cb66d61578fde64244ce74997daf4474f801f05361b5d55b793d"),
+    ("noisy-hall-a-1d", {"n": 7}, "f54fb27989c982444641a3b3aa7753fa68e0b1ed406ed3c1a75b937b96614fe5"),
+    ("noisy-hall-a-2d", {"n": 7}, "7edf1fb5010a05106a30ecef4c9c0ea1e46c86490fb05f9425b21d48395a1951"),
+    # the largest sizes perfbench builds, with large-denominator probabilities
+    ("hall-a-1d", {"n": 400}, "b9a112727bc9c1087f805cc03dcf7e88b5bd75e9857cf511256338d01ffa42f6"),
+    ("noisy-hall-a-1d", {"n": 400, "p": "23/71"}, "853e1fe2375035dce008b6c18363e45d92281569e8b13e1bc3dca6bcdcaf6788"),
+    ("hall-a-2d", {"n": 38}, "4fc831c4a4242e1e8aa74d30754499cd56bc72a86e5f351b624751b84763cd94"),
+    ("noisy-hall-a-2d", {"n": 38, "p": "37/101"}, "ecefead63650c259a2e09c2c36d0b4c785a4ca91f326dc2819ec40e8722a5409"),
+    ("bridgewalk", {"n": 120, "p_fall": "23/71"}, "842378c9e00c06383ff0363ede5852cef1c5a8def4f1f01102598ba7f4b8dfd3"),
+])
+def test_built_in_domains_are_pinned(name, params, digest):
+    # the text names every state, observation, law and goal, and lists each
+    # law's entries in order: the order the search pushes them in
+    assert hashlib.sha256(serialize_env(build(name, params)).encode()).hexdigest() == digest
 
 
 def test_probability_sum_error():
