@@ -5,10 +5,10 @@
 #
 #   bash scripts/ci.sh
 #
-# About 53-57 s in all on a 2-vCPU Xeon VM (CPython 3.11.7): 17-21 s for
+# About 51-60 s in all on a 2-vCPU Xeon VM (CPython 3.11.7): 17-21 s for
 # tier-1, 2 s for the standalone acceptance battery, 22 s for the six smoke
-# runs, 8 s for R300 and 3-4 s for the -O certify run; longer while other
-# work shares the VM.
+# runs, 8 s for R300 and 3 s each for the -O certify and find runs; longer
+# while other work shares the VM.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -56,11 +56,15 @@ done
 diff <(PYTHONPATH=src:tests python3 -O scripts/r300.py) tests/data/r300.jsonl
 echo "R300 table: identical"
 
-# the text path under -O: R300 builds its problems in Python, and a parsed
-# environment is checked by parse_env alone, so its checks must not rest on
+# the text path and the built-in domains under -O: R300 builds its problems
+# from random tables, a parsed environment is checked by parse_env alone, and
+# find searches the noisy halls domains.build writes as index tables and
+# re-checks each controller exactly, so none of these checks may rest on
 # assert statements either
-last=$(python3 -O perfbench/run.py --workload certify --seed 1 --seconds 1 | tail -n 1)
-python3 -c 'import json, sys; r = json.loads(sys.argv[1]); print("certify-O", r["correct"], r["failed"]); sys.exit(not (r["correct"] is True and r["failed"] == 0))' "$last"
+for w in certify find; do
+  last=$(python3 -O perfbench/run.py --workload "$w" --seed 1 --seconds 1 | tail -n 1)
+  python3 -c 'import json, sys; r = json.loads(sys.argv[1]); print(sys.argv[2], r["correct"], r["failed"]); sys.exit(not (r["correct"] is True and r["failed"] == 0))' "$last" "$w-O"
+done
 
 # nothing else runs the example script, and it imports the CLI's DOT export
 out=$(PYTHONPATH=src python3 scripts/show_noisy_corridor.py)

@@ -43,138 +43,92 @@ class ParseError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# builders
+# builders: each writes index tables for the constructor to check.  A law's
+# entries keep a fixed order (stay, then move; step, then fall): the search
+# pushes them in that order, so it fixes the agenda and the OR-step counts.
 
 
 def _coin_flip() -> PlanningProblem:
-    env = Environment.from_tables(
-        states=("s0", "goal", "nogoal"),
-        actions=("flip",),
-        observations=("start", "won", "lost"),
-        omega={"s0": "start", "goal": "won", "nogoal": "lost"},
-        delta={("s0", "flip"): {"goal": Fraction(1, 2), "nogoal": Fraction(1, 2)}},
-    )
-    return PlanningProblem(env, env.state_index("s0"), frozenset({env.state_index("goal")}))
+    half = Fraction(1, 2)
+    delta = {(0, 0): ((1, half), (2, half))}
+    env = Environment(("s0", "goal", "nogoal"), ("flip",), ("start", "won", "lost"), delta, (0, 1, 2))
+    return PlanningProblem(env, 0, frozenset({1}))
 
 
 def _decay_loop() -> PlanningProblem:
-    env = Environment.from_tables(
-        states=("s0", "goal"),
-        actions=("no-op", "flip"),
-        observations=("start", "won"),
-        omega={"s0": "start", "goal": "won"},
-        delta={
-            ("s0", "no-op"): {"s0": Fraction(1)},
-            ("s0", "flip"): {"s0": Fraction(1, 2), "goal": Fraction(1, 2)},
-        },
-    )
-    return PlanningProblem(env, env.state_index("s0"), frozenset({env.state_index("goal")}))
+    half = Fraction(1, 2)
+    delta = {(0, 0): ((0, Fraction(1)),), (0, 1): ((0, half), (1, half))}
+    env = Environment(("s0", "goal"), ("no-op", "flip"), ("start", "won"), delta, (0, 1))
+    return PlanningProblem(env, 0, frozenset({1}))
 
 
 def _three_state() -> PlanningProblem:
-    env = Environment.from_tables(
-        states=("s0", "s1", "s2"),
-        actions=("a",),
-        observations=("x",),
-        omega={"s0": "x", "s1": "x", "s2": "x"},
-        delta={
-            ("s0", "a"): {"s1": Fraction(1)},
-            ("s1", "a"): {"s2": Fraction(1)},
-            ("s2", "a"): {"s0": Fraction(1, 2), "s1": Fraction(1, 2)},
-        },
-    )
-    return PlanningProblem(env, env.state_index("s0"), frozenset())
-
-
-def _hall_cell(c: int, seen: int) -> str:
-    return f"c{c}v" if seen else f"c{c}"
+    one, half = Fraction(1), Fraction(1, 2)
+    delta = {(0, 0): ((1, one),), (1, 0): ((2, one),), (2, 0): ((0, half), (1, half))}
+    env = Environment(("s0", "s1", "s2"), ("a",), ("x",), delta, (0, 0, 0))
+    return PlanningProblem(env, 0, frozenset())
 
 
 def _hall_a_1d(n: int, p: Optional[Fraction]) -> PlanningProblem:
     """Corridor of n cells: start at A (cell 0), visit B (last cell), return.
 
     The environment state carries a visited-B bit invisible to the
-    observation function.  Deterministic variant: moving against a wall
-    is inapplicable.  Noisy variant (p given): a move succeeds with
+    observation function: state ``c + seen * n`` is cell c, named ``c<c>``,
+    or ``c<c>v`` once B is seen.  Deterministic variant: moving against a
+    wall is inapplicable.  Noisy variant (p given): a move succeeds with
     probability p and leaves the state unchanged otherwise; moving
     against a wall always leaves it unchanged.
     """
-    states = [_hall_cell(c, seen) for seen in (0, 1) for c in range(n)]
-    omega = {}
-    for seen in (0, 1):
-        for c in range(n):
-            name = _hall_cell(c, seen)
-            omega[name] = "A" if c == 0 else ("B" if c == n - 1 else "-")
-    delta = {}
+    states = tuple(f"c{c}v" if seen else f"c{c}" for seen in (0, 1) for c in range(n))
+    omega = ((0,) + (2,) * (n - 2) + (1,)) * 2  # A, -, ..., -, B
+    one = Fraction(1)
     stay = None if p is None else 1 - p
-    for seen in (0, 1):
-        for c in range(n):
-            src = _hall_cell(c, seen)
-            for action, c2 in (("right", c + 1), ("left", c - 1)):
-                if 0 <= c2 < n:
-                    tgt = _hall_cell(c2, seen or int(c2 == n - 1))
-                    if p is None:
-                        delta[(src, action)] = {tgt: Fraction(1)}
-                    else:
-                        delta[(src, action)] = {src: stay, tgt: p}
-                elif p is not None:
-                    delta[(src, action)] = {src: Fraction(1)}
-    env = Environment.from_tables(states, ("right", "left"), ("A", "B", "-"), omega, delta)
-    return PlanningProblem(
-        env, env.state_index(_hall_cell(0, 0)), frozenset({env.state_index(_hall_cell(0, 1))})
-    )
+    delta = {}
+    for src in range(2 * n):
+        seen, c = divmod(src, n)
+        for a, c2 in ((0, c + 1), (1, c - 1)):
+            if 0 <= c2 < n:
+                tgt = c2 + n if seen or c2 == n - 1 else c2
+                delta[(src, a)] = ((tgt, one),) if p is None else ((src, stay), (tgt, p))
+            elif p is not None:
+                delta[(src, a)] = ((src, one),)
+    env = Environment(states, ("right", "left"), ("A", "B", "-"), delta, omega)
+    return PlanningProblem(env, 0, frozenset({n}))
 
 
 def _bridgewalk(n: int, p_fall: Fraction) -> PlanningProblem:
     """Walk n slippery segments; each step falls off with probability
     p_fall into a dead end.  Optimal controllers have LGT (1-p_fall)^n."""
-    states = [f"b{i}" for i in range(n + 1)] + ["fallen"]
-    omega = {"b0": "start", f"b{n}": "end", "fallen": "fallen"}
-    for i in range(1, n):
-        omega[f"b{i}"] = "mid"
-    delta = {}
+    states = tuple(f"b{i}" for i in range(n + 1)) + ("fallen",)
+    omega = (0,) + (1,) * (n - 1) + (2, 3)  # start, mid, ..., mid, end, fallen
     step = 1 - p_fall
-    for i in range(n):
-        delta[(f"b{i}", "walk")] = {f"b{i + 1}": step, "fallen": p_fall}
-    env = Environment.from_tables(
-        states, ("walk",), ("start", "mid", "end", "fallen"), omega, delta
-    )
-    return PlanningProblem(env, env.state_index("b0"), frozenset({env.state_index(f"b{n}")}))
+    delta = {(i, 0): ((i + 1, step), (n + 1, p_fall)) for i in range(n)}
+    env = Environment(states, ("walk",), ("start", "mid", "end", "fallen"), delta, omega)
+    return PlanningProblem(env, 0, frozenset({n}))
 
 
 def _hall_a_2d(n: int, p: Optional[Fraction]) -> PlanningProblem:
     """Perimeter corridor of an n x n hall: tour all four corners and
     return to the start corner.  The state tracks the set of corners
-    visited; corner cells other than the start share one observation.
+    visited: state ``pos * 16 + mask``, named ``p<pos>m<mask>``.  Corner
+    cells other than the start share one observation.
     This 2-D layout is a documented approximation of the cited corridor
     family (only its 1-D variant has a published figure)."""
     per = 4 * (n - 1)
-    corners = {k * (n - 1): k for k in range(4)}
-
-    def name(pos: int, mask: int) -> str:
-        return f"p{pos}m{mask}"
-
-    states = [name(pos, mask) for pos in range(per) for mask in range(16)]
-    omega = {}
-    for pos in range(per):
-        obs = "A" if pos == 0 else ("C" if pos in corners else "-")
-        for mask in range(16):
-            omega[name(pos, mask)] = obs
-    delta = {}
+    corners = {k * (n - 1): 1 << k for k in range(4)}
+    states = tuple(f"p{pos}m{mask}" for pos in range(per) for mask in range(16))
+    omega = tuple(0 if pos == 0 else 1 if pos in corners else 2 for pos in range(per) for _ in range(16))
+    one = Fraction(1)
     stay = None if p is None else 1 - p
-    for pos in range(per):
-        for mask in range(16):
-            src = name(pos, mask)
-            for action, step in (("cw", 1), ("ccw", -1)):
-                pos2 = (pos + step) % per
-                mask2 = mask | (1 << corners[pos2]) if pos2 in corners else mask
-                tgt = name(pos2, mask2)
-                if p is None:
-                    delta[(src, action)] = {tgt: Fraction(1)}
-                else:
-                    delta[(src, action)] = {src: stay, tgt: p}
-    env = Environment.from_tables(states, ("cw", "ccw"), ("A", "C", "-"), omega, delta)
-    return PlanningProblem(env, env.state_index(name(0, 1)), frozenset({env.state_index(name(0, 15))}))
+    delta = {}
+    for src in range(16 * per):
+        pos, mask = divmod(src, 16)
+        for a, step in ((0, 1), (1, -1)):
+            pos2 = (pos + step) % per
+            tgt = pos2 * 16 + (mask | corners.get(pos2, 0))
+            delta[(src, a)] = ((tgt, one),) if p is None else ((src, stay), (tgt, p))
+    env = Environment(states, ("cw", "ccw"), ("A", "C", "-"), delta, omega)
+    return PlanningProblem(env, 1, frozenset({15}))
 
 
 def read_int(label: str, value, low: int) -> int:
@@ -394,10 +348,15 @@ def serialize_env(problem: PlanningProblem) -> str:
     lines.append(f"init {env.states[problem.initial_state]}")
     if problem.goal_states:
         lines.append("goal " + " ".join(env.states[g] for g in sorted(problem.goal_states)))
-    for (s, a) in sorted(env.delta):
-        parts = [f"trans {env.states[s]} {env.actions[a]}"]
-        for s2, p in env.delta[(s, a)]:
-            parts.append(f"{p} {env.states[s2]}")
+    states, delta = env.states, env.delta
+    texts = {}  # id(p) -> str(p): the laws share their Fractions, and delta keeps each alive
+    for (s, a) in sorted(delta):
+        parts = ["trans", states[s], env.actions[a]]
+        for s2, p in delta[(s, a)]:
+            text = texts.get(id(p))
+            if text is None:
+                text = texts[id(p)] = str(p)
+            parts += (text, states[s2])
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
 
@@ -420,6 +379,9 @@ def parse_controller(text: str, env: Environment) -> Controller:
     num_states: Optional[int] = None
     transitions: dict[tuple[int, int], tuple[int, int]] = {}
     edges = []  # (lineno, line, q, q2) of each edge, in text order
+    observations = {name: o for o, name in enumerate(env.observations)}
+    actions = {name: a for a, name in enumerate(env.actions)}
+    actions[STOP_NAME] = STOP  # no action is named stop
     for lineno, line in enumerate(text.splitlines(), start=1):
         toks = line.split("#", 1)[0].split() if "#" in line else line.split()
         if not toks:
@@ -443,14 +405,11 @@ def parse_controller(text: str, env: Environment) -> Controller:
             if not _is_index(qtok) or not _is_index(q2tok):
                 raise _error(lineno, line, 1, "controller states are integers")
             q, q2 = int(qtok), int(q2tok)
-            if otok not in env.observations:
+            o = observations.get(otok)
+            if o is None:
                 raise _error(lineno, line, 2, f"dangling identifier: unknown observation {otok!r}")
-            o = env.observation_index(otok)
-            if atok == STOP_NAME:
-                a = STOP
-            elif atok in env.actions:
-                a = env.action_index(atok)
-            else:
+            a = actions.get(atok)
+            if a is None:
                 raise _error(lineno, line, 3, f"dangling identifier: unknown action {atok!r}")
             if (q, o) in transitions:
                 raise _error(lineno, line, 1, f"edge ({q}, {otok}) declared twice")

@@ -1,7 +1,8 @@
 """Core formal objects: environments, problems, controllers.
 
-Identifiers (states, actions, observations) are interned to dense integer
-indices at construction time; the search layers only ever touch indices.
+An environment names its states, actions and observations once and keys
+its tables by their dense integer indices; the search layers only ever
+touch indices.
 Probabilities are exact ``fractions.Fraction`` values so that every
 correctness statement in the test suite can be checked with ``==``.
 
@@ -17,7 +18,7 @@ proper: ``True`` would pass as state or action 1.
 from __future__ import annotations
 
 import re
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -182,42 +183,6 @@ class Environment:
 
     def observation_index(self, name: str) -> int:
         return self.observations.index(name)
-
-    @classmethod
-    def from_tables(
-        cls,
-        states: Sequence[str],
-        actions: Sequence[str],
-        observations: Sequence[str],
-        omega: Mapping[str, str],
-        delta: Mapping[tuple[str, str], Mapping[str, ProbLike]],
-    ) -> "Environment":
-        """Build from name-keyed tables; mainly used by domains and tests."""
-        states = tuple(states)
-        actions = tuple(actions)
-        observations = tuple(observations)
-        try:
-            s_idx = {name: i for i, name in enumerate(states)}
-            a_idx = {name: i for i, name in enumerate(actions)}
-            o_idx = {name: i for i, name in enumerate(observations)}
-        except TypeError:
-            # the identifier check in __post_init__ runs after this lookup
-            raise ModelError("identifiers must be strings, not unhashable values") from None
-        try:
-            omega_t = tuple(o_idx[omega[name]] for name in states)
-        except KeyError as exc:
-            raise ModelError(f"omega references unknown identifier {exc}") from exc
-        delta_t = {}
-        for (s, a), dist in delta.items():
-            if s not in s_idx or a not in a_idx:
-                raise ModelError(f"delta references unknown identifier ({s!r}, {a!r})")
-            entries = []
-            for s2, p in dist.items():
-                if s2 not in s_idx:
-                    raise ModelError(f"delta({s},{a}) references unknown state {s2!r}")
-                entries.append((s_idx[s2], as_prob(p)))
-            delta_t[(s_idx[s], a_idx[a])] = tuple(entries)
-        return cls(states, actions, observations, delta_t, omega_t)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from fscsynth.ledger import LambdaVector, LedgerError, SearchLedger, calc_lambda
 from fscsynth.model import (
-    Controller, Environment, PlanningProblem, STOP, SynthesisRequest, SynthResult,
+    Controller, Environment, ModelError, PlanningProblem, STOP, SynthesisRequest, SynthResult, as_prob,
 )
 from fscsynth.pandor import DEFAULT_BUDGET, _check_cache, _Measure, _Search
 from fscsynth.verifier import FAIL_SINK, GOAL_SINK, UNDEF_SINK, ChainError, CombinedChain
@@ -382,6 +382,37 @@ def classic_andor_synth(problem: PlanningProblem, n: int, budget=DEFAULT_BUDGET)
     return SynthResult(outcome, controller, search.or_steps, search.peak_depth)
 
 
+def from_tables(states, actions, observations, omega: dict, delta: dict) -> Environment:
+    """An environment from name-keyed tables: ``omega`` maps a state name to
+    an observation name and ``delta`` maps ``(state, action)`` names to
+    ``{successor name: probability}``.  The constructor checks the result."""
+    states = tuple(states)
+    actions = tuple(actions)
+    observations = tuple(observations)
+    try:
+        s_idx = {name: i for i, name in enumerate(states)}
+        a_idx = {name: i for i, name in enumerate(actions)}
+        o_idx = {name: i for i, name in enumerate(observations)}
+    except TypeError:
+        # the identifier check in __post_init__ runs after this lookup
+        raise ModelError("identifiers must be strings, not unhashable values") from None
+    try:
+        omega_t = tuple(o_idx[omega[name]] for name in states)
+    except KeyError as exc:
+        raise ModelError(f"omega references unknown identifier {exc}") from exc
+    delta_t = {}
+    for (s, a), dist in delta.items():
+        if s not in s_idx or a not in a_idx:
+            raise ModelError(f"delta references unknown identifier ({s!r}, {a!r})")
+        entries = []
+        for s2, p in dist.items():
+            if s2 not in s_idx:
+                raise ModelError(f"delta({s},{a}) references unknown state {s2!r}")
+            entries.append((s_idx[s2], as_prob(p)))
+        delta_t[(s_idx[s], a_idx[a])] = tuple(entries)
+    return Environment(states, actions, observations, delta_t, omega_t)
+
+
 def random_env(rng: random.Random, n_states: int = 4, partial: bool = False) -> PlanningProblem:
     states = [f"s{i}" for i in range(n_states)]
     actions = [f"a{i}" for i in range(rng.randint(1, 3))]
@@ -397,7 +428,7 @@ def random_env(rng: random.Random, n_states: int = 4, partial: bool = False) -> 
             weights = [rng.randint(1, 4) for _ in range(k)]
             total = sum(weights)
             delta[(s, a)] = {t: Fraction(w, total) for t, w in zip(targets, weights)}
-    env = Environment.from_tables(states, actions, observations, omega, delta)
+    env = from_tables(states, actions, observations, omega, delta)
     goals = frozenset(i for i in range(n_states) if rng.random() < 0.4)
     return PlanningProblem(env, rng.randrange(n_states), goals)
 

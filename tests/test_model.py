@@ -17,7 +17,7 @@ from fscsynth.model import (
 from fscsynth.domains import build, domain_names
 from fscsynth.verifier import FAIL_SINK, GOAL_SINK, UNDEF_SINK, build_chain
 
-from helpers import controller_from_names, flip_stop_controller, random_env, random_total_controller, stuck_pairs
+from helpers import controller_from_names, flip_stop_controller, from_tables, random_env, random_total_controller, stuck_pairs
 
 
 @pytest.fixture
@@ -74,7 +74,7 @@ def test_chain_rows_positive_and_normalized():
 
 def test_environment_rejects_bad_distribution():
     with pytest.raises(ModelError):
-        Environment.from_tables(
+        from_tables(
             ("s0", "s1"), ("a",), ("o",),
             {"s0": "o", "s1": "o"},
             {("s0", "a"): {"s1": F(1, 2)}},  # sums to 1/2
@@ -83,11 +83,11 @@ def test_environment_rejects_bad_distribution():
 
 def test_environment_rejects_unknown_identifiers():
     with pytest.raises(ModelError):
-        Environment.from_tables(("s0",), ("a",), ("o",), {"s0": "nope"}, {})
+        from_tables(("s0",), ("a",), ("o",), {"s0": "nope"}, {})
     with pytest.raises(ModelError):
-        Environment.from_tables(("s0",), ("a",), ("o",), {"s0": "o"}, {("s0", "b"): {"s0": 1}})
+        from_tables(("s0",), ("a",), ("o",), {"s0": "o"}, {("s0", "b"): {"s0": 1}})
     with pytest.raises(ModelError, match="unknown state 's9'"):
-        Environment.from_tables(("s0",), ("a",), ("o",), {"s0": "o"}, {("s0", "a"): {"s9": 1}})
+        from_tables(("s0",), ("a",), ("o",), {"s0": "o"}, {("s0", "a"): {"s9": 1}})
 
 
 @pytest.mark.parametrize("states, actions", [
@@ -101,14 +101,14 @@ def test_environment_rejects_unknown_identifiers():
 ])
 def test_environment_rejects_names_the_text_formats_cannot_carry(states, actions):
     with pytest.raises(ModelError):
-        Environment.from_tables(states, actions, ("o",), {s: "o" for s in states}, {})
+        from_tables(states, actions, ("o",), {s: "o" for s in states}, {})
     with pytest.raises(ModelError):
         Environment(states, actions, ("o",), {(0, 0): ((0, F(1)),)}, (0,) * len(states))
 
 
 def test_from_tables_rejects_an_unhashable_identifier():
     with pytest.raises(ModelError):
-        Environment.from_tables(("s0",), ("a", ["b"]), ("o",), {"s0": "o"}, {})
+        from_tables(("s0",), ("a", ["b"]), ("o",), {"s0": "o"}, {})
 
 
 @pytest.mark.parametrize("states, observations, delta, omega", [
@@ -159,9 +159,9 @@ def test_environment_rejects_malformed_delta_shapes(delta):
 
 def test_environment_rejects_duplicates_and_nonpositive_probs():
     with pytest.raises(ModelError):
-        Environment.from_tables(("s0", "s0"), ("a",), ("o",), {"s0": "o"}, {})
+        from_tables(("s0", "s0"), ("a",), ("o",), {"s0": "o"}, {})
     with pytest.raises(ModelError):
-        Environment.from_tables(
+        from_tables(
             ("s0", "s1"), ("a",), ("o",), {"s0": "o", "s1": "o"},
             {("s0", "a"): {"s0": F(3, 2), "s1": F(-1, 2)}},
         )
@@ -240,7 +240,7 @@ def test_synthesis_request_validation(coin):
 
 
 def _one_step_env(dist):
-    return Environment.from_tables(
+    return from_tables(
         ("s0", "s1", "s2"), ("a",), ("o",), {"s0": "o", "s1": "o", "s2": "o"}, {("s0", "a"): dist}
     )
 
