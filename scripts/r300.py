@@ -31,12 +31,16 @@ def problem(rng: random.Random):
     return random_env(rng, n_states=size, partial=rng.random() < 0.5)
 
 
-def row(seed: int) -> dict:
-    """The table line of ``seed``, as a dict."""
+def request(seed: int) -> SynthesisRequest:
+    """The seed's request: its problem, then its bound N, drawn from one ``rng``."""
     rng = random.Random(seed)
     prob = problem(rng)
-    bound = rng.choice((2, 3))
-    result = pandor_synth(SynthesisRequest(prob, bound, Fraction(1, 2)), budget=BUDGET)
+    return SynthesisRequest(prob, rng.choice((2, 3)), Fraction(1, 2))
+
+
+def row(seed: int) -> dict:
+    """The table line of ``seed``, as a dict."""
+    result = pandor_synth(request(seed), budget=BUDGET)
     controller = result.controller
     return {
         "seed": seed,

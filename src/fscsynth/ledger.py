@@ -291,9 +291,9 @@ class SearchLedger:
         ps, headroom, prefix = self.ps, self.headroom, self.prefix
         slots = ((self.goal, self.acc_goal), (self.fail, self.acc_fail), (self.noter, self.acc_noter))
         for t in range(low, len(ps)):
-            # the through factor is p / h; a retry corridor's is p / (1 - (1 - p)) = 1
+            # the through factor is p / h
             p, h = ps[t], headroom[t]
-            weight = prefix[t] if p == h else _mul(prefix[t], p if h == _P1 else _div(p, h))
+            weight = _mul(prefix[t], p if h == _P1 else _div(p, h))
             prefix[t + 1] = weight
             for values, acc in slots:
                 v = values[t + 1]

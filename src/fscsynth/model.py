@@ -10,9 +10,9 @@ All types here are immutable after construction (the dicts they carry are
 never mutated) and safe to share across threads.  Readers index the
 tables as they stand (``omega[s]``, ``delta.get((s, a))``, ``s in
 goal_states``).  A derived fact cached on first use, such as
-``PlanningProblem.lost_states`` or its step laws as integer pairs, is the
-same value whichever thread computes it.  An index must be an ``int``
-proper: ``True`` would pass as state or action 1.
+``PlanningProblem.lost_states`` or its step laws as integer pairs, with
+or without retries, is the same value whichever thread computes it.  An
+index must be an ``int`` proper: ``True`` would pass as state or action 1.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Optional, Union
 
 #: Distinguished terminal action. A controller transition whose action is
@@ -224,6 +225,29 @@ class PlanningProblem:
         """Each step law as ``(s2, (numerator, denominator))`` pairs, in ``delta`` order."""
         delta = self.environment.delta
         return {key: tuple([(s2, p.as_integer_ratio()) for s2, p in law]) for key, law in delta.items()}
+
+    @cached_property
+    def retry_laws(self) -> dict:
+        """``pair_laws`` as a search walks them where the controller state
+        stays: a law that lists its own state s loses that entry and has
+        every other probability divided by 1 - p_stay, so that every retry
+        at s is summed, or becomes ``()`` where p_stay is 1; any other law
+        is kept as it is."""
+        retries = {}
+        for (s, a), law in self.pair_laws.items():
+            stay = next((p for s2, p in law if s2 == s), None)
+            if stay is not None:
+                den = stay[1]
+                rest = den - stay[0]  # 1 - p_stay = rest / den
+                entries = []
+                for s2, (pn, pd) in law:
+                    if s2 != s:
+                        n, d = pn * den, pd * rest
+                        g = gcd(n, d)
+                        entries.append((s2, (n // g, d // g)))
+                law = tuple(entries)
+            retries[(s, a)] = law
+        return retries
 
     @cached_property
     def offers(self) -> tuple:

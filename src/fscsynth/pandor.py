@@ -5,11 +5,14 @@ combined state: a revisit of the current branch seals a cycle in the
 ledger, a stop records terminal mass, an undefined (controller state,
 observation) pair opens a choice point over every extension of the
 controller.  AND steps walk the outcome distribution of the chosen
-action.  After each record the search reads the lower bounds the ledger
-keeps up to date as it is mutated: the controller is returned as soon as
-the guaranteed goal mass reaches the requested bound, and the branch is
-abandoned as soon as the remaining optimistic mass drops below it (both
-bounds also cover the optional termination-likelihood requirement).
+action; a self-loop, a step that keeps both the controller state and the
+environment state, is summed into that distribution rather than walked
+as a revisit (see below).  After each record the search reads the lower
+bounds the ledger keeps up to date as it is mutated: the controller is
+returned as soon as the guaranteed goal mass reaches the requested
+bound, and the branch is abandoned as soon as the remaining optimistic
+mass drops below it (both bounds also cover the optional
+termination-likelihood requirement).
 The search runs on one number type, the ledger's reduced integer pairs:
 step laws become pairs once per problem (``PlanningProblem.pair_laws``;
 the root enters with ``(1, 1)``), ``LGT*``, ``LTER*`` and the caps derived
@@ -74,6 +77,38 @@ on any problem tested.  With ``LTER*`` the cut is off: the termination
 bound counts fail mass as terminating, but lost mass may run forever,
 and it may still stop, so neither the fail nor the never-terminating
 slot holds it.  ``measure`` never cuts, so its vectors stay exact.
+
+A transition (q, o) -> (a, q) that keeps the controller state, taken at
+a state s whose law lists s itself with probability p_stay, walks that
+law's entry in ``PlanningProblem.retry_laws`` instead: the other
+outcomes, each divided by 1 - p_stay.  Where p_stay is 1, the step mass
+is recorded as never-terminating at once.  The search it replaces walked
+the stay outcome as a revisit that sealed a cycle of mass p_stay at
+(q, s).  No answer changes:
+
+* k retries at (q, s) carry mass p * p_stay^k * p_other, so the summed
+  law gives every later slot the weight the revisit walk reaches through
+  ``headroom`` once its cycle is recorded; with a longer cycle through
+  the same index, of mass c on the summed law and so (1 - p_stay) * c on
+  the original one, the two geometric series multiply to the revisit
+  walk's single headroom: (1 - p_stay) * (1 - c) = 1 - p_stay - (1 -
+  p_stay) * c;
+* so at each record the bounds equal the revisit walk's, or exceed them
+  where the stay outcome follows its siblings in ``delta`` order (the
+  revisit walk records its cycle only after them), and they stay sound:
+  each is still the mass of a set of histories of the committed pairs;
+* a prune here is therefore a prune of the revisit walk, at the same
+  record or later, since the non-goal (or never-terminating) mass under
+  every completion already exceeds its cap; an accept here means that
+  every completion of the committed pairs qualifies, so the revisit
+  walk, which then prunes nothing below them, accepts later with an
+  extension of them.
+
+So outcomes never change and the OR-step count only shrinks: the
+revisit's OR step is gone and a verdict may come sooner.  A controller
+can be returned earlier, with fewer pairs defined, where the stay
+outcome follows its siblings.  ``measure`` sums self-loops too: on a
+controller defined on every reachable pair its vector stays exact.
 """
 
 from __future__ import annotations
@@ -204,7 +239,8 @@ class _Backtracker:
         return self._execute(cp.q, cp.s, cp.p, cand)
 
     def _descend(self, q: int, s: int, q2: int, law, depth: int) -> None:
-        """Walk ``law``, a value of ``pair_laws``, from (q, s), now at branch ``depth``."""
+        """Walk ``law``, a value of ``pair_laws`` or ``retry_laws``, from
+        (q, s), now at branch ``depth``."""
         if depth > self.peak_depth:
             self.peak_depth = depth
         self.agenda.append(("retreat", q, s))
@@ -238,6 +274,7 @@ class _Search(_Backtracker):
         self.lgt_cap = _sub(_P1, self.lgt_star)
         self.lter_cap = None if lter_star is None else _sub(_P1, self.lter_star)
         self.ledger = SearchLedger()
+        self.retries = problem.retry_laws
         # the goal-unreachable cut serves LGT* alone (module docstring)
         self.lost = problem.lost_states if lter_star is None else frozenset()
 
@@ -304,9 +341,11 @@ class _Search(_Backtracker):
             else:
                 ledger.record_fail(p)
             return self._evaluate()
-        law = self.laws.get((s, a))
-        if law is None:
-            # inapplicable action: execution is stuck and never terminates
+        # a step that keeps the controller state walks its law with the retries summed
+        law = (self.retries if q2 == q else self.laws).get((s, a))
+        if not law:
+            # an inapplicable action is stuck, a law of retries alone
+            # retries forever: either way execution never terminates
             ledger.record_noter(p)
             return self._evaluate()
         ledger.extend(q, s, p)
@@ -373,13 +412,15 @@ def pandor_synth(request: SynthesisRequest, budget: Optional[int] = DEFAULT_BUDG
 def measure(problem: PlanningProblem, controller: Controller) -> LambdaVector:
     """Run the instrumented engine on a fixed controller to exhaustion.
 
-    Explores every at-most-once-looping history of the system and returns
-    ``calc_lambda``'s final vector, once it has been compared with the
-    ledger's cached bounds.  For a controller defined on every reachable
-    (q, o) pair, goal0/fail0/noter0 sum to one and goal0 equals the exact
-    goal-termination likelihood; mass reaching undefined pairs is left out
-    of all three bounds.  A transition naming an action or observation the
-    environment lacks raises ``ModelError``.
+    Explores every history of the system that loops at most once, a
+    self-loop (a step that keeps both the controller state and the
+    environment state) being summed into its step law rather than walked
+    as a revisit, and returns ``calc_lambda``'s final vector, once it has
+    been compared with the ledger's cached bounds.  For a controller
+    defined on every reachable (q, o) pair, goal0/fail0/noter0 sum to one
+    and goal0 equals the exact goal-termination likelihood; mass reaching
+    undefined pairs is left out of all three bounds.  A transition naming
+    an action or observation the environment lacks raises ``ModelError``.
     """
     controller.check_indices(problem.environment)
     search = _Measure(problem, controller)

@@ -21,8 +21,15 @@ from fscsynth.verifier import FAIL_SINK, GOAL_SINK, UNDEF_SINK, ChainError, Comb
 
 def r300_script() -> dict:
     """The globals of ``scripts/r300.py``, without running its ``main``:
-    ``problem(rng)`` and ``row(seed)`` draw and run one seed of the table."""
+    ``problem(rng)``, ``request(seed)`` and ``row(seed)`` draw and run one
+    seed of the table."""
     return runpy.run_path(str(Path(__file__).parents[1] / "scripts" / "r300.py"))
+
+
+def perfbench_workloads() -> dict:
+    """The globals of ``perfbench/workloads.py``: ``prepare(generate(workload,
+    seed))`` builds the benchmark's requests for one seed."""
+    return runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "workloads.py"))
 
 
 def controller_from_names(env: Environment, num_states: int, edges: dict) -> Controller:
@@ -150,6 +157,23 @@ def full_candidates_synth(request: SynthesisRequest, budget=DEFAULT_BUDGET) -> S
     return _FullCandidatesSearch(
         request.problem, request.max_states, request.lgt_star, request.lter_star, budget
     ).run()
+
+
+class _RevisitSearch(_Search):
+    """The search with every self-loop, a step that keeps both the
+    controller state and the environment state, walked as a revisit of the
+    branch that seals a one-entry cycle in the ledger: where the controller
+    state stays, it reads ``pair_laws`` in place of ``retry_laws``."""
+
+    def __init__(self, problem, max_states, lgt_star, lter_star, budget):
+        super().__init__(problem, max_states, lgt_star, lter_star, budget)
+        self.retries = self.laws
+
+
+def revisit_synth(request: SynthesisRequest, budget=DEFAULT_BUDGET) -> SynthResult:
+    """Reference for ``pandor_synth``: the same search with every retry
+    walked as a revisit."""
+    return _RevisitSearch(request.problem, request.max_states, request.lgt_star, request.lter_star, budget).run()
 
 
 def goal_unreachable(problem: PlanningProblem) -> frozenset:

@@ -508,7 +508,7 @@ _NULL_MEASURES = """\
      "outcome: failure-proved\nalgo: pandor\nor-steps: 5\npeak-depth: 1\nwall-time-s: *\n"),
     (["synth", "--domain", "noisy-hall-a-1d", "--param", "n=4", "--max-states", "2", "--lgt-star", "0.99",
       "--budget", "5"], 3,
-     "outcome: budget-exhausted\nalgo: pandor\nor-steps: 5\npeak-depth: 3\nwall-time-s: *\n"),
+     "outcome: budget-exhausted\nalgo: pandor\nor-steps: 5\npeak-depth: 5\nwall-time-s: *\n"),
     (["synth", *_COIN_FLIP, "--lgt-star", "0.4", "--json"], 0, """\
 {
   "outcome": "controller",

@@ -368,6 +368,17 @@ def _offers_per_search(env):
     return offers
 
 
+def _retry_laws(env):
+    """The laws a search walks where the controller state stays, from the
+    ``Fraction`` laws: a law that lists its own state keeps the other
+    entries, divided by the chance of leaving."""
+    retries = {}
+    for (s, a), law in env.delta.items():
+        leave = 1 - dict(law).get(s, 0)
+        retries[(s, a)] = tuple((s2, (p / leave).as_integer_ratio()) for s2, p in law if s2 != s)
+    return retries
+
+
 def _table_problems():
     """Every catalogue domain, larger instances of two, and random problems
     with partial transition tables."""
@@ -392,6 +403,14 @@ def test_step_laws_and_offers_are_built_once_per_problem():
             for _, (num, den) in laws[key]:
                 assert type(num) is int and type(den) is int and den > 0 and gcd(num, den) == 1
         assert [list(offer) for offer in problem.offers] == _offers_per_search(env)
+        assert problem.retry_laws == _retry_laws(env)
+        for law in problem.retry_laws.values():
+            for _, (num, den) in law:
+                assert type(num) is int and type(den) is int and den > 0 and gcd(num, den) == 1
         # cached: a second access, as by a repeat search, converts nothing
         assert problem.pair_laws is laws
         assert problem.offers is problem.offers
+        assert problem.retry_laws is problem.retry_laws
+    # the cases include a law that only stays, and laws that stay and move
+    retries = [law for p in problems for key, law in p.retry_laws.items() if law != p.pair_laws[key]]
+    assert () in retries and any(retries)
