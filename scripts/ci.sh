@@ -5,11 +5,11 @@
 #
 #   bash scripts/ci.sh
 #
-# About 60-70 s in all on a 2-vCPU Xeon VM (CPython 3.11.7): 24-30 s for
-# tier-1 (8 s of it the R300 comparison with the revisit walk), 2 s for the
-# standalone acceptance battery, 22 s for the six smoke runs, 8 s for R300
-# and 3 s each for the -O certify and find runs; longer while other work
-# shares the VM.
+# About 75-85 s in all on a 2-vCPU Xeon VM (CPython 3.11.7): 30-35 s for
+# tier-1 (8 s of it the R300 comparison with the revisit walk, 7 s the
+# goal-bound tests), 2 s for the standalone acceptance battery, 22 s for the
+# six smoke runs, 8 s for R300 and 3 s each for the -O certify, find and
+# prove runs; longer while other work shares the VM.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,10 +30,13 @@ PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python3 tests/test_acceptance.py
 # perfbench smoke run: a short benchmark run per workload; --trace 1 wraps
 # every name the tracer patches, so a renamed one fails here rather than in a
 # benchmark. The traced run's work counters are pinned: a constant-factor
-# change leaves them equal; a change to the search updates them and says why
+# change leaves them equal; a change to the search updates them and says why.
+# prove: the goal bound settles each of the eight bridgewalk requests at its
+# root visit (LGT* is 1.001 U(s0) there), so 45 OR steps are left of 1 147:
+# one per bridgewalk and three-state request and 35 for the 2-D hall
 declare -A counters=(
-  [prove]='{"pandor.or_steps": 1147, "ledger.calc_lambda.calls": 11, "ledger.cumulate_alpha.calls": 556,
-    "ledger.snapshot.calls": 237, "ledger.restore.calls": 391, "pandor.peak_depth.max": 14,
+  [prove]='{"pandor.or_steps": 45, "ledger.calc_lambda.calls": 3, "ledger.cumulate_alpha.calls": 0,
+    "ledger.snapshot.calls": 5, "ledger.restore.calls": 10, "pandor.peak_depth.max": 14,
     "verifier.exact_measures.calls": 0}'
   [find]='{"pandor.or_steps": 1668, "ledger.calc_lambda.calls": 0, "ledger.cumulate_alpha.calls": 896,
     "ledger.snapshot.calls": 54, "ledger.restore.calls": 38, "pandor.peak_depth.max": 71,
@@ -58,11 +61,12 @@ diff <(PYTHONPATH=src:tests python3 -O scripts/r300.py) tests/data/r300.jsonl
 echo "R300 table: identical"
 
 # the text path and the built-in domains under -O: R300 builds its problems
-# from random tables, a parsed environment is checked by parse_env alone, and
+# from random tables, a parsed environment is checked by parse_env alone,
 # find searches the noisy halls domains.build writes as index tables and
-# re-checks each controller exactly, so none of these checks may rest on
-# assert statements either
-for w in certify find; do
+# re-checks each controller exactly, and prove's proofs rest on the goal
+# bound's exact check, so none of these checks may rest on assert statements
+# either
+for w in certify find prove; do
   last=$(python3 -O perfbench/run.py --workload "$w" --seed 1 --seconds 1 | tail -n 1)
   python3 -c 'import json, sys; r = json.loads(sys.argv[1]); print(sys.argv[2], r["correct"], r["failed"]); sys.exit(not (r["correct"] is True and r["failed"] == 0))' "$last" "$w-O"
 done

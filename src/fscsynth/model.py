@@ -10,9 +10,20 @@ All types here are immutable after construction (the dicts they carry are
 never mutated) and safe to share across threads.  Readers index the
 tables as they stand (``omega[s]``, ``delta.get((s, a))``, ``s in
 goal_states``).  A derived fact cached on first use, such as
-``PlanningProblem.lost_states`` or its step laws as integer pairs, with
-or without retries, is the same value whichever thread computes it.  An
-index must be an ``int`` proper: ``True`` would pass as state or action 1.
+``PlanningProblem.lost_states``, its step laws as integer pairs, with
+or without retries, or its goal bound, is the same value whichever
+thread computes it.  An index must be an ``int`` proper: ``True`` would
+pass as state or action 1.
+
+``PlanningProblem.goal_bound`` bounds, per state, the goal likelihood of
+every controller from there by the fully observable optimum U(s).  Its
+values are reduced integer pairs, and they carry their own certificate:
+each is 0 at a lost state, 1, or at least sum P * v under every law of
+its state, checked on integers.  Such a v is a pre-fixed point of the
+Bellman operator of maximal goal reachability, so it bounds U, its
+least fixed point, from above (Knaster-Tarski).  Floats only propose
+the values; a proposal that fails the check is raised to 1.  Nothing
+builds the bound until a search first reads it.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import ceil, gcd, lcm
 from typing import Optional, Union
 
 #: Distinguished terminal action. A controller transition whose action is
@@ -39,6 +50,12 @@ ProbLike = Union[Fraction, int, float, str]
 #: supported Python reads a number alike (3.11+ also read ``1_0``, 3.12+ ``1 / 2``).
 #: Group 1 is the decimal exponent's magnitude without leading zeros.
 _RATIONAL = re.compile(r"\s*[-+]?(?=[0-9]|\.[0-9])[0-9]*(?:/[0-9]+|(?:\.[0-9]*)?(?:[eE][-+]?0*([0-9]+))?)\s*")
+
+#: ``PlanningProblem.goal_bound`` raises each float value by at most this
+#: much, then certifies the result exactly.
+GOAL_BOUND_EPS = 2.0 ** -30
+#: The most value-iteration sweeps the bound's float proposal makes.
+GOAL_BOUND_SWEEPS = 1000
 
 #: The largest decimal exponent ``as_prob`` reads: ``1e-1000`` has a 3 322-bit
 #: denominator, while ``1e-1000000`` would take 0.3 s to build 3.3 M bits.
@@ -79,6 +96,23 @@ def check_count(name: str, value, low: int) -> None:
     comparison and fail later inside a search, or run as 1."""
     if not isinstance(value, int) or isinstance(value, bool) or value < low:
         raise ModelError(f"{name} must be an integer of at least {low}, got {value!r}")
+
+
+def _propose(laws_at: list, rest: list, x: list) -> list:
+    """``goal_bound``'s float proposal: Gauss-Seidel value iteration from
+    below on the states ``rest``, in place on ``x``, until a sweep moves
+    nothing or after ``GOAL_BOUND_SWEEPS`` sweeps."""
+    floats = {s: [[(s2, pn / pd) for s2, (pn, pd) in law] for law in laws_at[s]] for s in rest}
+    for sweep in range(GOAL_BOUND_SWEEPS):
+        moved = False
+        # alternate directions, so that values cross a chain in two sweeps
+        for s in reversed(rest) if sweep % 2 else rest:
+            best = max(sum([p * x[s2] for s2, p in law]) for law in floats[s])
+            if best > x[s]:
+                x[s], moved = best, True
+        if not moved:
+            break
+    return x
 
 
 @dataclass(frozen=True)
@@ -219,6 +253,64 @@ class PlanningProblem:
                     reaches[s] = True
                     stack.append(s)
         return frozenset(s for s, r in enumerate(reaches) if not r)
+
+    @cached_property
+    def goal_bound(self) -> tuple:
+        """Per state s, a reduced pair v(s) >= U(s), the most goal mass any
+        policy of the fully observable environment reaches from s, and so
+        the most any controller does.  Lost states get 0, and states that
+        some policy takes to a goal with probability 1 (Prob1E) get 1,
+        both by graph passes.  Value iteration from below proposes floats
+        for the rest, each raised by at most ``GOAL_BOUND_EPS``.  Then one
+        exact pass checks v(s) >= sum P * v for every law at every such
+        state, raises each state that fails to 1 and runs again.  Any v
+        that passes bounds U (Knaster-Tarski), so float error only loosens
+        the bound."""
+        laws_at: list[list] = [[] for _ in self.environment.states]
+        for (s, _), law in self.pair_laws.items():
+            laws_at[s].append(law)
+        # Prob1E: shrink the non-lost set to the states that reach a goal
+        # by laws whose every successor stays in the set, until none leaves
+        sure = set(range(len(laws_at))) - self.lost_states
+        while True:
+            preds: dict[int, list[int]] = {}
+            for s in sure:
+                for law in laws_at[s]:
+                    if all(s2 in sure for s2, _ in law):
+                        for s2, _ in law:
+                            preds.setdefault(s2, []).append(s)
+            reach, stack = set(self.goal_states), list(self.goal_states)
+            while stack:
+                for s in preds.get(stack.pop(), ()):
+                    if s not in reach:
+                        reach.add(s)
+                        stack.append(s)
+            if reach == sure:
+                break
+            sure = reach
+        rest = [s for s in range(len(laws_at)) if s not in sure and s not in self.lost_states]
+        # v(s) = num[s] / 2^40: rounding x + EPS / 2 up to that grid adds
+        # less than 2^-40, so each value stays within EPS of its float
+        scale = 1 << 40
+        num = [scale if s in sure else 0 for s in range(len(laws_at))]
+        if rest:
+            x = _propose(laws_at, rest, [n / scale for n in num])
+            for s in rest:
+                # clamped to [0, 1], so that stopping, worth 0, passes too
+                num[s] = min(scale, max(0, ceil((x[s] + GOAL_BOUND_EPS / 2) * scale)))
+            checks = {
+                s: [(lcm(*[pd for _, (_, pd) in law]), law) for law in laws_at[s]] for s in rest
+            }
+            raised = True
+            while raised:
+                raised = False
+                for s in rest:
+                    if num[s] < scale and any(
+                        sum([pn * (den // pd) * num[s2] for s2, (pn, pd) in law]) > num[s] * den
+                        for den, law in checks[s]
+                    ):
+                        num[s], raised = scale, True
+        return tuple([(n // gcd(n, scale), scale // gcd(n, scale)) for n in num])
 
     @cached_property
     def pair_laws(self) -> dict:

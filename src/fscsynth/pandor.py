@@ -78,6 +78,34 @@ bound counts fail mass as terminating, but lost mass may run forever,
 and it may still stop, so neither the fail nor the never-terminating
 slot holds it.  ``measure`` never cuts, so its vectors stay exact.
 
+Every search also cuts by the goal bound, ``PlanningProblem.goal_bound``:
+per state s, a value v(s) >= U(s), the most goal mass any policy of the
+fully observable environment reaches from s, certified exactly once
+per problem.  A fresh visit of (q, s) with step mass p, one that is not
+lost and not on the branch, abandons the branch when fail0 + noter0 +
+prefix[L] * p * (1 - v(s)) > 1 - ``LGT*``.  No answer changes:
+
+* the histories through the visit are disjoint from the recorded ones:
+  they go on from the frontier by its step into s, a pending outcome
+  that no recorded history has taken;
+* prefix[L] * p under-counts their mass under every completion: the
+  prefix amplifies the branch by its recorded cycles only;
+* from (q, s) every completion of the controller acts as some policy of
+  the fully observable environment, so at most a share U(s) <= v(s) of
+  that mass stops in a goal, and at least 1 - v(s) of it is non-goal;
+* with the fail and never-terminating bounds, which are non-goal mass
+  under every completion too, the non-goal mass then exceeds
+  ``1 - LGT*`` under every completion, so none meets ``LGT*``, whatever
+  ``LTER*`` asks.
+
+The search without the cut would walk the subtree below the visit, find
+no controller there and backtrack to the same choice point, with the
+same snapshot.  So outcomes and controllers stay the same, and OR steps
+and peak depth only shrink.  Where v(s0) < ``LGT*``, the root visit
+ends the search in one OR step.  Under ``LTER*``, where lost states are
+not cut, their bound is 0, so this cut counts a visit's whole mass as
+non-goal.  ``measure`` neither cuts nor computes the bound.
+
 A transition (q, o) -> (a, q) that keeps the controller state, taken at
 a state s whose law lists s itself with probability p_stay, walks that
 law's entry in ``PlanningProblem.retry_laws`` instead: the other
@@ -117,7 +145,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from fscsynth.ledger import (
-    _P1, LambdaVector, LedgerError, SearchLedger, _add, _cmp, _sub, calc_lambda, cumulate_alpha,
+    _P1, LambdaVector, LedgerError, SearchLedger, _add, _cmp, _mul, _sub, calc_lambda, cumulate_alpha,
 )
 from fscsynth.model import (
     Controller,
@@ -265,6 +293,9 @@ class _Backtracker:
 class _Search(_Backtracker):
     """One synthesis run; not reusable."""
 
+    #: whether the search cuts at lost states and by the goal bound
+    cuts = True
+
     def __init__(self, problem: PlanningProblem, max_states: int, lgt_star, lter_star, budget: Optional[int]):
         super().__init__(problem, max_states, budget)
         # the bounds, and the caps the prune test compares explored
@@ -275,8 +306,10 @@ class _Search(_Backtracker):
         self.lter_cap = None if lter_star is None else _sub(_P1, self.lter_star)
         self.ledger = SearchLedger()
         self.retries = problem.retry_laws
-        # the goal-unreachable cut serves LGT* alone (module docstring)
-        self.lost = problem.lost_states if lter_star is None else frozenset()
+        # the cuts (module docstring): the goal-unreachable one serves LGT*
+        # alone; without the goal-bound one, every state's bound is 1
+        self.lost = problem.lost_states if self.cuts and lter_star is None else frozenset()
+        self.bound = problem.goal_bound if self.cuts else (_P1,) * len(self.env.states)
 
     def _snapshot(self):
         return self.ledger.snapshot()
@@ -311,6 +344,12 @@ class _Search(_Backtracker):
             else:
                 ledger.record_loop(k, p_loop)
             return self._evaluate()
+        v = self.bound[s]
+        if v != _P1:
+            # at least a share 1 - v of this visit's mass misses the goal
+            missed = _mul(_mul(ledger.prefix[-1], p), _sub(_P1, v))
+            if _cmp(_add(_add(ledger.acc_fail[-1], ledger.acc_noter[-1]), missed), self.lgt_cap) > 0:
+                return "fail"
         tr = self.controller.get((q, self.omega[s]))
         if tr is not None:
             return self._execute(q, s, p, tr)
@@ -373,14 +412,16 @@ class _Search(_Backtracker):
 class _Measure(_Search):
     """A run on a fixed controller to exhaustion: it opens no choice point,
     so mass that reaches an undefined pair stays unexplored (it is neither
-    goal, fail nor non-termination), and it judges no branch.  It cuts at
-    no lost state, so every reachable history is explored."""
+    goal, fail nor non-termination), and it judges no branch.  It makes
+    neither cut and never computes the goal bound, so every reachable
+    history is explored."""
+
+    cuts = False
 
     def __init__(self, problem: PlanningProblem, controller: Controller):
         # the bounds are never read: ``_evaluate`` judges nothing
         super().__init__(problem, controller.num_states, 0, None, None)
         self.controller = dict(controller.transitions)
-        self.lost = frozenset()
 
     def _open(self, q: int, s: int, p, candidates: list) -> None:
         pass

@@ -5,13 +5,14 @@ package's shortcuts are tested against."""
 
 from __future__ import annotations
 
+import itertools
 import random
 import runpy
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from fscsynth.ledger import LambdaVector, LedgerError, SearchLedger, calc_lambda
+from fscsynth.ledger import _P1, LambdaVector, LedgerError, SearchLedger, calc_lambda
 from fscsynth.model import (
     Controller, Environment, ModelError, PlanningProblem, STOP, SynthesisRequest, SynthResult, as_prob,
 )
@@ -195,12 +196,48 @@ def goal_unreachable(problem: PlanningProblem) -> frozenset:
     return frozenset(lost)
 
 
+class _UnboundedSearch(_Search):
+    """The search with every state's goal bound read as 1, so that the
+    goal-bound cut never fires."""
+
+    def __init__(self, problem, max_states, lgt_star, lter_star, budget):
+        super().__init__(problem, max_states, lgt_star, lter_star, budget)
+        self.bound = (_P1,) * len(self.env.states)
+
+
+def unbounded_synth(request: SynthesisRequest, budget=DEFAULT_BUDGET) -> SynthResult:
+    """Reference for ``pandor_synth``: the same search without the
+    goal-bound cut."""
+    return _UnboundedSearch(request.problem, request.max_states, request.lgt_star, request.lter_star, budget).run()
+
+
 def uncut_synth(request: SynthesisRequest, budget=DEFAULT_BUDGET) -> SynthResult:
-    """Reference for ``pandor_synth``: the same search with an empty lost
-    set, so every history below a lost state is explored."""
-    search = _Search(request.problem, request.max_states, request.lgt_star, request.lter_star, budget)
+    """Reference for ``unbounded_synth``: the same search with an empty
+    lost set too, so every history below a lost state is explored."""
+    search = _UnboundedSearch(request.problem, request.max_states, request.lgt_star, request.lter_star, budget)
     search.lost = frozenset()
     return search.run()
+
+
+def lost_trial_94() -> tuple[PlanningProblem, int]:
+    """Trial 94 of the draws ``random.Random(4242)`` makes for the
+    differential test against enumeration, and its state bound N: 4
+    states, 3 actions, 3 observations, N = 2.  It has no goal state, so
+    its initial state is lost, and a search with ``LTER*``, where the
+    goal-unreachable cut is off, needs about 0.5 M OR steps without the
+    goal bound."""
+    rng = random.Random(4242)
+    for trial in range(95):
+        prob = random_env(rng, n_states=rng.randint(2, 4), partial=(trial % 3 == 0))
+        n = rng.randint(1, 2)
+        if trial < 94:
+            # the rest of the trial's draws: up to 3 001 controllers, then three bound pairs
+            if sum(1 for _ in itertools.islice(enumerate_controllers(prob, n), 3001)) <= 3000:
+                for _ in range(3):
+                    rng.randint(1, 19)
+                    if rng.random() < 0.5:
+                        rng.randint(1, 19)
+    return prob, n
 
 
 def _hooked(engine, hook):
@@ -218,10 +255,11 @@ def _hooked(engine, hook):
     return Hooked
 
 
-def hooked_synth(request: SynthesisRequest, hook, budget=DEFAULT_BUDGET) -> SynthResult:
-    """``pandor_synth`` with ``hook(transitions, lambda vector)`` called at
-    every evaluation."""
-    return _hooked(_Search, hook)(request.problem, request.max_states, request.lgt_star, request.lter_star, budget).run()
+def hooked_synth(request: SynthesisRequest, hook, budget=DEFAULT_BUDGET, bounded=True) -> SynthResult:
+    """``pandor_synth``, or ``unbounded_synth`` where ``bounded`` is false,
+    with ``hook(transitions, lambda vector)`` called at every evaluation."""
+    engine = _Search if bounded else _UnboundedSearch
+    return _hooked(engine, hook)(request.problem, request.max_states, request.lgt_star, request.lter_star, budget).run()
 
 
 def hooked_measure(problem: PlanningProblem, controller: Controller, hook) -> LambdaVector:

@@ -29,6 +29,7 @@ from helpers import (
     random_total_controller,
     revisit_synth,
     stuck_pairs,
+    unbounded_synth,
     uncut_synth,
 )
 
@@ -82,9 +83,10 @@ def test_budget_abort_is_not_a_proof():
 
 
 def test_budget_exhausted_run_reports_exactly_the_budget():
-    # the OR step that would exceed the budget is not counted
-    prob = build("bridgewalk", {"n": 4})
-    result = pandor_synth(SynthesisRequest(prob, 3, F(99, 100)), budget=5)
+    # the OR step that would exceed the budget is not counted; every state
+    # of the corridor has goal bound 1, and the proof takes 8 OR steps
+    prob = build("hall-a-1d", {"n": 5})
+    result = pandor_synth(SynthesisRequest(prob, 1, F(99, 100)), budget=5)
     assert (result.outcome, result.or_steps) == ("budget-exhausted", 5)
 
 
@@ -251,6 +253,7 @@ _P_FALL = F(7, 73)
     ("noisy-hall-a-2d", {"n": 3, "p": F(91, 101)}, 2, F(99, 100), None, "controller", 100),
     # retries that alternate two controller states, in cycles of 2 to 7 entries
     ("noisy-hall-a-1d", {"n": 12, "p": F(66, 73)}, 3, F(9, 10), None, "controller", 30),
+    # the goal bound settles this one at the root: the search without it
     ("bridgewalk", {"n": 5, "p_fall": _P_FALL}, 3, F(1001, 1000) * (1 - _P_FALL) ** 5, None, "failure-proved", 0),
     # no goal-unreachable cut: fail mass counts as terminating
     ("noisy-hall-a-2d", {"n": 3, "p": F(37, 101)}, 2, F(1, 2), F(99, 100), "controller", 60),
@@ -262,6 +265,8 @@ def test_cached_bounds_equal_calc_lambda_at_every_evaluation_with_large_denomina
     # ``calc_lambda`` before every judgement, on laws like the benchmark's;
     # the cycle records are counted, so that none of the searches can lose
     # the cycles it is here for
+    bounded = name != "bridgewalk"
+    synth = pandor_synth if bounded else unbounded_synth
     prob = build(name, params)
     request = SynthesisRequest(prob, max_states, lgt_star, lter_star)
     evaluations, loops = [], []
@@ -276,8 +281,8 @@ def test_cached_bounds_equal_calc_lambda_at_every_evaluation_with_large_denomina
         record_loop(ledger, k, p_loop)
 
     monkeypatch.setattr(SearchLedger, "record_loop", counted_record_loop)
-    result = hooked_synth(request, hook)
-    assert result == pandor_synth(request)
+    result = hooked_synth(request, hook, bounded=bounded)
+    assert result == synth(request)
     assert result.outcome == outcome
     assert len(evaluations) > 20
     assert len(loops) >= min_loops
@@ -520,11 +525,13 @@ def test_a_search_visits_a_law_in_delta_order():
 
 def test_bridgewalk_proof_step_count():
     # 19 960 OR steps when every stuck action was offered with every
-    # successor, 1 536 without the cut at the fallen state
+    # successor, 1 536 without the cut at the fallen state; with the goal
+    # bound, U(s0) = 0.9^8 < 1/2 settles the root visit
     request = SynthesisRequest(build("bridgewalk", {"n": 8, "p_fall": F(1, 10)}), 4, F(1, 2))
-    result, uncut = pandor_synth(request), uncut_synth(request)
-    assert result.outcome == uncut.outcome == "failure-proved"
-    assert (result.or_steps, uncut.or_steps) == (548, 1536)
+    result, unbounded, uncut = pandor_synth(request), unbounded_synth(request), uncut_synth(request)
+    assert result.outcome == unbounded.outcome == uncut.outcome == "failure-proved"
+    assert (unbounded.or_steps, uncut.or_steps) == (548, 1536)
+    assert (result.or_steps, result.peak_depth) == (1, 0)
 
 
 def _assert_summing_keeps_the_answer(request, new, label, budget=DEFAULT_BUDGET):
@@ -577,7 +584,7 @@ def test_summed_retries_keep_every_r300_answer():
         new = SynthResult(row["outcome"], controller, row["or_steps"], row["peak_depth"])
         ref = _assert_summing_keeps_the_answer(request(row["seed"]), new, (row["seed"],), budget=60_000)
         steps.update(new=new.or_steps, revisit=ref.or_steps, lower=new.or_steps < ref.or_steps)
-    assert steps == {"new": 462_062, "revisit": 468_531, "lower": 96}
+    assert steps == {"new": 461_983, "revisit": 468_448, "lower": 96}
 
 
 def test_summed_retries_on_random_partial_problems():
@@ -598,11 +605,12 @@ def test_summed_retries_on_random_partial_problems():
 
 
 def _assert_cut_keeps_the_answer(request, label, budget=DEFAULT_BUDGET):
-    """pandor_synth against the search without the goal-unreachable cut:
-    the same outcome wherever the reference is conclusive, never more OR
-    steps, and every returned controller meets the bounds exactly;
-    returns (cut, uncut) OR steps."""
-    new, ref = pandor_synth(request, budget), uncut_synth(request, budget)
+    """The search without the goal bound against the search without the
+    goal-unreachable cut too (the bound is 0 at a lost state, so it would
+    cut there as well): the same outcome wherever the reference is
+    conclusive, never more OR steps, and every returned controller meets
+    the bounds exactly; returns (cut, uncut) OR steps."""
+    new, ref = unbounded_synth(request, budget), uncut_synth(request, budget)
     case = (*label, request.max_states, request.lgt_star, request.lter_star)
     if ref.outcome != "budget-exhausted":
         assert new.outcome == ref.outcome, case
@@ -741,10 +749,10 @@ def test_the_search_adds_and_subtracts_no_zero_outside_calc_lambda(monkeypatch):
     # the search runs on integer pairs: outside calc_lambda, the plain
     # reference the cache is checked against, it constructs no Fraction
     # and applies no Fraction operator (so it adds no Fraction zero either)
-    requests = [
-        SynthesisRequest(build("bridgewalk", {"n": 5}), 3, F(9, 10) ** 5 * F(1001, 1000)),
-        SynthesisRequest(build("noisy-hall-a-1d", {"n": 12}), 2, F(99, 100)),
-    ]
+    # the bridgewalk proof twice: the goal bound, computed in the patched
+    # search, settles it at the root; the search without it is exhaustive
+    bridge = SynthesisRequest(build("bridgewalk", {"n": 5}), 3, F(9, 10) ** 5 * F(1001, 1000))
+    hall = SynthesisRequest(build("noisy-hall-a-1d", {"n": 12}), 2, F(99, 100))
     in_reference, calls, reference_calls = [False], [], []
 
     def counted(name, op):
@@ -769,9 +777,11 @@ def test_the_search_adds_and_subtracts_no_zero_outside_calc_lambda(monkeypatch):
         monkeypatch.setattr(F, name, counted(name, getattr(F, name)))
     monkeypatch.setattr(F, "__new__", staticmethod(counted("__new__", F.__new__)))
     monkeypatch.setattr(pandor, "calc_lambda", reference)
-    outcomes = [pandor_synth(request).outcome for request in requests]
+    outcomes = [synth(request).outcome for synth, request in (
+        (pandor_synth, bridge), (unbounded_synth, bridge), (pandor_synth, hall),
+    )]
     monkeypatch.undo()
-    assert outcomes == ["failure-proved", "controller"]
+    assert outcomes == ["failure-proved", "failure-proved", "controller"]
     # the patched constructor and operators see calc_lambda's arithmetic
     assert {"__new__", "__add__"} <= set(reference_calls)
     assert calls == []

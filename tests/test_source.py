@@ -37,6 +37,13 @@ def test_verifier_is_independent_of_the_search():
     assert sorted(n for n in names if ".".join(n.split(".")[:2]) in search) == []
 
 
+def test_the_verifier_reads_no_goal_bound():
+    # the goal bound only prunes the search; an answer the verifier checks
+    # must not rest on it
+    text = (Path(fscsynth.__file__).parent / "verifier.py").read_text(encoding="utf-8")
+    assert "goal_bound" not in text and "GOAL_BOUND" not in text
+
+
 def test_no_unused_imports():
     # an import nothing reads is dead weight, and often the last trace of
     # deleted code
