@@ -5,11 +5,11 @@
 #
 #   bash scripts/ci.sh
 #
-# About 75-85 s in all on a 2-vCPU Xeon VM (CPython 3.11.7): 30-35 s for
-# tier-1 (8 s of it the R300 comparison with the revisit walk, 7 s the
-# goal-bound tests), 2 s for the standalone acceptance battery, 22 s for the
-# six smoke runs, 8 s for R300 and 3 s each for the -O certify, find and
-# prove runs; longer while other work shares the VM.
+# About 55-65 s in all on a 2-vCPU Xeon VM (CPython 3.11.7): 28-33 s for
+# tier-1 (10 s of it the R300 comparisons with the walk and the revisit
+# walk, 8 s the goal-bound tests), 2 s for the standalone acceptance battery,
+# 14 s for the six smoke runs, 4 s for R300 and 3 s each for the -O certify,
+# find and prove runs; longer while other work shares the VM.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -31,14 +31,17 @@ PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python3 tests/test_acceptance.py
 # every name the tracer patches, so a renamed one fails here rather than in a
 # benchmark. The traced run's work counters are pinned: a constant-factor
 # change leaves them equal; a change to the search updates them and says why.
-# prove: the goal bound settles each of the eight bridgewalk requests at its
-# root visit (LGT* is 1.001 U(s0) there), so 45 OR steps are left of 1 147:
-# one per bridgewalk and three-state request and 35 for the 2-D hall
+# prove: the goal bound ends each of the eight bridgewalk requests at its
+# root visit (LGT* is 1.001 U(s0) there), so 15 OR steps are left of 1 147:
+# one per bridgewalk and three-state request and 5 for the 2-D hall, whose
+# closed controllers the settle judges without walking them (35 OR steps and
+# peak depth 14 walked). find: the settle returns each controller once it
+# is closed with LGT 1, where the walk took 1 668 OR steps and 896 folds
 declare -A counters=(
-  [prove]='{"pandor.or_steps": 45, "ledger.calc_lambda.calls": 3, "ledger.cumulate_alpha.calls": 0,
-    "ledger.snapshot.calls": 5, "ledger.restore.calls": 10, "pandor.peak_depth.max": 14,
+  [prove]='{"pandor.or_steps": 15, "ledger.calc_lambda.calls": 3, "ledger.cumulate_alpha.calls": 0,
+    "ledger.snapshot.calls": 5, "ledger.restore.calls": 10, "pandor.peak_depth.max": 3,
     "verifier.exact_measures.calls": 0}'
-  [find]='{"pandor.or_steps": 1668, "ledger.calc_lambda.calls": 0, "ledger.cumulate_alpha.calls": 896,
+  [find]='{"pandor.or_steps": 389, "ledger.calc_lambda.calls": 0, "ledger.cumulate_alpha.calls": 88,
     "ledger.snapshot.calls": 54, "ledger.restore.calls": 38, "pandor.peak_depth.max": 71,
     "verifier.exact_measures.calls": 9, "verifier.chain_nodes": 329}'
   [certify]='{"pandor.or_steps": 0, "verifier.exact_measures.calls": 15, "verifier.chain_nodes": 3876,

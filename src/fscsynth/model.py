@@ -313,6 +313,12 @@ class PlanningProblem:
         return tuple([(n // gcd(n, scale), scale // gcd(n, scale)) for n in num])
 
     @cached_property
+    def goal_gaps(self) -> dict:
+        """``goal_bound`` as the share of mass that misses a goal: for each
+        state s with v(s) < 1, and no other, 1 - v(s) as a reduced pair."""
+        return {s: (d - n, d) for s, (n, d) in enumerate(self.goal_bound) if n != d}
+
+    @cached_property
     def pair_laws(self) -> dict:
         """Each step law as ``(s2, (numerator, denominator))`` pairs, in ``delta`` order."""
         delta = self.environment.delta

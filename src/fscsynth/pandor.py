@@ -12,7 +12,9 @@ bounds the ledger keeps up to date as it is mutated: the controller is
 returned as soon as the guaranteed goal mass reaches the requested
 bound, and the branch is abandoned as soon as the remaining optimistic
 mass drops below it (both bounds also cover the optional
-termination-likelihood requirement).
+termination-likelihood requirement).  After each commit that leaves the
+branch undecided, a graph pass settles a controller that defines every
+pair it reaches (see the end of this docstring).
 The search runs on one number type, the ledger's reduced integer pairs:
 step laws become pairs once per problem (``PlanningProblem.pair_laws``;
 the root enters with ``(1, 1)``), ``LGT*``, ``LTER*`` and the caps derived
@@ -104,7 +106,10 @@ same snapshot.  So outcomes and controllers stay the same, and OR steps
 and peak depth only shrink.  Where v(s0) < ``LGT*``, the root visit
 ends the search in one OR step.  Under ``LTER*``, where lost states are
 not cut, their bound is 0, so this cut counts a visit's whole mass as
-non-goal.  ``measure`` neither cuts nor computes the bound.
+non-goal.  ``measure`` neither cuts nor computes the bound.  The search
+reads 1 - v(s) from ``PlanningProblem.goal_gaps``, which holds only the
+states below 1, so where every bound is 1 (every hall domain) a fresh
+visit makes one lookup in an empty dict.
 
 A transition (q, o) -> (a, q) that keeps the controller state, taken at
 a state s whose law lists s itself with probability p_stay, walks that
@@ -137,6 +142,41 @@ revisit's OR step is gone and a verdict may come sooner.  A controller
 can be returned earlier, with fewer pairs defined, where the stay
 outcome follows its siblings.  ``measure`` sums self-loops too: on a
 controller defined on every reachable pair its vector stays exact.
+
+After a commit, from a new choice point or on backtracking, that leaves
+the branch undecided, ``_settle`` makes one pass over the combined states
+reachable from (0, s0) under the committed pairs, reading the support of
+``pair_laws``.  Where it meets an undefined pair, the walk goes on.
+Otherwise the controller is *closed*: it defines every pair it reaches,
+and the pass judges it as the qualitative graph algorithms of
+probabilistic model checking judge a finite Markov chain (Prob0 and
+Prob1; Baier & Katoen, *Principles of Model Checking*, 2008, 10.1).
+Where no reachable node stops in a goal state, its LGT is 0 and the
+branch fails.  Where a backward pass from the goal stops reaches every
+reachable node, absorption in a goal stop is certain, so LGT = LTER = 1
+and the controller is returned.  Otherwise the walk goes on.  No answer
+changes:
+
+* a closed subtree opens no choice point: every pair the walk meets
+  below the commit is reachable from (0, s0) under the committed pairs,
+  and so defined; the walk runs on this controller alone;
+* its bounds are sound for that controller (goal0 <= LGT and fail0 +
+  noter0 <= 1 - LGT), and at its last record they sum to one;
+* so at LGT = 0, since ``LGT*`` > 0, the walk never accepts and fails at
+  the latest at its last record, or earlier by a prune, backtracking to
+  the choice point of this commit, as the settle's ``"fail"`` does;
+* at LGT = 1 the non-goal mass is 0, so no prune fires (nor the
+  goal-bound cut: v(s) >= 1 at every reachable s), and the walk accepts
+  at the latest at its last record, since ``LGT*`` and ``LTER*`` are at
+  most 1, with this controller.
+
+So wherever the walk finishes, outcomes and controllers stay the same,
+while OR steps and peak depth only shrink: the settle skips the walk of
+the closed subtree, and a search that ran out of budget in it may now
+finish.  The pass costs time linear in the reachable part of the graph
+and makes no arithmetic; it shares no code with the verifier, so the
+verifier's re-check of a returned controller stays independent.
+``measure`` opens no choice point and so never settles.
 """
 
 from __future__ import annotations
@@ -203,7 +243,8 @@ class _Backtracker:
     so neither moves ``goal0``, ``fail0`` or ``noter0``; every subtree ends
     in a judged record, and a restore brings back the bounds of an earlier
     one (or the zero bounds, where ``0 < LGT* < 1`` gives no verdict); so
-    each dropped judgement would return None.
+    each dropped judgement would return None.  Its settle after a commit
+    judges the committed pairs, not the bounds.
     """
 
     def __init__(self, problem: PlanningProblem, max_states: int, budget: Optional[int]):
@@ -307,9 +348,10 @@ class _Search(_Backtracker):
         self.ledger = SearchLedger()
         self.retries = problem.retry_laws
         # the cuts (module docstring): the goal-unreachable one serves LGT*
-        # alone; without the goal-bound one, every state's bound is 1
+        # alone; the goal-bound one reads the gap 1 - v(s) of each state
+        # below 1, and without it no state has one
         self.lost = problem.lost_states if self.cuts and lter_star is None else frozenset()
-        self.bound = problem.goal_bound if self.cuts else (_P1,) * len(self.env.states)
+        self.gaps = problem.goal_gaps if self.cuts else {}
 
     def _snapshot(self):
         return self.ledger.snapshot()
@@ -323,6 +365,50 @@ class _Search(_Backtracker):
     def _exhausted(self) -> str:
         # the last record was judged on the final bounds, which sum to one and so give a verdict
         raise LedgerError("exploration exhausted without a termination verdict")
+
+    def _commit(self, cp: _Choice) -> Optional[str]:
+        # a commit that leaves the branch undecided may close the controller
+        verdict = super()._commit(cp)
+        return self._settle() if verdict is None else verdict
+
+    def _settle(self) -> Optional[str]:
+        """Judge the committed pairs by the graph of the combined states
+        they reach from (0, s0): None where the graph meets an undefined
+        pair, ``"fail"`` where it holds no goal stop (LGT = 0),
+        ``"controller"`` where every node reaches one (LGT = LTER = 1), and
+        None otherwise (module docstring)."""
+        controller, omega, goals, laws = self.controller, self.omega, self.goals, self.laws
+        root = (0, self.problem.initial_state)
+        preds = {root: []}  # every node reached so far, with its predecessors
+        stack, stops = [root], []
+        while stack:
+            node = stack.pop()
+            q, s = node
+            tr = controller.get((q, omega[s]))
+            if tr is None:
+                return None
+            a, q2 = tr
+            if a == STOP:
+                if s in goals:
+                    stops.append(node)
+                continue
+            for s2, _ in laws.get((s, a), ()):
+                succ = (q2, s2)
+                if succ in preds:
+                    preds[succ].append(node)
+                else:
+                    preds[succ] = [node]
+                    stack.append(succ)
+        if not stops:
+            return "fail"
+        # backward from the goal stops: does every node reach one?
+        reached = set(stops)
+        while stops:
+            for node in preds[stops.pop()]:
+                if node not in reached:
+                    reached.add(node)
+                    stops.append(node)
+        return "controller" if len(reached) == len(preds) else None
 
     # -- OR step ----------------------------------------------------------
 
@@ -344,10 +430,10 @@ class _Search(_Backtracker):
             else:
                 ledger.record_loop(k, p_loop)
             return self._evaluate()
-        v = self.bound[s]
-        if v != _P1:
-            # at least a share 1 - v of this visit's mass misses the goal
-            missed = _mul(_mul(ledger.prefix[-1], p), _sub(_P1, v))
+        gap = self.gaps.get(s)
+        if gap is not None:
+            # at least a share 1 - v(s) of this visit's mass misses the goal
+            missed = _mul(_mul(ledger.prefix[-1], p), gap)
             if _cmp(_add(_add(ledger.acc_fail[-1], ledger.acc_noter[-1]), missed), self.lgt_cap) > 0:
                 return "fail"
         tr = self.controller.get((q, self.omega[s]))

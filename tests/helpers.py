@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from fscsynth.ledger import _P1, LambdaVector, LedgerError, SearchLedger, calc_lambda
+from fscsynth.ledger import LambdaVector, LedgerError, SearchLedger, calc_lambda
 from fscsynth.model import (
     Controller, Environment, ModelError, PlanningProblem, STOP, SynthesisRequest, SynthResult, as_prob,
 )
@@ -140,6 +140,30 @@ def stuck_pairs(env: Environment) -> set[tuple[int, int]]:
     }
 
 
+def walking(engine):
+    """``engine`` with the settle switched off: a closed controller is
+    walked history by history to its verdict, as the search did before it
+    settled any."""
+
+    class Walking(engine):
+        def _settle(self):
+            return None
+
+    return Walking
+
+
+def _search(engine, request: SynthesisRequest, budget, walk: bool):
+    """A fresh ``engine`` search for ``request``, through ``walking`` where ``walk`` is true."""
+    if walk:
+        engine = walking(engine)
+    return engine(request.problem, request.max_states, request.lgt_star, request.lter_star, budget)
+
+
+def walk_synth(request: SynthesisRequest, budget=DEFAULT_BUDGET) -> SynthResult:
+    """Reference for ``pandor_synth``: the same search without the settle."""
+    return _search(_Search, request, budget, True).run()
+
+
 class _FullCandidatesSearch(_Search):
     """The search with the candidate list it had before stuck actions were
     collapsed: every action, stuck or not, crossed with every canonical
@@ -152,12 +176,10 @@ class _FullCandidatesSearch(_Search):
         return acts + [(STOP, 0)]
 
 
-def full_candidates_synth(request: SynthesisRequest, budget=DEFAULT_BUDGET) -> SynthResult:
-    """Reference for ``pandor_synth``: the same search over the full
-    candidate list."""
-    return _FullCandidatesSearch(
-        request.problem, request.max_states, request.lgt_star, request.lter_star, budget
-    ).run()
+def full_candidates_synth(request: SynthesisRequest, budget=DEFAULT_BUDGET, walk=False) -> SynthResult:
+    """Reference for ``pandor_synth``, or for ``walk_synth`` where ``walk``
+    is true: the same search over the full candidate list."""
+    return _search(_FullCandidatesSearch, request, budget, walk).run()
 
 
 class _RevisitSearch(_Search):
@@ -171,10 +193,10 @@ class _RevisitSearch(_Search):
         self.retries = self.laws
 
 
-def revisit_synth(request: SynthesisRequest, budget=DEFAULT_BUDGET) -> SynthResult:
-    """Reference for ``pandor_synth``: the same search with every retry
-    walked as a revisit."""
-    return _RevisitSearch(request.problem, request.max_states, request.lgt_star, request.lter_star, budget).run()
+def revisit_synth(request: SynthesisRequest, budget=DEFAULT_BUDGET, walk=False) -> SynthResult:
+    """Reference for ``pandor_synth``, or for ``walk_synth`` where ``walk``
+    is true: the same search with every retry walked as a revisit."""
+    return _search(_RevisitSearch, request, budget, walk).run()
 
 
 def goal_unreachable(problem: PlanningProblem) -> frozenset:
@@ -197,24 +219,25 @@ def goal_unreachable(problem: PlanningProblem) -> frozenset:
 
 
 class _UnboundedSearch(_Search):
-    """The search with every state's goal bound read as 1, so that the
-    goal-bound cut never fires."""
+    """The search with every state's goal bound read as 1: no state has a
+    gap 1 - v(s), so the goal-bound cut never fires."""
 
     def __init__(self, problem, max_states, lgt_star, lter_star, budget):
         super().__init__(problem, max_states, lgt_star, lter_star, budget)
-        self.bound = (_P1,) * len(self.env.states)
+        self.gaps = {}
 
 
-def unbounded_synth(request: SynthesisRequest, budget=DEFAULT_BUDGET) -> SynthResult:
-    """Reference for ``pandor_synth``: the same search without the
-    goal-bound cut."""
-    return _UnboundedSearch(request.problem, request.max_states, request.lgt_star, request.lter_star, budget).run()
+def unbounded_synth(request: SynthesisRequest, budget=DEFAULT_BUDGET, walk=False) -> SynthResult:
+    """Reference for ``pandor_synth``, or for ``walk_synth`` where ``walk``
+    is true: the same search without the goal-bound cut."""
+    return _search(_UnboundedSearch, request, budget, walk).run()
 
 
-def uncut_synth(request: SynthesisRequest, budget=DEFAULT_BUDGET) -> SynthResult:
-    """Reference for ``unbounded_synth``: the same search with an empty
-    lost set too, so every history below a lost state is explored."""
-    search = _UnboundedSearch(request.problem, request.max_states, request.lgt_star, request.lter_star, budget)
+def uncut_synth(request: SynthesisRequest, budget=DEFAULT_BUDGET, walk=False) -> SynthResult:
+    """Reference for ``unbounded_synth`` with the same ``walk``: the same
+    search with an empty lost set too, so every history below a lost state
+    is explored."""
+    search = _search(_UnboundedSearch, request, budget, walk)
     search.lost = frozenset()
     return search.run()
 
@@ -255,11 +278,12 @@ def _hooked(engine, hook):
     return Hooked
 
 
-def hooked_synth(request: SynthesisRequest, hook, budget=DEFAULT_BUDGET, bounded=True) -> SynthResult:
+def hooked_synth(request: SynthesisRequest, hook, budget=DEFAULT_BUDGET, bounded=True, walk=False) -> SynthResult:
     """``pandor_synth``, or ``unbounded_synth`` where ``bounded`` is false,
-    with ``hook(transitions, lambda vector)`` called at every evaluation."""
+    through ``walking`` where ``walk`` is true, with ``hook(transitions,
+    lambda vector)`` called at every evaluation."""
     engine = _Search if bounded else _UnboundedSearch
-    return _hooked(engine, hook)(request.problem, request.max_states, request.lgt_star, request.lter_star, budget).run()
+    return _search(_hooked(engine, hook), request, budget, walk).run()
 
 
 def hooked_measure(problem: PlanningProblem, controller: Controller, hook) -> LambdaVector:

@@ -480,7 +480,9 @@ def test_budget_below_one_exits_64(capsys, argv, budget):
 
 _COIN_FLIP = ["--domain", "coin-flip", "--max-states", "2"]
 # no one-state controller walks the corridor and back; every state's goal
-# bound is 1, so the proof is a search, not one OR step at the root
+# bound is 1, so the proof is a search, not one OR step at the root, though
+# the settle fails each closed controller without walking it (3 OR steps, 6
+# walked)
 _CORRIDOR_N1 = ["--domain", "hall-a-1d", "--param", "n=3", "--max-states", "1"]
 _COIN_FLIP_CONTROLLER = "states 1\nstart 0\nedge 0 start flip 0\nedge 0 won stop 0\n"
 _MEASURE_LINES = """\
@@ -508,7 +510,7 @@ _NULL_MEASURES = """\
      + _MEASURE_LINES.format(lter="1/2", lter_decimal="0.500000000000", undef="1/2", undef_decimal="0.500000000000")
      + "controller:\n" + _COIN_FLIP_CONTROLLER),
     (["synth", *_CORRIDOR_N1, "--lgt-star", "0.99"], 2,
-     "outcome: failure-proved\nalgo: pandor\nor-steps: 6\npeak-depth: 4\nwall-time-s: *\n"),
+     "outcome: failure-proved\nalgo: pandor\nor-steps: 3\npeak-depth: 3\nwall-time-s: *\n"),
     (["synth", "--domain", "noisy-hall-a-1d", "--param", "n=4", "--max-states", "2", "--lgt-star", "0.99",
       "--budget", "5"], 3,
      "outcome: budget-exhausted\nalgo: pandor\nor-steps: 5\npeak-depth: 5\nwall-time-s: *\n"),
@@ -534,8 +536,8 @@ _NULL_MEASURES = """\
 {
   "outcome": "failure-proved",
   "algo": "pandor",
-  "or_steps": 6,
-  "peak_depth": 4,
+  "or_steps": 3,
+  "peak_depth": 3,
   "wall_time_s": *,
   "controller": null,
 """ + _NULL_MEASURES),

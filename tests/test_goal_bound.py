@@ -37,12 +37,20 @@ def exact_goal_values(prob: PlanningProblem) -> list:
 
 
 def _values(prob: PlanningProblem) -> list:
+    """The goal bound as ``Fraction``s, once its pairs and the gaps the
+    search reads have been checked against it."""
     bound = prob.goal_bound
     assert len(bound) == len(prob.environment.states)
     for n, d in bound:
         # reduced pairs of plain ints in [0, 1]
         assert type(n) is int and type(d) is int and 0 <= n <= d and gcd(n, d) == 1
-    return [F(*v) for v in bound]
+    values = [F(*v) for v in bound]
+    # the gaps: 1 - v(s) as reduced pairs, for the states below 1 alone
+    gaps = prob.goal_gaps
+    assert gaps is prob.goal_gaps
+    assert all(type(n) is int and type(d) is int and gcd(n, d) == 1 for n, d in gaps.values())
+    assert {s: F(*g) for s, g in gaps.items()} == {s: 1 - v for s, v in enumerate(values) if v < 1}
+    return values
 
 
 def _random_problems():
@@ -99,6 +107,7 @@ def test_halls_are_bounded_by_graph_passes_alone(monkeypatch, name, params):
     monkeypatch.setattr(model, "lcm", unused)
     prob = build(name, params)
     assert _values(prob) == [1] * len(prob.environment.states)
+    assert prob.goal_gaps == {}  # so a search makes no goal-bound check
 
 
 def _halved(propose):
@@ -196,4 +205,7 @@ def test_a_lost_initial_state_fails_at_the_root_with_a_termination_bound(lgt_sta
     request = SynthesisRequest(prob, n, lgt_star, lter_star)
     result = pandor_synth(request)
     assert (result.outcome, result.or_steps, result.peak_depth) == ("failure-proved", 1, 0)
-    assert unbounded_synth(request, budget=20_000).outcome == "budget-exhausted"
+    # without the goal bound, the settle fails each closed controller at
+    # once, since none has a goal stop: the walk shows the bound's own work
+    assert unbounded_synth(request, budget=20_000, walk=True).outcome == "budget-exhausted"
+    assert unbounded_synth(request, budget=20_000).outcome == "failure-proved"

@@ -252,7 +252,7 @@ def _r300_cases():
 
 def test_sparse_solve_equals_dense_reference_on_r300_controllers():
     cases = list(_r300_cases())
-    assert len(cases) == 235
+    assert len(cases) == 237
     for problem, ctrl in cases:
         chain = build_chain(problem, ctrl)
         assert _solve_absorption(chain) == dense_absorption(chain)

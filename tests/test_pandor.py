@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import random
@@ -31,6 +32,8 @@ from helpers import (
     stuck_pairs,
     unbounded_synth,
     uncut_synth,
+    walk_synth,
+    walking,
 )
 
 
@@ -84,10 +87,11 @@ def test_budget_abort_is_not_a_proof():
 
 def test_budget_exhausted_run_reports_exactly_the_budget():
     # the OR step that would exceed the budget is not counted; every state
-    # of the corridor has goal bound 1, and the proof takes 8 OR steps
+    # of the corridor has goal bound 1, and the proof takes 5 OR steps (8
+    # without the settle)
     prob = build("hall-a-1d", {"n": 5})
-    result = pandor_synth(SynthesisRequest(prob, 1, F(99, 100)), budget=5)
-    assert (result.outcome, result.or_steps) == ("budget-exhausted", 5)
+    result = pandor_synth(SynthesisRequest(prob, 1, F(99, 100)), budget=4)
+    assert (result.outcome, result.or_steps) == ("budget-exhausted", 4)
 
 
 @pytest.mark.parametrize("budget", [-1, 0, 2.5, True])
@@ -110,11 +114,11 @@ def test_deterministic_runs_are_identical():
 
 
 def test_r300_replays_its_fast_seeds_line_for_line():
-    # the other 14 seeds (up to the 60 000-step budget) are diffed by CI
+    # the other 7 seeds (up to the 60 000-step budget) are diffed by CI
     row = r300_script()["row"]
     lines = _R300.read_text().splitlines()
     fast = [line for line in lines if json.loads(line)["or_steps"] <= 2000]
-    assert len(fast) == 286
+    assert len(fast) == 293
     for line in fast:
         assert json.dumps(row(json.loads(line)["seed"])) == line
 
@@ -264,9 +268,11 @@ def test_cached_bounds_equal_calc_lambda_at_every_evaluation_with_large_denomina
     # ``hooked_synth`` compares the ledger's integer-pair cache with
     # ``calc_lambda`` before every judgement, on laws like the benchmark's;
     # the cycle records are counted, so that none of the searches can lose
-    # the cycles it is here for
+    # the cycles it is here for. The settle would end each hall search at
+    # its first closed controller, so the searches are walked: a settled
+    # search makes a subsequence of the walk's judgements
     bounded = name != "bridgewalk"
-    synth = pandor_synth if bounded else unbounded_synth
+    synth = walk_synth if bounded else functools.partial(unbounded_synth, walk=True)
     prob = build(name, params)
     request = SynthesisRequest(prob, max_states, lgt_star, lter_star)
     evaluations, loops = [], []
@@ -281,7 +287,7 @@ def test_cached_bounds_equal_calc_lambda_at_every_evaluation_with_large_denomina
         record_loop(ledger, k, p_loop)
 
     monkeypatch.setattr(SearchLedger, "record_loop", counted_record_loop)
-    result = hooked_synth(request, hook, bounded=bounded)
+    result = hooked_synth(request, hook, bounded=bounded, walk=True)
     assert result == synth(request)
     assert result.outcome == outcome
     assert len(evaluations) > 20
@@ -373,24 +379,29 @@ def test_domains_without_stuck_pairs_search_as_before(name, params):
 
 
 def test_stuck_action_collapse_on_random_partial_problems():
+    # the search and the walk each against their full candidate lists; on
+    # these small problems the settle decides every dropped sibling in no
+    # OR step, so only the walks show the collapse saving OR steps
     rng = random.Random(8080)
-    seen = {"stuck": 0, "lower": 0}
+    seen = Counter()
     for trial in range(250):
         prob = random_env(rng, n_states=rng.randint(2, 4), partial=True)
         lgt_star = F(rng.randint(1, 19), 20)
         lter_star = F(rng.randint(1, 19), 20) if rng.random() < 0.5 else None
         request = SynthesisRequest(prob, rng.randint(1, 2), lgt_star, lter_star)
-        new, full = pandor_synth(request, budget=5000), full_candidates_synth(request, budget=5000)
-        case = (trial, request.max_states, lgt_star, lter_star)
-        assert new.or_steps <= full.or_steps, case
-        if full.outcome != "budget-exhausted":
-            assert (new.outcome, new.controller) == (full.outcome, full.controller), case
-        if stuck_pairs(prob.environment):
-            seen["stuck"] += 1
-            seen["lower"] += new.or_steps < full.or_steps
-        else:
-            assert new.or_steps == full.or_steps, case
-    assert seen["stuck"] >= 100 and seen["lower"] >= 1, seen
+        stuck = bool(stuck_pairs(prob.environment))
+        seen["stuck"] += stuck
+        for walk, synth in ((False, pandor_synth), (True, walk_synth)):
+            new, full = synth(request, budget=5000), full_candidates_synth(request, budget=5000, walk=walk)
+            case = (trial, walk, request.max_states, lgt_star, lter_star)
+            assert new.or_steps <= full.or_steps, case
+            if full.outcome != "budget-exhausted":
+                assert (new.outcome, new.controller) == (full.outcome, full.controller), case
+            if stuck:
+                seen["walk lower"] += walk and new.or_steps < full.or_steps
+            else:
+                assert new.or_steps == full.or_steps, case
+    assert seen["stuck"] >= 100 and seen["walk lower"] >= 1, seen
 
 
 class _JudgingEverywhere(pandor._Search):
@@ -454,13 +465,16 @@ class _CountingFolds(pandor._Search):
 
 def test_no_synthesis_folds_its_branch_to_empty():
     # the record before such a fold judged the final bounds, which sum to
-    # one and so give a verdict: the search has ended or backtracked
-    folds = 0
+    # one and so give a verdict: the search has ended or backtracked. The
+    # settle skips most folds, so the walk runs the grid too
+    folds = Counter()
+    engines = ((_CountingFolds, pandor_synth), (walking(_CountingFolds), walk_synth))
     for request, budget in _verdict_grid():
-        search = _CountingFolds(request.problem, request.max_states, request.lgt_star, request.lter_star, budget)
-        assert search.run() == pandor_synth(request, budget)
-        folds += search.folds
-    assert folds > 1000
+        for engine, synth in engines:
+            search = engine(request.problem, request.max_states, request.lgt_star, request.lter_star, budget)
+            assert search.run() == synth(request, budget)
+            folds[synth] += search.folds
+    assert folds[walk_synth] > 1000 and folds[pandor_synth] > 100, folds
 
 
 def _checking_choice_stack(engine):
@@ -485,15 +499,21 @@ def test_the_controller_holds_one_entry_per_live_choice_point():
     for _ in range(100):
         prob = random_env(rng, n_states=rng.randint(3, 5), partial=rng.random() < 0.5)
         problems.append((prob, rng.randint(1, 3)))
-    checked = 0
+    # the settle skips most OR steps of pandor's searches, so the walk
+    # runs them too
+    checked = Counter()
+    engines = ((_checking_choice_stack(pandor._Search), pandor_synth),
+               (_checking_choice_stack(walking(pandor._Search)), walk_synth))
     for prob, n in problems:
         request = SynthesisRequest(prob, n, F(3, 4))
-        search = _checking_choice_stack(pandor._Search)(prob, n, F(3, 4), None, 1000)
-        assert search.run() == pandor_synth(request, 1000)
+        for engine, synth in engines:
+            search = engine(prob, n, F(3, 4), None, 1000)
+            assert search.run() == synth(request, 1000)
+            checked[synth] += search.checked
         classic = _checking_choice_stack(andor._Search)(prob, n, 1000)
         assert classic.run() == andor_synth(prob, n, 1000)
-        checked += search.checked + classic.checked
-    assert checked > 10_000
+        checked[andor_synth] += classic.checked
+    assert checked[walk_synth] + checked[andor_synth] > 10_000 and checked[pandor_synth] > 1000, checked
 
 
 
@@ -511,10 +531,11 @@ def _recording_or_steps(engine):
 
 
 def test_a_search_visits_a_law_in_delta_order():
-    # one step from s0 reaches three goal states sharing an observation,
-    # listed in neither index order nor its reverse
+    # one step from s0 reaches three goal states, listed in neither index
+    # order nor its reverse; each has its own observation, so the
+    # controller stays open, and the settle idle, until the last visit
     law = ((3, F(1, 2)), (1, F(1, 3)), (2, F(1, 6)))
-    env = Environment(("s0", "g1", "g2", "g3"), ("go",), ("start", "goal"), {(0, 0): law}, (0, 1, 1, 1))
+    env = Environment(("s0", "g1", "g2", "g3"), ("go",), ("start", "o1", "o2", "o3"), {(0, 0): law}, (0, 1, 2, 3))
     prob = PlanningProblem(env, 0, frozenset({1, 2, 3}))
     assert [s2 for s2, _ in env.delta.get((0, 0))] == [3, 1, 2]
     search = _recording_or_steps(pandor._Search)(prob, 1, F(99, 100), None, 100)
@@ -525,21 +546,23 @@ def test_a_search_visits_a_law_in_delta_order():
 
 def test_bridgewalk_proof_step_count():
     # 19 960 OR steps when every stuck action was offered with every
-    # successor, 1 536 without the cut at the fallen state; with the goal
-    # bound, U(s0) = 0.9^8 < 1/2 settles the root visit
+    # successor, 1 536 without the cut at the fallen state, both walked;
+    # with the goal bound, U(s0) = 0.9^8 < 1/2 settles the root visit
     request = SynthesisRequest(build("bridgewalk", {"n": 8, "p_fall": F(1, 10)}), 4, F(1, 2))
-    result, unbounded, uncut = pandor_synth(request), unbounded_synth(request), uncut_synth(request)
-    assert result.outcome == unbounded.outcome == uncut.outcome == "failure-proved"
-    assert (unbounded.or_steps, uncut.or_steps) == (548, 1536)
+    refs = [synth(request, walk=walk) for walk in (True, False) for synth in (unbounded_synth, uncut_synth)]
+    result = pandor_synth(request)
+    assert {r.outcome for r in refs} == {result.outcome} == {"failure-proved"}
+    assert [r.or_steps for r in refs] == [548, 1536, 548, 1532]
     assert (result.or_steps, result.peak_depth) == (1, 0)
 
 
-def _assert_summing_keeps_the_answer(request, new, label, budget=DEFAULT_BUDGET):
-    """``new``, the search's result on ``request``, against the search that
-    walks each retry as a revisit: the same outcome wherever both are
-    conclusive, never more OR steps, and a returned controller meets the
-    bounds exactly; returns the reference's result."""
-    ref = revisit_synth(request, budget)
+def _assert_summing_keeps_the_answer(request, new, label, budget=DEFAULT_BUDGET, walk=False):
+    """``new``, the search's result on ``request`` (walked where ``walk``
+    is true), against the search that walks each retry as a revisit: the
+    same outcome wherever both are conclusive, never more OR steps, and a
+    returned controller meets the bounds exactly; returns the reference's
+    result."""
+    ref = revisit_synth(request, budget, walk=walk)
     case = (*label, request.max_states, request.lgt_star, request.lter_star, new.outcome, ref.outcome)
     if "budget-exhausted" not in (new.outcome, ref.outcome):
         assert new.outcome == ref.outcome, case
@@ -571,46 +594,145 @@ def test_summed_retries_keep_every_catalogue_answer():
     assert shrunk == {"noisy-hall-a-2d": 3 * 6, "noisy-hall-a-1d": 3 * 4}, shrunk
 
 
-def test_summed_retries_keep_every_r300_answer():
-    # the search's side is the committed table: CI diffs every line of it,
-    # and test_r300_replays_its_fast_seeds_line_for_line replays most
+def _r300_results():
+    """(seed, request, result) for each line of the committed R300 table,
+    the search's side of the R300 comparisons: CI diffs every line of it,
+    and test_r300_replays_its_fast_seeds_line_for_line replays most."""
     request = r300_script()["request"]
     rows = [json.loads(line) for line in _R300.read_text().splitlines()]
-    assert Counter(row["outcome"] for row in rows) == {"controller": 235, "failure-proved": 59, "budget-exhausted": 6}
-    steps = Counter()
+    assert Counter(row["outcome"] for row in rows) == {"controller": 237, "failure-proved": 59, "budget-exhausted": 4}
     for row in rows:
         transitions = row["controller"]
         controller = Controller(row["num_states"], {tuple(k): tuple(v) for k, v in transitions}) if transitions else None
-        new = SynthResult(row["outcome"], controller, row["or_steps"], row["peak_depth"])
-        ref = _assert_summing_keeps_the_answer(request(row["seed"]), new, (row["seed"],), budget=60_000)
+        yield row["seed"], request(row["seed"]), SynthResult(row["outcome"], controller, row["or_steps"], row["peak_depth"])
+
+
+def test_summed_retries_keep_every_r300_answer():
+    steps = Counter()
+    for seed, request, new in _r300_results():
+        ref = _assert_summing_keeps_the_answer(request, new, (seed,), budget=60_000)
         steps.update(new=new.or_steps, revisit=ref.or_steps, lower=new.or_steps < ref.or_steps)
-    assert steps == {"new": 461_983, "revisit": 468_448, "lower": 96}
+    assert steps == {"new": 263_314, "revisit": 265_668, "lower": 36}
 
 
 def test_summed_retries_on_random_partial_problems():
+    # the search and the walk each against their revisit walks; the settle
+    # decides most closed controllers before a retry is walked, so the
+    # walks carry the OR-step counts
     rng = random.Random(9191)
     seen = Counter()
     for trial in range(500):
         prob = random_env(rng, n_states=rng.randint(2, 5), partial=True)
         lter_star = F(rng.randint(1, 19), 20) if trial % 2 else None
         request = SynthesisRequest(prob, rng.randint(1, 3), F(rng.randint(1, 19), 20), lter_star)
-        new = pandor_synth(request, budget=3000)
-        ref = _assert_summing_keeps_the_answer(request, new, (trial,), budget=3000)
-        if prob.retry_laws == prob.pair_laws:
-            assert new == ref, trial
-        seen["conclusive"] += "budget-exhausted" not in (new.outcome, ref.outcome)
-        seen["lower"] += new.or_steps < ref.or_steps
-        seen["lter lower"] += new.or_steps < ref.or_steps and lter_star is not None
+        for walk, synth in ((False, pandor_synth), (True, walk_synth)):
+            new = synth(request, budget=3000)
+            ref = _assert_summing_keeps_the_answer(request, new, (trial, walk), budget=3000, walk=walk)
+            if prob.retry_laws == prob.pair_laws:
+                assert new == ref, (trial, walk)
+            if walk:
+                seen["conclusive"] += "budget-exhausted" not in (new.outcome, ref.outcome)
+                seen["lower"] += new.or_steps < ref.or_steps
+                seen["lter lower"] += new.or_steps < ref.or_steps and lter_star is not None
     assert seen["conclusive"] >= 450 and seen["lower"] >= 100 and seen["lter lower"] >= 50, seen
 
 
-def _assert_cut_keeps_the_answer(request, label, budget=DEFAULT_BUDGET):
+def _counting_settles(monkeypatch) -> Counter:
+    """The settle's verdicts, counted by wrapping ``_Search._settle``; the
+    walk's own ``_settle`` is not counted."""
+    settle = pandor._Search._settle
+    verdicts = Counter()
+
+    def counted(self):
+        verdict = settle(self)
+        verdicts[verdict] += 1
+        return verdict
+
+    monkeypatch.setattr(pandor._Search, "_settle", counted)
+    return verdicts
+
+
+def _assert_settling_keeps_the_answer(request, new, label, budget=DEFAULT_BUDGET):
+    """``new``, the search's result on ``request``, against the walk, the
+    search without the settle: the same outcome and controller wherever
+    both are conclusive, never more OR steps, no deeper branch wherever the
+    walk is conclusive (a search that is not can reach, within its budget,
+    branches the walk never does), and a returned controller meets the
+    bounds exactly; returns the walk's result."""
+    ref = walk_synth(request, budget)
+    case = (*label, request.max_states, request.lgt_star, request.lter_star, new.outcome, ref.outcome)
+    if "budget-exhausted" not in (new.outcome, ref.outcome):
+        assert (new.outcome, new.controller) == (ref.outcome, ref.controller), case
+    assert new.or_steps <= ref.or_steps, case
+    assert new.peak_depth <= ref.peak_depth or ref.outcome == "budget-exhausted", case
+    if new.controller is not None:
+        m = exact_measures(request.problem, new.controller)
+        assert m.lgt >= request.lgt_star, case
+        assert request.lter_star is None or m.lter >= request.lter_star, case
+    return ref
+
+
+def test_settling_keeps_every_catalogue_answer(monkeypatch):
+    # the benchmark's searches at seeds 1-3: each find controller is closed
+    # with LGT = 1 before its walk has pushed goal0 past LGT*
+    workloads = perfbench_workloads()
+    settles = _counting_settles(monkeypatch)
+    steps = Counter()
+    for seed, workload in itertools.product((1, 2, 3), ("prove", "find")):
+        for item in workloads["prepare"](workloads["generate"](workload, seed)):
+            new = pandor_synth(item.synth, workloads["BUDGET"])
+            label = (seed, item.request.domain, item.request.params)
+            ref = _assert_settling_keeps_the_answer(item.synth, new, label, workloads["BUDGET"])
+            assert new.outcome != "budget-exhausted" and ref.outcome != "budget-exhausted", label
+            steps.update({workload: new.or_steps, f"{workload} walked": ref.or_steps})
+    # 1 167 against 5 004 OR steps on find, 45 against 135 on prove
+    assert steps["find"] * 4 < steps["find walked"] and steps["prove"] * 2 < steps["prove walked"], steps
+    assert settles["fail"] >= 50 and settles["controller"] >= 10, settles
+
+
+def test_settling_keeps_every_r300_answer():
+    # the walk runs out of budget on seeds 129 and 142; the settle returns
+    # a controller for each, the one the walk returns with a budget of 1 M
+    steps = Counter()
+    for seed, request, new in _r300_results():
+        ref = _assert_settling_keeps_the_answer(request, new, (seed,), budget=60_000)
+        steps.update(new=new.or_steps, walk=ref.or_steps, lower=new.or_steps < ref.or_steps)
+        if new.outcome != ref.outcome:
+            steps[f"{new.outcome} {seed}"] = new.or_steps
+    assert steps == {
+        "new": 263_314, "walk": 461_983, "lower": 91, "controller 129": 5185, "controller 142": 11_252,
+    }
+
+
+def test_settling_on_random_partial_problems(monkeypatch):
+    # partial tables, N 1-3, every other request with an LTER*
+    rng = random.Random(4545)
+    settles = _counting_settles(monkeypatch)
+    seen = Counter()
+    for trial in range(600):
+        prob = random_env(rng, n_states=rng.randint(2, 5), partial=True)
+        lter_star = F(rng.randint(1, 19), 20) if trial % 2 else None
+        request = SynthesisRequest(prob, rng.randint(1, 3), F(rng.randint(1, 19), 20), lter_star)
+        before = settles.copy()
+        new = pandor_synth(request, budget=3000)
+        ref = _assert_settling_keeps_the_answer(request, new, (trial,), budget=3000)
+        seen["conclusive"] += "budget-exhausted" not in (new.outcome, ref.outcome)
+        seen["lower"] += new.or_steps < ref.or_steps
+        seen["lter lower"] += new.or_steps < ref.or_steps and lter_star is not None
+        seen["settled"] += settles["fail"] + settles["controller"] > before["fail"] + before["controller"]
+    assert seen["conclusive"] >= 550 and seen["settled"] >= 100, seen
+    assert seen["lower"] >= 100 and seen["lter lower"] >= 50, seen
+    assert settles["fail"] >= 1000 and settles["controller"] >= 10, settles
+
+
+def _assert_cut_keeps_the_answer(request, label, budget=DEFAULT_BUDGET, walk=False):
     """The search without the goal bound against the search without the
     goal-unreachable cut too (the bound is 0 at a lost state, so it would
-    cut there as well): the same outcome wherever the reference is
-    conclusive, never more OR steps, and every returned controller meets
-    the bounds exactly; returns (cut, uncut) OR steps."""
-    new, ref = unbounded_synth(request, budget), uncut_synth(request, budget)
+    cut there as well), both walked where ``walk`` is true: the same
+    outcome wherever the reference is conclusive, never more OR steps, and
+    every returned controller meets the bounds exactly; returns (cut,
+    uncut) OR steps."""
+    new, ref = unbounded_synth(request, budget, walk), uncut_synth(request, budget, walk)
     case = (*label, request.max_states, request.lgt_star, request.lter_star)
     if ref.outcome != "budget-exhausted":
         assert new.outcome == ref.outcome, case
@@ -658,7 +780,10 @@ def test_goal_unreachable_cut_on_random_problems():
         request = SynthesisRequest(prob, rng.randint(1, 2), lgt_star, lter_star)
         lost = prob.lost_states
         assert lost == goal_unreachable(prob), trial
-        new, ref = _assert_cut_keeps_the_answer(request, (trial,), budget=3000)
+        # both sides walked: with settles the cut can cost OR steps (trial
+        # 246: 16 against 11), since a pair first met at a lost state is
+        # opened later, where the settle may find it closed later too
+        new, ref = _assert_cut_keeps_the_answer(request, (trial,), budget=3000, walk=True)
         if lter_star is not None or not lost:
             assert new == ref, trial
             seen["lter"] += lter_star is not None
@@ -694,9 +819,10 @@ def test_lost_mass_is_not_counted_as_terminating():
 
 
 def _search_counting_saturations(monkeypatch, request, ledger_class):
-    """``pandor_synth`` on a ``ledger_class`` ledger; also returns, for each
+    """``walk_synth`` on a ``ledger_class`` ledger; also returns, for each
     saturation, the number of the never-terminating or cycle record that
-    made it."""
+    made it.  The settle would end these searches before most of their
+    saturations, and the ledger rule is the same in the walk."""
     saturate = SearchLedger._saturate_at
     records = itertools.count()
     current = [None]
@@ -717,7 +843,7 @@ def _search_counting_saturations(monkeypatch, request, ledger_class):
         patch.setattr(SearchLedger, "_saturate_at", counted_saturate)
         for name in ("record_noter", "record_loop"):
             patch.setattr(ledger_class, name, counted(getattr(ledger_class, name)))
-        result = pandor_synth(request)
+        result = walk_synth(request)
     return result, calls
 
 
