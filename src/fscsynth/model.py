@@ -9,21 +9,21 @@ correctness statement in the test suite can be checked with ``==``.
 All types here are immutable after construction (the dicts they carry are
 never mutated) and safe to share across threads.  Readers index the
 tables as they stand (``omega[s]``, ``delta.get((s, a))``, ``s in
-goal_states``).  A derived fact cached on first use, such as
-``PlanningProblem.lost_states``, its step laws as integer pairs, with
-or without retries, or its goal bound, is the same value whichever
-thread computes it.  An index must be an ``int`` proper: ``True`` would
-pass as state or action 1.
+goal_states``).  A derived fact cached on first use, such as a
+problem's step laws as integer pairs, with or without retries, or its
+goal bound, is the same value whichever thread computes it.  An index
+must be an ``int`` proper: ``True`` would pass as state or action 1.
 
 ``PlanningProblem.goal_bound`` bounds, per state, the goal likelihood of
 every controller from there by the fully observable optimum U(s).  Its
 values are reduced integer pairs, and they carry their own certificate:
-each is 0 at a lost state, 1, or at least sum P * v under every law of
-its state, checked on integers.  Such a v is a pre-fixed point of the
-Bellman operator of maximal goal reachability, so it bounds U, its
-least fixed point, from above (Knaster-Tarski).  Floats only propose
-the values; a proposal that fails the check is raised to 1.  Nothing
-builds the bound until a search first reads it.
+each is 0 at a lost state, one from which no action sequence reaches a
+goal, 1, or at least sum P * v under every law of its state, checked on
+integers; its zeros are exactly the lost states.  Such a v is a
+pre-fixed point of the Bellman operator of maximal goal reachability, so
+it bounds U, its least fixed point, from above (Knaster-Tarski).  Floats
+only propose the values; a proposal that fails the check is raised to 1.
+Nothing builds the bound until a search first reads it.
 """
 
 from __future__ import annotations
@@ -96,6 +96,20 @@ def check_count(name: str, value, low: int) -> None:
     comparison and fail later inside a search, or run as 1."""
     if not isinstance(value, int) or isinstance(value, bool) or value < low:
         raise ModelError(f"{name} must be an integer of at least {low}, got {value!r}")
+
+
+def reaching(targets, preds: Mapping) -> set:
+    """``targets`` and every node with a path to one of them, in the graph
+    whose edges ``preds`` maps backward: node -> its predecessors.  A node
+    without a key has none."""
+    reached = set(targets)
+    stack = list(reached)
+    while stack:
+        for node in preds.get(stack.pop(), ()):
+            if node not in reached:
+                reached.add(node)
+                stack.append(node)
+    return reached
 
 
 def _propose(laws_at: list, rest: list, x: list) -> list:
@@ -210,9 +224,6 @@ class Environment:
 
     # -- index helpers -------------------------------------------------
 
-    def state_index(self, name: str) -> int:
-        return self.states.index(name)
-
     def action_index(self, name: str) -> int:
         return self.actions.index(name)
 
@@ -234,34 +245,14 @@ class PlanningProblem:
             raise ModelError("goal set references unknown state")
 
     @cached_property
-    def lost_states(self) -> frozenset[int]:
-        """States with no path to a goal in the support graph under any
-        action (the Prob0 states of probabilistic model checking): one
-        backward pass over the transition table, made once per problem."""
-        env = self.environment
-        preds: list[list[int]] = [[] for _ in env.states]
-        for (s, _), dist in env.delta.items():
-            for s2, _ in dist:
-                preds[s2].append(s)
-        reaches = [False] * len(env.states)
-        stack = list(self.goal_states)
-        for s in stack:
-            reaches[s] = True
-        while stack:
-            for s in preds[stack.pop()]:
-                if not reaches[s]:
-                    reaches[s] = True
-                    stack.append(s)
-        return frozenset(s for s, r in enumerate(reaches) if not r)
-
-    @cached_property
     def goal_bound(self) -> tuple:
         """Per state s, a reduced pair v(s) >= U(s), the most goal mass any
         policy of the fully observable environment reaches from s, and so
-        the most any controller does.  Lost states get 0, and states that
-        some policy takes to a goal with probability 1 (Prob1E) get 1,
-        both by graph passes.  Value iteration from below proposes floats
-        for the rest, each raised by at most ``GOAL_BOUND_EPS``.  Then one
+        the most any controller does.  One fixed point of graph passes
+        gives lost states 0 (Prob0, its first round) and states that some
+        policy takes to a goal with probability 1 (Prob1E) 1.  Value
+        iteration from below proposes floats for the rest, each raised by
+        at most ``GOAL_BOUND_EPS``, so each is at least 2^-31.  Then one
         exact pass checks v(s) >= sum P * v for every law at every such
         state, raises each state that fails to 1 and runs again.  Any v
         that passes bounds U (Knaster-Tarski), so float error only loosens
@@ -269,9 +260,10 @@ class PlanningProblem:
         laws_at: list[list] = [[] for _ in self.environment.states]
         for (s, _), law in self.pair_laws.items():
             laws_at[s].append(law)
-        # Prob1E: shrink the non-lost set to the states that reach a goal
-        # by laws whose every successor stays in the set, until none leaves
-        sure = set(range(len(laws_at))) - self.lost_states
+        # Prob1E: shrink the state set to the states that reach a goal by
+        # laws whose every successor stays in the set, until none leaves.
+        # The first round keeps every law: what it reaches is the non-lost set
+        sure, live = set(range(len(laws_at))), None
         while True:
             preds: dict[int, list[int]] = {}
             for s in sure:
@@ -279,16 +271,12 @@ class PlanningProblem:
                     if all(s2 in sure for s2, _ in law):
                         for s2, _ in law:
                             preds.setdefault(s2, []).append(s)
-            reach, stack = set(self.goal_states), list(self.goal_states)
-            while stack:
-                for s in preds.get(stack.pop(), ()):
-                    if s not in reach:
-                        reach.add(s)
-                        stack.append(s)
+            reach = reaching(self.goal_states, preds)
+            live = reach if live is None else live
             if reach == sure:
                 break
             sure = reach
-        rest = [s for s in range(len(laws_at)) if s not in sure and s not in self.lost_states]
+        rest = [s for s in range(len(laws_at)) if s in live and s not in sure]
         # v(s) = num[s] / 2^40: rounding x + EPS / 2 up to that grid adds
         # less than 2^-40, so each value stays within EPS of its float
         scale = 1 << 40

@@ -50,42 +50,13 @@ with successor 0.  No answer changes:
 Only the OR-step count shrinks, so a search that ran out of budget on the
 full candidate list may now finish.
 
-A search for ``LGT*`` alone also cuts at *lost* states, those from which
-no action sequence reaches a goal in the support graph (the Prob0 states
-of probabilistic model checking, ``PlanningProblem.lost_states``, found
-by backward reachability once per problem).  An OR step that enters one
-records its mass as failing mass and neither extends the branch nor
-opens a choice point.  No answer changes:
-
-* lost mass is non-goal mass under every completion of the controller,
-  whatever other states share its observations: it stops in a non-goal
-  state, gets stuck, runs forever or meets an undefined pair;
-* a search for ``LGT*`` alone reads only the goal bound and the non-goal
-  sum (fail plus never-terminating mass above ``1 - LGT*``), so lost
-  mass counts in the prune test at once, where its histories would have
-  recorded it as fail or never-terminating mass one by one, and never in
-  the goal bound;
-* a pair that only lost histories reach stays undefined, and a returned
-  controller meets ``LGT*`` however it is completed (its goal bound never
-  counted those histories); a failure proof still covers every
-  completion, since each pruned branch has non-goal mass above
-  ``1 - LGT*`` under all of them.
-
-So the search stays sound and complete, and wherever it and the uncut
-search both finish, their outcomes agree.  The OR-step count is not
-proved to shrink (a pair first met in a lost state may now be opened
-later, at another state, in another candidate order), but it never grew
-on any problem tested.  With ``LTER*`` the cut is off: the termination
-bound counts fail mass as terminating, but lost mass may run forever,
-and it may still stop, so neither the fail nor the never-terminating
-slot holds it.  ``measure`` never cuts, so its vectors stay exact.
-
-Every search also cuts by the goal bound, ``PlanningProblem.goal_bound``:
+Every search cuts by the goal bound, ``PlanningProblem.goal_bound``:
 per state s, a value v(s) >= U(s), the most goal mass any policy of the
 fully observable environment reaches from s, certified exactly once
 per problem.  A fresh visit of (q, s) with step mass p, one that is not
-lost and not on the branch, abandons the branch when fail0 + noter0 +
-prefix[L] * p * (1 - v(s)) > 1 - ``LGT*``.  No answer changes:
+on the branch, abandons the branch when
+fail0 + noter0 + prefix[L] * p * (1 - v(s)) > 1 - ``LGT*``.  No answer
+changes:
 
 * the histories through the visit are disjoint from the recorded ones:
   they go on from the frontier by its step into s, a pending outcome
@@ -104,11 +75,43 @@ The search without the cut would walk the subtree below the visit, find
 no controller there and backtrack to the same choice point, with the
 same snapshot.  So outcomes and controllers stay the same, and OR steps
 and peak depth only shrink.  Where v(s0) < ``LGT*``, the root visit
-ends the search in one OR step.  Under ``LTER*``, where lost states are
-not cut, their bound is 0, so this cut counts a visit's whole mass as
-non-goal.  ``measure`` neither cuts nor computes the bound.  The search
-reads 1 - v(s) from ``PlanningProblem.goal_gaps``, which holds only the
-states below 1, so where every bound is 1 (every hall domain) a fresh
+ends the search in one OR step.
+
+Where v(s) = 0, s is *lost*: no action sequence reaches a goal from it
+in the support graph (the Prob0 states of probabilistic model checking;
+the bound is 0 there and nowhere else).  A search for ``LGT*`` alone
+cuts there harder: a visit of a lost state records its mass as failing
+mass and neither extends the branch nor opens a choice point.  No
+answer changes:
+
+* lost mass is non-goal mass under every completion of the controller,
+  whatever other states share its observations: it stops in a non-goal
+  state, gets stuck, runs forever or meets an undefined pair;
+* a search for ``LGT*`` alone reads only the goal bound and the non-goal
+  sum (fail plus never-terminating mass above ``1 - LGT*``), so lost
+  mass counts in the prune test at once, where its histories would have
+  recorded it as fail or never-terminating mass one by one, and never in
+  the goal bound;
+* a pair that only lost histories reach stays undefined, and a returned
+  controller meets ``LGT*`` however it is completed (its goal bound never
+  counted those histories); a failure proof still covers every
+  completion, since each pruned branch has non-goal mass above
+  ``1 - LGT*`` under all of them.
+
+So the search stays sound and complete, and wherever it and the search
+without this case both finish, their outcomes agree.  The OR-step count
+is not proved to shrink (a pair first met in a lost state may now be
+opened later, at another state, in another candidate order): it never
+grew on any problem tested without the settle below, but with it it can
+(16 OR steps against 11 on one random problem of the tests).  With
+``LTER*`` the case is off, and
+a fresh visit of a lost state meets the cut above, which counts its
+whole mass as non-goal: the termination bound counts fail mass as
+terminating, but lost mass may run forever, and it may still stop, so
+neither the fail nor the never-terminating slot holds it.  ``measure``
+neither cuts nor computes the bound, so its vectors stay exact.  The
+search reads 1 - v(s) from ``PlanningProblem.goal_gaps``, which holds
+only the states below 1, so where every bound is 1 (every hall domain) a
 visit makes one lookup in an empty dict.
 
 A transition (q, o) -> (a, q) that keeps the controller state, taken at
@@ -174,7 +177,8 @@ So wherever the walk finishes, outcomes and controllers stay the same,
 while OR steps and peak depth only shrink: the settle skips the walk of
 the closed subtree, and a search that ran out of budget in it may now
 finish.  The pass costs time linear in the reachable part of the graph
-and makes no arithmetic; it shares no code with the verifier, so the
+and makes no arithmetic; its backward pass is ``model.reaching``, the
+goal bound's own, and it shares no code with the verifier, so the
 verifier's re-check of a returned controller stays independent.
 ``measure`` opens no choice point and so never settles.
 """
@@ -194,6 +198,7 @@ from fscsynth.model import (
     SynthResult,
     SynthesisRequest,
     check_count,
+    reaching,
 )
 
 #: Default OR-step budget; exceeding it yields an inconclusive abort,
@@ -334,7 +339,7 @@ class _Backtracker:
 class _Search(_Backtracker):
     """One synthesis run; not reusable."""
 
-    #: whether the search cuts at lost states and by the goal bound
+    #: whether the search cuts by the goal bound, and at lost states under ``LGT*`` alone
     cuts = True
 
     def __init__(self, problem: PlanningProblem, max_states: int, lgt_star, lter_star, budget: Optional[int]):
@@ -347,10 +352,8 @@ class _Search(_Backtracker):
         self.lter_cap = None if lter_star is None else _sub(_P1, self.lter_star)
         self.ledger = SearchLedger()
         self.retries = problem.retry_laws
-        # the cuts (module docstring): the goal-unreachable one serves LGT*
-        # alone; the goal-bound one reads the gap 1 - v(s) of each state
-        # below 1, and without it no state has one
-        self.lost = problem.lost_states if self.cuts and lter_star is None else frozenset()
+        # the cuts (module docstring) read the gap 1 - v(s) of each state
+        # below 1; without them no state has one
         self.gaps = problem.goal_gaps if self.cuts else {}
 
     def _snapshot(self):
@@ -402,21 +405,16 @@ class _Search(_Backtracker):
         if not stops:
             return "fail"
         # backward from the goal stops: does every node reach one?
-        reached = set(stops)
-        while stops:
-            for node in preds[stops.pop()]:
-                if node not in reached:
-                    reached.add(node)
-                    stops.append(node)
-        return "controller" if len(reached) == len(preds) else None
+        return "controller" if len(reaching(stops, preds)) == len(preds) else None
 
     # -- OR step ----------------------------------------------------------
 
     def _or_step(self, q: int, s: int, p) -> Optional[str]:
         """Process one combined-state visit."""
         ledger = self.ledger
-        if s in self.lost:
-            # never on the branch: a lost state is never extended
+        gap = self.gaps.get(s)
+        if gap == _P1 and self.lter_star is None:
+            # v(s) = 0 under LGT* alone: a lost state, never extended, so never on the branch
             ledger.record_fail(p)
             return self._evaluate()
         k = ledger.pos.get((q, s))
@@ -430,7 +428,6 @@ class _Search(_Backtracker):
             else:
                 ledger.record_loop(k, p_loop)
             return self._evaluate()
-        gap = self.gaps.get(s)
         if gap is not None:
             # at least a share 1 - v(s) of this visit's mass misses the goal
             missed = _mul(_mul(ledger.prefix[-1], p), gap)

@@ -218,13 +218,20 @@ def goal_unreachable(problem: PlanningProblem) -> frozenset:
     return frozenset(lost)
 
 
+def lost_states(problem: PlanningProblem) -> frozenset:
+    """The states where ``goal_bound`` is 0, the lost states the search
+    cuts at under ``LGT*`` alone."""
+    return frozenset(s for s, (n, _) in enumerate(problem.goal_bound) if n == 0)
+
+
 class _UnboundedSearch(_Search):
-    """The search with every state's goal bound read as 1: no state has a
-    gap 1 - v(s), so the goal-bound cut never fires."""
+    """The search with every state's goal bound read as 1 but at lost
+    states, whose gap of 1 stays under ``LGT*`` alone: so the goal-bound
+    cut never fires, and the goal-unreachable cut fires as before."""
 
     def __init__(self, problem, max_states, lgt_star, lter_star, budget):
         super().__init__(problem, max_states, lgt_star, lter_star, budget)
-        self.gaps = {}
+        self.gaps = {s: self.gaps[s] for s in lost_states(problem)} if lter_star is None else {}
 
 
 def unbounded_synth(request: SynthesisRequest, budget=DEFAULT_BUDGET, walk=False) -> SynthResult:
@@ -235,10 +242,10 @@ def unbounded_synth(request: SynthesisRequest, budget=DEFAULT_BUDGET, walk=False
 
 def uncut_synth(request: SynthesisRequest, budget=DEFAULT_BUDGET, walk=False) -> SynthResult:
     """Reference for ``unbounded_synth`` with the same ``walk``: the same
-    search with an empty lost set too, so every history below a lost state
-    is explored."""
+    search without the goal-unreachable cut too, so every history below a
+    lost state is explored."""
     search = _search(_UnboundedSearch, request, budget, walk)
-    search.lost = frozenset()
+    search.gaps = {}
     return search.run()
 
 

@@ -31,10 +31,10 @@ def test_coin_flip_shape():
 
 def test_decay_loop_has_both_loop_kinds():
     env = build("decay-loop").environment
-    s0 = env.state_index("s0")
+    s0 = env.states.index("s0")
     assert dict(env.delta.get((s0, env.action_index("no-op")))) == {s0: F(1)}
     flip = dict(env.delta.get((s0, env.action_index("flip"))))
-    assert flip == {s0: F(1, 2), env.state_index("goal"): F(1, 2)}
+    assert flip == {s0: F(1, 2), env.states.index("goal"): F(1, 2)}
 
 
 def test_three_state_is_unobservable_with_empty_goal_set():
@@ -46,36 +46,36 @@ def test_three_state_is_unobservable_with_empty_goal_set():
 def test_corridor_layout():
     prob = build("hall-a-1d", {"n": 5})
     env = prob.environment
-    fresh_obs = [env.observations[env.omega[env.state_index(f"c{i}")]] for i in range(5)]
+    fresh_obs = [env.observations[env.omega[env.states.index(f"c{i}")]] for i in range(5)]
     assert fresh_obs == ["A", "-", "-", "-", "B"]
     # three middle cells between the lettered ends
     assert fresh_obs.count("-") == 3
     # boundary moves are inapplicable in the deterministic corridor
-    assert env.delta.get((env.state_index("c0"), env.action_index("left"))) is None
-    assert env.delta.get((env.state_index("c4v"), env.action_index("right"))) is None
+    assert env.delta.get((env.states.index("c0"), env.action_index("left"))) is None
+    assert env.delta.get((env.states.index("c4v"), env.action_index("right"))) is None
 
 
 def test_noisy_corridor_moves_succeed_half_the_time():
     prob = build("noisy-hall-a-1d", {"n": 4})
     env = prob.environment
-    c1 = env.state_index("c1")
+    c1 = env.states.index("c1")
     dist = dict(env.delta.get((c1, env.action_index("right"))))
-    assert dist == {c1: F(1, 2), env.state_index("c2"): F(1, 2)}
+    assert dist == {c1: F(1, 2), env.states.index("c2"): F(1, 2)}
     # moving against the wall never changes the state
-    c0 = env.state_index("c0")
+    c0 = env.states.index("c0")
     assert dict(env.delta.get((c0, env.action_index("left")))) == {c0: F(1)}
 
 
 def test_bridgewalk_structure_and_optimum():
     prob = build("bridgewalk", {"n": 3, "p_fall": F(1, 10)})
     env = prob.environment
-    dist = dict(env.delta.get((env.state_index("b0"), env.action_index("walk"))))
-    assert dist == {env.state_index("b1"): F(9, 10), env.state_index("fallen"): F(1, 10)}
+    dist = dict(env.delta.get((env.states.index("b0"), env.action_index("walk"))))
+    assert dist == {env.states.index("b1"): F(9, 10), env.states.index("fallen"): F(1, 10)}
     walker = controller_from_names(env, 1, {
         (0, "start"): ("walk", 0), (0, "mid"): ("walk", 0), (0, "end"): ("stop", 0),
     })
     assert exact_measures(prob, walker).lgt == F(9, 10) ** 3
-    assert env.delta.get((env.state_index("fallen"), env.action_index("walk"))) is None
+    assert env.delta.get((env.states.index("fallen"), env.action_index("walk"))) is None
 
 
 def test_perimeter_hall_shape():

@@ -16,7 +16,7 @@ from fscsynth.model import GOAL_BOUND_EPS, Controller, Environment, PlanningProb
 from fscsynth.pandor import pandor_synth
 from fscsynth.verifier import exact_measures
 
-from helpers import lost_trial_94, perfbench_workloads, random_env, unbounded_synth
+from helpers import goal_unreachable, lost_states, lost_trial_94, perfbench_workloads, random_env, unbounded_synth
 
 
 def exact_goal_values(prob: PlanningProblem) -> list:
@@ -70,10 +70,11 @@ def _random_exact_values() -> tuple:
 def test_the_bound_is_at_least_the_exact_fully_observable_value():
     seen = Counter()
     for trial, (prob, exact) in enumerate(zip(_random_problems(), _random_exact_values())):
+        lost = goal_unreachable(prob)
         for s, (v, u) in enumerate(zip(_values(prob), exact)):
             assert v >= u, (trial, s, v, u)
-            if s in prob.lost_states:
-                assert v == u == 0, (trial, s)
+            # the bound is 0 at the states no action sequence takes to a goal, and only there
+            assert (v == 0) == (s in lost) == (u == 0), (trial, s)
             seen["fractional"] += 0 < u < 1
             seen["tight"] += 0 < u < 1 and v - u <= GOAL_BOUND_EPS
     # the corpus must exercise the float proposal and its exact check
@@ -201,7 +202,7 @@ def test_a_lost_initial_state_fails_at_the_root_with_a_termination_bound(lgt_sta
     prob, n = lost_trial_94()
     env = prob.environment
     assert (len(env.states), len(env.actions), len(env.observations), n) == (4, 3, 3, 2)
-    assert prob.initial_state in prob.lost_states
+    assert prob.initial_state in lost_states(prob)
     request = SynthesisRequest(prob, n, lgt_star, lter_star)
     result = pandor_synth(request)
     assert (result.outcome, result.or_steps, result.peak_depth) == ("failure-proved", 1, 0)

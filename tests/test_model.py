@@ -34,8 +34,8 @@ def test_chain_row_branch(coin):
     ctrl = controller_from_names(env, 1, {(0, "start"): ("flip", 0)})
     chain = build_chain(coin, ctrl)
     assert {chain.nodes[j]: p for j, p in chain.transitions[0]} == {
-        (0, env.state_index("goal")): F(1, 2),
-        (0, env.state_index("nogoal")): F(1, 2),
+        (0, env.states.index("goal")): F(1, 2),
+        (0, env.states.index("nogoal")): F(1, 2),
     }
 
 
@@ -48,15 +48,15 @@ def test_chain_row_undefined(coin):
 def test_chain_row_stop(coin):
     env = coin.environment
     chain = build_chain(coin, flip_stop_controller(coin))
-    assert _row_of(chain, (0, env.state_index("goal"))) == ((GOAL_SINK, 1),)
-    assert _row_of(chain, (0, env.state_index("nogoal"))) == ((FAIL_SINK, 1),)
+    assert _row_of(chain, (0, env.states.index("goal"))) == ((GOAL_SINK, 1),)
+    assert _row_of(chain, (0, env.states.index("nogoal"))) == ((FAIL_SINK, 1),)
 
 
 def test_chain_row_stuck_action_is_empty(coin):
     # flip is not applicable in the terminal states
     env = coin.environment
     ctrl = controller_from_names(env, 1, {(0, "start"): ("flip", 0), (0, "won"): ("flip", 0)})
-    assert _row_of(build_chain(coin, ctrl), (0, env.state_index("goal"))) == ()
+    assert _row_of(build_chain(coin, ctrl), (0, env.states.index("goal"))) == ()
 
 
 def test_chain_rows_positive_and_normalized():

@@ -24,6 +24,7 @@ from helpers import (
     goal_unreachable,
     hooked_measure,
     hooked_synth,
+    lost_states,
     perfbench_workloads,
     r300_script,
     random_env,
@@ -752,8 +753,8 @@ def _assert_cut_keeps_the_answer(request, label, budget=DEFAULT_BUDGET, walk=Fal
 ], ids=["coin-flip", "bridgewalk-n3", "bridgewalk-n5", "three-state"])
 def test_goal_unreachable_cut_keeps_every_answer(name, params, lost, best):
     prob = build(name, params)
-    assert prob.lost_states == goal_unreachable(prob)
-    assert {prob.environment.states[s] for s in prob.lost_states} == lost
+    assert lost_states(prob) == goal_unreachable(prob)
+    assert {prob.environment.states[s] for s in lost_states(prob)} == lost
     # the last two bounds lie just above the best LGT: exhaustive proofs
     bounds = [
         (F(1, 2), None), (F(1, 10), F(9, 10)), (F(1, 2), F(1, 10)),
@@ -778,7 +779,7 @@ def test_goal_unreachable_cut_on_random_problems():
         lgt_star = F(rng.randint(1, 19), 20)
         lter_star = F(rng.randint(1, 19), 20) if trial % 2 else None
         request = SynthesisRequest(prob, rng.randint(1, 2), lgt_star, lter_star)
-        lost = prob.lost_states
+        lost = lost_states(prob)
         assert lost == goal_unreachable(prob), trial
         # both sides walked: with settles the cut can cost OR steps (trial
         # 246: 16 against 11), since a pair first met at a lost state is
@@ -810,7 +811,7 @@ def test_lost_mass_is_not_counted_as_terminating():
         "trans s2 a1 1/2 s0 1/2 s1\n"
         "trans s3 a0 1 s0\n"
     )
-    assert prob.lost_states == goal_unreachable(prob) == {prob.environment.state_index("s1")}
+    assert lost_states(prob) == goal_unreachable(prob) == {prob.environment.states.index("s1")}
     request = SynthesisRequest(prob, 2, F(3, 10), F(7, 10))
     result, ref = pandor_synth(request), uncut_synth(request)
     assert result == ref and result.outcome == "controller"
