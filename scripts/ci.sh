@@ -5,11 +5,12 @@
 #
 #   bash scripts/ci.sh
 #
-# About 70 s in all on a 2-vCPU Xeon VM (CPython 3.11.7): 35-36 s for
+# About 62-80 s in all on a 2-vCPU Xeon VM (CPython 3.11.7): 30-43 s for
 # tier-1 (11 s of it the R300 comparisons with the walk and the revisit
 # walk, 8 s the goal-bound tests), 1 s for the standalone acceptance battery,
-# 18 s for the six smoke runs, 5 s for R300 and 3-4 s each for the -O
-# certify, find and prove runs; longer while other work shares the VM.
+# 18 s for the six smoke runs, 5 s for R300, 3-4 s each for the -O
+# certify, find and prove runs and 0.2 s for the -O andor example; longer
+# while other work shares the VM.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -92,6 +93,12 @@ for w in certify find prove; do
   last=$(python3 -O perfbench/run.py --workload "$w" --seed 1 --seconds 1 | tail -n 1)
   python3 -c 'import json, sys; r = json.loads(sys.argv[1]); print(sys.argv[2], r["correct"], r["failed"]); sys.exit(not (r["correct"] is True and r["failed"] == 0))' "$last" "$w-O"
 done
+
+# README's andor example under -O: no other check runs an andor search
+# without assert statements
+out=$(PYTHONPATH=src python3 -O -m fscsynth.cli synth --domain hall-a-1d --param n=5 --max-states 2 \
+  --lgt-star 0.99 --algo andor --json)
+python3 -c 'import json, sys; r = json.loads(sys.argv[1]); got = (r["outcome"], r["or_steps"], r["peak_depth"], r["lgt"], r["lter"]); print("andor-O", got); sys.exit(got != ("controller", 19, 8, "1/1", "1/1"))' "$out"
 
 # nothing else runs the example script, and it imports the CLI's DOT export
 out=$(PYTHONPATH=src python3 scripts/show_noisy_corridor.py)

@@ -8,14 +8,35 @@ probabilistic engine: domains where some run is unavoidably non-goal, and
 domains where every controller has a looping history.
 
 Two adaptations make the returned controllers verifiable under the
-stop-based execution semantics used everywhere else in this package:
-entering a goal state offers an explicit ``stop`` extension (tried
-first), and a defined transition whose action is inapplicable in the
-current state fails the branch instead of vacuously succeeding.  The
-agenda loop, choice points, canonical numbering of fresh controller
-states and chronological backtracking are the probabilistic engine's
-``_Backtracker``, so step counts are comparable; only the judgement of a
-branch and the explored (q, s)-subtree memo are this engine's own.
+stop-based execution semantics used everywhere else in this package: a
+goal state offers an explicit ``stop`` extension (tried first), and a
+defined transition whose action is inapplicable in the current state
+fails the branch instead of vacuously succeeding.  The agenda loop, the
+visit of a (controller state, observation) pair (``_visit``, the one
+place a choice point opens), the candidate list, canonical numbering of
+fresh controller states and chronological backtracking are the
+probabilistic engine's ``_Backtracker``, so step counts are comparable;
+only the judgement of a branch, the explored (q, s)-subtree memo and the
+candidates it drops from the shared list are this engine's own.  It
+drops those it would fail on sight: an action inapplicable at s, and
+stop outside the goal set.
+
+``_or_step`` fails a repeated combined state and returns on a memo hit,
+then hands the visit to ``_visit``.  A search that gives a goal state
+with an undefined or stop pair a branch of its own before those checks
+(goal entry), and fails a non-goal state with no applicable action (dead
+end), makes the same steps in the same order:
+
+* a pair in ``h`` or in ``memo`` is defined: it was committed before its
+  state was extended, and a backtrack trims ``memo`` to its snapshot's
+  length, so an undefined pair never meets those two checks;
+* a goal stop never enters ``h`` or ``memo``, since a stop does not
+  extend the branch, and ``_execute`` returns None for it;
+* the filtered list is, element for element and in the same order, the
+  applicable actions crossed with the canonical successors, behind stop
+  at a goal state: a stuck action is inapplicable at s, and an action
+  applicable at s is live for ``omega[s]``; it is empty exactly at a
+  non-goal state with no applicable action, where ``_visit`` fails.
 """
 
 from __future__ import annotations
@@ -30,38 +51,22 @@ class _Search(_Backtracker):
     def __init__(self, problem: PlanningProblem, n: int, budget: Optional[int]):
         super().__init__(problem, n, budget)
         # the branch, never holding a state twice: ``_or_step`` fails on a repeat, and a
-        # goal-entry choice point opens only on an undefined (q, o), which no branch state has
+        # choice point opens only on an undefined (q, o), which no branch state has
         self.h: set[tuple[int, int]] = set()
         # (q, s) whose subtree is verified, in insertion order (a memo hit returns, so no key repeats)
         self.memo: dict[tuple[int, int], None] = {}
 
     def _or_step(self, q: int, s: int, p) -> Optional[str]:
-        key = (q, self.omega[s])
-        tr = self.controller.get(key)
-        if s in self.goals and (tr is None or tr[0] == STOP):
-            if tr is None:
-                # goal entry: offer stop first, other extensions on backtrack
-                return self._open(q, s, p, [(STOP, 0)] + self._action_candidates(s))
-            return None  # a stop here is a goal run
         if (q, s) in self.h:
             return "fail"  # repeated combined state: looping history
         if (q, s) in self.memo:
             return None  # subtree already verified for a smaller controller
-        if tr is not None:
-            return self._execute(q, s, p, tr)
-        candidates = self._action_candidates(s)
-        if not candidates:
-            return "fail"  # dead end: no applicable action
-        return self._open(q, s, p, candidates)
+        return self._visit(q, s, p)
 
-    def _action_candidates(self, s: int) -> list[tuple[int, int]]:
-        successors = self._successors()
-        return [
-            (a, q2)
-            for a in range(len(self.env.actions))
-            if (s, a) in self.laws
-            for q2 in successors
-        ]
+    def _candidates(self, s: int) -> list[tuple[int, int]]:
+        # the shared list without what fails on sight: an action
+        # inapplicable at s, and stop outside the goal set
+        return [(a, q2) for a, q2 in super()._candidates(s) if (s, a) in self.laws or a == STOP and s in self.goals]
 
     def _execute(self, q: int, s: int, p, tr) -> Optional[str]:
         a, q2 = tr

@@ -64,9 +64,10 @@ ledgers, where it saturates in place.
 All arithmetic is exact, on one number type: every slot and cached
 bound is a reduced pair ``(numerator, denominator)`` of ``int``s with a
 positive denominator, zero as ``(0, 1)``, so that ``==`` on pairs is
-``==`` on values.  A step probability enters as such a pair, and
-``_add``, ``_sub``, ``_mul``, ``_div`` and ``_cmp`` do the arithmetic
-with ``math.gcd`` and no ``Fraction`` call.  A pair is a truthy tuple
+``==`` on values.  A step probability enters as such a pair, from
+``PlanningProblem.pair_laws``, and the arithmetic is ``model``'s, kept
+beside those tables: ``_add``, ``_sub``, ``_mul``, ``_div`` and ``_cmp``
+work with ``math.gcd`` and no ``Fraction`` call.  A pair is a truthy tuple
 even when it is zero, so a zero test reads its numerator.  An operation
 whose result is one of its operands (adding zero, multiplying by a one
 the code can see) is skipped and that operand stored.  ``calc_lambda``
@@ -78,58 +79,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
-#: Zero and one as pairs.
-_P0 = (0, 1)
-_P1 = (1, 1)
+from fscsynth.model import _P0, _P1, _add, _cmp, _div, _mul, _sub
 
 #: Flat per-index lists of pairs: the slots, then the cache.  ``snapshot``
 #: copies them and ``top``, of ints (``loop`` is copied per row).
 _LISTS = ("ps", "goal", "fail", "noter", "headroom", "prefix", "acc_goal", "acc_fail", "acc_noter")
 _COPIED = _LISTS + ("top",)
-
-
-def _add(a, b):
-    """``a + b`` on reduced pairs; where one of them is zero, the other."""
-    an, ad = a
-    bn, bd = b
-    if not an:
-        return b
-    if not bn:
-        return a
-    n = an * bd + bn * ad
-    d = ad * bd
-    g = gcd(n, d)
-    return (n // g, d // g)
-
-
-def _sub(a, b):
-    """``a - b`` on reduced pairs."""
-    return _add(a, (-b[0], b[1]))
-
-
-def _mul(a, b):
-    """``a * b`` on reduced pairs: cancelling each numerator against the
-    other denominator leaves the product reduced, and zero ``(0, 1)``."""
-    an, ad = a
-    bn, bd = b
-    g1 = gcd(an, bd)
-    g2 = gcd(bn, ad)
-    return ((an // g1) * (bn // g2), (ad // g2) * (bd // g1))
-
-
-def _div(a, b):
-    """``a / b`` on reduced pairs."""
-    bn, bd = b
-    if not bn:
-        raise ZeroDivisionError("division of a cached bound by zero")
-    return _mul(a, (bd, bn) if bn > 0 else (-bd, -bn))
-
-
-def _cmp(a, b) -> int:
-    """An int with the sign of ``a - b`` (denominators are positive)."""
-    return a[0] * b[1] - b[0] * a[1]
 
 
 class LedgerError(AssertionError):

@@ -14,6 +14,12 @@ problem's step laws as integer pairs, with or without retries, or its
 goal bound, is the same value whichever thread computes it.  An index
 must be an ``int`` proper: ``True`` would pass as state or action 1.
 
+The search counts in reduced integer pairs ``(numerator, denominator)``
+with a positive denominator, zero as ``(0, 1)``: ``pair_laws`` and
+``retry_laws`` hold the step laws as such pairs, and ``_add``, ``_sub``,
+``_mul``, ``_div`` and ``_cmp`` do the arithmetic on them, for the
+search's ledger too.
+
 ``PlanningProblem.goal_bound`` bounds, per state, the goal likelihood of
 every controller from there by the fully observable optimum U(s).  Its
 values are reduced integer pairs, and they carry their own certificate:
@@ -110,6 +116,53 @@ def reaching(targets, preds: Mapping) -> set:
                 reached.add(node)
                 stack.append(node)
     return reached
+
+
+#: Zero and one as pairs.
+_P0 = (0, 1)
+_P1 = (1, 1)
+
+
+def _add(a, b):
+    """``a + b`` on reduced pairs; where one of them is zero, the other."""
+    an, ad = a
+    bn, bd = b
+    if not an:
+        return b
+    if not bn:
+        return a
+    n = an * bd + bn * ad
+    d = ad * bd
+    g = gcd(n, d)
+    return (n // g, d // g)
+
+
+def _sub(a, b):
+    """``a - b`` on reduced pairs."""
+    return _add(a, (-b[0], b[1]))
+
+
+def _mul(a, b):
+    """``a * b`` on reduced pairs: cancelling each numerator against the
+    other denominator leaves the product reduced, and zero ``(0, 1)``."""
+    an, ad = a
+    bn, bd = b
+    g1 = gcd(an, bd)
+    g2 = gcd(bn, ad)
+    return ((an // g1) * (bn // g2), (ad // g2) * (bd // g1))
+
+
+def _div(a, b):
+    """``a / b`` on reduced pairs."""
+    bn, bd = b
+    if not bn:
+        raise ZeroDivisionError("division of a pair by zero")
+    return _mul(a, (bd, bn) if bn > 0 else (-bd, -bn))
+
+
+def _cmp(a, b) -> int:
+    """An int with the sign of ``a - b`` (denominators are positive)."""
+    return a[0] * b[1] - b[0] * a[1]
 
 
 def _propose(laws_at: list, rest: list, x: list) -> list:
@@ -304,7 +357,7 @@ class PlanningProblem:
     def goal_gaps(self) -> dict:
         """``goal_bound`` as the share of mass that misses a goal: for each
         state s with v(s) < 1, and no other, 1 - v(s) as a reduced pair."""
-        return {s: (d - n, d) for s, (n, d) in enumerate(self.goal_bound) if n != d}
+        return {s: _sub(_P1, v) for s, v in enumerate(self.goal_bound) if v != _P1}
 
     @cached_property
     def pair_laws(self) -> dict:
@@ -323,15 +376,8 @@ class PlanningProblem:
         for (s, a), law in self.pair_laws.items():
             stay = next((p for s2, p in law if s2 == s), None)
             if stay is not None:
-                den = stay[1]
-                rest = den - stay[0]  # 1 - p_stay = rest / den
-                entries = []
-                for s2, (pn, pd) in law:
-                    if s2 != s:
-                        n, d = pn * den, pd * rest
-                        g = gcd(n, d)
-                        entries.append((s2, (n // g, d // g)))
-                law = tuple(entries)
+                rest = _sub(_P1, stay)
+                law = tuple([(s2, _div(p, rest)) for s2, p in law if s2 != s])
             retries[(s, a)] = law
         return retries
 

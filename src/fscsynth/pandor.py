@@ -26,8 +26,9 @@ costs O(1)); no fold empties it (see ``_exhausted``).  ``measure`` runs
 the same engine on a fixed controller (``_Measure``) and returns
 ``calc_lambda``'s final vector.
 
-The agenda loop, the choice points and chronological backtracking live
-in ``_Backtracker``, which the deterministic baseline in ``andor`` shares;
+The agenda loop, the visit of a pair, the candidate list, the choice
+points and chronological backtracking live in ``_Backtracker``, which the
+deterministic baseline in ``andor`` shares;
 a choice point's snapshot here is the ledger's alpha structures and
 their cached bounds.
 
@@ -188,17 +189,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from fscsynth.ledger import (
-    _P1, LambdaVector, LedgerError, SearchLedger, _add, _cmp, _mul, _sub, calc_lambda, cumulate_alpha,
-)
+from fscsynth.ledger import LambdaVector, LedgerError, SearchLedger, calc_lambda, cumulate_alpha
 from fscsynth.model import (
-    Controller,
-    PlanningProblem,
-    STOP,
-    SynthResult,
-    SynthesisRequest,
-    check_count,
-    reaching,
+    _P1, Controller, PlanningProblem, STOP, SynthResult, SynthesisRequest, _add, _cmp, _mul, _sub, check_count, reaching,
 )
 
 #: Default OR-step budget; exceeding it yields an inconclusive abort,
@@ -229,7 +222,13 @@ class _Backtracker:
     An OR step returns None to go on, ``"fail"`` to abandon the branch, or
     an outcome that ends the search; an empty agenda is judged by
     ``_exhausted``.  Observations and goals are read off the model's
-    tables, bound once as ``omega`` and ``goals``.
+    tables, bound once as ``omega``, ``goals``, ``laws`` and ``offers``.
+
+    An engine's ``_or_step`` ends in ``_visit``, the one place a choice point
+    opens: a defined (controller state, observation) pair is acted on by
+    ``_execute``; an undefined one opens a choice point on ``_candidates``,
+    the candidate order written once for both engines, and fails the branch
+    where that list is empty.
 
     Backtracking is chronological: every choice point copies the agenda and
     takes an engine snapshot (``_snapshot``, copy-on-branch), each committed
@@ -256,10 +255,10 @@ class _Backtracker:
         if budget is not None:
             check_count("budget", budget, 1)
         self.problem = problem
-        self.env = problem.environment
-        self.omega = self.env.omega
+        self.omega = problem.environment.omega
         self.goals = problem.goal_states
         self.laws = problem.pair_laws
+        self.offers = problem.offers
         self.max_states = max_states
         self.budget = budget
         self.controller: dict[tuple[int, int], tuple[int, int]] = {}
@@ -301,6 +300,31 @@ class _Backtracker:
     def _successors(self) -> range:
         """Canonically numbered successor states for a fresh transition."""
         return range(min(self._highest_used() + 1, self.max_states - 1) + 1)
+
+    def _candidates(self, s: int) -> list[tuple[int, int]]:
+        """Extension choices: every applicable action crossed with
+        canonically numbered successor states, the first stuck action once
+        with successor 0, plus stop.  Stop is tried first in goal states
+        and last elsewhere."""
+        successors = self._successors()
+        acts = [
+            (a, q2)
+            for a, live in self.offers[self.omega[s]]
+            for q2 in (successors if live else (0,))
+        ]
+        if s in self.goals:
+            return [(STOP, 0)] + acts
+        return acts + [(STOP, 0)]
+
+    def _visit(self, q: int, s: int, p) -> Optional[str]:
+        """Reach the pair (q, omega[s]): act on it where it is defined,
+        otherwise open a choice point on ``_candidates(s)``, or fail the
+        branch where that list is empty."""
+        tr = self.controller.get((q, self.omega[s]))
+        if tr is not None:
+            return self._execute(q, s, p, tr)
+        candidates = self._candidates(s)
+        return self._open(q, s, p, candidates) if candidates else "fail"
 
     def _open(self, q: int, s: int, p, candidates: list) -> Optional[str]:
         cp = _Choice(list(self.agenda), self._snapshot(), q, s, p, candidates)
@@ -433,25 +457,7 @@ class _Search(_Backtracker):
             missed = _mul(_mul(ledger.prefix[-1], p), gap)
             if _cmp(_add(_add(ledger.acc_fail[-1], ledger.acc_noter[-1]), missed), self.lgt_cap) > 0:
                 return "fail"
-        tr = self.controller.get((q, self.omega[s]))
-        if tr is not None:
-            return self._execute(q, s, p, tr)
-        return self._open(q, s, p, self._candidates(s))
-
-    def _candidates(self, s: int) -> list[tuple[int, int]]:
-        """Extension choices: every applicable action crossed with
-        canonically numbered successor states, the first stuck action once
-        with successor 0, plus stop.  Stop is tried first in goal states
-        and last elsewhere."""
-        successors = self._successors()
-        acts = [
-            (a, q2)
-            for a, live in self.problem.offers[self.omega[s]]
-            for q2 in (successors if live else (0,))
-        ]
-        if s in self.goals:
-            return [(STOP, 0)] + acts
-        return acts + [(STOP, 0)]
+        return self._visit(q, s, p)
 
     def _execute(self, q: int, s: int, p, tr) -> Optional[str]:
         """Act on a defined transition from combined state (q, s)."""

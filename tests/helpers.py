@@ -166,14 +166,13 @@ def walk_synth(request: SynthesisRequest, budget=DEFAULT_BUDGET) -> SynthResult:
 
 class _FullCandidatesSearch(_Search):
     """The search with the candidate list it had before stuck actions were
-    collapsed: every action, stuck or not, crossed with every canonical
-    successor state."""
+    collapsed: every action offered as live, so each one, stuck or not, is
+    crossed with every canonical successor state."""
 
-    def _candidates(self, s):
-        acts = [(a, q2) for a in range(len(self.env.actions)) for q2 in self._successors()]
-        if s in self.goals:
-            return [(STOP, 0)] + acts
-        return acts + [(STOP, 0)]
+    def __init__(self, problem, max_states, lgt_star, lter_star, budget):
+        super().__init__(problem, max_states, lgt_star, lter_star, budget)
+        env = problem.environment
+        self.offers = (tuple([(a, True) for a in range(len(env.actions))]),) * len(env.observations)
 
 
 def full_candidates_synth(request: SynthesisRequest, budget=DEFAULT_BUDGET, walk=False) -> SynthResult:

@@ -5,8 +5,8 @@ import pytest
 
 from fscsynth import andor
 from fscsynth.andor import andor_synth
-from fscsynth.domains import build, domain_names
-from fscsynth.model import ModelError, STOP, SynthesisRequest
+from fscsynth.domains import build, domain_names, parse_env, serialize_env
+from fscsynth.model import Environment, ModelError, PlanningProblem, STOP, SynthesisRequest
 from fscsynth.pandor import pandor_synth
 from fscsynth.verifier import exact_measures
 
@@ -107,7 +107,7 @@ def _summary(result):
 
 def test_shared_core_searches_like_the_classic_baseline(monkeypatch):
     dead_ends = []
-    candidates = andor._Search._action_candidates
+    candidates = andor._Search._candidates
 
     def recording(self, s):
         found = candidates(self, s)
@@ -115,7 +115,7 @@ def test_shared_core_searches_like_the_classic_baseline(monkeypatch):
             dead_ends.append(s)
         return found
 
-    monkeypatch.setattr(andor._Search, "_action_candidates", recording)
+    monkeypatch.setattr(andor._Search, "_candidates", recording)
     seen = set()
     for label, prob, n, budget in _differential_corpus():
         dead_ends.clear()
@@ -166,3 +166,28 @@ def test_agreement_with_probabilistic_engine_on_deterministic_domains(n):
         if ra.outcome == "controller":
             assert exact_measures(prob, ra.controller).lgt == 1
             assert exact_measures(prob, rp.controller).lgt == 1
+
+
+@pytest.mark.parametrize("initial", [1, 0], ids=["goal-initial", "non-goal-initial"])
+def test_an_environment_without_actions(initial):
+    # no action at all, so no observation has a stuck action to offer: a
+    # goal state offers stop alone, and andor drops that at a non-goal state
+    env = Environment(("s", "g"), (), ("o", "won"), {}, (0, 1))
+    prob = PlanningProblem(env, initial, frozenset({1}))
+    text = serialize_env(prob)
+    assert ["actions"] in [line.split() for line in text.splitlines()]
+    assert parse_env(text) == prob
+    assert prob.offers == ((), ())
+    results = [
+        pandor_synth(SynthesisRequest(prob, 2, F(1, 2))),
+        pandor_synth(SynthesisRequest(prob, 2, F(1, 2), F(1, 2))),
+        andor_synth(prob, 2),
+    ]
+    for result in results:
+        if initial == 1:
+            assert result.outcome == "controller"
+            assert result.controller.transitions == {(0, 1): (STOP, 0)}
+            assert exact_measures(prob, result.controller).lgt == 1
+        else:
+            assert (result.outcome, result.or_steps) == ("failure-proved", 1)
+    assert prob.goal_bound[0] == (0, 1)

@@ -85,17 +85,32 @@ def test_no_unused_imports():
     assert unused == []
 
 
-def test_the_unchecked_environment_constructor_has_one_caller():
-    # Environment._checked skips the constructor's checks; parse_env checks
-    # what it builds, and the differential parse test holds it to that
+def _owners_of(attr: str, called: bool = False) -> list:
+    """Each top-level function or method in the package, as ``module.name``
+    or ``module.Class.name``, once per reference to an attribute ``attr``
+    in it, or per call of one where ``called`` is true."""
     refs = []
     for path in sorted(Path(fscsynth.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
             owners = [(f"{top.name}.", node) for node in top.body] if isinstance(top, ast.ClassDef) else [("", top)]
             for prefix, owner in owners:
                 name = f"{path.stem}.{prefix}{getattr(owner, 'name', owner.lineno)}"
-                refs += [name for node in ast.walk(owner) if isinstance(node, ast.Attribute) and node.attr == "_checked"]
-    assert refs == ["domains.parse_env"]
+                nodes = [node.func for node in ast.walk(owner) if isinstance(node, ast.Call)] if called else ast.walk(owner)
+                refs += [name for node in nodes if isinstance(node, ast.Attribute) and node.attr == attr]
+    return refs
+
+
+def test_the_unchecked_environment_constructor_has_one_caller():
+    # Environment._checked skips the constructor's checks; parse_env checks
+    # what it builds, and the differential parse test holds it to that
+    assert _owners_of("_checked") == ["domains.parse_env"]
+
+
+def test_choice_points_open_in_one_place():
+    # both engines reach an undefined pair through the shared visit, so the
+    # candidate order and anything that watches a choice point opening hold
+    # for both; andor keeps only its judgement
+    assert _owners_of("_open", called=True) == ["pandor._Backtracker._visit"]
 
 
 def test_only_the_ledger_writes_its_slots():
