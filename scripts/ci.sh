@@ -5,11 +5,12 @@
 #
 #   bash scripts/ci.sh
 #
-# About 62-80 s in all on a 2-vCPU Xeon VM (CPython 3.11.7): 30-43 s for
-# tier-1 (11 s of it the R300 comparisons with the walk and the revisit
-# walk, 8 s the goal-bound tests), 1 s for the standalone acceptance battery,
-# 18 s for the six smoke runs, 5 s for R300, 3-4 s each for the -O
-# certify, find and prove runs and 0.2 s for the -O andor example; longer
+# About 62-80 s in all on a 2-vCPU Xeon VM (CPython 3.11.7; 69 s measured
+# with 503 tier-1 tests): 30-43 s for tier-1 (11 s of it the R300
+# comparisons with the walk and the revisit walk, 8 s the goal-bound tests),
+# 1 s for the standalone acceptance battery, 18 s for the six smoke runs,
+# 5 s for R300, 3-4 s each for the -O certify, find and prove runs, 0.2 s
+# for the -O andor example and 0.4 s for the two -O verify runs; longer
 # while other work shares the VM.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -99,6 +100,20 @@ done
 out=$(PYTHONPATH=src python3 -O -m fscsynth.cli synth --domain hall-a-1d --param n=5 --max-states 2 \
   --lgt-star 0.99 --algo andor --json)
 python3 -c 'import json, sys; r = json.loads(sys.argv[1]); got = (r["outcome"], r["or_steps"], r["peak_depth"], r["lgt"], r["lter"]); print("andor-O", got); sys.exit(got != ("controller", 19, 8, "1/1", "1/1"))' "$out"
+
+# README's verify example under -O: the coin-flip controller that stops on
+# either outcome has LGT exactly 1/2 and no undefined mass, so the bound 1/2
+# passes (exit 0) and 0.51 fails (exit 2) on the exact comparison alone
+ctrl=$(mktemp)
+trap 'rm -f "$ctrl"' EXIT
+printf 'states 1\nstart 0\nedge 0 start flip 0\nedge 0 won stop 0\nedge 0 lost stop 0\n' > "$ctrl"
+for bound in 1/2:0 0.51:2; do
+  code=0
+  PYTHONPATH=src python3 -O -m fscsynth.cli verify --domain coin-flip --controller "$ctrl" \
+    --lgt-star "${bound%:*}" > /dev/null || code=$?
+  echo "verify-O --lgt-star ${bound%:*}: exit $code"
+  [ "$code" = "${bound#*:}" ]
+done
 
 # nothing else runs the example script, and it imports the CLI's DOT export
 out=$(PYTHONPATH=src python3 scripts/show_noisy_corridor.py)

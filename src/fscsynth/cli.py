@@ -5,7 +5,9 @@ Exit codes are a stable contract:
 * 0  -- synthesized a controller (or the command simply succeeded)
 * 2  -- exhaustive search proved no bounded controller meets the bounds;
   under --algo andor it only proves that no bounded controller reaches
-  a goal on every run (a controller meeting --lgt-star may still exist)
+  a goal on every run (a controller meeting --lgt-star may still exist).
+  verify given --lgt-star or --lter-star: the controller leaves mass at
+  an undefined pair or misses a bound
 * 3  -- node budget exhausted (inconclusive)
 * 64 -- flag/parameter validation error
 * 65 -- file error: an input file does not parse or cannot be read, or
@@ -31,7 +33,7 @@ from fscsynth.domains import (
     read_int,
     serialize_controller,
 )
-from fscsynth.model import Controller, ModelError, PlanningProblem, STOP, STOP_NAME, SynthesisRequest
+from fscsynth.model import Controller, ModelError, PlanningProblem, STOP, STOP_NAME, SynthesisRequest, check_bound
 from fscsynth.pandor import DEFAULT_BUDGET, pandor_synth
 from fscsynth.verifier import Measures, exact_measures
 
@@ -182,11 +184,27 @@ def _print_report(report: dict) -> None:
 # verify
 
 
+def _bound(name: str, value: Optional[str]):
+    """A likelihood flag of verify, read as synth reads its bounds; None where it is not given."""
+    if value is None:
+        return None
+    try:
+        return check_bound(name, value)
+    except ModelError as exc:
+        raise _UsageError(str(exc))
+
+
 def cmd_verify(args) -> int:
     problem = _load_problem(args)
+    lgt_star, lter_star = _bound("lgt_star", args.lgt_star), _bound("lter_star", args.lter_star)
     controller = parse_controller(_read_text(args.controller), problem.environment)
-    _print_report(_measure_fields(exact_measures(problem, controller)))
-    return EXIT_OK
+    m = exact_measures(problem, controller)
+    _print_report(_measure_fields(m))
+    if lgt_star is None and lter_star is None:
+        return EXIT_OK
+    # a pass needs every run judged: no mass may reach an undefined pair
+    met = m.undefined_mass == 0 and m.lgt >= (lgt_star or 0) and m.lter >= (lter_star or 0)
+    return EXIT_OK if met else EXIT_NO_CONTROLLER
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +279,8 @@ def build_parser() -> _Parser:
     verify = subs.add_parser("verify", help="exact measures of a controller")
     _add_problem_flags(verify)
     verify.add_argument("--controller", required=True, metavar="FILE")
+    verify.add_argument("--lgt-star", metavar="Q", help="exit 0 only at this goal-termination likelihood or more")
+    verify.add_argument("--lter-star", metavar="Q", help="exit 0 only at this termination likelihood or more")
     verify.set_defaults(func=cmd_verify)
 
     dot = subs.add_parser("export-dot", help="render a controller as Graphviz DOT")

@@ -104,6 +104,15 @@ def check_count(name: str, value, low: int) -> None:
         raise ModelError(f"{name} must be an integer of at least {low}, got {value!r}")
 
 
+def check_bound(name: str, value: ProbLike) -> Fraction:
+    """A likelihood bound read by ``as_prob``; ModelError unless it lies
+    strictly inside (0, 1)."""
+    bound = as_prob(value)
+    if not 0 < bound < 1:
+        raise ModelError(f"{name} must lie strictly inside (0, 1)")
+    return bound
+
+
 def reaching(targets, preds: Mapping) -> set:
     """``targets`` and every node with a path to one of them, in the graph
     whose edges ``preds`` maps backward: node -> its predecessors.  A node
@@ -463,10 +472,9 @@ class SynthesisRequest:
         if self.lter_star is not None:
             object.__setattr__(self, "lter_star", as_prob(self.lter_star))
         check_count("max_states", self.max_states, 1)
-        if not 0 < self.lgt_star < 1:
-            raise ModelError("lgt_star must lie strictly inside (0, 1)")
-        if self.lter_star is not None and not 0 < self.lter_star < 1:
-            raise ModelError("lter_star must lie strictly inside (0, 1)")
+        check_bound("lgt_star", self.lgt_star)
+        if self.lter_star is not None:
+            check_bound("lter_star", self.lter_star)
 
 
 @dataclass(frozen=True)

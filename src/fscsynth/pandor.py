@@ -512,8 +512,10 @@ class _Measure(_Search):
         super().__init__(problem, controller.num_states, 0, None, None)
         self.controller = dict(controller.transitions)
 
-    def _open(self, q: int, s: int, p, candidates: list) -> None:
-        pass
+    def _visit(self, q: int, s: int, p) -> Optional[str]:
+        # an undefined pair opens nothing, so no candidate list is built for it
+        tr = self.controller.get((q, self.omega[s]))
+        return None if tr is None else self._execute(q, s, p, tr)
 
     def _evaluate(self) -> None:
         return None

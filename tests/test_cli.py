@@ -16,7 +16,9 @@ from fscsynth.pandor import pandor_synth
 from fscsynth.verifier import exact_measures
 from fscsynth.domains import parse_controller
 
-from helpers import always_a_controller, always_flip_controller, corridor_controller, flip_stop_controller
+from helpers import (
+    always_a_controller, always_flip_controller, controller_from_names, corridor_controller, flip_stop_controller,
+)
 
 
 def run(capsys, *argv):
@@ -234,6 +236,52 @@ def test_export_dot_escapes_quotes_and_backslashes(tmp_path, capsys):
     code, out, _ = run(capsys, "export-dot", "--env", str(env_file), "--controller", str(ctrl_file))
     assert code == 0
     assert '  q0 -> q0 [label="o\\"1 : go\\\\\\nwon : stop", style=dashed];' in out.splitlines()
+
+
+def _verify(tmp_path, capsys, domain, ctrl, *flags):
+    ctrl_file = tmp_path / "c.fsc"
+    ctrl_file.write_text(serialize_controller(ctrl, build(domain).environment))
+    return run(capsys, "verify", "--domain", domain, "--controller", str(ctrl_file), *flags)
+
+
+@pytest.mark.parametrize("flags, code", [
+    (["--lgt-star", "1/2"], 0),  # LGT is exactly 1/2
+    (["--lgt-star", "0.5", "--lter-star", "0.999"], 0),
+    (["--lgt-star", "0.51"], 2),
+    (["--lgt-star", "0.51", "--lter-star", "0.999"], 2),
+], ids=["met", "both-met", "missed", "lgt-missed"])
+def test_verify_checks_the_bounds_it_is_given(tmp_path, capsys, flags, code):
+    ctrl = flip_stop_controller(build("coin-flip"))
+    plain = _verify(tmp_path, capsys, "coin-flip", ctrl)
+    assert plain[0] == 0
+    # the report is the same with the flags; only the exit code tells
+    assert _verify(tmp_path, capsys, "coin-flip", ctrl, *flags) == (code, plain[1], "")
+
+
+def test_verify_misses_a_termination_bound(tmp_path, capsys):
+    ctrl = always_a_controller(build("three-state"))  # LTER 0
+    code, out, _ = _verify(tmp_path, capsys, "three-state", ctrl, "--lter-star", "1/1000")
+    assert code == 2 and "lter: 0/1" in out
+
+
+def test_verify_fails_a_partial_controller_that_meets_its_bound(tmp_path, capsys):
+    prob = build("coin-flip")
+    ctrl = controller_from_names(prob.environment, 1, {(0, "start"): ("flip", 0), (0, "won"): ("stop", 0)})
+    # LGT 1/2 meets 0.4, but half of the mass reaches an undefined pair
+    code, out, _ = _verify(tmp_path, capsys, "coin-flip", ctrl, "--lgt-star", "0.4")
+    assert code == 2 and "lgt: 1/2" in out and "undefined-mass: 1/2" in out
+    assert _verify(tmp_path, capsys, "coin-flip", ctrl)[0] == 0
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--lgt-star", "1"], "lgt_star must lie strictly inside (0, 1)"),
+    (["--lgt-star", "0"], "lgt_star must lie strictly inside (0, 1)"),
+    (["--lgt-star", "0.5", "--lter-star", "bogus"], "expected a rational like 9/10 or 0.9, got 'bogus'"),
+    (["--lter-star", "1e-1001"], "decimal exponent of at most 1000"),
+], ids=["one", "zero", "not-a-rational", "long-exponent"])
+def test_verify_bad_bound_exits_64(tmp_path, capsys, flags, message):
+    code, out, err = _verify(tmp_path, capsys, "coin-flip", flip_stop_controller(build("coin-flip")), *flags)
+    assert code == 64 and not out and message in err
 
 
 def test_usage_errors_exit_64(capsys):

@@ -199,7 +199,26 @@ def fill_in(monkeypatch):
     return pushed
 
 
-def test_sparse_solve_equals_dense_reference(fill_in):
+@pytest.fixture
+def eliminated(monkeypatch):
+    """Rows the sparse solve eliminates: it heapifies the columns below the
+    diagonal of each once."""
+    rows = []
+    heapify = heapq.heapify
+
+    def counting(heap):
+        rows.append(len(heap))
+        heapify(heap)
+
+    monkeypatch.setattr(heapq, "heapify", counting)
+    return rows
+
+
+#: the answers (goal, fail, undefined) of a node sure to reach one sink
+_SURE_ANSWERS = {(1, 0, 0): "sure goal", (0, 1, 0): "sure fail", (0, 0, 1): "sure undefined"}
+
+
+def test_sparse_solve_equals_dense_reference(fill_in, eliminated):
     rng = random.Random(2024)
     seen = set()
     for _ in range(150):
@@ -209,6 +228,7 @@ def test_sparse_solve_equals_dense_reference(fill_in):
             kept = {k: v for k, v in ctrl.transitions.items() if rng.random() < 0.7}
             ctrl = Controller(ctrl.num_states, kept)
         chain = build_chain(prob, ctrl)
+        eliminated.clear()
         goal, fail, undef = _solve_absorption(chain)
         assert (goal, fail, undef) == dense_absorption(chain)
         if any(undef.values()):
@@ -217,7 +237,19 @@ def test_sparse_solve_equals_dense_reference(fill_in):
             seen.add("dead end")
         if len(goal) < len(chain.nodes):
             seen.add("non-terminating node")
-    assert seen == {"undefined pair", "dead end", "non-terminating node"}
+        # on a chain of positive stochastic rows a node's answer is a unit
+        # vector exactly when it reaches one sink and nothing else: those
+        # the graph passes settle, and the rows of all others are eliminated
+        answers = [(goal[i], fail[i], undef[i]) for i in goal]
+        solved = [a for a in answers if a not in _SURE_ANSWERS]
+        assert len(eliminated) == len(solved)
+        seen.update(_SURE_ANSWERS[a] for a in answers if a in _SURE_ANSWERS)
+        if solved:
+            seen.add("solved node")
+    assert seen == {
+        "undefined pair", "dead end", "non-terminating node",
+        "sure goal", "sure fail", "sure undefined", "solved node",
+    }
     assert fill_in
 
 
@@ -236,6 +268,54 @@ def test_sparse_solve_with_fill_in_on_a_2d_hall(n, fill_in):
     chain = _bouncing_2d_hall_chain(n)
     assert _solve_absorption(chain) == dense_absorption(chain)
     assert fill_in
+
+
+def _chain(*rows):
+    """A chain of the given rows, which need not be a Markov chain."""
+    return CombinedChain(tuple((0, i) for i in range(len(rows))), rows)
+
+
+@pytest.mark.parametrize("chain,goal0,solved", [
+    # half of the mass goes nowhere: the goal is reached with 1/2, not 1
+    (_chain(((GOAL_SINK, F(1, 2)),)), F(1, 2), 1),
+    # the row sums to 1, but one of its probabilities is 0
+    (_chain(((GOAL_SINK, F(1)), (1, F(0))), ((GOAL_SINK, F(1)),)), 1, 1),
+    # node 0 reaches the goal and no other sink, but also node 1's leaky row
+    (_chain(((1, F(1)),), ((1, F(1, 3)), (GOAL_SINK, F(1, 3)))), F(1, 2), 2),
+], ids=["substochastic", "zero-probability-edge", "reaches-a-leak"])
+def test_a_row_that_is_not_stochastic_is_solved(chain, goal0, solved, eliminated):
+    goal, fail, undef = _solve_absorption(chain)
+    assert (goal, fail, undef) == dense_absorption(chain)
+    assert goal[0] == goal0
+    assert len(eliminated) == solved
+
+
+def _tour(n, p):
+    """The 2-D noisy hall with a clockwise tour that counts corners; LGT 1.
+    State 0 waits to leave A, states 1-4 walk a side after 0-3 corners and
+    states 5-7 wait to leave corners 1-3 (a failed move repeats C)."""
+    prob = build("noisy-hall-a-2d", {"n": n, "p": p})
+    edges = {(0, "A"): ("cw", 0), (0, "-"): ("cw", 1), (4, "A"): ("stop", 0)}
+    for k in range(4):
+        edges[(1 + k, "-")] = ("cw", 1 + k)
+    for k in range(3):
+        edges[(1 + k, "C")] = ("cw", 5 + k)
+        edges[(5 + k, "C")] = ("cw", 5 + k)
+        edges[(5 + k, "-")] = ("cw", 2 + k)
+    return prob, controller_from_names(prob.environment, 8, edges)
+
+
+@pytest.mark.parametrize("prob,ctrl", [
+    _noisy_corridor(40, F(91, 101)),
+    _tour(12, F(7, 73)),
+], ids=["corridor", "tour"])
+def test_lgt_one_certificates_eliminate_no_row(prob, ctrl, eliminated):
+    # every node reaches the goal and nothing else, so the graph passes
+    # settle all of them and no arithmetic is left to do
+    m = exact_measures(prob, ctrl)
+    assert m.lgt == m.lter == 1 and m.undefined_mass == 0
+    assert len(build_chain(prob, ctrl).nodes) > 40
+    assert eliminated == []
 
 
 def _r300_cases():

@@ -170,6 +170,25 @@ def test_partial_controller_measurement_leaves_undefined_mass_out():
         assert lam.goal0 + lam.fail0 + lam.noter0 == 1 - m.undefined_mass
 
 
+def test_measure_builds_no_candidate_list(monkeypatch):
+    # the controller pandor returns on bridgewalk n=3 for N=2, LGT* 1/2
+    # leaves the fallen pairs undefined; measure walks past them
+    prob = build("bridgewalk", {"n": 3})
+    ctrl = pandor_synth(SynthesisRequest(prob, 2, F(1, 2))).controller
+    calls = []
+    candidates = pandor._Backtracker._candidates
+
+    def counting(self, s):
+        calls.append(s)
+        return candidates(self, s)
+
+    monkeypatch.setattr(pandor._Backtracker, "_candidates", counting)
+    lam = measure(prob, ctrl)
+    assert calls == []
+    assert (lam.goal, lam.fail, lam.noter, lam.loop) == ((F(729, 1000),), (0,), (0,), (0,))
+    assert exact_measures(prob, ctrl).undefined_mass == F(271, 1000)
+
+
 def test_synthesis_soundness_on_random_problems():
     rng = random.Random(2024)
     successes = 0
