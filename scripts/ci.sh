@@ -5,13 +5,13 @@
 #
 #   bash scripts/ci.sh
 #
-# About 62-80 s in all on a 2-vCPU Xeon VM (CPython 3.11.7; 69 s measured
-# with 503 tier-1 tests): 30-43 s for tier-1 (11 s of it the R300
-# comparisons with the walk and the revisit walk, 8 s the goal-bound tests),
-# 1 s for the standalone acceptance battery, 18 s for the six smoke runs,
-# 5 s for R300, 3-4 s each for the -O certify, find and prove runs, 0.2 s
-# for the -O andor example and 0.4 s for the two -O verify runs; longer
-# while other work shares the VM.
+# About 55-70 s in all on a 2-vCPU Xeon VM (CPython 3.11.7; 67 s measured
+# with 513 tier-1 tests): 30-43 s for tier-1 (42 s in that run, 16 s of it
+# the R300 comparisons with the walk and the revisit walk, 9 s the
+# goal-bound tests), 1 s for the standalone acceptance battery, 18 s for
+# the six smoke runs (2.4-3.8 s each, the three untraced ones under -O),
+# 5 s for R300, 0.2 s for the -O andor example and 0.4 s for the two -O
+# verify runs; longer while other work shares the VM.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -48,10 +48,16 @@ echo "src/fscsynth/*.py: $(cat src/fscsynth/*.py | wc -l) lines, $code outside d
 # which exits 1 on a failed criterion. Not under -O: the criteria are asserts
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python3 tests/test_acceptance.py
 
-# perfbench smoke run: a short benchmark run per workload; --trace 1 wraps
-# every name the tracer patches, so a renamed one fails here rather than in a
-# benchmark. The traced run's work counters are pinned: a constant-factor
-# change leaves them equal; a change to the search updates them and says why.
+# perfbench smoke run: two short benchmark runs per workload, each checked
+# for correct verdicts and no failed request. --trace 1 wraps every name the
+# tracer patches, so a renamed one fails here rather than in a benchmark; its
+# work counters are pinned: a constant-factor change leaves them equal, and a
+# change to the search updates them and says why. The untraced run goes under
+# -O: certify checks a parsed environment by parse_env alone, find searches
+# the noisy halls domains.build writes as index tables and re-checks each
+# controller exactly, and prove's proofs rest on the goal bound's exact
+# check, so none of these checks may rest on assert statements
+# (tests/test_source.py keeps them out of perfbench's modules as well).
 # prove: the goal bound ends each of the eight bridgewalk requests at its
 # root visit (LGT* is 1.001 U(s0) there), so 15 OR steps are left of 1 147:
 # one per bridgewalk and three-state request and 5 for the 2-D hall, whose
@@ -70,10 +76,10 @@ declare -A counters=(
 )
 for w in prove find certify; do
   for t in 0 1; do
-    want='{}'
-    if [ "$t" = 1 ]; then want=${counters[$w]}; fi
-    last=$(python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 --trace "$t" | tail -n 1)
-    python3 -c 'import json, sys; r = json.loads(sys.argv[1]); want = json.loads(sys.argv[2]); got = {k: r["metrics"][k]["value"] for k in want}; print(sys.argv[3], got); sys.exit(not (r["correct"] is True and r["failed"] == 0 and got == want))' "$last" "$want" "$w-trace$t"
+    want='{}' py=(python3 -O)
+    if [ "$t" = 1 ]; then want=${counters[$w]} py=(python3); fi
+    last=$("${py[@]}" perfbench/run.py --workload "$w" --seed 1 --seconds 1 --trace "$t" | tail -n 1)
+    python3 -c 'import json, sys; r = json.loads(sys.argv[1]); want = json.loads(sys.argv[2]); got = {k: r["metrics"][k]["value"] for k in want}; print(sys.argv[3], got); sys.exit(not (r["correct"] is True and r["failed"] == 0 and got == want))' "$last" "$want" "$w-trace$t${py[1]:-}"
   done
 done
 
@@ -83,17 +89,6 @@ done
 # package must behave the same without assert statements
 diff <(PYTHONPATH=src:tests python3 -O scripts/r300.py) tests/data/r300.jsonl
 echo "R300 table: identical"
-
-# the text path and the built-in domains under -O: R300 builds its problems
-# from random tables, a parsed environment is checked by parse_env alone,
-# find searches the noisy halls domains.build writes as index tables and
-# re-checks each controller exactly, and prove's proofs rest on the goal
-# bound's exact check, so none of these checks may rest on assert statements
-# either
-for w in certify find prove; do
-  last=$(python3 -O perfbench/run.py --workload "$w" --seed 1 --seconds 1 | tail -n 1)
-  python3 -c 'import json, sys; r = json.loads(sys.argv[1]); print(sys.argv[2], r["correct"], r["failed"]); sys.exit(not (r["correct"] is True and r["failed"] == 0))' "$last" "$w-O"
-done
 
 # README's andor example under -O: no other check runs an andor search
 # without assert statements

@@ -15,8 +15,7 @@ the step that entered it), one accounting slot per index 0..L:
   that return to ``h_curr[k]``, measured from ``h_curr[k]`` (the full
   cycle traversal probability), keyed by the index m (k <= m <= L) at
   which the cycle was sealed; only positive masses are stored.  Fresh
-  records always land in column L; folds migrate them to lower columns;
-  ``top[k]`` is row k's highest column, 0 for an empty row.
+  records always land in column L; folds migrate them to lower columns.
 
 ``calc_lambda`` turns the slots into sound lower bounds
 (lambda vectors) by amplifying through-branch mass with the geometric
@@ -32,15 +31,15 @@ method keeps a cache of the same bounds up to date instead:
 * ``prefix[k]``: the product of the through factors below k, the weight
   of slot k in the index-0 bounds;
 * ``acc_goal[k]`` (and ``acc_fail``, ``acc_noter``): the prefix sums of
-  ``prefix[j] * goal[j]``, so that ``goal0 = acc_goal[L]``;
-* ``total``: ``goal0 + fail0 + noter0``, the explored mass at index 0.
+  ``prefix[j] * goal[j]``, so that ``goal0 = acc_goal[L]``.
 
 ``extend`` and a terminal record cost O(1) arithmetic.  A cycle record
-to index k recomputes the cycle mass of k and, highest first, of each
-lower row whose ``top`` runs past a changed index, then rescales the
-prefix; the rows it leaves alone cost one scan of ``top`` per changed
-row.  A fold costs O(1) arithmetic and one ``top`` read per lower row;
-it moves column L and lowers ``top`` only in rows whose ``top`` is L.
+to index k makes one pass down from k: it recomputes the cycle mass of k
+and of each lower row that holds a column above the lowest index changed
+so far, then rescales the prefix; a row it leaves alone costs a truth
+test, and a ``max`` over its columns where it is not empty.  A fold costs
+O(1) arithmetic and one membership test per lower row, and it moves
+column L in the rows that hold it.
 
 Index j is dead when nothing entering h_curr[j] can terminate: its
 never-terminating mass ``nu`` (calc_lambda's ``noter[j + 1]``) fills
@@ -83,9 +82,8 @@ from fractions import Fraction
 from fscsynth.model import _P0, _P1, _add, _cmp, _div, _mul, _sub
 
 #: Flat per-index lists of pairs: the slots, then the cache.  ``snapshot``
-#: copies them and ``top``, of ints (``loop`` is copied per row).
+#: copies them (``loop`` is copied per row).
 _LISTS = ("ps", "goal", "fail", "noter", "headroom", "prefix", "acc_goal", "acc_fail", "acc_noter")
-_COPIED = _LISTS + ("top",)
 
 
 class LedgerError(AssertionError):
@@ -118,7 +116,7 @@ class SearchLedger:
     """Mutable search-branch state: ``h_curr``, the alpha slots and the
     cached bounds derived from them."""
 
-    __slots__ = _COPIED + ("pos", "loop", "total")
+    __slots__ = _LISTS + ("pos", "loop")
 
     def __init__(self):
         self.ps: list[tuple[int, int]] = []
@@ -128,13 +126,11 @@ class SearchLedger:
         self.fail = [_P0]
         self.noter = [_P0]
         self.loop: list[dict[int, tuple[int, int]]] = []
-        self.top: list[int] = []
         self.headroom = [_P1]
         self.prefix = [_P1]
         self.acc_goal = [_P0]
         self.acc_fail = [_P0]
         self.acc_noter = [_P0]
-        self.total = _P0
 
     # -- shape ----------------------------------------------------------
 
@@ -151,7 +147,6 @@ class SearchLedger:
         self.fail.append(_P0)
         self.noter.append(_P0)
         self.loop.append({})
-        self.top.append(0)
         # the old frontier carries no cycle mass, so its headroom is 1
         self.prefix.append(_mul(self.prefix[-1], p))
         self.headroom.append(_P1)
@@ -176,23 +171,29 @@ class SearchLedger:
             raise LedgerError(f"terminal record of non-positive mass {p[0]}/{p[1]}")
         L = len(self.ps)
         slots[L] = _add(slots[L], p)
-        weighted = _mul(self.prefix[L], p)
-        acc[L] = _add(acc[L], weighted)
-        self.total = _add(self.total, weighted)
+        acc[L] = _add(acc[L], _mul(self.prefix[L], p))
         self._check_bounds()
 
     def record_loop(self, k: int, p_loop) -> None:
-        """Seal a decaying cycle back to index k (traversal mass < 1)."""
+        """Seal a decaying cycle back to index k (traversal mass < 1).
+
+        One pass down from k, highest row first, recomputes row k and each
+        lower row that holds a column above the lowest index changed so
+        far: that row divides by a headroom that moved."""
         L = len(self.ps)
         if not 0 <= k < L:
             raise LedgerError("loop record outside h_curr")
-        row = self.loop[k]
+        loop = self.loop
+        row = loop[k]
         row[L] = _add(row.get(L, _P0), p_loop)
-        j, top = k, self.top
-        top[k] = L
-        while True:
-            # the new mass strictly raises the cycle mass of row k, and so of
-            # every lower row that runs past a changed index: h always moves
+        low = k
+        for j in range(k, -1, -1):
+            # row j divides by a headroom that moved where it holds a column
+            # above ``low`` (row k holds L > k); the new mass strictly raises
+            # the cycle mass of each such row: h always moves
+            row = loop[j]
+            if not row or max(row) <= low:
+                continue
             h = _sub(_P1, self._row_lambda(j))
             if h[0] < 0:
                 raise LedgerError(f"cycle mass above 1 at index {j}")
@@ -204,12 +205,8 @@ class SearchLedger:
                 self._saturate_at(j)
                 return
             self.headroom[j] = h
-            # a lower row whose top is past j divides by the new headroom:
-            # recompute the highest such row next, and stop when there is none
-            if max(top[:j], default=0) <= j:
-                break
-            j = next(i for i in range(j - 1, -1, -1) if top[i] > j)
-        self._rescale(j)
+            low = j
+        self._rescale(low)
 
     def loop_mass_to(self, k: int, p):
         """Traversal probability of a cycle back to h_curr[k] closed by a
@@ -230,10 +227,10 @@ class SearchLedger:
         column above its row, and a fold moves column L of a lower row to
         n > j."""
         row = self.loop[j]
-        top = self.top[j]
+        high = max(row)
         headroom = self.headroom
-        acc = row[top]
-        for m in range(top - 1, j, -1):
+        acc = row[high]
+        for m in range(high - 1, j, -1):
             h = headroom[m]
             if h != _P1:
                 acc = _div(acc, h)
@@ -254,7 +251,6 @@ class SearchLedger:
             for values, acc in slots:
                 v = values[t + 1]
                 acc[t + 1] = _add(acc[t], _mul(weight, v)) if v[0] else acc[t]
-        self.total = _add(_add(self.acc_goal[-1], self.acc_fail[-1]), self.acc_noter[-1])
         self._check_bounds()
 
     def _check_bounds(self) -> None:
@@ -262,7 +258,8 @@ class SearchLedger:
         record adds positive mass with a positive weight, so each component
         is non-negative, and a total of at most 1 keeps each one in [0, 1]."""
         # goal, fail and noter continuations are disjoint trajectory sets
-        if self.total[0] > self.total[1]:
+        total = _add(_add(self.acc_goal[-1], self.acc_fail[-1]), self.acc_noter[-1])
+        if total[0] > total[1]:
             raise LedgerError("goal+fail+noter mass above 1 at index 0")
 
     def _saturate_at(self, k: int) -> None:
@@ -283,13 +280,13 @@ class SearchLedger:
         Folds running between snapshot and restore legitimately shorten
         h_curr below its snapshot length, so the branch contents are
         stored, not just a length."""
-        return [list(getattr(self, name)) for name in _COPIED], [dict(row) for row in self.loop], dict(self.pos), self.total
+        return [list(getattr(self, name)) for name in _LISTS], [dict(row) for row in self.loop], dict(self.pos)
 
     def restore(self, snap) -> None:
-        lists, loop, pos, self.total = snap
-        # in ``_COPIED`` order: one unpacking, not a ``setattr`` call per list
+        lists, loop, pos = snap
+        # in ``_LISTS`` order: one unpacking, not a ``setattr`` call per list
         (self.ps, self.goal, self.fail, self.noter, self.headroom, self.prefix,
-         self.acc_goal, self.acc_fail, self.acc_noter, self.top) = map(list, lists)
+         self.acc_goal, self.acc_fail, self.acc_noter) = map(list, lists)
         self.loop = [dict(row) for row in loop]
         self.pos = dict(pos)
 
@@ -374,7 +371,6 @@ def _saturate(ledger: SearchLedger, k: int) -> None:
     _check_none_past(ledger, k)
     for row in ledger.loop[k:]:
         row.clear()
-    ledger.top[k:] = [0] * (L - k)
     for j in range(k + 2, L + 1):
         ledger.noter[j] = _P0
     ledger.noter[k + 1] = _P1
@@ -397,16 +393,15 @@ def cumulate_alpha(ledger: SearchLedger) -> None:
     cycles and charged to the parent slot.  The folded entry's row is
     popped: it can only hold columns n and L, so the cycle mass at n is
     just their sum, read from the slots; every cached bound below n stays
-    as it was.  Column L of each lower row whose ``top`` is L moves to n,
-    and that ``top`` with it; no other row is read.
+    as it was.  Column L of each lower row moves to n; where n is dead,
+    ``_check_none_past`` first finds that no lower row holds one.
     """
     L = len(ledger)
     if L == 0:
         raise LedgerError("cannot fold a ledger with an empty branch")
     n = L - 1
-    loop, top = ledger.loop, ledger.top
+    loop = ledger.loop
     row = loop.pop()
-    top.pop()
     lam_n = _add(row.get(n, _P0), row.get(L, _P0))
     denom = _sub(_P1, lam_n) if lam_n[0] else _P1
     if not denom[0]:
@@ -416,7 +411,8 @@ def cumulate_alpha(ledger: SearchLedger) -> None:
     excess = _cmp(ledger.noter[L], denom)
     if excess > 0:
         raise LedgerError(f"cycle+noter mass above 1 at index {n}")
-    dead = not excess
+    if not excess:
+        _check_none_past(ledger, n)
     # with no cycle mass at n, through is ps[n] and v / denom is v
     through = _div(ledger.ps[n], denom) if lam_n[0] else ledger.ps[n]
     for slots in (ledger.goal, ledger.fail, ledger.noter):
@@ -424,17 +420,13 @@ def cumulate_alpha(ledger: SearchLedger) -> None:
         if v[0]:
             slots[n] = _add(slots[n], _mul(through, v))
 
-    for j, t in enumerate(top):
-        if t == L:
-            if dead:
-                raise LedgerError(f"cycle mass through dead index {n}")
-            row = loop[j]
+    for row in loop:
+        if L in row:
             v = row.pop(L)
             row[n] = _add(row.get(n, _P0), _div(v, denom) if lam_n[0] else v)
-            top[j] = n
 
     # index n becomes the frontier: no cycle mass, and the prefix sums up
-    # to it already hold the folded mass (so ``total`` is unchanged)
+    # to it already hold the folded mass
     del ledger.headroom[L], ledger.prefix[L], ledger.ps[n]
     ledger.headroom[n] = _P1
     for acc in (ledger.acc_goal, ledger.acc_fail, ledger.acc_noter):

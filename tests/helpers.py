@@ -78,12 +78,11 @@ def corridor_controller(env: Environment) -> Controller:
 
 def write_cycle(ledger: SearchLedger, k: int, m: int, mass) -> None:
     """Write cycle mass ``mass``, a pair, to row k, column m of the ledger's
-    slots as the ledger keeps them: a zero mass is not stored, and ``top[k]``
-    stays row k's highest column.  The cached bounds are left as they are,
-    so the ledger is for ``calc_lambda`` and ``cumulate_alpha`` only."""
+    slots as the ledger keeps them: a zero mass is not stored.  The cached
+    bounds are left as they are, so the ledger is for ``calc_lambda`` and
+    ``cumulate_alpha`` only."""
     if mass[0]:
         ledger.loop[k][m] = mass
-        ledger.top[k] = max(ledger.top[k], m)
 
 
 def clone_ledger(ledger: SearchLedger) -> SearchLedger:

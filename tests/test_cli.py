@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -632,3 +633,36 @@ def test_whole_stdout_is_pinned(tmp_path, capsys, argv, code, expected):
     files["hall"].write_text(serialize_controller(corridor_controller(hall.environment), hall.environment))
     got_code, out, err = run(capsys, *(arg.format(**files) for arg in argv))
     assert (got_code, _masked(out), err) == (code, expected, "")
+
+
+_README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_block(section: str) -> str:
+    """The first fenced block under README's ``## section`` heading, without
+    its fences and language tag."""
+    body = _README.read_text(encoding="utf-8").split(f"\n## {section}\n", 1)[1]
+    return body.split("```", 2)[1].split("\n", 1)[1]
+
+
+def test_readme_command_block_runs_as_written(tmp_path, monkeypatch, capsys):
+    # in order, in an empty directory holding the "File formats" environment
+    # as my.env: each controller file goes to the domain that wrote it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "my.env").write_text(_readme_block("File formats"), encoding="utf-8")
+    codes = []
+    for line in _readme_block("Command line").splitlines():
+        program, *argv = shlex.split(line)
+        assert program == "fscsynth"
+        codes.append(main(argv))
+    err = capsys.readouterr().err
+    assert codes == [0, 0, 2, 0, 0, 2, 0], err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["c.dot", "c.fsc", "hall.fsc", "my.env"]
+    assert (tmp_path / "c.dot").read_text(encoding="utf-8").startswith("digraph controller {")
+
+
+def test_readme_library_snippet_prints_the_lgt_in_its_comment(capsys):
+    code = _readme_block("Library use")
+    exec(compile(code, str(_README), "exec"), {})
+    lgt = re.search(r"# lgt = (\d+/\d+)$", code, re.M).group(1)
+    assert f"lgt={F(lgt)!r}" in capsys.readouterr().out

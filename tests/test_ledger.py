@@ -265,3 +265,56 @@ def test_terminal_records_need_positive_mass(record, mass):
     led.extend(0, 0, (1, 2))
     with pytest.raises(LedgerError, match="non-positive"):
         getattr(led, record)(mass)
+
+
+def test_a_combined_state_enters_the_branch_once():
+    led = SearchLedger()
+    led.extend(0, 1, (1, 2))
+    with pytest.raises(LedgerError, match="twice"):
+        led.extend(0, 1, (1, 2))
+
+
+def _one_sure_step(*records):
+    """A branch of one sure step with the given terminal records at its
+    frontier: ``(name, mass)`` pairs."""
+    led = SearchLedger()
+    led.extend(0, 0, (1, 1))
+    for name, mass in records:
+        getattr(led, name)(mass)
+    return led
+
+
+@pytest.mark.parametrize("records, cycles, message", [
+    # the branch holds index 0 only
+    ((), [(1, (1, 2))], "loop record outside h_curr"),
+    # two returns of 3/4 each to index 0: its cycle mass is 3/2
+    ((), [(0, (3, 4)), (0, (3, 4))], "cycle mass above 1 at index 0"),
+    # a cycle mass of 1 with noter mass 1/2 beside it: no headroom is left
+    # for the noter mass, which the dead-index rule would drop
+    ((("record_noter", (1, 2)),), [(0, (1, 2)), (0, (1, 2))], "cycle\\+noter mass above 1 at index 0"),
+    # the same with goal mass 1/2: the cycle record saturates index 0, and
+    # the saturation finds goal mass beyond it
+    ((("record_goal", (1, 2)),), [(0, (1, 2)), (0, (1, 2))], "goal/fail mass recorded beyond a saturated index"),
+], ids=["outside", "cycle-above-1", "cycle-plus-noter", "goal-past-saturation"])
+def test_a_cycle_record_rejects_mass_above_the_unit(records, cycles, message):
+    led = _one_sure_step(*records)
+    *before, last = cycles
+    for k, mass in before:
+        led.record_loop(k, mass)
+    with pytest.raises(LedgerError, match=message):
+        led.record_loop(*last)
+
+
+def test_a_fold_rejects_a_cycle_mass_of_one():
+    # written past the methods: a cycle record of mass 1 saturates at once
+    led = _one_sure_step()
+    write_cycle(led, 0, 1, (1, 1))
+    with pytest.raises(LedgerError, match="fold hit cycle mass 1"):
+        cumulate_alpha(led)
+
+
+def test_a_terminal_record_rejects_explored_mass_above_the_unit():
+    # goal 3/4 and fail 1/2 from h_curr[0]: the index-0 bounds sum to 5/4
+    led = _one_sure_step(("record_goal", (3, 4)))
+    with pytest.raises(LedgerError, match="goal\\+fail\\+noter mass above 1 at index 0"):
+        led.record_fail((1, 2))

@@ -2,8 +2,8 @@
 
 Every mutation goes through the ledger's own methods, so after each one
 the cached index-0 bounds and cycle masses must equal a from-scratch
-``calc_lambda`` exactly, the reference must find no saturation left to
-apply, and each row's cached top column must be its highest.  A ledger that applies the dead-index rule eagerly
+``calc_lambda`` exactly and the reference must find no saturation left
+to apply.  A ledger that applies the dead-index rule eagerly
 (``helpers.CascadeLedger``) runs alongside: its index-0 bounds must stay
 equal to the lazy ledger's, and so must both ledgers once folded down to
 the empty branch.  The integer-pair arithmetic the ledger runs on is
@@ -68,7 +68,7 @@ _NESTED_THREE_ROWS = [
     ("extend", F(1)), ("extend", F(1, 2)), ("extend", F(1, 2)), ("extend", F(1, 2)),
     ("loop", 0, F(1, 16)), ("loop", 1, F(1, 8)), ("loop", 2, F(1, 4)),
 ]
-# row 2 tops out at index 3 and row 0 at index 2: a record to index 3
+# row 2 holds column 3 alone and row 0 column 2: a record to index 3
 # changes row 1 (sealed at 5), skips row 2, and then changes row 0, which
 # runs past the new lowest changed index 1
 _NESTED_SKIPPING_A_ROW = [
@@ -121,15 +121,14 @@ def _apply(led, op, snaps, fresh):
 
 
 def _bounds0(led):
-    """The cached index-0 bounds and their sum."""
-    return led.acc_goal[-1], led.acc_fail[-1], led.acc_noter[-1], led.total
+    """The cached index-0 bounds."""
+    return led.acc_goal[-1], led.acc_fail[-1], led.acc_noter[-1]
 
 
 def _assert_cache_matches_reference(led):
     ref_ledger = clone_ledger(led)
     lam = calc_lambda(ref_ledger)
     _check_cache(led, lam)
-    assert led.total == (lam.goal0 + lam.fail0 + lam.noter0).as_integer_ratio()
     assert led.headroom == [(1 - v).as_integer_ratio() for v in lam.loop]
     # nothing was left for the reference to saturate
     assert ref_ledger.loop == led.loop and ref_ledger.noter == led.noter
@@ -140,11 +139,6 @@ def _assert_cache_matches_reference(led):
     assert all(j <= m <= L and v[0] > 0 for j, row in enumerate(led.loop) for m, v in row.items())
     # h_curr in branch order, also after folds and restores
     assert list(led.pos.values()) == list(range(len(led)))
-
-
-def _assert_top_is_row_max(led):
-    """``top[j]`` is row j's highest column, 0 for an empty row."""
-    assert led.top == [max(row, default=0) for row in led.loop], (led.top, led.loop)
 
 
 def _is_pair(v):
@@ -158,10 +152,10 @@ def _is_pair(v):
 
 def _assert_all_pairs(led):
     """Skipping an addition of zero or a product with one stores the other
-    operand: every slot, cycle entry, cache entry and ``total`` must still
-    be a reduced pair."""
+    operand: every slot, cycle entry and cache entry must still be a
+    reduced pair."""
     values = [v for name in _LISTS for v in getattr(led, name)]
-    values += [v for row in led.loop for v in row.values()] + [led.total]
+    values += [v for row in led.loop for v in row.values()]
     assert all(_is_pair(v) for v in values), values
 
 
@@ -225,8 +219,6 @@ def _run(ops):
         _assert_all_pairs(ref)
         _assert_cycle_columns_above_rows(led)
         _assert_cycle_columns_above_rows(ref)
-        _assert_top_is_row_max(led)
-        _assert_top_is_row_max(ref)
     return lazy[0]
 
 
@@ -247,11 +239,11 @@ def test_cached_bounds_equal_calc_lambda(ops):
     _run(ops)
 
 
-@pytest.mark.parametrize("ops, top, rows", [
-    (_NESTED_THREE_ROWS, [4, 4, 4, 0], [2, 1, 0]),
-    (_NESTED_SKIPPING_A_ROW, [2, 5, 3, 5, 0], [3, 1, 0]),
+@pytest.mark.parametrize("ops, rows", [
+    (_NESTED_THREE_ROWS, [2, 1, 0]),
+    (_NESTED_SKIPPING_A_ROW, [3, 1, 0]),
 ])
-def test_a_cycle_record_recomputes_exactly_the_rows_it_changes(monkeypatch, ops, top, rows):
+def test_a_cycle_record_recomputes_exactly_the_rows_it_changes(monkeypatch, ops, rows):
     led = _run(ops[:-1])
     visited = []
     row_lambda = SearchLedger._row_lambda
@@ -265,33 +257,7 @@ def test_a_cycle_record_recomputes_exactly_the_rows_it_changes(monkeypatch, ops,
     _apply(led, ops[-1], [], len(ops))
     assert visited == rows
     assert [j for j, h in enumerate(led.headroom) if h != before[j]] == sorted(rows)
-    assert led.top == top
     _assert_cache_matches_reference(led)
-
-
-class _UnreadRow(dict):
-    """A cycle row that fails the test as soon as it is read or written."""
-
-    def _touch(self, *args):
-        raise AssertionError("the fold read a row whose top is below L")
-
-    __getitem__ = __setitem__ = __contains__ = __iter__ = __len__ = get = pop = items = _touch
-
-
-def test_the_fold_reads_only_the_rows_that_reach_the_frontier():
-    # rows 1 and 3 top out at L = 5 and row 4 is folded; rows 0 and 2 stop below
-    led = _run(_NESTED_SKIPPING_A_ROW)
-    assert led.top == [2, 5, 3, 5, 0]
-    ref = clone_ledger(led)
-    cumulate_alpha(ref)
-    rows = {j: led.loop[j] for j in (0, 2)}
-    for j in rows:
-        led.loop[j] = _UnreadRow()
-    cumulate_alpha(led)
-    for j, row in rows.items():
-        led.loop[j] = row
-    assert led.snapshot() == ref.snapshot()
-    assert led.top == [2, 4, 3, 4]
 
 
 def _count_saturations(monkeypatch):

@@ -11,6 +11,7 @@ from fscsynth.domains import build, domain_names
 from fscsynth.model import Controller, ModelError, PlanningProblem, STOP
 from fscsynth.pandor import measure
 from fscsynth.verifier import (
+    FAIL_SINK,
     GOAL_SINK,
     ChainError,
     CombinedChain,
@@ -385,6 +386,20 @@ def test_sparse_solve_makes_no_fraction_arithmetic(chain, fraction_arithmetic):
     # the count sees the rational arithmetic of the dense reference
     assert dense_absorption(chain) == solved
     assert fraction_arithmetic
+
+
+def test_an_entry_that_cancels_is_skipped():
+    # not a Markov chain: node 2 steps to node 1 with probability -1/4.
+    # Eliminating column 0 from row 2 adds 1/2 * 1/2 to that entry, which
+    # cancels it, so the solve pops column 1 as a zero and goes on
+    chain = _chain(
+        ((1, F(1, 2)), (GOAL_SINK, F(1, 4)), (FAIL_SINK, F(1, 4))),
+        ((GOAL_SINK, F(1, 2)), (FAIL_SINK, F(1, 2))),
+        ((0, F(1, 2)), (1, F(-1, 4)), (GOAL_SINK, F(3, 4))),
+    )
+    goal, fail, undef = _solve_absorption(chain)
+    assert (goal, fail, undef) == dense_absorption(chain)
+    assert (goal[2], fail[2]) == (F(7, 8), F(1, 8))
 
 
 def test_zero_pivot_raises_chain_error():

@@ -11,9 +11,9 @@ import pytest
 from fscsynth import andor, pandor
 from fscsynth.andor import andor_synth
 from fscsynth.domains import build, domain_names, parse_env
-from fscsynth.ledger import SearchLedger
+from fscsynth.ledger import LedgerError, SearchLedger, calc_lambda
 from fscsynth.model import Controller, Environment, ModelError, PlanningProblem, STOP, SynthesisRequest, SynthResult
-from fscsynth.pandor import DEFAULT_BUDGET, measure, pandor_synth
+from fscsynth.pandor import DEFAULT_BUDGET, _check_cache, measure, pandor_synth
 from fscsynth.verifier import exact_measures
 
 from helpers import (
@@ -931,3 +931,11 @@ def test_the_search_adds_and_subtracts_no_zero_outside_calc_lambda(monkeypatch):
     # the patched constructor and operators see calc_lambda's arithmetic
     assert {"__new__", "__add__"} <= set(reference_calls)
     assert calls == []
+
+
+def test_the_cache_check_rejects_bounds_that_differ_from_calc_lambda():
+    # a goal slot written past the ledger's methods leaves the cache at 0
+    ledger = SearchLedger()
+    ledger.goal[0] = (1, 2)
+    with pytest.raises(LedgerError, match="cached bounds differ from calc_lambda"):
+        _check_cache(ledger, calc_lambda(ledger))

@@ -7,14 +7,19 @@ import fscsynth
 
 
 def test_no_assert_statements():
-    # ``python -O`` strips asserts, so no check may rely on one
+    # ``python -O`` strips asserts and sets ``__debug__`` false, so no check
+    # may rely on either. The benchmark's own modules are read too: its
+    # smoke runs check ``correct`` and ``failed`` under -O alone
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
     sources = sorted(Path(fscsynth.__file__).parent.glob("*.py"))
     assert len(sources) >= 8
+    benchmark = sorted(path for path in perfbench.glob("*.py") if path.name != "test_perfbench.py")
+    assert {"run.py", "workloads.py"} <= {path.name for path in benchmark}
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in sources
+        f"{path.parent.name}/{path.name}:{node.lineno}"
+        for path in sources + benchmark
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Assert)
+        if isinstance(node, ast.Assert) or (isinstance(node, ast.Name) and node.id == "__debug__")
     ]
     assert found == []
 
@@ -114,10 +119,10 @@ def test_choice_points_open_in_one_place():
 
 
 def test_only_the_ledger_writes_its_slots():
-    # the fold trusts ``top`` to name the cycle rows that reach the frontier
-    # and every row to hold positive masses only; the ledger's own methods
-    # keep that, so no other module may write a slot or a cached bound
-    names = {"ps", "goal", "fail", "noter", "loop", "top", "headroom", "prefix", "total", "pos"}
+    # the cache is kept in step with the slots, and every cycle row holds
+    # positive masses only, by the ledger's own methods alone, so no other
+    # module may write a slot or a cached bound
+    names = {"ps", "goal", "fail", "noter", "loop", "headroom", "prefix", "pos"}
 
     def written(target):
         if isinstance(target, (ast.Tuple, ast.List)):
@@ -141,5 +146,5 @@ def test_only_the_ledger_writes_its_slots():
                 targets = []
             found += [(path.name, node.lineno, name) for t in targets for name in written(t)]
     # the walk sees the ledger's own writes, so it is not blind to the form
-    assert {"loop", "top", "total", "acc_goal"} <= {name for module, _, name in found if module == "ledger.py"}
+    assert {"loop", "headroom", "acc_goal"} <= {name for module, _, name in found if module == "ledger.py"}
     assert [write for write in found if write[0] != "ledger.py"] == []
