@@ -9,9 +9,14 @@ the peak depth, the controller's transitions, sorted, and its number of
 states (both null when no controller is returned).  The output is
 deterministic; ``tests/data/r300.jsonl`` pins it.
 
-Usage: PYTHONPATH=src:tests python3 scripts/r300.py
+Given seeds, it prints their lines alone, and ``--budget`` replaces the
+60 000-step budget: ``tests/data/r300_long.jsonl`` pins seeds 10 and 120
+at 1 000 000 OR steps, the longest backtracking searches of the table.
+
+Usage: PYTHONPATH=src:tests python3 scripts/r300.py [--budget N] [SEED ...]
 """
 
+import argparse
 import json
 import random
 from fractions import Fraction
@@ -38,9 +43,9 @@ def request(seed: int) -> SynthesisRequest:
     return SynthesisRequest(prob, rng.choice((2, 3)), Fraction(1, 2))
 
 
-def row(seed: int) -> dict:
+def row(seed: int, budget: int = BUDGET) -> dict:
     """The table line of ``seed``, as a dict."""
-    result = pandor_synth(request(seed), budget=BUDGET)
+    result = pandor_synth(request(seed), budget=budget)
     controller = result.controller
     return {
         "seed": seed,
@@ -53,8 +58,12 @@ def row(seed: int) -> dict:
 
 
 def main() -> None:
-    for seed in range(SEEDS):
-        print(json.dumps(row(seed)), flush=True)
+    parser = argparse.ArgumentParser(description="Print R300 table lines.")
+    parser.add_argument("--budget", type=int, default=BUDGET, help="OR-step budget per search")
+    parser.add_argument("seeds", type=int, nargs="*", help=f"seeds to run (default: 0-{SEEDS - 1})")
+    args = parser.parse_args()
+    for seed in args.seeds or range(SEEDS):
+        print(json.dumps(row(seed, args.budget)), flush=True)
 
 
 if __name__ == "__main__":

@@ -148,9 +148,9 @@ outcome follows its siblings.  ``measure`` sums self-loops too: on a
 controller defined on every reachable pair its vector stays exact.
 
 After a commit, from a new choice point or on backtracking, that leaves
-the branch undecided, ``_settle`` makes one pass over the combined states
-reachable from (0, s0) under the committed pairs, reading the support of
-``pair_laws``.  Where it meets an undefined pair, the walk goes on.
+the branch undecided, ``_settle`` judges the combined states reachable
+from (0, s0) under the committed pairs, reading the support of
+``pair_laws``.  Where they meet an undefined pair, the walk goes on.
 Otherwise the controller is *closed*: it defines every pair it reaches,
 and the pass judges it as the qualitative graph algorithms of
 probabilistic model checking judge a finite Markov chain (Prob0 and
@@ -177,11 +177,45 @@ changes:
 So wherever the walk finishes, outcomes and controllers stay the same,
 while OR steps and peak depth only shrink: the settle skips the walk of
 the closed subtree, and a search that ran out of budget in it may now
-finish.  The pass costs time linear in the reachable part of the graph
-and makes no arithmetic; its backward pass is ``model.reaching``, the
-goal bound's own, and it shares no code with the verifier, so the
-verifier's re-check of a returned controller stays independent.
-``measure`` opens no choice point and so never settles.
+finish.
+
+The settles of a branch make one depth-first pass, resumed at each
+settle.  From the first choice point on, the search keeps the nodes the
+pass reached (an insertion-ordered dict), its stack of nodes reached but
+not expanded, the goal stops it met, and the node where it stopped, the
+one whose pair was undefined.  A settle returns None at once while that
+pair stays undefined, and otherwise resumes from that node.  A choice
+point's snapshot carries the dict's length, a copy of the stack, the
+number of goal stops and the stopped node; a restore pops the dict back
+to its length and hands back a copy of the stack, so the snapshot's own
+list outlives every pass resumed from it.  The pass keeps one
+invariant: every node of the dict outside the stack, other than the
+stopped node, was expanded under a pair that is still committed.  A
+commit only defines a pair, and a pair changes or leaves the controller
+only on backtracking to the choice point whose commit defined it, or to
+one below it, whose restore undoes the pass to a snapshot taken before
+that commit, so to a pass that never read the pair.  Hence the dict holds only nodes reachable under the committed
+pairs, and the successors of each expanded node are in the dict.  So
+each verdict is that of a pass from scratch over the same pairs:
+
+* while the stopped node's pair is undefined, a reachable pair is
+  undefined, and that pass returns None too;
+* once the stack is empty and no node is stopped, the dict is closed
+  under successors, so it holds every reachable node, each expanded
+  once, and the goal stops met are all the reachable ones: the
+  ``"fail"`` verdict and the backward pass, over predecessor lists
+  built from the dict only then, read the graph the pass from scratch
+  reads.
+
+A node is expanded at most once per branch.  A settle costs O(1) while
+the stopped pair stays undefined, otherwise the nodes that became
+reachable since the branch's last settle, plus, once the controller is
+closed, predecessor lists and a backward pass linear in its reachable
+graph; each snapshot copies the stack.  The pass makes no arithmetic;
+its backward pass is ``model.reaching``, the goal bound's own, and it
+shares no code with the verifier, so the verifier's re-check of a
+returned controller stays independent.  ``measure`` opens no choice
+point and so never settles.
 """
 
 from __future__ import annotations
@@ -365,6 +399,8 @@ class _Search(_Backtracker):
 
     #: whether the search cuts by the goal bound, and at lost states under ``LGT*`` alone
     cuts = True
+    #: the settle's pass (``_settle``), built at the first choice point
+    reached: Optional[dict] = None
 
     def __init__(self, problem: PlanningProblem, max_states: int, lgt_star, lter_star, budget: Optional[int]):
         super().__init__(problem, max_states, budget)
@@ -381,10 +417,22 @@ class _Search(_Backtracker):
         self.gaps = problem.goal_gaps if self.cuts else {}
 
     def _snapshot(self):
-        return self.ledger.snapshot()
+        # the settle's pass starts with the first choice point, so a search
+        # that ends at its root visit never builds it
+        if self.reached is None:
+            root = (0, self.problem.initial_state)
+            self.reached, self.unexpanded, self.goal_stops, self.stopped = {root: None}, [root], [], None
+        return self.ledger.snapshot(), len(self.reached), list(self.unexpanded), len(self.goal_stops), self.stopped
 
     def _restore(self, snap) -> None:
-        self.ledger.restore(snap)
+        ledger_snap, size, unexpanded, stops, self.stopped = snap
+        self.ledger.restore(ledger_snap)
+        reached = self.reached
+        while len(reached) > size:
+            reached.popitem()
+        # a copy: the snapshot's list must outlive every later pass from it
+        self.unexpanded = list(unexpanded)
+        del self.goal_stops[stops:]
 
     def _retreat(self, q: int, s: int) -> None:
         cumulate_alpha(self.ledger)
@@ -403,16 +451,22 @@ class _Search(_Backtracker):
         they reach from (0, s0): None where the graph meets an undefined
         pair, ``"fail"`` where it holds no goal stop (LGT = 0),
         ``"controller"`` where every node reaches one (LGT = LTER = 1), and
-        None otherwise (module docstring)."""
+        None otherwise.  The pass resumes where the branch's last settle
+        stopped (module docstring)."""
         controller, omega, goals, laws = self.controller, self.omega, self.goals, self.laws
-        root = (0, self.problem.initial_state)
-        preds = {root: []}  # every node reached so far, with its predecessors
-        stack, stops = [root], []
-        while stack:
-            node = stack.pop()
+        reached, unexpanded, stops = self.reached, self.unexpanded, self.goal_stops
+        node = self.stopped
+        if node is not None:
+            if (node[0], omega[node[1]]) not in controller:
+                return None
+            self.stopped = None
+            unexpanded.append(node)
+        while unexpanded:
+            node = unexpanded.pop()
             q, s = node
             tr = controller.get((q, omega[s]))
             if tr is None:
+                self.stopped = node
                 return None
             a, q2 = tr
             if a == STOP:
@@ -421,15 +475,20 @@ class _Search(_Backtracker):
                 continue
             for s2, _ in laws.get((s, a), ()):
                 succ = (q2, s2)
-                if succ in preds:
-                    preds[succ].append(node)
-                else:
-                    preds[succ] = [node]
-                    stack.append(succ)
+                if succ not in reached:
+                    reached[succ] = None
+                    unexpanded.append(succ)
         if not stops:
             return "fail"
-        # backward from the goal stops: does every node reach one?
-        return "controller" if len(reaching(stops, preds)) == len(preds) else None
+        # closed: backward from the goal stops, does every node reach one?
+        preds: dict = {}
+        for node in reached:
+            q, s = node
+            a, q2 = controller[(q, omega[s])]
+            if a != STOP:
+                for s2, _ in laws.get((s, a), ()):
+                    preds.setdefault((q2, s2), []).append(node)
+        return "controller" if len(reaching(stops, preds)) == len(reached) else None
 
     # -- OR step ----------------------------------------------------------
 

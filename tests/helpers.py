@@ -8,13 +8,14 @@ from __future__ import annotations
 import itertools
 import random
 import runpy
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from fscsynth.ledger import LambdaVector, LedgerError, SearchLedger, calc_lambda
 from fscsynth.model import (
-    Controller, Environment, ModelError, PlanningProblem, STOP, SynthesisRequest, SynthResult, as_prob,
+    Controller, Environment, ModelError, PlanningProblem, STOP, SynthesisRequest, SynthResult, as_prob, reaching,
 )
 from fscsynth.pandor import DEFAULT_BUDGET, _check_cache, _Measure, _Search
 from fscsynth.verifier import FAIL_SINK, GOAL_SINK, UNDEF_SINK, ChainError, CombinedChain
@@ -161,6 +162,63 @@ def _search(engine, request: SynthesisRequest, budget, walk: bool):
 def walk_synth(request: SynthesisRequest, budget=DEFAULT_BUDGET) -> SynthResult:
     """Reference for ``pandor_synth``: the same search without the settle."""
     return _search(_Search, request, budget, True).run()
+
+
+def settle_from_scratch(search: _Search):
+    """Reference for ``_Search._settle``: the verdict of one pass over the
+    combined states the committed pairs of ``search`` reach from (0, s0),
+    made afresh, as the search made it at every commit before its pass
+    resumed along the branch."""
+    controller, omega, goals, laws = search.controller, search.omega, search.goals, search.laws
+    root = (0, search.problem.initial_state)
+    preds = {root: []}  # every node reached so far, with its predecessors
+    stack, stops = [root], []
+    while stack:
+        node = stack.pop()
+        q, s = node
+        tr = controller.get((q, omega[s]))
+        if tr is None:
+            return None
+        a, q2 = tr
+        if a == STOP:
+            if s in goals:
+                stops.append(node)
+            continue
+        for s2, _ in laws.get((s, a), ()):
+            succ = (q2, s2)
+            if succ in preds:
+                preds[succ].append(node)
+            else:
+                preds[succ] = [node]
+                stack.append(succ)
+    if not stops:
+        return "fail"
+    return "controller" if len(reaching(stops, preds)) == len(preds) else None
+
+
+class _CheckedSettleSearch(_Search):
+    """The search with every settle verdict compared with
+    ``settle_from_scratch``'s on the same committed pairs; ``settles``
+    counts the verdicts."""
+
+    def __init__(self, problem, max_states, lgt_star, lter_star, budget):
+        super().__init__(problem, max_states, lgt_star, lter_star, budget)
+        self.settles = Counter()
+
+    def _settle(self):
+        verdict = super()._settle()
+        ref = settle_from_scratch(self)
+        if verdict != ref:
+            raise AssertionError(f"settle {verdict!r} against {ref!r} at {sorted(self.controller.items())}")
+        self.settles[verdict] += 1
+        return verdict
+
+
+def checked_settle_synth(request: SynthesisRequest, budget=DEFAULT_BUDGET) -> tuple[SynthResult, Counter]:
+    """``pandor_synth`` with every settle checked against
+    ``settle_from_scratch``, and its settle verdicts counted."""
+    search = _search(_CheckedSettleSearch, request, budget, False)
+    return search.run(), search.settles
 
 
 class _FullCandidatesSearch(_Search):

@@ -19,6 +19,7 @@ from fscsynth.verifier import exact_measures
 from helpers import (
     CascadeLedger,
     always_a_controller,
+    checked_settle_synth,
     enumerate_controllers,
     full_candidates_synth,
     goal_unreachable,
@@ -694,13 +695,14 @@ def _assert_settling_keeps_the_answer(request, new, label, budget=DEFAULT_BUDGET
 
 def test_settling_keeps_every_catalogue_answer(monkeypatch):
     # the benchmark's searches at seeds 1-3: each find controller is closed
-    # with LGT = 1 before its walk has pushed goal0 past LGT*
+    # with LGT = 1 before its walk has pushed goal0 past LGT*; every settle
+    # verdict equals the pass from scratch
     workloads = perfbench_workloads()
     settles = _counting_settles(monkeypatch)
     steps = Counter()
     for seed, workload in itertools.product((1, 2, 3), ("prove", "find")):
         for item in workloads["prepare"](workloads["generate"](workload, seed)):
-            new = pandor_synth(item.synth, workloads["BUDGET"])
+            new, _ = checked_settle_synth(item.synth, workloads["BUDGET"])
             label = (seed, item.request.domain, item.request.params)
             ref = _assert_settling_keeps_the_answer(item.synth, new, label, workloads["BUDGET"])
             assert new.outcome != "budget-exhausted" and ref.outcome != "budget-exhausted", label
@@ -725,7 +727,8 @@ def test_settling_keeps_every_r300_answer():
 
 
 def test_settling_on_random_partial_problems(monkeypatch):
-    # partial tables, N 1-3, every other request with an LTER*
+    # partial tables, N 1-3, every other request with an LTER*; every
+    # settle verdict equals the pass from scratch
     rng = random.Random(4545)
     settles = _counting_settles(monkeypatch)
     seen = Counter()
@@ -734,7 +737,7 @@ def test_settling_on_random_partial_problems(monkeypatch):
         lter_star = F(rng.randint(1, 19), 20) if trial % 2 else None
         request = SynthesisRequest(prob, rng.randint(1, 3), F(rng.randint(1, 19), 20), lter_star)
         before = settles.copy()
-        new = pandor_synth(request, budget=3000)
+        new, _ = checked_settle_synth(request, budget=3000)
         ref = _assert_settling_keeps_the_answer(request, new, (trial,), budget=3000)
         seen["conclusive"] += "budget-exhausted" not in (new.outcome, ref.outcome)
         seen["lower"] += new.or_steps < ref.or_steps
@@ -743,6 +746,50 @@ def test_settling_on_random_partial_problems(monkeypatch):
     assert seen["conclusive"] >= 550 and seen["settled"] >= 100, seen
     assert seen["lower"] >= 100 and seen["lter lower"] >= 50, seen
     assert settles["fail"] >= 1000 and settles["controller"] >= 10, settles
+
+
+def test_every_r300_settle_equals_the_pass_from_scratch():
+    # the resumed pass against the pass from scratch at each of R300's
+    # settles, with the committed table as the end result
+    settles = Counter()
+    for seed, request, row in _r300_results():
+        new, counted = checked_settle_synth(request, budget=60_000)
+        assert new == row, seed
+        settles.update(counted)
+    assert settles == {"fail": 39_353, None: 22_691, "controller": 11}
+
+
+def _pass_state(search) -> tuple:
+    return list(search.reached), list(search.unexpanded), list(search.goal_stops), search.stopped
+
+
+def test_restoring_one_choice_point_twice_gives_back_its_pass():
+    # each restore hands back a copy of the snapshot's stack: a pass that
+    # resumed on the snapshot's own list would leave the next restore at
+    # this choice point with the nodes that pass popped gone
+    prob = build("hall-a-1d", {"n": 5})
+    search = pandor._Search(prob, 2, F(1, 2), None, DEFAULT_BUDGET)
+    snap = search._snapshot()
+    start = _pass_state(search)
+    pair = (0, prob.environment.omega[prob.initial_state])
+    moved = []
+    for cand in search._candidates(prob.initial_state)[:2]:
+        search.controller[pair] = cand
+        assert search._settle() is None
+        moved.append(_pass_state(search))
+        search._restore(snap)
+        del search.controller[pair]
+        assert _pass_state(search) == start, cand
+    assert all(len(state[0]) > len(start[0]) for state in moved), moved
+
+
+def test_a_search_that_ends_at_its_root_visit_builds_no_pass():
+    # LGT* above U(s0), as in the benchmark's bridgewalk proofs: the goal
+    # bound fails the root visit before any choice point opens
+    prob = build("bridgewalk", {"n": 5, "p_fall": F(1, 10)})
+    search = pandor._Search(prob, 3, F(9, 10) ** 5 * F(1001, 1000), None, DEFAULT_BUDGET)
+    assert search.run() == SynthResult("failure-proved", None, 1, 0)
+    assert search.reached is None
 
 
 def _assert_cut_keeps_the_answer(request, label, budget=DEFAULT_BUDGET, walk=False):
