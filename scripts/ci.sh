@@ -5,15 +5,16 @@
 #
 #   bash scripts/ci.sh
 #
-# About 60-75 s in all on a 2-vCPU Xeon VM (CPython 3.11.7; 60 s measured
-# with 516 tier-1 tests): 32-45 s for tier-1 (33 s in that run, among them
-# the R300 comparisons with the walk, the revisit walk and the settle's
-# pass from scratch, and the goal-bound tests), 1 s for the standalone
-# acceptance battery, 18 s for the six smoke runs (2.4-3.8 s each, the
-# three untraced ones under -O), 4 s for R300, 4-5 s for its seeds 10 and
-# 120 at 10^6 OR steps (about 2.5 s and 1.4 s), 0.2 s for the -O andor
-# example and 0.4 s for the two -O verify runs; longer while other work
-# shares the VM.
+# About 130-160 s in all on a 2-vCPU Xeon VM (CPython 3.11.7; 141 s
+# measured with 518 tier-1 tests): 55-70 s for tier-1 (59 s in that run,
+# among them the small-scope oracle's scope 2, about 25 s, the R300
+# comparisons with the walk, the revisit walk and the settle's pass from
+# scratch, and the goal-bound tests), 1 s for the standalone acceptance
+# battery, 18 s for the six smoke runs (2.4-3.8 s each, the three untraced
+# ones under -O), 4 s for R300, 4 s for its seeds 10 and 120 at 10^6 OR
+# steps (about 2.5 s and 1.2 s), 45-55 s for the small-scope scopes 1 and
+# 3 (about 6 s and 41-48 s), 0.2 s for the -O andor example and 0.4 s for the
+# two -O verify runs; longer while other work shares the VM.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -93,11 +94,17 @@ diff <(PYTHONPATH=src:tests python3 -O scripts/r300.py) tests/data/r300.jsonl
 echo "R300 table: identical"
 
 # R300 seeds 10 and 120 at a budget of 10^6: the longest backtracking
-# searches of the table, 263 283 and 104 777 OR steps to a controller, and
+# searches of the table, 224 651 and 86 292 OR steps to a controller, and
 # so the longest runs of the choice points' snapshots and restores; their
 # outcome, OR steps, peak depth and controller must match under -O
 diff <(PYTHONPATH=src:tests python3 -O scripts/r300.py --budget 1000000 10 120) tests/data/r300_long.jsonl
 echo "R300 seeds 10 and 120 at 10^6 OR steps: identical"
+
+# the small-scope oracle's other two scopes, every problem of 2 states and
+# 2 actions with splits 1/2 (scope 1), then 1/3, 1/2 and 2/3 (scope 3),
+# against brute force, through its own __main__ runner, which exits 1 on a
+# mismatch; tier-1 runs scope 2. Under -O: the checks are no asserts
+PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python3 -O tests/test_small_scope.py 1 3
 
 # README's andor example under -O: no other check runs an andor search
 # without assert statements

@@ -34,9 +34,10 @@ end), makes the same steps in the same order:
   extend the branch, and ``_execute`` returns None for it;
 * the filtered list is, element for element and in the same order, the
   applicable actions crossed with the canonical successors, behind stop
-  at a goal state: a stuck action is inapplicable at s, and an action
-  applicable at s is live for ``omega[s]``; it is empty exactly at a
-  non-goal state with no applicable action, where ``_visit`` fails.
+  at a goal state: ``offers`` lists every action applicable at some
+  state with ``omega[s]``, so every action applicable at s; it is empty
+  exactly at a non-goal state with no applicable action, where ``_visit``
+  fails.
 """
 
 from __future__ import annotations

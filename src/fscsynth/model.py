@@ -392,16 +392,14 @@ class PlanningProblem:
 
     @cached_property
     def offers(self) -> tuple:
-        """Per observation, ``(action, applicable at some state)`` for every
-        action a choice point offers: only the first stuck one stays."""
+        """Per observation, in index order, the actions a choice point
+        offers: those applicable at some state with that observation.  A
+        *stuck* action, applicable at none of them, is left out, since
+        ``stop`` dominates it (``pandor``'s module docstring)."""
         env = self.environment
+        applicable = {(env.omega[s], a) for s, a in self.pair_laws}
         actions = range(len(env.actions))
-        live = {(env.omega[s], a) for s, a in self.pair_laws}
-        offers = []
-        for o in range(len(env.observations)):
-            first_stuck = next((a for a in actions if (o, a) not in live), None)
-            offers.append(tuple([(a, (o, a) in live) for a in actions if (o, a) in live or a == first_stuck]))
-        return tuple(offers)
+        return tuple([tuple([a for a in actions if (o, a) in applicable]) for o in range(len(env.observations))])
 
 
 @dataclass(frozen=True)

@@ -32,24 +32,20 @@ deterministic baseline in ``andor`` shares;
 a choice point's snapshot here is the ledger's alpha structures and
 their cached bounds.
 
-A choice point offers every action crossed with the canonically numbered
-successor states, but a *stuck* action (one that no state with the
-observation at hand has in ``delta``) only once: the first stuck action,
-with successor 0.  No answer changes:
+A choice point offers the actions of ``PlanningProblem.offers`` crossed
+with the canonically numbered successor states, plus stop.  A *stuck*
+action, one that no state with the observation at hand has in ``delta``,
+is never offered, because stop dominates it:
 
-* every stuck transition (q, o) -> (a, q2) records its step mass as
-  never-terminating, here and at every later state with observation o,
-  whatever a and q2 are;
-* q2 is never entered through it, so it only raises the highest state
-  in use: a controller below a dropped sibling, with that transition
-  replaced by (a, 0) and its states renumbered canonically, is a
-  controller below (a, 0) with the same ledger records and measures;
-* so if the (a, 0) subtree fails, every dropped sibling fails too, and if
-  it succeeds, the same controller is found first, since the remaining
-  candidates keep their order.
-
-Only the OR-step count shrinks, so a search that ran out of budget on the
-full candidate list may now finish.
+* at every visit of (q, o), a stuck transition (q, o) -> (a, q2) records
+  the step mass as never-terminating, and (q, o) -> stop records it as
+  goal mass or as fail mass;
+* neither enters a successor (q2 only counts toward the highest state
+  in use), so the swap keeps every reachable pair and every other
+  record, and LGT and LTER each rise or stay;
+* so every controller that meets the bounds with a stuck transition has
+  one without it, its states renumbered canonically, that meets them
+  too and lies in the search space; a failure proof stays exact.
 
 Every search cuts by the goal bound, ``PlanningProblem.goal_bound``:
 per state s, a value v(s) >= U(s), the most goal mass any policy of the
@@ -336,16 +332,11 @@ class _Backtracker:
         return range(min(self._highest_used() + 1, self.max_states - 1) + 1)
 
     def _candidates(self, s: int) -> list[tuple[int, int]]:
-        """Extension choices: every applicable action crossed with
-        canonically numbered successor states, the first stuck action once
-        with successor 0, plus stop.  Stop is tried first in goal states
-        and last elsewhere."""
+        """Extension choices: every action ``offers`` lists for ``omega[s]``
+        crossed with canonically numbered successor states, plus stop.  Stop
+        is tried first in goal states and last elsewhere."""
         successors = self._successors()
-        acts = [
-            (a, q2)
-            for a, live in self.offers[self.omega[s]]
-            for q2 in (successors if live else (0,))
-        ]
+        acts = [(a, q2) for a in self.offers[self.omega[s]] for q2 in successors]
         if s in self.goals:
             return [(STOP, 0)] + acts
         return acts + [(STOP, 0)]

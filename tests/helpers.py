@@ -223,13 +223,13 @@ def checked_settle_synth(request: SynthesisRequest, budget=DEFAULT_BUDGET) -> tu
 
 class _FullCandidatesSearch(_Search):
     """The search with the candidate list it had before stuck actions were
-    collapsed: every action offered as live, so each one, stuck or not, is
-    crossed with every canonical successor state."""
+    dropped: every action offered, so each one, stuck or not, is crossed
+    with every canonical successor state."""
 
     def __init__(self, problem, max_states, lgt_star, lter_star, budget):
         super().__init__(problem, max_states, lgt_star, lter_star, budget)
         env = problem.environment
-        self.offers = (tuple([(a, True) for a in range(len(env.actions))]),) * len(env.observations)
+        self.offers = (tuple(range(len(env.actions))),) * len(env.observations)
 
 
 def full_candidates_synth(request: SynthesisRequest, budget=DEFAULT_BUDGET, walk=False) -> SynthResult:

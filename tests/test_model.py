@@ -356,16 +356,13 @@ def test_equal_but_distinct_fractions_pass():
 
 
 def _offers_per_search(env):
-    """The offer lists as each search built them before they moved onto
-    the problem: per observation, every applicable action and the first
-    stuck one."""
-    actions = range(len(env.actions))
-    live = {(env.omega[s], a) for s, a in env.delta}
-    offers = []
-    for o in range(len(env.observations)):
-        first_stuck = next((a for a in actions if (o, a) not in live), None)
-        offers.append([(a, (o, a) in live) for a in actions if (o, a) in live or a == first_stuck])
-    return offers
+    """The offer lists from the ``Fraction`` tables: per observation, in
+    index order, every action some state with that observation has in
+    ``delta``, and no stuck one."""
+    return [
+        [a for a in range(len(env.actions)) if any((s, a) in env.delta for s, o in enumerate(env.omega) if o == obs)]
+        for obs in range(len(env.observations))
+    ]
 
 
 def _retry_laws(env):

@@ -348,7 +348,7 @@ def test_differential_against_enumeration_on_random_problems():
                 assert m.lgt >= lgt_star and (lter_star is None or m.lter >= lter_star), case
             outcomes[result.outcome] += 1
     assert min(outcomes.values()) >= 20, outcomes
-    # the corpus must exercise the stuck-action collapse of the candidates
+    # the corpus must exercise the stuck actions dropped from the candidates
     assert with_stuck_pairs >= 20, with_stuck_pairs
 
 
@@ -401,8 +401,8 @@ def test_domains_without_stuck_pairs_search_as_before(name, params):
 
 def test_stuck_action_collapse_on_random_partial_problems():
     # the search and the walk each against their full candidate lists; on
-    # these small problems the settle decides every dropped sibling in no
-    # OR step, so only the walks show the collapse saving OR steps
+    # these small problems the settle decides every dropped candidate in no
+    # OR step, so only the walks show the stuck actions dropped saving OR steps
     rng = random.Random(8080)
     seen = Counter()
     for trial in range(250):
@@ -423,6 +423,32 @@ def test_stuck_action_collapse_on_random_partial_problems():
             else:
                 assert new.or_steps == full.or_steps, case
     assert seen["stuck"] >= 100 and seen["walk lower"] >= 1, seen
+
+
+def test_no_candidate_list_and_no_r300_controller_holds_a_stuck_action():
+    # stop dominates a stuck action, so no choice point offers one, on any
+    # catalogue domain or random partial problem, at any state
+    rng = random.Random(3131)
+    problems = [build(name) for name in domain_names()]
+    problems += [random_env(rng, n_states=rng.randint(2, 5), partial=True) for _ in range(100)]
+    assert sum(bool(stuck_pairs(prob.environment)) for prob in problems) >= 20
+    for prob in problems:
+        stuck, omega = stuck_pairs(prob.environment), prob.environment.omega
+        for N in (1, 3):
+            search = pandor._Search(prob, N, F(1, 2), None, DEFAULT_BUDGET)
+            for s in range(len(omega)):
+                candidates = search._candidates(s)
+                assert not [a for a, _ in candidates if (omega[s], a) in stuck], (prob, N, s)
+                assert candidates.count((STOP, 0)) == 1
+    # nor does a returned controller take one: seed 70's took the stuck
+    # action 0 at (1, o1), with LGT 3/5 and 2/5 never terminating
+    for seed, request, row in _r300_results():
+        if row.controller is not None:
+            stuck = stuck_pairs(request.problem.environment)
+            assert not [o for (_, o), (a, _) in row.controller.transitions.items() if (o, a) in stuck], seed
+            if seed == 70:
+                m = exact_measures(request.problem, row.controller)
+                assert m.lgt == m.lter == 1
 
 
 class _JudgingEverywhere(pandor._Search):
@@ -566,14 +592,16 @@ def test_a_search_visits_a_law_in_delta_order():
 
 
 def test_bridgewalk_proof_step_count():
-    # 19 960 OR steps when every stuck action was offered with every
-    # successor, 1 536 without the cut at the fallen state, both walked;
-    # with the goal bound, U(s0) = 0.9^8 < 1/2 settles the root visit
+    # 19 960 OR steps walked when every stuck action was offered with every
+    # successor, and 548 with the cut at the fallen state or 1 536 without
+    # it when the first stuck one was offered once; fallen, which has no
+    # applicable action, now offers stop alone, so the cut saves nothing
+    # there; with the goal bound, U(s0) = 0.9^8 < 1/2 settles the root visit
     request = SynthesisRequest(build("bridgewalk", {"n": 8, "p_fall": F(1, 10)}), 4, F(1, 2))
     refs = [synth(request, walk=walk) for walk in (True, False) for synth in (unbounded_synth, uncut_synth)]
     result = pandor_synth(request)
     assert {r.outcome for r in refs} == {result.outcome} == {"failure-proved"}
-    assert [r.or_steps for r in refs] == [548, 1536, 548, 1532]
+    assert [r.or_steps for r in refs] == [476, 476, 476, 476]
     assert (result.or_steps, result.peak_depth) == (1, 0)
 
 
@@ -722,7 +750,7 @@ def test_settling_keeps_every_r300_answer():
         if new.outcome != ref.outcome:
             steps[f"{new.outcome} {seed}"] = new.or_steps
     assert steps == {
-        "new": 263_314, "walk": 461_983, "lower": 91, "controller 129": 5185, "controller 142": 11_252,
+        "new": 263_314, "walk": 461_984, "lower": 91, "controller 129": 5185, "controller 142": 11_252,
     }
 
 
@@ -756,7 +784,7 @@ def test_every_r300_settle_equals_the_pass_from_scratch():
         new, counted = checked_settle_synth(request, budget=60_000)
         assert new == row, seed
         settles.update(counted)
-    assert settles == {"fail": 39_353, None: 22_691, "controller": 11}
+    assert settles == {"fail": 35_690, None: 21_339, "controller": 12}
 
 
 def _pass_state(search) -> tuple:
@@ -833,8 +861,9 @@ def test_goal_unreachable_cut_keeps_every_answer(name, params, lost, best):
             if lter_star is not None:
                 assert new == ref  # the cut is off under LTER*
             saved += ref - new
-    # nogoal has no successor: a visit is one OR step, cut or not
-    assert saved > 0 or name == "coin-flip"
+    # nogoal and fallen have no applicable action: stop is the one
+    # candidate there, so a visit is one OR step, cut or not
+    assert (saved > 0) == (name == "three-state"), saved
 
 
 def test_goal_unreachable_cut_on_random_problems():
@@ -916,8 +945,8 @@ def _search_counting_saturations(monkeypatch, request, ledger_class):
 
 @pytest.mark.parametrize("seed, n_states, outcome, saturations, cascade_saturations", [
     (12, 6, "controller", 2, 23),
-    (50, 5, "failure-proved", 6, 25),
-    (191, 6, "controller", 37, 131),
+    (50, 5, "failure-proved", 6, 24),
+    (191, 6, "controller", 36, 104),
 ])
 def test_lazy_dead_index_rule_searches_as_the_cascade(
     monkeypatch, seed, n_states, outcome, saturations, cascade_saturations
